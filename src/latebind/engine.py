@@ -18,6 +18,11 @@ A switch decision discards no work: variants start from the same
 materialized input, whose cost was charged once.  A re-evaluation re-arms
 the hook exactly once; the re-fired evaluation may keep or switch but not
 re-evaluate again, which rules out oscillation.
+
+On the simulated clock the modes of one query share kernel outputs: a
+kernel runs once per node and path of executed variants, and every mode that
+reaches it along the same path reuses the result while its own cost is
+still charged.  The wall clock bypasses this, since it times every run.
 """
 
 from __future__ import annotations
@@ -150,8 +155,10 @@ def _hash_join(probe_key: np.ndarray, build_key: np.ndarray,
     into the output multiset."""
     order = np.argsort(build_key, kind="stable")
     sorted_key = build_key[order]
-    lo = np.searchsorted(sorted_key, probe_key, side="left")
-    hi = np.searchsorted(sorted_key, probe_key, side="right")
+    # search each distinct probe key once, then spread back to probe order
+    keys, inverse = np.unique(probe_key, return_inverse=True)
+    lo = np.searchsorted(sorted_key, keys, side="left")[inverse]
+    hi = np.searchsorted(sorted_key, keys, side="right")[inverse]
     counts = hi - lo
     total = int(counts.sum())
     out: dict[str, np.ndarray] = {}
@@ -193,7 +200,8 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
     for start in range(0, probe_key.size, block):
         p = probe_key[start:start + block]
         hits = p[:, None] == build_key[None, :]
-        p_idx, b_idx = np.nonzero(hits)
+        # row-major flat positions: probe-major, build-ascending
+        p_idx, b_idx = np.divmod(np.flatnonzero(hits), build_key.size)
         total += p_idx.size
         for name, col in carried.items():
             out_chunks[name].append(col[start:start + block][p_idx])
@@ -237,8 +245,14 @@ def _needed_columns(plan: AnnotatedPlan) -> tuple[list[str], list[str], Optional
 
 def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             thresholds: Thresholds, clock: Clock, seed: int,
-            config: Optional[EngineConfig] = None) -> tuple[Optional[QueryResult], ExecutionTrace]:
-    """Run one annotated plan; returns (result, trace), result None on failure."""
+            config: Optional[EngineConfig] = None, memo: Optional[dict] = None,
+            ) -> tuple[Optional[QueryResult], ExecutionTrace]:
+    """Run one annotated plan; returns (result, trace), result None on failure.
+
+    Calls that share a memo must share plan and tables: each kernel then runs
+    once per node and path of executed variants (so an aggregate never reuses
+    another join kernel's output), and later calls get the same output objects.
+    """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode != BASELINE and not thresholds.calibrated:
@@ -275,8 +289,18 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         nonlocal held, charged_total, predicted_total
         base = model_cost(node.kind, variant, cards, true_model)
         modeled_only = variant == ACCELERATOR
+        work = kernel
+        if memo is not None:
+            key = (*((r.node_id, r.executed_variant) for r in trace.records),
+                   (node.node_id, variant))
+
+            def work() -> object:
+                if key not in memo:
+                    memo[key] = kernel()
+                return memo[key]
+
         out, charged = clock.charge(base, noise_seed, node_order[node.node_id],
-                                    work=kernel, modeled_only=modeled_only)
+                                    work=work, modeled_only=modeled_only)
         out_bytes = out_bytes_of(out)
         working = held + extra_bytes + out_bytes
         spilled = working > budget
@@ -292,15 +316,12 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
             executed_variant=variant, n_est=node.est_input.value, n_obs=n_obs,
             decisions=decisions, charged_cost=charged, spilled=spilled))
-        if decisions:
-            trace.decision_count += len(decisions)
+        trace.decision_count += len(decisions)
         return out
 
     def hook(node: PlanNode, n_obs: int, node_staleness: int,
              build_exceeds: bool = False) -> tuple[str, tuple[str, ...]]:
         signals = observe(node, n_obs, held, budget, charged_total, predicted_total)
-        if mode == BASELINE:
-            return node.chosen, ("keep",)
         r_opt = risk_value(node.est_input.variance_proxy, node_staleness,
                            thresholds.w_variance, thresholds.w_staleness)
         r_acc = None
@@ -308,7 +329,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             r_acc = thresholds.n_star[node.kind] / max(1, n_obs)
         return decision_hook(node, signals, mode, thresholds, r_opt, r_acc, build_exceeds)
 
-    def run_branch(side: str, scan_node: PlanNode, filter_node: Optional[PlanNode],
+    def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
                    table: Table, cols: list[str]) -> dict[str, np.ndarray]:
         nonlocal held
         n = table.row_count
@@ -330,10 +351,9 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         return filtered
 
     try:
-        left = run_branch("left", plan.left_scan, plan.left_filter,
-                          tables[q.left_table], left_cols)
-        right = run_branch("right", plan.right_scan, plan.right_filter,
-                           tables[q.right_table], right_cols)
+        left = run_branch(plan.left_scan, plan.left_filter, tables[q.left_table], left_cols)
+        right = run_branch(plan.right_scan, plan.right_filter, tables[q.right_table],
+                           right_cols)
 
         n_probe = int(left[q.left_key].size)
         n_build = int(right[q.right_key].size)

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 
 import pytest
 
-from latebind import bench
+from latebind import bench, engine
 from latebind.bench import (LatencyReport, SampleRow, build_report, cdf_points,
                             compare_reports, percentile, report_emit, run_scenario,
                             scenario_break_even, scenario_input_scale_shift,
                             scenario_stale_stats, summarize)
-from latebind.clock import SimulatedClock
+from latebind.clock import SimulatedClock, WallClock
+from latebind.engine import EngineConfig
 from latebind.errors import ResultMismatchError, ValidationError
+from latebind.planner import HASH_JOIN, NESTED_LOOP
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED
 from latebind.rng import Stream
 
@@ -166,8 +169,10 @@ def test_cross_mode_mismatch_aborts(monkeypatch):
     real_execute = bench.execute
     flip = {"n": 0}
 
-    def tampering_execute(plan, tables, mode, thresholds, clock, seed, config=None):
-        result, trace = real_execute(plan, tables, mode, thresholds, clock, seed, config)
+    def tampering_execute(plan, tables, mode, thresholds, clock, seed, config=None,
+                          memo=None):
+        result, trace = real_execute(plan, tables, mode, thresholds, clock, seed, config,
+                                     memo=memo)
         if mode == ORCHESTRATED:
             flip["n"] += 1
             result = engine_mod.QueryResult(value=result.value + 1)
@@ -177,6 +182,94 @@ def test_cross_mode_mismatch_aborts(monkeypatch):
     with pytest.raises(ResultMismatchError):
         run_scenario(scenario, SimulatedClock(sigma=0.0))
     assert flip["n"] >= 1
+
+
+def test_kernel_memo_leaves_reports_unchanged(monkeypatch):
+    scenario = scenario_input_scale_shift(seed=3, query_count=12)
+    assert any(case.fact_variant != bench.BASE_VARIANT for case in scenario.cases)
+    clock = SimulatedClock(sigma=0.05)
+    shared = run_scenario(scenario, clock)
+    real_execute = bench.execute
+
+    def execute_without_memo(*args, memo=None, **kwargs):
+        return real_execute(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "execute", execute_without_memo)
+    assert run_scenario(scenario, clock) == shared
+
+
+def count_join_kernels(monkeypatch) -> tuple[list, list]:
+    """Wrap bench.execute and the join kernels; returns (executions, kernel
+    calls), each call tagged with its query seed and kernel name."""
+    executions: list[tuple[int, str, str]] = []   # (query seed, mode, join variant)
+    calls: list[tuple[int, str]] = []
+    current = {"seed": None}
+    real_execute = bench.execute
+
+    def tagging_execute(plan, tables, mode, thresholds, clock, seed, config=None,
+                        memo=None):
+        current["seed"] = seed
+        result, trace = real_execute(plan, tables, mode, thresholds, clock, seed, config,
+                                     memo=memo)
+        join = next(r for r in trace.records if r.kind == "join")
+        executions.append((seed, mode, join.executed_variant))
+        return result, trace
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls.append((current["seed"], name))
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bench, "execute", tagging_execute)
+    monkeypatch.setattr(engine, "_nested_loop_join",
+                        counting(NESTED_LOOP, engine._nested_loop_join))
+    monkeypatch.setattr(engine, "_hash_join", counting(HASH_JOIN, engine._hash_join))
+    return executions, calls
+
+
+@pytest.mark.parametrize("clock", [SimulatedClock(sigma=0.05), WallClock()],
+                         ids=["simulated", "wall"])
+def test_nested_loop_runs_once_per_query_only_on_simulated_clock(monkeypatch, clock):
+    scenario = scenario_input_scale_shift(seed=3, query_count=12)
+    executions, calls = count_join_kernels(monkeypatch)
+    run_scenario(scenario, clock)
+    per_query = Counter(seed for seed, name in calls if name == NESTED_LOOP)
+    modes_per_query = Counter(seed for seed, _, variant in executions
+                              if variant == NESTED_LOOP)
+    if clock.mode == "simulated":
+        assert per_query == Counter(set(modes_per_query))  # once each
+    else:
+        assert per_query == modes_per_query                 # once per mode
+    assert max(modes_per_query.values()) == len(scenario.modes)
+
+
+def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):
+    # every query drifted 20x: baseline keeps the nested loop, the hooked
+    # modes switch to hash; all modes keep the cpu aggregate
+    scenario = scenario_input_scale_shift(seed=3, query_count=2, fact_rows=500,
+                                          dim_rows=500, drift_fraction=1.0,
+                                          scales=(20.0,))
+    config = EngineConfig(nl_pair_cap=10**9)  # keep the nested loop literal
+    executions, calls = count_join_kernels(monkeypatch)
+    run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
+    for seed in {seed for seed, _, _ in executions}:
+        variants = {mode: v for s, mode, v in executions if s == seed}
+        assert variants[BASELINE] == NESTED_LOOP
+        assert variants[ORCHESTRATED] == HASH_JOIN
+        assert sorted(name for s, name in calls if s == seed) == [HASH_JOIN, NESTED_LOOP]
+
+    # the aggregate of each join variant runs on that variant's own output,
+    # so a wrong nested-loop output still fails the cross-mode check
+    real_nl = engine._nested_loop_join
+
+    def corrupt_nested_loop(*args, **kwargs):
+        total, out = real_nl(*args, **kwargs)
+        return total, {name: col + 1 for name, col in out.items()}
+
+    monkeypatch.setattr(engine, "_nested_loop_join", corrupt_nested_loop)
+    with pytest.raises(ResultMismatchError):
+        run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
 
 
 def test_report_emit_files_and_determinism(tmp_path):

@@ -4,17 +4,19 @@ import dataclasses
 import io
 import itertools
 
+import numpy as np
 import pytest
 
 from latebind.clock import SimulatedClock, WallClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
-from latebind.engine import (EngineConfig, RuntimeSignals, brute_force_join_count,
-                             execute, observe, trace_csv)
+from latebind.engine import (EngineConfig, RuntimeSignals, _hash_join, _nested_loop_join,
+                             brute_force_join_count, execute, observe, trace_csv)
 from latebind.errors import ConfigurationError, ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
 from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds,
                              static_thresholds)
+from latebind.rng import Stream
 from latebind.stats import Predicate, capture_statistics
 
 
@@ -300,3 +302,38 @@ def test_nested_loop_kernel_matches_hash_kernel_bits(default_model):
     assert r_nl.value == r_hj.value
     assert r_nl.value == brute_force_join_sum(fact.column("fk"), dim.column("pk"),
                                               fact.column("v"))
+
+
+def brute_force_join_pairs(probe_key, build_key) -> tuple[np.ndarray, np.ndarray]:
+    """(probe row, build row) of every matching pair, probe-major and
+    build-ascending, from a plain double loop."""
+    pairs = [(i, j) for i, p in enumerate(probe_key.tolist())
+             for j, b in enumerate(build_key.tolist()) if p == b]
+    return (np.array([i for i, _ in pairs], dtype=np.int64),
+            np.array([j for _, j in pairs], dtype=np.int64))
+
+
+@pytest.mark.parametrize("n_probe,n_build", [(0, 40), (40, 0), (37, 23), (150, 90)])
+@pytest.mark.parametrize("pair_cap", [10**9, 0], ids=["literal", "above_cap"])
+def test_join_kernels_match_brute_force_pairs(n_probe, n_build, pair_cap):
+    # keys repeat on both sides; probe keys 0..4 have no build match
+    stream = Stream(17 + n_probe)
+    probe_key = stream.integers(0, 14, n_probe)
+    build_key = stream.integers(5, 19, n_build)
+    carried = {"v": np.arange(n_probe, dtype=np.int64) * 7 + 3,
+               "u": np.arange(n_probe, dtype=np.int64)[::-1].copy()}
+    build_carried = {"w": np.arange(n_build, dtype=np.int64) * 11 + 1000}
+    p_idx, b_idx = brute_force_join_pairs(probe_key, build_key)
+    expected = {"v": carried["v"][p_idx], "u": carried["u"][p_idx],
+                "w": build_carried["w"][b_idx]}
+    outputs = {
+        "hash": _hash_join(probe_key, build_key, carried, build_carried),
+        # 16 divides neither probe length
+        "nested_loop": _nested_loop_join(probe_key, build_key, carried, build_carried,
+                                         block=16, pair_cap=pair_cap),
+    }
+    for kernel, (total, out) in outputs.items():
+        assert total == p_idx.size, kernel
+        assert sorted(out) == sorted(expected), kernel
+        for name, column in expected.items():
+            assert np.array_equal(out[name], column), (kernel, name)
