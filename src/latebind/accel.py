@@ -1,12 +1,12 @@
 """Accelerator cost modeling: microbenchmarks, line fitting, break-even.
 
 The accelerator is a calibrated cost-model device.  Microbenchmarks charge
-its modeled per-size cost through the clock (so they inherit the clock's
-noise and determinism), ordinary least squares fits one affine cost line per
-device, and the fitted lines yield the estimated break-even size alongside
-the empirically interpolated one.  The ratio of break-even size to observed
-input size is the accelerator-side risk signal: above 1, offloading has not
-amortized.
+each device's modeled per-size cost, priced by ``planner.cost``, through the
+clock (so they inherit the clock's noise and determinism), ordinary least
+squares fits one affine cost line per device, and the fitted lines yield the
+estimated break-even size alongside the empirically interpolated one.  The
+ratio of break-even size to observed input size is the accelerator-side risk
+signal: above 1, offloading has not amortized.
 """
 
 from __future__ import annotations
@@ -17,33 +17,8 @@ from typing import IO, Optional
 
 from .clock import SimulatedClock
 from .errors import NoBreakEvenError, ValidationError
-from .planner import AcceleratorCost, CostModel, LinearCost
+from .planner import ACCELERATOR, CPU, CostModel, cost, model_break_even
 from .rng import derive_seed
-
-CPU_DEVICE = "cpu"
-ACCEL_DEVICE = "accelerator"
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    device: str
-    linear: dict[str, LinearCost] | None = None        # cpu devices
-    accelerated: dict[str, AcceleratorCost] | None = None  # accelerator devices
-
-    def model_cost(self, op_kind: str, n: float) -> float:
-        if self.device == CPU_DEVICE:
-            c = self.linear[op_kind]
-            return c.a * n + c.b
-        c = self.accelerated[op_kind]
-        return c.setup + c.per_item * n
-
-    @staticmethod
-    def cpu_from(model: CostModel) -> "DeviceProfile":
-        return DeviceProfile(device=CPU_DEVICE, linear=dict(model.cpu))
-
-    @staticmethod
-    def accelerator_from(model: CostModel) -> "DeviceProfile":
-        return DeviceProfile(device=ACCEL_DEVICE, accelerated=dict(model.accel))
 
 
 @dataclass(frozen=True)
@@ -95,7 +70,7 @@ def default_size_grid(n_star_hint: float, count: int = 8, span: float = 5.0) -> 
     return sizes
 
 
-def run_microbenchmark(op_kind: str, sizes: list[int], profile: DeviceProfile,
+def run_microbenchmark(op_kind: str, sizes: list[int], model: CostModel, device: str,
                        clock: SimulatedClock, repetitions: int, seed: int,
                        ) -> list[Measurement]:
     """One charged measurement per (size, repetition), deterministic per seed."""
@@ -107,15 +82,15 @@ def run_microbenchmark(op_kind: str, sizes: list[int], profile: DeviceProfile,
         raise ValidationError("sizes must be positive")
     if repetitions < 1:
         raise ValidationError("repetitions must be >= 1")
-    noise_seed = derive_seed(seed, f"micro/{profile.device}/{op_kind}")
+    noise_seed = derive_seed(seed, f"micro/{device}/{op_kind}")
     out = []
     counter = 0
     for n in sizes:
-        model_cost = profile.model_cost(op_kind, n)
+        model_cost = cost(op_kind, device, (n,), model)
         for _ in range(repetitions):
             _, charged = clock.charge(model_cost, noise_seed, counter, modeled_only=True)
             counter += 1
-            out.append(Measurement(op_kind=op_kind, device=profile.device, n=n, cost=charged))
+            out.append(Measurement(op_kind=op_kind, device=device, n=n, cost=charged))
     return out
 
 
@@ -155,12 +130,11 @@ def break_even(cpu_fit: LineFit, accel_fit: LineFit,
     if cpu_fit.slope <= accel_fit.slope:
         raise NoBreakEvenError(
             f"{kind}: accelerator never amortizes "
-            f"(cpu slope {cpu_fit.slope:.4g} <= accelerator slope {accel_fit.slope:.4g})",
-            op_kind=kind)
+            f"(cpu slope {cpu_fit.slope:.4g} <= accelerator slope {accel_fit.slope:.4g})")
     n_est = (accel_fit.intercept - cpu_fit.intercept) / (cpu_fit.slope - accel_fit.slope)
     if n_est <= 0:
         raise NoBreakEvenError(
-            f"{kind}: fitted lines cross at non-positive size {n_est:.4g}", op_kind=kind)
+            f"{kind}: fitted lines cross at non-positive size {n_est:.4g}")
 
     per_size: dict[int, dict[str, list[float]]] = {}
     for m in measurements:
@@ -168,31 +142,30 @@ def break_even(cpu_fit: LineFit, accel_fit: LineFit,
             continue
         per_size.setdefault(m.n, {}).setdefault(m.device, []).append(m.cost)
     sizes = sorted(n for n, by_dev in per_size.items()
-                   if CPU_DEVICE in by_dev and ACCEL_DEVICE in by_dev)
+                   if CPU in by_dev and ACCELERATOR in by_dev)
     if len(sizes) < 2:
         raise ValidationError("observed crossover needs both devices measured on >= 2 shared sizes")
     diffs = []
     for n in sizes:
         by_dev = per_size[n]
-        cpu_mean = sum(by_dev[CPU_DEVICE]) / len(by_dev[CPU_DEVICE])
-        acc_mean = sum(by_dev[ACCEL_DEVICE]) / len(by_dev[ACCEL_DEVICE])
+        cpu_mean = sum(by_dev[CPU]) / len(by_dev[CPU])
+        acc_mean = sum(by_dev[ACCELERATOR]) / len(by_dev[ACCELERATOR])
         diffs.append(cpu_mean - acc_mean)
     cross = next((i for i in range(1, len(sizes)) if diffs[i - 1] < 0 <= diffs[i]), None)
     if cross is None:
         raise NoBreakEvenError(
-            f"{kind}: no empirical crossover inside the measured size range", op_kind=kind)
+            f"{kind}: no empirical crossover inside the measured size range")
     n_lo, n_hi = sizes[cross - 1], sizes[cross]
     d_lo, d_hi = diffs[cross - 1], diffs[cross]
     n_obs = n_lo + (n_hi - n_lo) * (-d_lo) / (d_hi - d_lo)
     return BreakEven(op_kind=kind, n_star_estimated=n_est, n_star_observed=n_obs)
 
 
-def accelerator_risk(op_kind: str, n_obs: int, break_even_point: Optional[BreakEven]) -> float:
+def accelerator_risk(n_star: float, n_obs: int) -> float:
     """Amortization risk: break-even size over observed size; > 1 means the
-    up-front costs do not pay off at this input."""
-    if break_even_point is None:
-        return math.inf
-    return break_even_point.n_star_estimated / max(1, n_obs)
+    up-front costs do not pay off at this input (an infinite n_star, a kind
+    that never amortizes, gives infinite risk)."""
+    return n_star / max(1, n_obs)
 
 
 def calibrate_break_evens(model: CostModel, clock: SimulatedClock, seed: int,
@@ -200,26 +173,21 @@ def calibrate_break_evens(model: CostModel, clock: SimulatedClock, seed: int,
                           ) -> tuple[dict[str, Optional[BreakEven]], list[Measurement], list[LineFit]]:
     """Microbenchmark every offloadable op kind of the model and derive its
     break-even; kinds that never amortize map to None."""
-    cpu_profile = DeviceProfile.cpu_from(model)
-    accel_profile = DeviceProfile.accelerator_from(model)
     results: dict[str, Optional[BreakEven]] = {}
     all_measurements: list[Measurement] = []
     fits: list[LineFit] = []
     for kind in sorted(model.accel):
         if sizes is None:
-            cpu_line = model.cpu[kind]
-            acc_line = model.accel[kind]
-            hint = ((acc_line.setup - cpu_line.b) / (cpu_line.a - acc_line.per_item)
-                    if cpu_line.a > acc_line.per_item else 0.0)
-            if hint <= 0:
+            hint = model_break_even(model, kind)
+            if hint is None:
                 results[kind] = None
                 continue
             grid = default_size_grid(hint)
         else:
             grid = sizes
-        cpu_ms = run_microbenchmark(kind, grid, cpu_profile, clock, repetitions,
+        cpu_ms = run_microbenchmark(kind, grid, model, CPU, clock, repetitions,
                                     derive_seed(seed, f"calib/{kind}/cpu"))
-        acc_ms = run_microbenchmark(kind, grid, accel_profile, clock, repetitions,
+        acc_ms = run_microbenchmark(kind, grid, model, ACCELERATOR, clock, repetitions,
                                     derive_seed(seed, f"calib/{kind}/accel"))
         all_measurements.extend(cpu_ms + acc_ms)
         cpu_fit = fit_linear(cpu_ms)

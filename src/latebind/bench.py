@@ -20,6 +20,7 @@ counts, and serialize byte-identically for identical inputs.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -396,6 +397,22 @@ def report_emit(report: LatencyReport, out_dir: Path) -> list[Path]:
     with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(summarize(report))
     return [samples_path, cdf_path, summary_path]
+
+
+def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
+    """The mode and query rows of a samples.csv that report_emit wrote."""
+    if not path.exists():
+        raise FileNotFoundError(f"samples file not found: {path}")
+    mode = ""
+    rows: list[SampleRow] = []
+    with path.open(encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            mode = row["mode"]
+            rows.append(SampleRow(query_id=row["query_id"], latency=float(row["latency"]),
+                                  failed=row["failed"] not in ("0", "")))
+    if all(r.failed for r in rows):
+        raise ValidationError(f"no usable samples in {path}")
+    return mode, rows
 
 
 def summarize(report: LatencyReport) -> str:

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-  calibrate  microbenchmark the device profiles, fit cost lines, derive
+  calibrate  microbenchmark both devices, fit cost lines, derive
              break-evens, and write a thresholds file
   run        execute a benchmark scenario under the requested modes and
              emit per-mode report files
@@ -17,7 +17,6 @@ run/calibrate write it next to their outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -194,28 +193,24 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _build_scenario(cfg: RunConfig) -> bench.Scenario:
-    common = dict(seed=cfg.seed, query_count=cfg.queries, modes=cfg.modes)
-    if cfg.scenario == bench.INPUT_SCALE_SHIFT:
-        extra = {}
-        if cfg.fact_rows:
-            extra["fact_rows"] = cfg.fact_rows
-        if cfg.dim_rows:
-            extra["dim_rows"] = cfg.dim_rows
-        return bench.scenario_input_scale_shift(
-            drift_fraction=cfg.drift_fraction, **common, **extra)
-    if cfg.scenario == bench.STALE_STATS:
-        extra = {}
-        if cfg.fact_rows:
-            extra["fact_rows"] = cfg.fact_rows
-        if cfg.dim_rows:
-            extra["dim_rows"] = cfg.dim_rows
-        return bench.scenario_stale_stats(**common, **extra)
-    if cfg.scenario == bench.BREAK_EVEN:
-        extra = {}
-        if cfg.dim_rows:
-            extra["dim_rows"] = cfg.dim_rows
-        return bench.scenario_break_even(miscal_factor=cfg.miscal_factor, **common, **extra)
-    raise ValidationError(f"unknown scenario {cfg.scenario!r}")
+    # scenario -> (builder, its scenario-specific arguments)
+    scenarios = {
+        bench.INPUT_SCALE_SHIFT: (bench.scenario_input_scale_shift,
+                                  {"drift_fraction": cfg.drift_fraction}),
+        bench.STALE_STATS: (bench.scenario_stale_stats, {}),
+        bench.BREAK_EVEN: (bench.scenario_break_even, {"miscal_factor": cfg.miscal_factor}),
+    }
+    if cfg.scenario not in scenarios:
+        raise ValidationError(f"unknown scenario {cfg.scenario!r}")
+    builder, extra = scenarios[cfg.scenario]
+    if cfg.fact_rows:
+        if cfg.scenario == bench.BREAK_EVEN:
+            raise ValidationError("fact_rows does not apply to break_even, "
+                                  "which sizes its fact table from its own sweep")
+        extra["fact_rows"] = cfg.fact_rows
+    if cfg.dim_rows:
+        extra["dim_rows"] = cfg.dim_rows
+    return builder(seed=cfg.seed, query_count=cfg.queries, modes=cfg.modes, **extra)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -241,45 +236,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_samples(path: Path) -> tuple[str, list[float], int]:
-    if not path.exists():
-        raise FileNotFoundError(f"samples file not found: {path}")
-    mode = ""
-    latencies: list[float] = []
-    failures = 0
-    with path.open(encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            mode = row["mode"]
-            if row["failed"] not in ("0", ""):
-                failures += 1
-            else:
-                latencies.append(float(row["latency"]))
-    if not latencies:
-        raise ValidationError(f"no usable samples in {path}")
-    return mode, sorted(latencies), failures
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    stats = {}
+    reports = {}
+    paths = {}
     for raw in args.paths:
-        mode, samples, failures = _read_samples(Path(raw))
-        stats[mode or raw] = (samples, failures)
-    header = f"{'mode':<20}{'p50':>14}{'p95':>14}{'p99':>14}{'fail':>6}"
-    print(header)
-    for mode in sorted(stats):
-        samples, failures = stats[mode]
-        print(f"{mode:<20}{bench.percentile(samples, 50):>14.2f}"
-              f"{bench.percentile(samples, 95):>14.2f}"
-              f"{bench.percentile(samples, 99):>14.2f}{failures:>6d}")
-    base = stats.get(bench.BASELINE)
-    if base is not None:
-        print("ratios vs baseline (baseline / mode):")
-        for mode in sorted(stats):
-            samples, _ = stats[mode]
-            print(f"{mode:<20}"
-                  f"p50 {bench.percentile(base[0], 50) / bench.percentile(samples, 50):>8.2f}  "
-                  f"p95 {bench.percentile(base[0], 95) / bench.percentile(samples, 95):>8.2f}  "
-                  f"p99 {bench.percentile(base[0], 99) / bench.percentile(samples, 99):>8.2f}")
+        mode, rows = bench.read_samples(Path(raw))
+        if mode in paths:
+            raise ValidationError(f"{paths[mode]} and {raw} both hold mode {mode!r}")
+        paths[mode] = raw
+        # samples.csv records no scenario, seed, clock or thresholds source
+        reports[mode] = bench.build_report("", mode, 0, "", "", rows)
+    print(bench.compare_reports(reports), end="")
     return EXIT_OK
 
 

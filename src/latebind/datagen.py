@@ -91,10 +91,6 @@ class Table:
             raise ValidationError(f"table {self.spec.name}: no column {name!r}")
         return self.columns[name]
 
-    @property
-    def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in self.columns.values())
-
 
 @dataclass(frozen=True)
 class DistributionChange:

@@ -34,6 +34,7 @@ from typing import IO, Callable, Optional
 import numpy as np
 
 from . import policy as policy_mod
+from .accel import accelerator_risk
 from .clock import SimulatedClock, WallClock
 from .datagen import Table
 from .errors import ConfigurationError, MemoryBudgetExceeded, ValidationError
@@ -326,7 +327,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                            thresholds.w_variance, thresholds.w_staleness)
         r_acc = None
         if node.kind in thresholds.n_star:
-            r_acc = thresholds.n_star[node.kind] / max(1, n_obs)
+            r_acc = accelerator_risk(thresholds.n_star[node.kind], n_obs)
         return decision_hook(node, signals, mode, thresholds, r_opt, r_acc, build_exceeds)
 
     def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],

@@ -12,10 +12,6 @@ class ConfigurationError(ValueError):
 class NoBreakEvenError(RuntimeError):
     """Device cost lines never cross: offloading can never amortize."""
 
-    def __init__(self, message: str, op_kind: str = ""):
-        super().__init__(message)
-        self.op_kind = op_kind
-
 
 class MemoryBudgetExceeded(RuntimeError):
     """Working set outgrew the memory budget with no spill path."""

@@ -98,16 +98,3 @@ class Stream:
         with _wrap():
             vals = self.u64(count) % span
         return (vals.astype(np.int64) + np.int64(low)).astype(np.int64)
-
-    def normals(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller on consecutive unit pairs."""
-        pairs = (count + 1) // 2
-        raw = self.unit(pairs * 2)
-        u1 = (raw[0::2] + 2.0**-54).clip(max=1.0)  # avoid log(0)
-        u2 = raw[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(pairs * 2, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:count]

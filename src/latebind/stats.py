@@ -50,9 +50,6 @@ class Estimate:
     value: float           # cardinality or selectivity, >= 0
     variance_proxy: float  # dimensionless dispersion score, >= 0
 
-    def scaled(self, factor: float) -> "Estimate":
-        return Estimate(self.value * factor, self.variance_proxy)
-
 
 @dataclass(frozen=True)
 class ColumnStats:
@@ -64,10 +61,6 @@ class ColumnStats:
     bucket_edges: tuple[float, ...]   # len B+1, partitions [min, max+1); empty table -> ()
     bucket_counts: tuple[int, ...]    # len B; sums to row_count
     captured_generation: int
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self.bucket_counts)
 
 
 @dataclass(frozen=True)
@@ -174,19 +167,9 @@ def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> Estimate:
     return Estimate(sel, partial_share)
 
 
-def optimizer_risk(stats: ColumnStats, estimate: Estimate, current_generation: int,
-                   w_variance: float = 1.0, w_staleness: float = 1.0) -> float:
-    """Planner-side risk: weighted dispersion plus staleness in generations."""
-    if current_generation < stats.captured_generation:
-        raise ValidationError(
-            f"generation regressed: current {current_generation} < "
-            f"captured {stats.captured_generation}")
-    return risk_value(estimate.variance_proxy, current_generation - stats.captured_generation,
-                      w_variance, w_staleness)
-
-
 def risk_value(variance_proxy: float, staleness: int,
                w_variance: float = 1.0, w_staleness: float = 1.0) -> float:
+    """Planner-side risk: weighted dispersion plus staleness in generations."""
     if staleness < 0:
         raise ValidationError(f"staleness must be >= 0, got {staleness}")
     return w_variance * variance_proxy + w_staleness * staleness

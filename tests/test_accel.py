@@ -5,68 +5,61 @@ import math
 import numpy as np
 import pytest
 
-from latebind.accel import (ACCEL_DEVICE, BreakEven, CPU_DEVICE, DeviceProfile,
-                            LineFit, Measurement, accelerator_risk, break_even,
+from latebind.accel import (LineFit, Measurement, accelerator_risk, break_even,
                             calibrate_break_evens, default_size_grid, fit_linear,
                             run_microbenchmark)
 from latebind.clock import SimulatedClock
 from latebind.errors import NoBreakEvenError, ValidationError
-from latebind.planner import AcceleratorCost, CostModel, LinearCost
+from latebind.planner import ACCELERATOR, CPU, AcceleratorCost, CostModel, cost
 from latebind.rng import derive_seed
 
-
-def cpu_profile(a=1.0, b=0.0) -> DeviceProfile:
-    return DeviceProfile(device=CPU_DEVICE, linear={"filter": LinearCost(a, b)})
-
-
-def accel_profile(setup=8000.0, per_item=0.2) -> DeviceProfile:
-    return DeviceProfile(device=ACCEL_DEVICE, accelerated={
-        "filter": AcceleratorCost(setup, per_item / 2, per_item / 2)})
+# filter costs n on the cpu and 8000 + 0.2 n on the accelerator
+MODEL = CostModel.default()
 
 
 def test_noise_free_repetitions_identical():
     clock = SimulatedClock(sigma=0.0)
-    ms = run_microbenchmark("filter", [1000], cpu_profile(), clock, repetitions=3, seed=1)
+    ms = run_microbenchmark("filter", [1000], MODEL, CPU, clock, repetitions=3, seed=1)
     assert len(ms) == 3
     assert all(m.cost == 1000.0 for m in ms)
 
 
 def test_cpu_costs_linear_in_size():
     clock = SimulatedClock(sigma=0.0)
-    ms = run_microbenchmark("filter", [1000, 10000], cpu_profile(), clock, 1, seed=1)
+    ms = run_microbenchmark("filter", [1000, 10000], MODEL, CPU, clock, 1, seed=1)
     assert [m.cost for m in ms] == [1000.0, 10000.0]
 
 
 def test_accelerator_cost_at_break_even_size():
     clock = SimulatedClock(sigma=0.0)
-    ms = run_microbenchmark("filter", [10000], accel_profile(), clock, 1, seed=1)
+    ms = run_microbenchmark("filter", [10000], MODEL, ACCELERATOR, clock, 1, seed=1)
     assert ms[0].cost == pytest.approx(8000.0 + 0.2 * 10000)
 
 
 def test_microbenchmark_validation():
     clock = SimulatedClock(sigma=0.0)
     with pytest.raises(ValidationError):
-        run_microbenchmark("filter", [], cpu_profile(), clock, 1, seed=1)
+        run_microbenchmark("filter", [], MODEL, CPU, clock, 1, seed=1)
     with pytest.raises(ValidationError):
-        run_microbenchmark("filter", [10, 10], cpu_profile(), clock, 1, seed=1)
+        run_microbenchmark("filter", [10, 10], MODEL, CPU, clock, 1, seed=1)
     with pytest.raises(ValidationError):
-        run_microbenchmark("filter", [10, 5], cpu_profile(), clock, 1, seed=1)
+        run_microbenchmark("filter", [10, 5], MODEL, CPU, clock, 1, seed=1)
     with pytest.raises(ValidationError):
-        run_microbenchmark("filter", [10], cpu_profile(), clock, 0, seed=1)
+        run_microbenchmark("filter", [10], MODEL, CPU, clock, 0, seed=1)
 
 
 def test_microbenchmark_deterministic_per_seed():
     clock = SimulatedClock(sigma=0.05)
-    a = run_microbenchmark("filter", [100, 1000], cpu_profile(), clock, 4, seed=9)
-    b = run_microbenchmark("filter", [100, 1000], cpu_profile(), clock, 4, seed=9)
-    c = run_microbenchmark("filter", [100, 1000], cpu_profile(), clock, 4, seed=10)
+    a = run_microbenchmark("filter", [100, 1000], MODEL, CPU, clock, 4, seed=9)
+    b = run_microbenchmark("filter", [100, 1000], MODEL, CPU, clock, 4, seed=9)
+    c = run_microbenchmark("filter", [100, 1000], MODEL, CPU, clock, 4, seed=10)
     assert [m.cost for m in a] == [m.cost for m in b]
     assert [m.cost for m in a] != [m.cost for m in c]
 
 
 def test_fit_exact_proportional_line():
-    ms = [Measurement("filter", CPU_DEVICE, 1000, 1000.0),
-          Measurement("filter", CPU_DEVICE, 2000, 2000.0)]
+    ms = [Measurement("filter", CPU, 1000, 1000.0),
+          Measurement("filter", CPU, 2000, 2000.0)]
     fit = fit_linear(ms)
     assert fit.slope == pytest.approx(1.0)
     assert fit.intercept == pytest.approx(0.0, abs=1e-9)
@@ -75,16 +68,16 @@ def test_fit_exact_proportional_line():
 
 def test_fit_exact_affine_line():
     # two points from setup=8000, slope=0.2: solved by hand, a=0.2, b=8000
-    ms = [Measurement("filter", ACCEL_DEVICE, 1000, 8200.0),
-          Measurement("filter", ACCEL_DEVICE, 10000, 10000.0)]
+    ms = [Measurement("filter", ACCELERATOR, 1000, 8200.0),
+          Measurement("filter", ACCELERATOR, 10000, 10000.0)]
     fit = fit_linear(ms)
     assert fit.slope == pytest.approx(0.2)
     assert fit.intercept == pytest.approx(8000.0)
 
 
 def test_fit_rank_deficiency_rejected():
-    ms = [Measurement("filter", CPU_DEVICE, 500, 490.0),
-          Measurement("filter", CPU_DEVICE, 500, 510.0)]
+    ms = [Measurement("filter", CPU, 500, 490.0),
+          Measurement("filter", CPU, 500, 510.0)]
     with pytest.raises(ValidationError):
         fit_linear(ms)
     with pytest.raises(ValidationError):
@@ -92,8 +85,8 @@ def test_fit_rank_deficiency_rejected():
 
 
 def test_fit_mixed_devices_rejected():
-    ms = [Measurement("filter", CPU_DEVICE, 500, 500.0),
-          Measurement("filter", ACCEL_DEVICE, 1000, 8200.0)]
+    ms = [Measurement("filter", CPU, 500, 500.0),
+          Measurement("filter", ACCELERATOR, 1000, 8200.0)]
     with pytest.raises(ValidationError):
         fit_linear(ms)
 
@@ -102,7 +95,7 @@ def test_fit_matches_independent_least_squares_oracle():
     # oracle: numpy's lstsq on the design matrix, coded independently of fit_linear
     clock = SimulatedClock(sigma=0.05)
     sizes = [1000, 2000, 4000, 8000, 16000]
-    ms = run_microbenchmark("filter", sizes, accel_profile(), clock, 5, seed=21)
+    ms = run_microbenchmark("filter", sizes, MODEL, ACCELERATOR, clock, 5, seed=21)
     fit = fit_linear(ms)
     x = np.array([m.n for m in ms], dtype=float)
     y = np.array([m.cost for m in ms])
@@ -115,8 +108,8 @@ def test_fit_matches_independent_least_squares_oracle():
 def test_break_even_analytic_crossover():
     clock = SimulatedClock(sigma=0.0)
     sizes = default_size_grid(10000.0)
-    cpu_ms = run_microbenchmark("filter", sizes, cpu_profile(), clock, 1, seed=1)
-    acc_ms = run_microbenchmark("filter", sizes, accel_profile(), clock, 1, seed=1)
+    cpu_ms = run_microbenchmark("filter", sizes, MODEL, CPU, clock, 1, seed=1)
+    acc_ms = run_microbenchmark("filter", sizes, MODEL, ACCELERATOR, clock, 1, seed=1)
     be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
     # (8000 - 0) / (1.0 - 0.2) = 10000
     assert be.n_star_estimated == pytest.approx(10000.0, rel=1e-9)
@@ -125,26 +118,24 @@ def test_break_even_analytic_crossover():
 
 
 def test_break_even_identical_profiles_rejected():
-    fit = LineFit(CPU_DEVICE, "filter", 1.0, 0.0, 0.0)
-    same = LineFit(ACCEL_DEVICE, "filter", 1.0, 0.0, 0.0)
+    fit = LineFit(CPU, "filter", 1.0, 0.0, 0.0)
+    same = LineFit(ACCELERATOR, "filter", 1.0, 0.0, 0.0)
     with pytest.raises(NoBreakEvenError):
         break_even(fit, same, [])
 
 
 def test_break_even_never_amortizing_rejected():
-    cpu = LineFit(CPU_DEVICE, "filter", 0.2, 0.0, 0.0)
-    acc = LineFit(ACCEL_DEVICE, "filter", 1.0, 8000.0, 0.0)
+    cpu = LineFit(CPU, "filter", 0.2, 0.0, 0.0)
+    acc = LineFit(ACCELERATOR, "filter", 1.0, 8000.0, 0.0)
     with pytest.raises(NoBreakEvenError):
         break_even(cpu, acc, [])
 
 
 def test_sign_property_around_crossover():
-    cpu = cpu_profile()
-    acc = accel_profile()
     n_star = 10000.0
     for n in np.linspace(100, 100000, 100):
-        cpu_cost = cpu.model_cost("filter", n)
-        acc_cost = acc.model_cost("filter", n)
+        cpu_cost = cost("filter", CPU, (n,), MODEL)
+        acc_cost = cost("filter", ACCELERATOR, (n,), MODEL)
         if n < n_star:
             assert cpu_cost < acc_cost
         elif n > n_star:
@@ -157,12 +148,11 @@ def test_sign_property_around_crossover():
     (10000.0, 0, 10000.0),
 ])
 def test_accelerator_risk_ratio(n_star, n_obs, expected):
-    be = BreakEven("filter", n_star, n_star)
-    assert accelerator_risk("filter", n_obs, be) == pytest.approx(expected)
+    assert accelerator_risk(n_star, n_obs) == pytest.approx(expected)
 
 
 def test_accelerator_risk_sentinel_without_break_even():
-    assert accelerator_risk("filter", 500, None) == math.inf
+    assert accelerator_risk(math.inf, 500) == math.inf
 
 
 def test_calibrate_break_evens_covers_model_kinds(default_model):
@@ -191,9 +181,9 @@ def test_noise_robustness_sampled():
     grid = default_size_grid(10000.0)
     good = 0
     for seed in range(20):
-        cpu_ms = run_microbenchmark("filter", grid, cpu_profile(), clock, 5,
+        cpu_ms = run_microbenchmark("filter", grid, MODEL, CPU, clock, 5,
                                     derive_seed(seed, "robust/cpu"))
-        acc_ms = run_microbenchmark("filter", grid, accel_profile(), clock, 5,
+        acc_ms = run_microbenchmark("filter", grid, MODEL, ACCELERATOR, clock, 5,
                                     derive_seed(seed, "robust/accel"))
         be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
         if be.relative_error <= 0.05:

@@ -12,8 +12,7 @@ import itertools
 
 import pytest
 
-from latebind.accel import (DeviceProfile, break_even, default_size_grid, fit_linear,
-                            run_microbenchmark)
+from latebind.accel import break_even, default_size_grid, fit_linear, run_microbenchmark
 from latebind.bench import (percentile, report_emit, run_scenario,
                             scenario_break_even, scenario_input_scale_shift,
                             scenario_queries, scenario_stale_stats)
@@ -96,15 +95,13 @@ def test_criterion_4_ablation_ordering(input_scale_reports, stale_stats_reports)
 
 def test_criterion_5_break_even_fidelity():
     model = CostModel.default()
-    cpu = DeviceProfile.cpu_from(model)
-    accel = DeviceProfile.accelerator_from(model)
     grid = default_size_grid(10000.0, count=8)
     noisy = SimulatedClock(sigma=0.05)
     within = 0
     for trial in range(100):
-        cpu_ms = run_microbenchmark("filter", grid, cpu, noisy, 5,
+        cpu_ms = run_microbenchmark("filter", grid, model, CPU, noisy, 5,
                                     derive_seed(trial, "calib/filter/cpu"))
-        acc_ms = run_microbenchmark("filter", grid, accel, noisy, 5,
+        acc_ms = run_microbenchmark("filter", grid, model, ACCELERATOR, noisy, 5,
                                     derive_seed(trial, "calib/filter/accel"))
         try:
             be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
@@ -113,8 +110,8 @@ def test_criterion_5_break_even_fidelity():
         if be.relative_error <= 0.05:
             within += 1
     exact_clock = SimulatedClock(sigma=0.0)
-    cpu_ms = run_microbenchmark("filter", grid, cpu, exact_clock, 5, seed=0)
-    acc_ms = run_microbenchmark("filter", grid, accel, exact_clock, 5, seed=0)
+    cpu_ms = run_microbenchmark("filter", grid, model, CPU, exact_clock, 5, seed=0)
+    acc_ms = run_microbenchmark("filter", grid, model, ACCELERATOR, exact_clock, 5, seed=0)
     exact = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
     ok = within >= 95 and exact.relative_error <= 1e-9
     check("5 break-even fidelity", ok,
@@ -216,7 +213,7 @@ def test_criterion_8_unit_oracles():
     noisy = SimulatedClock(sigma=0.05)
     model = CostModel.default()
     ms = run_microbenchmark("filter", default_size_grid(10000.0),
-                            DeviceProfile.accelerator_from(model), noisy, 5, seed=77)
+                            model, ACCELERATOR, noisy, 5, seed=77)
     fit = fit_linear(ms)
     xs = [float(m.n) for m in ms]
     ys = [m.cost for m in ms]

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from latebind import bench
 from latebind.cli import EXIT_OK, EXIT_VALIDATION, main
+from latebind.clock import SimulatedClock
+from latebind.policy import ORCHESTRATED
 
 
 def run_cli(*argv: str) -> int:
@@ -174,6 +178,42 @@ def test_report_missing_file_names_path(tmp_path, capsys):
     missing = tmp_path / "nowhere" / "samples.csv"
     assert run_cli("report", str(missing)) == EXIT_VALIDATION
     assert str(missing) in capsys.readouterr().err
+
+
+def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
+    a = tmp_path / "first.csv"
+    b = tmp_path / "second.csv"
+    _write_samples(a, "baseline", [1.0, 2.0])
+    _write_samples(b, "baseline", [3.0, 4.0])
+    assert run_cli("report", str(a), str(b)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(a) in err and str(b) in err
+
+
+def test_report_reprints_run_comparison(tmp_path, capsys):
+    scenario = bench.scenario_stale_stats(seed=2, query_count=10)
+    reports = bench.run_scenario(scenario, SimulatedClock(sigma=0.05))
+    # one failed query, as a memory-exhausted execution leaves it
+    orch = reports[ORCHESTRATED]
+    rows = list(orch.rows)
+    rows[3] = replace(rows[3], failed=True)
+    reports[ORCHESTRATED] = bench.build_report(
+        orch.scenario, orch.mode, orch.seed, orch.clock_mode, orch.thresholds_source, rows)
+    paths = [str(path) for report in reports.values()
+             for path in bench.report_emit(report, tmp_path) if path.name == "samples.csv"]
+    assert run_cli("report", *paths) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == bench.compare_reports(reports)
+    assert "     1\n" in out  # the failed row is counted
+
+
+def test_break_even_rejects_fact_rows(tmp_path, capsys):
+    # break_even sizes its fact table from its own sweep
+    code = run_cli("run", "--scenario", "break_even", "--queries", "3",
+                   "--fact-rows", "500", "--out", str(tmp_path))
+    assert code == EXIT_VALIDATION
+    assert "fact_rows" in capsys.readouterr().err
+    assert not (tmp_path / "break_even").exists()
 
 
 def test_gen_writes_csv(tmp_path, capsys):

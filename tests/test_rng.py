@@ -42,15 +42,3 @@ def test_derive_seed_distinct_labels():
 def test_fnv1a64_known_value():
     # FNV-1a of empty input is the offset basis
     assert fnv1a64("") == 0xCBF29CE484222325
-
-
-def test_normals_moments():
-    z = Stream(7).normals(200000)
-    assert abs(float(z.mean())) < 0.01
-    assert abs(float(z.std()) - 1.0) < 0.01
-
-
-def test_normals_odd_count_prefix_of_even():
-    a = Stream(7).normals(7)
-    b = Stream(7).normals(8)
-    assert np.array_equal(a, b[:7])

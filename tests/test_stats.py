@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from latebind.clock import SimulatedClock
 from latebind.datagen import ColumnSpec, TableSpec, DriftSpec, apply_drift, generate_table
+from latebind.engine import execute
 from latebind.errors import ValidationError
+from latebind.planner import AggSpec, CostModel, Query, plan
+from latebind.policy import BASELINE, Thresholds
 from latebind.rng import Stream
 from latebind.stats import (Predicate, capture_statistics, dump_stats,
-                            estimate_selectivity, load_stats, optimizer_risk,
-                            risk_value)
+                            estimate_selectivity, load_stats, risk_value)
 from conftest import table_from_arrays
 
 
@@ -135,7 +138,7 @@ def test_optimizer_risk_zero_when_fresh_and_certain():
     t = table_from_arrays("t", a=np.arange(100))
     cs = capture_statistics(t).column("a")
     est = estimate_selectivity(cs, Predicate("a", ">=", 0))  # full coverage, no partial buckets
-    assert optimizer_risk(cs, est, current_generation=0) == 0.0
+    assert risk_value(est.variance_proxy, 0) == 0.0
 
 
 def test_optimizer_risk_staleness_term():
@@ -144,19 +147,21 @@ def test_optimizer_risk_staleness_term():
 
 
 def test_optimizer_risk_generation_regression_rejected():
+    # staleness is never negative: execute refuses a table older than the
+    # statistics its plan was built from
     t = table_from_arrays("t", a=np.arange(10))
     drifted = apply_drift(t, DriftSpec(scale_factor=1.0), seed=1)
-    cs = capture_statistics(drifted).column("a")
-    est = estimate_selectivity(cs, Predicate("a", "<", 5))
-    with pytest.raises(ValidationError):
-        optimizer_risk(cs, est, current_generation=0)
+    query = Query("t", "t", "a", "a", AggSpec("count"))
+    stale_plan = plan(query, {"t": capture_statistics(drifted)}, CostModel.default())
+    with pytest.raises(ValidationError, match="regressed below its statistics generation"):
+        execute(stale_plan, {"t": t}, BASELINE, Thresholds(), SimulatedClock(sigma=0.0), seed=1)
 
 
 def test_optimizer_risk_monotone_in_staleness():
     t = table_from_arrays("t", a=np.arange(50))
     cs = capture_statistics(t).column("a")
     est = estimate_selectivity(cs, Predicate("a", "<", 20))
-    risks = [optimizer_risk(cs, est, g) for g in range(6)]
+    risks = [risk_value(est.variance_proxy, g) for g in range(6)]
     assert all(b >= a for a, b in zip(risks, risks[1:]))
 
 
