@@ -403,16 +403,18 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
     """The mode and query rows of a samples.csv that report_emit wrote."""
     if not path.exists():
         raise FileNotFoundError(f"samples file not found: {path}")
-    mode = ""
+    modes: set[str] = set()
     rows: list[SampleRow] = []
     with path.open(encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            mode = row["mode"]
+            modes.add(row["mode"])
             rows.append(SampleRow(query_id=row["query_id"], latency=float(row["latency"]),
                                   failed=row["failed"] not in ("0", "")))
+    if len(modes) > 1:
+        raise ValidationError(f"{path} mixes modes {sorted(modes)}")
     if all(r.failed for r in rows):
         raise ValidationError(f"no usable samples in {path}")
-    return mode, rows
+    return modes.pop(), rows
 
 
 def summarize(report: LatencyReport) -> str:

@@ -54,12 +54,10 @@ class RunConfig:
     fact_rows: int = 0            # 0 = scenario default
     dim_rows: int = 0
     thresholds_file: str = ""
-    # decision thresholds (defaults mirror policy.Thresholds)
-    rho_join: float = 10.0
-    mem_high: float = 0.8
-    opt_distrust: float = 1.0
-    offload_margin: float = 1.1
-    reevaluate_band: float = 1.2
+    # decision thresholds
+    rho_join: float = Thresholds.rho_join
+    mem_high: float = Thresholds.mem_high
+    offload_margin: float = Thresholds.offload_margin
     # calibrate-only knobs
     cpu_per_item: float = 1.0
     accel_setup: float = 8000.0
@@ -134,8 +132,7 @@ def _clock(cfg: RunConfig) -> SimulatedClock | WallClock:
 
 def _base_thresholds(cfg: RunConfig) -> Thresholds:
     return Thresholds(rho_join=cfg.rho_join, mem_high=cfg.mem_high,
-                      opt_distrust=cfg.opt_distrust, offload_margin=cfg.offload_margin,
-                      reevaluate_band=cfg.reevaluate_band)
+                      offload_margin=cfg.offload_margin)
 
 
 def _calibration_model(cfg: RunConfig) -> CostModel:
@@ -281,12 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="estimate-ratio trigger for join re-selection (default 10)")
         p.add_argument("--mem-high", dest="mem_high", type=float,
                        help="memory-pressure trigger (default 0.8)")
-        p.add_argument("--opt-distrust", dest="opt_distrust", type=float,
-                       help="planner-risk level enabling re-evaluation (default 1.0)")
         p.add_argument("--offload-margin", dest="offload_margin", type=float,
                        help="safety multiplier on the break-even size (default 1.1)")
-        p.add_argument("--reevaluate-band", dest="reevaluate_band", type=float,
-                       help="near-threshold band half-width (default 1.2)")
 
     cal = sub.add_parser("calibrate", help="fit device cost lines and derive break-evens")
     common(cal)

@@ -2,10 +2,10 @@
 
 Operators materialize their outputs fully, so when a late-bind node is about
 to run, its input cardinality is exact.  At that boundary the engine builds
-the componentwise risk vector (planner-side risk from the plan's estimates
-and statistics staleness, executor-side runtime signals, accelerator
-amortization risk from the active thresholds) and asks the policy for a
-decision per the execution mode.  Baseline never consults the policy.
+the componentwise risk vector (executor-side runtime signals, among them the
+ratio of observed to estimated input, and accelerator amortization risk from
+the active thresholds) and asks the policy for one decision per the
+execution mode.  Baseline never consults the policy.
 
 Costs are charged through the pluggable clock from the *true* cost model at
 observed cardinalities; which formula applies is exactly the executed
@@ -15,9 +15,7 @@ decision outcome, so latency differences between modes reflect decisions
 alone.
 
 A switch decision discards no work: variants start from the same
-materialized input, whose cost was charged once.  A re-evaluation re-arms
-the hook exactly once; the re-fired evaluation may keep or switch but not
-re-evaluate again, which rules out oscillation.
+materialized input, whose cost was charged once.
 
 On the simulated clock the modes of one query share kernel outputs: a
 kernel runs once per node and path of executed variants, and every mode that
@@ -38,12 +36,11 @@ from .accel import accelerator_risk
 from .clock import SimulatedClock, WallClock
 from .datagen import Table
 from .errors import ConfigurationError, MemoryBudgetExceeded, ValidationError
+# predicted_cost is not called here; perfbench/layers.py wraps engine.predicted_cost
 from .planner import (ACCELERATOR, AnnotatedPlan, CPU, CostModel, HASH_JOIN,
                       PlanNode, cost as model_cost, predicted_cost)
-from .policy import (BASELINE, Decision, MODES, NodeContext, ORCHESTRATED,
-                     RiskVector, Thresholds)
+from .policy import BASELINE, MODES, NodeContext, RiskVector, Thresholds
 from .rng import derive_seed
-from .stats import risk_value
 
 Clock = SimulatedClock | WallClock
 
@@ -52,13 +49,11 @@ Clock = SimulatedClock | WallClock
 class RuntimeSignals:
     observed_input_cardinality: int
     estimate_ratio: float
-    memory_pressure: float       # clamped to 1.0; see memory_clamped
-    elapsed_deviation: float
-    memory_clamped: bool = False
+    memory_pressure: float       # held / budget, unclamped
 
     def __post_init__(self):
         if self.observed_input_cardinality < 0 or self.estimate_ratio < 0 \
-                or self.memory_pressure < 0 or self.elapsed_deviation < 0:
+                or self.memory_pressure < 0:
             raise ValidationError("runtime signals must be >= 0")
 
 
@@ -99,51 +94,34 @@ class QueryResult:
     value: int
 
 
-def observe(node: PlanNode, n_obs: int, held_bytes: int, memory_budget: int,
-            charged_so_far: float, predicted_so_far: float) -> RuntimeSignals:
+def observe(node: PlanNode, n_obs: int, held_bytes: int,
+            memory_budget: int) -> RuntimeSignals:
     """Executor-side signals for one late-bind boundary."""
-    est = node.est_input.value
-    pressure = held_bytes / memory_budget if memory_budget > 0 else math.inf
-    clamped = pressure > 1.0
     return RuntimeSignals(
         observed_input_cardinality=n_obs,
-        estimate_ratio=n_obs / max(1.0, est),
-        memory_pressure=min(pressure, 1.0),
-        elapsed_deviation=charged_so_far / max(predicted_so_far, 1e-9),
-        memory_clamped=clamped,
+        estimate_ratio=n_obs / max(1.0, node.est_input),
+        memory_pressure=held_bytes / memory_budget if memory_budget > 0 else math.inf,
     )
 
 
 def decision_hook(node: PlanNode, signals: RuntimeSignals, mode: str,
-                  thresholds: Thresholds, r_opt: Optional[float],
-                  r_acc: Optional[float], build_exceeds_budget: bool,
-                  ) -> tuple[str, tuple[str, ...]]:
+                  thresholds: Thresholds, r_acc: Optional[float],
+                  build_exceeds_budget: bool) -> tuple[str, tuple[str, ...]]:
     """Resolve the variant to execute at a late-bind boundary.
 
-    Returns (variant, decision labels).  One re-evaluation re-arms the hook
-    a single time; the second evaluation cannot re-evaluate again.
+    Returns (variant, decision labels); one decision, so one label.
     """
     if not node.late_bind:
         raise ValidationError(f"{node.node_id}: decision hook on a non-late-bind node")
     if mode == BASELINE:
         return node.chosen, ("keep",)
-    urs = RiskVector(r_opt=r_opt if mode == ORCHESTRATED else None,
-                     r_exec=signals, r_acc=r_acc)
     ctx = NodeContext(kind=node.kind, current=node.chosen, variants=node.variants,
                       build_exceeds_budget=build_exceeds_budget)
-    decision = policy_mod.decide(urs, ctx, thresholds, mode)
-    labels = [_label(decision)]
-    if decision.action == policy_mod.REEVALUATE:
-        decision = policy_mod.decide(urs, ctx, thresholds, mode, reevaluate_armed=False)
-        labels.append(_label(decision))
-    variant = decision.target if decision.action == policy_mod.SWITCH else node.chosen
-    return variant, tuple(labels)
-
-
-def _label(decision: Decision) -> str:
+    decision = policy_mod.decide(RiskVector(r_exec=signals, r_acc=r_acc), ctx,
+                                 thresholds, mode)
     if decision.action == policy_mod.SWITCH:
-        return f"switch:{decision.target}"
-    return decision.action
+        return decision.target, (f"switch:{decision.target}",)
+    return node.chosen, (decision.action,)
 
 
 # ── kernels ────────────────────────────────────────────────────────────────
@@ -267,8 +245,6 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         if tables[name].generation < plan.stats[name].captured_generation:
             raise ValidationError(f"table {name!r} regressed below its statistics generation")
 
-    staleness = {name: tables[name].generation - plan.stats[name].captured_generation
-                 for name in (q.left_table, q.right_table)}
     left_cols, right_cols, agg_col, agg_side = _needed_columns(plan)
     noise_seed = derive_seed(seed, "clock")
     node_order = {node.node_id: i for i, node in enumerate(plan.nodes())}
@@ -278,7 +254,6 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     hard_cap = budget * config.hard_memory_factor
     held = 0
     charged_total = 0.0
-    predicted_total = 0.0
 
     def bytes_of(cols: dict[str, np.ndarray]) -> int:
         return sum(arr.nbytes for arr in cols.values())
@@ -287,7 +262,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                  n_obs: int, decisions: tuple[str, ...],
                  kernel: Callable[[], object], extra_bytes: int = 0,
                  out_bytes_of: Callable[[object], int] = lambda _: 0) -> object:
-        nonlocal held, charged_total, predicted_total
+        nonlocal held, charged_total
         base = model_cost(node.kind, variant, cards, true_model)
         modeled_only = variant == ACCELERATOR
         work = kernel
@@ -312,23 +287,20 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             charged *= config.spill_multiplier
         held += out_bytes
         charged_total += charged
-        predicted_total += predicted_cost(plan, node)
         trace.records.append(NodeRecord(
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
-            executed_variant=variant, n_est=node.est_input.value, n_obs=n_obs,
+            executed_variant=variant, n_est=node.est_input, n_obs=n_obs,
             decisions=decisions, charged_cost=charged, spilled=spilled))
         trace.decision_count += len(decisions)
         return out
 
-    def hook(node: PlanNode, n_obs: int, node_staleness: int,
+    def hook(node: PlanNode, n_obs: int,
              build_exceeds: bool = False) -> tuple[str, tuple[str, ...]]:
-        signals = observe(node, n_obs, held, budget, charged_total, predicted_total)
-        r_opt = risk_value(node.est_input.variance_proxy, node_staleness,
-                           thresholds.w_variance, thresholds.w_staleness)
+        signals = observe(node, n_obs, held, budget)
         r_acc = None
         if node.kind in thresholds.n_star:
             r_acc = accelerator_risk(thresholds.n_star[node.kind], n_obs)
-        return decision_hook(node, signals, mode, thresholds, r_opt, r_acc, build_exceeds)
+        return decision_hook(node, signals, mode, thresholds, r_acc, build_exceeds)
 
     def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
                    table: Table, cols: list[str]) -> dict[str, np.ndarray]:
@@ -339,7 +311,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                        out_bytes_of=bytes_of)
         if filter_node is None:
             return out
-        variant, decisions = hook(filter_node, n, staleness[table.name])
+        variant, decisions = hook(filter_node, n)
         pred = filter_node.predicate
 
         def apply_filter() -> dict[str, np.ndarray]:
@@ -359,10 +331,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         n_probe = int(left[q.left_key].size)
         n_build = int(right[q.right_key].size)
         build_bytes = bytes_of(right)
-        join_staleness = max(staleness.values())
         join_exceeds = held + build_bytes > budget
-        variant, decisions = hook(plan.join, n_probe, join_staleness,
-                                  build_exceeds=join_exceeds)
+        variant, decisions = hook(plan.join, n_probe, build_exceeds=join_exceeds)
 
         carried = {agg_col: left[agg_col]} if agg_side == "left" else {}
         build_carried = {agg_col: right[agg_col]} if agg_side == "right" else {}
@@ -382,7 +352,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             out_bytes_of=lambda pair: bytes_of(pair[1]))
         held -= bytes_of(left) + bytes_of(right)
 
-        variant, decisions = hook(plan.aggregate, n_join, join_staleness)
+        variant, decisions = hook(plan.aggregate, n_join)
 
         def run_agg() -> int:
             if q.aggregate.op == "count":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ValidationError
-from .stats import Estimate, Predicate, TableStats, estimate_selectivity
+from .stats import Predicate, TableStats, estimate_selectivity
 
 SCAN = "scan"
 FILTER = "filter"
@@ -164,11 +164,11 @@ class PlanNode:
     node_id: str
     kind: str
     chosen: str
-    est_input: Estimate            # probe-side input for joins
+    est_input: float               # probe-side input for joins
     est_output: float
     late_bind: bool = False
     variants: tuple[str, ...] = ()
-    est_build: Optional[Estimate] = None  # joins only
+    est_build: Optional[float] = None     # joins only
     table: Optional[str] = None           # scans only
     predicate: Optional[Predicate] = None  # filters only
 
@@ -224,19 +224,16 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
     right_stats = stats[query.right_table]
 
     def branch(side: str, tstats: TableStats, flt: Optional[Predicate],
-               ) -> tuple[PlanNode, Optional[PlanNode], Estimate]:
-        scan_est = Estimate(float(tstats.row_count), 0.0)
+               ) -> tuple[PlanNode, Optional[PlanNode], float]:
+        scan_est = float(tstats.row_count)
         scan = PlanNode(node_id=f"scan_{side}", kind=SCAN, chosen=CPU,
-                        est_input=scan_est, est_output=scan_est.value,
-                        table=tstats.table)
+                        est_input=scan_est, est_output=scan_est, table=tstats.table)
         if flt is None:
             return scan, None, scan_est
-        sel = estimate_selectivity(tstats.column(flt.column), flt)
-        out_est = Estimate(scan_est.value * sel.value, sel.variance_proxy)
-        chosen = _argmin_variant(FILTER, DEVICE_VARIANTS, (scan_est.value,), model)
+        out_est = scan_est * estimate_selectivity(tstats.column(flt.column), flt)
+        chosen = _argmin_variant(FILTER, DEVICE_VARIANTS, (scan_est,), model)
         fnode = PlanNode(node_id=f"filter_{side}", kind=FILTER, chosen=chosen,
-                         est_input=Estimate(scan_est.value, sel.variance_proxy),
-                         est_output=out_est.value,
+                         est_input=scan_est, est_output=out_est,
                          late_bind=True, variants=DEVICE_VARIANTS, predicate=flt)
         return scan, fnode, out_est
 
@@ -245,19 +242,15 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
 
     ndv_left = left_stats.column(query.left_key).ndv
     ndv_right = right_stats.column(query.right_key).ndv
-    join_out = left_est.value * right_est.value / max(ndv_left, ndv_right, 1)
-    join_var = max(left_est.variance_proxy, right_est.variance_proxy)
-    join_cards = (left_est.value, right_est.value)
-    join_chosen = _argmin_variant(JOIN, JOIN_VARIANTS, join_cards, model)
+    join_out = left_est * right_est / max(ndv_left, ndv_right, 1)
+    join_chosen = _argmin_variant(JOIN, JOIN_VARIANTS, (left_est, right_est), model)
     join_node = PlanNode(node_id="join", kind=JOIN, chosen=join_chosen,
-                         est_input=Estimate(left_est.value, left_est.variance_proxy),
-                         est_output=join_out,
-                         late_bind=True, variants=JOIN_VARIANTS,
-                         est_build=Estimate(right_est.value, right_est.variance_proxy))
+                         est_input=left_est, est_output=join_out,
+                         late_bind=True, variants=JOIN_VARIANTS, est_build=right_est)
 
     agg_chosen = _argmin_variant(AGGREGATE, DEVICE_VARIANTS, (join_out,), model)
     agg_node = PlanNode(node_id="aggregate", kind=AGGREGATE, chosen=agg_chosen,
-                        est_input=Estimate(join_out, join_var), est_output=1.0,
+                        est_input=join_out, est_output=1.0,
                         late_bind=True, variants=DEVICE_VARIANTS)
 
     return AnnotatedPlan(query=query, cost_model=model,
@@ -270,9 +263,9 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
 def predicted_cost(plan_: AnnotatedPlan, node: PlanNode) -> float:
     """Planner's modeled cost of one node at its estimated cardinalities."""
     if node.kind == JOIN:
-        cards = (node.est_input.value, node.est_build.value)
+        cards = (node.est_input, node.est_build)
     else:
-        cards = (node.est_input.value,)
+        cards = (node.est_input,)
     return cost(node.kind, node.chosen, cards, plan_.cost_model)
 
 
@@ -283,9 +276,9 @@ def explain(plan_: AnnotatedPlan) -> str:
     def line(node: PlanNode, detail: str, depth: int) -> str:
         flags = " late_bind" if node.late_bind else ""
         variants = f" variants=[{','.join(node.variants)}]" if node.variants else ""
-        est = f" est_in={node.est_input.value:.1f}"
+        est = f" est_in={node.est_input:.1f}"
         if node.est_build is not None:
-            est += f" est_build={node.est_build.value:.1f}"
+            est += f" est_build={node.est_build:.1f}"
         est += f" est_out={node.est_output:.1f}"
         return f"{'  ' * depth}{node.kind}[{detail}] variant={node.chosen}{flags}{variants}{est}"
 

@@ -1,16 +1,17 @@
 """Unified risk signal and the runtime decision rules.
 
-The risk vector stays componentwise: planner-side risk, executor-side
-runtime signals, and accelerator amortization risk are carried as separate
-(optional) components and consulted by an ordered rule table.  Nothing in
-this module folds them into one scalar; the components exist at different
-points in time and a scalar blend would erase exactly the information the
-runtime decision needs.
+The risk vector stays componentwise: executor-side runtime signals and
+accelerator amortization risk are carried as separate (optional) components
+and consulted by an ordered rule table.  Nothing in this module folds them
+into one scalar; the components exist at different points in time and a
+scalar blend would erase exactly the information the runtime decision needs.
+Unlike the paper's signal, the vector has no optimizer-risk component: the
+optimizer enters through its estimates, which the estimate ratio divides by.
 
-Modes: the orchestrated mode runs the full rule table against calibrated
-thresholds; the independent-gates mode runs only the executor-local rules
-against thresholds derived statically from the planner's own cost model
-(its ablation contract: no planner-risk rule, no measured calibration).
+Modes: the orchestrated mode runs the rule table against calibrated
+thresholds; the independent-gates mode runs the same rules against
+thresholds derived statically from the planner's own cost model (its
+ablation contract: no measured calibration).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ MODES = (BASELINE, INDEPENDENT_GATES, ORCHESTRATED)
 
 KEEP = "keep"
 SWITCH = "switch"
-REEVALUATE = "reevaluate"
+REEVALUATE = "reevaluate"  # no rule emits it; perfbench/layers.py decision_counts reads it
 
 UNCALIBRATED = "uncalibrated"
 
@@ -47,7 +48,6 @@ class RiskVector:
     Deliberately exposes no scalar fold of its components.
     """
 
-    r_opt: Optional[float] = None
     r_exec: Optional["RuntimeSignals"] = None
     r_acc: Optional[float] = None
 
@@ -65,10 +65,6 @@ class Decision:
     def switch(target: str) -> "Decision":
         return Decision(SWITCH, target)
 
-    @staticmethod
-    def reevaluate() -> "Decision":
-        return Decision(REEVALUATE)
-
 
 @dataclass(frozen=True)
 class NodeContext:
@@ -84,11 +80,7 @@ class NodeContext:
 class Thresholds:
     rho_join: float = 10.0        # estimate-ratio trigger for join re-selection
     mem_high: float = 0.8         # memory-pressure trigger
-    opt_distrust: float = 1.0     # planner risk above which runtime evidence outweighs estimates
     offload_margin: float = 1.1   # safety multiplier on the break-even size
-    reevaluate_band: float = 1.2  # multiplicative half-width of the near-threshold band
-    w_variance: float = 1.0       # planner-risk weights
-    w_staleness: float = 1.0
     offload_thresholds: dict[str, float] = field(default_factory=dict)  # kind -> margin * N*
     n_star: dict[str, float] = field(default_factory=dict)              # kind -> N*
     source: str = UNCALIBRATED    # uncalibrated | calibrated | static | manual
@@ -100,10 +92,6 @@ class Thresholds:
             raise ValidationError(f"mem_high must be > 0, got {self.mem_high}")
         if not (self.offload_margin >= 1):
             raise ValidationError(f"offload_margin must be >= 1, got {self.offload_margin}")
-        if not (self.reevaluate_band >= 1):
-            raise ValidationError(f"reevaluate_band must be >= 1, got {self.reevaluate_band}")
-        if not (self.opt_distrust > 0):
-            raise ValidationError(f"opt_distrust must be > 0, got {self.opt_distrust}")
 
     @property
     def calibrated(self) -> bool:
@@ -112,27 +100,15 @@ class Thresholds:
     @staticmethod
     def disabled() -> "Thresholds":
         """All triggers unreachable: the hook never fires a change."""
-        return Thresholds(rho_join=math.inf, mem_high=math.inf, opt_distrust=math.inf,
-                          reevaluate_band=1.0,
+        return Thresholds(rho_join=math.inf, mem_high=math.inf,
                           offload_thresholds={k: math.inf for k in OFFLOADABLE_KINDS},
                           n_star={k: math.inf for k in OFFLOADABLE_KINDS},
                           source="manual")
 
 
-def _in_band(value: float, threshold: float, band: float) -> bool:
-    if not math.isfinite(threshold) or threshold <= 0 or band <= 1.0:
-        return False
-    ratio = value / threshold
-    return 1.0 / band <= ratio <= band
-
-
-def decide(urs: RiskVector, ctx: NodeContext, thresholds: Thresholds, mode: str,
-           reevaluate_armed: bool = True) -> Decision:
-    """Evaluate the rule table top-down; first matching rule wins.
-
-    reevaluate_armed is cleared by the engine when a node re-fires after a
-    re-evaluation, which is what bounds the hook to a single re-arm.
-    """
+def decide(urs: RiskVector, ctx: NodeContext, thresholds: Thresholds,
+           mode: str) -> Decision:
+    """Evaluate the rule table top-down; first matching rule wins."""
     if mode == BASELINE:
         raise ConfigurationError("baseline mode never consults the decision rules")
     if mode not in MODES:
@@ -170,20 +146,7 @@ def decide(urs: RiskVector, ctx: NodeContext, thresholds: Thresholds, mode: str,
         if ctx.current == ACCELERATOR and urs.r_acc is not None and urs.r_acc > 1.0:
             return switch_to(CPU)
 
-    # (5) near a threshold with an untrustworthy plan: ask to look again
-    if mode == ORCHESTRATED and reevaluate_armed and urs.r_opt is not None \
-            and urs.r_opt >= thresholds.opt_distrust:
-        band = thresholds.reevaluate_band
-        near = False
-        if ctx.kind == JOIN:
-            near = _in_band(signals.estimate_ratio, thresholds.rho_join, band)
-        elif ctx.kind in OFFLOADABLE_KINDS:
-            near = _in_band(signals.observed_input_cardinality,
-                            thresholds.offload_thresholds.get(ctx.kind, math.inf), band)
-        if near:
-            return Decision.reevaluate()
-
-    # (6) nothing fired
+    # (5) nothing fired
     return Decision.keep()
 
 
@@ -230,9 +193,7 @@ def calibration_report(thresholds: Thresholds) -> str:
     lines = [f"thresholds (source={thresholds.source})",
              f"  rho_join          {thresholds.rho_join}",
              f"  mem_high          {thresholds.mem_high}",
-             f"  opt_distrust      {thresholds.opt_distrust}",
-             f"  offload_margin    {thresholds.offload_margin}",
-             f"  reevaluate_band   {thresholds.reevaluate_band}"]
+             f"  offload_margin    {thresholds.offload_margin}"]
     for kind in sorted(thresholds.offload_thresholds):
         n_star = thresholds.n_star.get(kind, math.inf)
         at = thresholds.offload_thresholds[kind]
@@ -247,11 +208,7 @@ def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
     doc = {
         "rho_join": thresholds.rho_join,
         "mem_high": thresholds.mem_high,
-        "opt_distrust": thresholds.opt_distrust,
         "offload_margin": thresholds.offload_margin,
-        "reevaluate_band": thresholds.reevaluate_band,
-        "w_variance": thresholds.w_variance,
-        "w_staleness": thresholds.w_staleness,
         "offload_thresholds": thresholds.offload_thresholds,
         "n_star": thresholds.n_star,
         "source": thresholds.source,
@@ -262,8 +219,8 @@ def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
 
 def load_thresholds(fh: IO[str]) -> Thresholds:
     doc = json.load(fh)
-    known = {"rho_join", "mem_high", "opt_distrust", "offload_margin", "reevaluate_band",
-             "w_variance", "w_staleness", "offload_thresholds", "n_star", "source"}
+    known = {"rho_join", "mem_high", "offload_margin", "offload_thresholds", "n_star",
+             "source"}
     unknown = set(doc) - known
     if unknown:
         raise ValidationError(f"unknown threshold keys: {sorted(unknown)}")

@@ -1,11 +1,9 @@
-"""Point-in-time column statistics and the planner-side risk signal.
+"""Point-in-time column statistics and selectivity estimates.
 
 Statistics are captured from a concrete table generation: row count, exact
-distinct count, and an equi-width histogram.  Estimates interpolate
-uniformly within buckets; their dispersion score (variance proxy) rises with
-the share of the estimate contributed by partially covered buckets, or with
-1/ndv for equality predicates.  The planner-side risk value combines that
-dispersion with staleness measured in drift generations.
+distinct count, and an equi-width histogram.  Range estimates interpolate
+uniformly within buckets; equality estimates are 1/ndv inside the observed
+value range.
 """
 
 from __future__ import annotations
@@ -43,12 +41,6 @@ class Predicate:
 
     def __str__(self) -> str:
         return f"{self.column} {self.comparison} {self.constant}"
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float           # cardinality or selectivity, >= 0
-    variance_proxy: float  # dimensionless dispersion score, >= 0
 
 
 @dataclass(frozen=True)
@@ -108,14 +100,13 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS) -> TableSta
                       captured_generation=table.generation, columns=cols)
 
 
-def _range_fraction(stats: ColumnStats, lo: float, hi: float) -> tuple[float, float]:
-    """Estimated fraction of rows in [lo, hi) and the share coming from
-    partially covered buckets (uniform-within-bucket interpolation)."""
+def _range_fraction(stats: ColumnStats, lo: float, hi: float) -> float:
+    """Estimated fraction of rows in [lo, hi) (uniform-within-bucket
+    interpolation)."""
     if stats.row_count == 0 or not stats.bucket_counts:
-        return 0.0, 0.0
+        return 0.0
     total = float(stats.row_count)
     mass = 0.0
-    partial = 0.0
     edges = stats.bucket_edges
     for i, count in enumerate(stats.bucket_counts):
         b_lo, b_hi = edges[i], edges[i + 1]
@@ -127,22 +118,17 @@ def _range_fraction(stats: ColumnStats, lo: float, hi: float) -> tuple[float, fl
             covered = min(max(overlap / width, 0.0), 1.0)
         if covered <= 0.0:
             continue
-        contribution = covered * count
-        mass += contribution
-        if covered < 1.0:
-            partial += contribution
-    sel = min(mass / total, 1.0)
-    partial_share = (partial / mass) if mass > 0.0 else 0.0
-    return sel, partial_share
+        mass += covered * count
+    return min(mass / total, 1.0)
 
 
-def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> Estimate:
+def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> float:
     """Selectivity in [0, 1] for one predicate against captured statistics."""
     if pred.column != stats.column:
         raise ValidationError(
             f"predicate column {pred.column!r} does not match statistics for {stats.column!r}")
     if stats.row_count == 0:
-        return Estimate(0.0, 0.0)
+        return 0.0
 
     c = float(pred.constant)
     lo = float(stats.min_value)
@@ -151,8 +137,7 @@ def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> Estimate:
 
     if pred.comparison == "=":
         inside = stats.min_value <= pred.constant <= stats.max_value
-        sel = (1.0 / stats.ndv) if (inside and stats.ndv > 0) else 0.0
-        return Estimate(sel, 1.0 / stats.ndv if stats.ndv > 0 else 0.0)
+        return (1.0 / stats.ndv) if (inside and stats.ndv > 0) else 0.0
 
     if pred.comparison == "<":
         bounds = (lo, c)
@@ -162,17 +147,7 @@ def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> Estimate:
         bounds = (c, hi)
     else:  # ">"
         bounds = (c + 1.0, hi)
-
-    sel, partial_share = _range_fraction(stats, *bounds)
-    return Estimate(sel, partial_share)
-
-
-def risk_value(variance_proxy: float, staleness: int,
-               w_variance: float = 1.0, w_staleness: float = 1.0) -> float:
-    """Planner-side risk: weighted dispersion plus staleness in generations."""
-    if staleness < 0:
-        raise ValidationError(f"staleness must be >= 0, got {staleness}")
-    return w_variance * variance_proxy + w_staleness * staleness
+    return _range_fraction(stats, *bounds)
 
 
 # ── persistence (pre-drift stats survive a drift) ──────────────────────────

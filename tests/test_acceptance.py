@@ -236,7 +236,7 @@ def test_criterion_8_unit_oracles():
     for comparison in ("<", "<=", ">=", ">"):
         for c in sel_stream.integers(0, 999, 30):
             pred = Predicate("a", comparison, int(c))
-            est = estimate_selectivity(cs, pred).value
+            est = estimate_selectivity(cs, pred)
             truth = float(pred.mask(table.column("a")).mean())
             err = abs(est - truth)
             worst = max(worst, err)

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from latebind import bench
-from latebind.cli import EXIT_OK, EXIT_VALIDATION, main
+from latebind.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, _base_thresholds, main
 from latebind.clock import SimulatedClock
-from latebind.policy import ORCHESTRATED
+from latebind.policy import ORCHESTRATED, Thresholds
 
 
 def run_cli(*argv: str) -> int:
@@ -91,6 +91,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 def test_threshold_flags_reach_thresholds_file(tmp_path):
+    # without flags the run config yields Thresholds' own defaults
+    assert _base_thresholds(RunConfig()) == Thresholds()
     code = run_cli("calibrate", "--out", str(tmp_path), "--sigma", "0",
                    "--offload-margin", "1.5", "--rho-join", "25")
     assert code == EXIT_OK
@@ -188,6 +190,29 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
     assert run_cli("report", str(a), str(b)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert str(a) in err and str(b) in err
+
+
+def test_report_mixed_mode_file_names_path_and_modes(tmp_path, capsys):
+    mixed = tmp_path / "samples.csv"
+    mixed.write_text("mode,query_id,latency,failed\n"
+                     "baseline,q000,5.0,0\n"
+                     "orchestrated,q001,7.0,0\n")
+    assert run_cli("report", str(mixed)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert str(mixed) in captured.err
+    assert "baseline" in captured.err and "orchestrated" in captured.err
+    assert captured.out == ""
+
+
+def test_thresholds_file_with_deleted_keys_rejected(tmp_path, capsys):
+    assert run_cli("calibrate", "--out", str(tmp_path), "--sigma", "0") == EXIT_OK
+    path = tmp_path / "calibration" / "thresholds.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "opt_distrust": 1.0, "reevaluate_band": 1.2}))
+    code = run_cli("run", "--scenario", "stale_stats", "--queries", "2",
+                   "--out", str(tmp_path), "--thresholds", str(path))
+    assert code == EXIT_VALIDATION
+    assert "unknown threshold keys" in capsys.readouterr().err
 
 
 def test_report_reprints_run_comparison(tmp_path, capsys):

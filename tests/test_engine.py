@@ -10,7 +10,8 @@ import pytest
 from latebind.clock import SimulatedClock, WallClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
 from latebind.engine import (EngineConfig, RuntimeSignals, _hash_join, _nested_loop_join,
-                             brute_force_join_count, execute, observe, trace_csv)
+                             brute_force_join_count, decision_hook, execute, observe,
+                             trace_csv)
 from latebind.errors import ConfigurationError, ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
@@ -88,32 +89,35 @@ def test_simulated_clock_bitwise_determinism(small_plan, small_tables):
 
 
 def test_observe_ratio_examples(small_plan):
-    node = dataclasses.replace(small_plan.join,
-                               est_input=dataclasses.replace(small_plan.join.est_input,
-                                                             value=1000.0))
-    s1 = observe(node, 1000, held_bytes=0, memory_budget=100, charged_so_far=0.0,
-                 predicted_so_far=1.0)
+    node = dataclasses.replace(small_plan.join, est_input=1000.0)
+    s1 = observe(node, 1000, held_bytes=0, memory_budget=100)
     assert s1.estimate_ratio == pytest.approx(1.0)
-    s2 = observe(node, 12000, held_bytes=0, memory_budget=100, charged_so_far=0.0,
-                 predicted_so_far=1.0)
+    s2 = observe(node, 12000, held_bytes=0, memory_budget=100)
     assert s2.estimate_ratio == pytest.approx(12.0)
 
 
 def test_observe_memory_pressure_ratio(small_plan):
-    s = observe(small_plan.join, 10, held_bytes=80 * 2**20, memory_budget=100 * 2**20,
-                charged_so_far=0.0, predicted_so_far=1.0)
+    s = observe(small_plan.join, 10, held_bytes=80 * 2**20, memory_budget=100 * 2**20)
     assert s.memory_pressure == pytest.approx(0.8)
-    assert not s.memory_clamped
-    clamped = observe(small_plan.join, 10, held_bytes=150, memory_budget=100,
-                      charged_so_far=0.0, predicted_so_far=1.0)
-    assert clamped.memory_pressure == 1.0
-    assert clamped.memory_clamped
+    over = observe(small_plan.join, 10, held_bytes=150, memory_budget=100)
+    assert over.memory_pressure == pytest.approx(1.5)
+
+
+def test_memory_backoff_fires_with_mem_high_above_one(small_plan):
+    # pressure is not clamped, so a trigger above 1 is still reachable
+    node = dataclasses.replace(small_plan.join, chosen=HASH_JOIN)
+    thr = dataclasses.replace(static_thresholds(CostModel.default()), mem_high=1.2)
+    signals = observe(node, 10, held_bytes=150, memory_budget=100)
+    variant, labels = decision_hook(node, signals, INDEPENDENT_GATES, thr, r_acc=None,
+                                    build_exceeds_budget=True)
+    assert variant == NESTED_LOOP
+    assert labels == (f"switch:{NESTED_LOOP}",)
 
 
 def test_runtime_signals_validation():
     with pytest.raises(ValidationError):
         RuntimeSignals(observed_input_cardinality=-1, estimate_ratio=1.0,
-                       memory_pressure=0.0, elapsed_deviation=0.0)
+                       memory_pressure=0.0)
 
 
 def test_baseline_rigidity_under_drift(drift_setup):

@@ -5,6 +5,7 @@ name from outside the package; a rename or deletion there breaks
 from __future__ import annotations
 
 import importlib
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,3 +27,25 @@ def test_every_wrapped_attribute_exists(monkeypatch):
         recorder.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner}.{attr} not restored"
+
+
+def test_traced_run_yields_every_per_layer_metric(monkeypatch, tmp_path):
+    # layer_metrics also reads program names it does not wrap (for example
+    # policy.REEVALUATE), so a short traced run must produce every metric
+    # BENCHMARK.json lists; tracing_overhead_s is computed by run.py itself
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    from latebind import cli
+
+    recorder = spans.Recorder()
+    try:
+        layers.install(recorder)
+        assert cli.main(["run", "--scenario", "stale_stats", "--queries", "5",
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+    finally:
+        recorder.restore()
+    metrics = layers.layer_metrics(recorder.finish())
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    missing = {m["name"] for m in declared} - {"tracing_overhead_s"} - set(metrics)
+    assert not missing

@@ -93,8 +93,8 @@ def test_model_break_even_analytic(default_model):
 def test_plan_chooses_argmin_join(default_model):
     stats = make_stats()
     p = plan(default_query(), stats, default_model)
-    probe = p.join.est_input.value
-    build = p.join.est_build.value
+    probe = p.join.est_input
+    build = p.join.est_build
     nl = cost(JOIN, NESTED_LOOP, (probe, build), default_model)
     hj = cost(JOIN, HASH_JOIN, (probe, build), default_model)
     assert p.join.chosen == (NESTED_LOOP if nl < hj else HASH_JOIN)
@@ -111,7 +111,7 @@ def test_plan_tiny_inputs_choose_nested_loop(default_model):
 def test_plan_device_cpu_below_break_even(default_model):
     stats = make_stats()
     p = plan(default_query(left_filter=Predicate("a", "<", 50)), stats, default_model)
-    n_est = p.left_filter.est_input.value
+    n_est = p.left_filter.est_input
     assert cost(FILTER, CPU, (n_est,), default_model) < \
         cost(FILTER, ACCELERATOR, (n_est,), default_model)
     assert p.left_filter.chosen == CPU
@@ -147,8 +147,8 @@ def test_plan_argmin_property_random_models():
         for node in p.nodes():
             if not node.late_bind:
                 continue
-            cards = ((node.est_input.value, node.est_build.value)
-                     if node.kind == JOIN else (node.est_input.value,))
+            cards = ((node.est_input, node.est_build)
+                     if node.kind == JOIN else (node.est_input,))
             chosen_cost = cost(node.kind, node.chosen, cards, model)
             for variant in node.variants:
                 assert chosen_cost <= cost(node.kind, variant, cards, model) + 1e-12
@@ -206,12 +206,11 @@ def test_explain_mentions_variants_and_flags(default_model):
 
 def test_late_bind_invariants_enforced():
     from latebind.planner import PlanNode
-    from latebind.stats import Estimate
     with pytest.raises(ValidationError):
         PlanNode(node_id="x", kind=JOIN, chosen=HASH_JOIN,
-                 est_input=Estimate(1.0, 0.0), est_output=1.0,
+                 est_input=1.0, est_output=1.0,
                  late_bind=True, variants=(HASH_JOIN,))
     with pytest.raises(ValidationError):
         PlanNode(node_id="x", kind=JOIN, chosen="merge_join",
-                 est_input=Estimate(1.0, 0.0), est_output=1.0,
+                 est_input=1.0, est_output=1.0,
                  late_bind=True, variants=(HASH_JOIN, NESTED_LOOP))

@@ -17,9 +17,9 @@ from latebind.policy import (BASELINE, Decision, INDEPENDENT_GATES, KEEP,
                              static_thresholds)
 
 
-def signals(n_obs=1000, ratio=1.0, pressure=0.1, deviation=1.0) -> RuntimeSignals:
+def signals(n_obs=1000, ratio=1.0, pressure=0.1) -> RuntimeSignals:
     return RuntimeSignals(observed_input_cardinality=n_obs, estimate_ratio=ratio,
-                          memory_pressure=pressure, elapsed_deviation=deviation)
+                          memory_pressure=pressure)
 
 
 def calibrated(**overrides) -> Thresholds:
@@ -37,23 +37,23 @@ FILTER_CTX_ACC = NodeContext(kind=FILTER, current=ACCELERATOR, variants=(ACCELER
 
 
 def test_nominal_signals_keep():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(), r_acc=0.5)
+    urs = RiskVector(r_exec=signals(), r_acc=0.5)
     assert decide(urs, JOIN_CTX_NL, calibrated(), ORCHESTRATED) == Decision.keep()
     assert decide(urs, FILTER_CTX_ACC, calibrated(), ORCHESTRATED) == Decision.keep()
 
 
 def test_rule1_ratio_triggers_hash_join():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(ratio=12.0), r_acc=None)
+    urs = RiskVector(r_exec=signals(ratio=12.0), r_acc=None)
     assert decide(urs, JOIN_CTX_NL, calibrated(), ORCHESTRATED) == Decision.switch(HASH_JOIN)
 
 
 def test_rule1_needs_nested_loop_current():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(ratio=12.0), r_acc=None)
+    urs = RiskVector(r_exec=signals(ratio=12.0), r_acc=None)
     assert decide(urs, JOIN_CTX_HASH, calibrated(), ORCHESTRATED) == Decision.keep()
 
 
 def test_rule2_memory_backoff_to_nested_loop():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(pressure=0.9), r_acc=None)
+    urs = RiskVector(r_exec=signals(pressure=0.9), r_acc=None)
     ctx = NodeContext(kind=JOIN, current=HASH_JOIN,
                       variants=(HASH_JOIN, NESTED_LOOP), build_exceeds_budget=True)
     assert decide(urs, ctx, calibrated(), ORCHESTRATED) == Decision.switch(NESTED_LOOP)
@@ -64,73 +64,54 @@ def test_rule2_memory_backoff_to_nested_loop():
 
 def test_rule3_offload_at_margin():
     thr = calibrated()  # offload threshold = 1.1 * 10000 = 11000
-    at = RiskVector(r_opt=0.0, r_exec=signals(n_obs=11000), r_acc=10000 / 11000)
+    at = RiskVector(r_exec=signals(n_obs=11000), r_acc=10000 / 11000)
     assert decide(at, FILTER_CTX_CPU, thr, ORCHESTRATED) == Decision.switch(ACCELERATOR)
 
 
 def test_rule3_just_below_margin_keep_or_reevaluate():
     thr = calibrated()
-    below_trusted = RiskVector(r_opt=0.0, r_exec=signals(n_obs=10999), r_acc=10000 / 10999)
+    below_trusted = RiskVector(r_exec=signals(n_obs=10999), r_acc=10000 / 10999)
     assert decide(below_trusted, FILTER_CTX_CPU, thr, ORCHESTRATED) == Decision.keep()
-    below_distrusted = RiskVector(r_opt=1.5, r_exec=signals(n_obs=10999), r_acc=10000 / 10999)
-    assert decide(below_distrusted, FILTER_CTX_CPU, thr, ORCHESTRATED) == Decision.reevaluate()
 
 
 def test_rule4_unamortized_returns_to_cpu():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(n_obs=5000), r_acc=2.0)
+    urs = RiskVector(r_exec=signals(n_obs=5000), r_acc=2.0)
     assert decide(urs, FILTER_CTX_ACC, calibrated(), ORCHESTRATED) == Decision.switch(CPU)
 
 
 def test_rule4_sentinel_forces_cpu():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(n_obs=50000), r_acc=math.inf)
+    urs = RiskVector(r_exec=signals(n_obs=50000), r_acc=math.inf)
     assert decide(urs, FILTER_CTX_ACC, calibrated(), ORCHESTRATED) == Decision.switch(CPU)
-
-
-def test_rule5_band_with_distrust_reevaluates():
-    thr = calibrated()
-    urs = RiskVector(r_opt=2.0, r_exec=signals(ratio=9.0), r_acc=None)  # 9 in [10/1.2, 10)
-    assert decide(urs, JOIN_CTX_NL, thr, ORCHESTRATED) == Decision.reevaluate()
-    # once the re-arm is used, the same inputs keep
-    assert decide(urs, JOIN_CTX_NL, thr, ORCHESTRATED,
-                  reevaluate_armed=False) == Decision.keep()
-
-
-def test_rule5_band_without_distrust_keeps():
-    urs = RiskVector(r_opt=0.5, r_exec=signals(ratio=9.0), r_acc=None)
-    assert decide(urs, JOIN_CTX_NL, calibrated(), ORCHESTRATED) == Decision.keep()
 
 
 def test_independent_gates_run_local_rules_only():
     thr = static_thresholds(CostModel.default())
     # rule 1 still fires: the ratio is an executor-local quantity
-    hot = RiskVector(r_opt=None, r_exec=signals(ratio=12.0), r_acc=None)
+    hot = RiskVector(r_exec=signals(ratio=12.0), r_acc=None)
     assert decide(hot, JOIN_CTX_NL, thr, INDEPENDENT_GATES) == Decision.switch(HASH_JOIN)
-    # the re-evaluation rule never fires, no matter the planner risk
-    band = RiskVector(r_opt=99.0, r_exec=signals(ratio=9.0), r_acc=None)
-    assert decide(band, JOIN_CTX_NL, thr, INDEPENDENT_GATES) == Decision.keep()
 
 
 def test_baseline_mode_rejected():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(), r_acc=None)
+    urs = RiskVector(r_exec=signals(), r_acc=None)
     with pytest.raises(ConfigurationError):
         decide(urs, JOIN_CTX_NL, calibrated(), BASELINE)
 
 
 def test_uncalibrated_orchestrated_rejected():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(), r_acc=None)
+    urs = RiskVector(r_exec=signals(), r_acc=None)
     with pytest.raises(ConfigurationError):
         decide(urs, JOIN_CTX_NL, Thresholds(), ORCHESTRATED)
 
 
 def test_switch_target_must_be_variant():
-    urs = RiskVector(r_opt=0.0, r_exec=signals(ratio=12.0), r_acc=None)
+    urs = RiskVector(r_exec=signals(ratio=12.0), r_acc=None)
     ctx = NodeContext(kind=JOIN, current=NESTED_LOOP, variants=(NESTED_LOOP,))
     with pytest.raises(ValidationError):
         decide(urs, ctx, calibrated(), ORCHESTRATED)
 
 
 def test_missing_signals_keep():
-    urs = RiskVector(r_opt=5.0, r_exec=None, r_acc=None)
+    urs = RiskVector(r_exec=None, r_acc=None)
     assert decide(urs, JOIN_CTX_NL, calibrated(), ORCHESTRATED) == Decision.keep()
 
 
@@ -139,7 +120,7 @@ def test_decision_monotone_in_ratio():
     rank = {KEEP: 0, REEVALUATE: 1, SWITCH: 2}
     last = -1
     for ratio in [r / 10 for r in range(10, 250, 5)]:
-        urs = RiskVector(r_opt=2.0, r_exec=signals(ratio=ratio), r_acc=None)
+        urs = RiskVector(r_exec=signals(ratio=ratio), r_acc=None)
         decision = decide(urs, JOIN_CTX_NL, thr, ORCHESTRATED)
         assert rank[decision.action] >= last
         last = rank[decision.action]
@@ -147,7 +128,7 @@ def test_decision_monotone_in_ratio():
 
 
 def test_decide_is_pure():
-    urs = RiskVector(r_opt=1.0, r_exec=signals(ratio=9.5), r_acc=0.9)
+    urs = RiskVector(r_exec=signals(ratio=9.5), r_acc=0.9)
     thr = calibrated()
     assert decide(urs, JOIN_CTX_NL, thr, ORCHESTRATED) == \
         decide(urs, JOIN_CTX_NL, thr, ORCHESTRATED)
@@ -193,13 +174,11 @@ def test_threshold_validation():
         Thresholds(rho_join=1.0)
     with pytest.raises(ValidationError):
         Thresholds(offload_margin=0.9)
-    with pytest.raises(ValidationError):
-        Thresholds(reevaluate_band=0.5)
 
 
 def test_disabled_thresholds_never_fire():
     thr = Thresholds.disabled()
-    extreme = RiskVector(r_opt=99.0, r_exec=signals(n_obs=10**9, ratio=1e9, pressure=1.0),
+    extreme = RiskVector(r_exec=signals(n_obs=10**9, ratio=1e9, pressure=1.0),
                          r_acc=None)
     assert decide(extreme, JOIN_CTX_NL, thr, ORCHESTRATED) == Decision.keep()
     assert decide(extreme, FILTER_CTX_CPU, thr, ORCHESTRATED) == Decision.keep()
@@ -230,7 +209,7 @@ def test_calibration_report_mentions_kinds():
 
 
 def test_risk_vector_exposes_no_scalar_fold():
-    fields = {"r_opt", "r_exec", "r_acc"}
+    fields = {"r_exec", "r_acc"}
     public = {name for name in vars(RiskVector)
               if not name.startswith("_") and name not in ("__doc__",)}
     # dataclass adds no public methods; the only public surface is the components
@@ -243,4 +222,4 @@ def test_risk_vector_exposes_no_scalar_fold():
 
 def test_risk_vector_components_optional():
     rv = RiskVector()
-    assert rv.r_opt is None and rv.r_exec is None and rv.r_acc is None
+    assert rv.r_exec is None and rv.r_acc is None
