@@ -13,7 +13,9 @@ Three scenarios stress the three ways an early-bound plan goes stale:
   only runtime observation can bind the device correctly.
 
 Every query executes under all requested modes with the same per-query
-noise stream; result mismatches across modes abort the run.  Reports carry
+noise stream; result mismatches across modes abort the run.  Queries that
+share a plan and its tables run back to back so that they can share kernel
+outputs, and their rows are put back in query order.  Reports carry
 sorted latency samples, nearest-rank percentiles, CDF points, and failure
 counts, and serialize byte-identically for identical inputs.
 """
@@ -343,32 +345,45 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                  ) -> dict[str, LatencyReport]:
     """Run every query under every mode and report per-mode distributions.
 
-    Result values are cross-checked per query over all modes that completed;
-    any mismatch is a hard failure of the whole run.
+    Queries that share a plan and its tables run back to back, and on the
+    simulated clock they share one kernel memo, dropped before the next
+    group starts; rows still come out in query order.  Result values are
+    cross-checked per query over all modes that completed; any mismatch is a
+    hard failure of the whole run.
     """
     per_mode_thresholds = thresholds or scenario_thresholds(scenario, base_thresholds)
     engine_config = engine_config or EngineConfig(true_cost_model=scenario.true_model)
     if engine_config.true_cost_model is None:
         engine_config = replace(engine_config, true_cost_model=scenario.true_model)
 
-    rows: dict[str, list[SampleRow]] = {mode: [] for mode in scenario.modes}
-    for prepared in scenario_queries(scenario):
-        values: dict[str, int] = {}
-        # one query's modes share kernel outputs; the wall clock times every run
+    queries = scenario_queries(scenario)
+    # scenario_queries hands one plan object and one table object to every
+    # case that shares them, so identity is the memo's precondition
+    groups: dict[tuple[int, ...], list[tuple[int, PreparedQuery]]] = {}
+    for i, prepared in enumerate(queries):
+        key = (id(prepared.plan), *map(id, prepared.tables.values()))
+        groups.setdefault(key, []).append((i, prepared))
+
+    rows: dict[str, list[SampleRow]] = {mode: [None] * len(queries)
+                                        for mode in scenario.modes}
+    for members in groups.values():
+        # the wall clock times every run, so it shares nothing
         memo = {} if clock.mode == SIMULATED else None
-        for mode in scenario.modes:
-            result, trace = execute(prepared.plan, prepared.tables, mode,
-                                    per_mode_thresholds[mode], clock, prepared.seed,
-                                    engine_config, memo=memo)
-            rows[mode].append(SampleRow(query_id=prepared.case.query_id,
-                                        latency=trace.total_latency,
-                                        failed=trace.failed))
-            if result is not None:
-                values[mode] = result.value
-        if len(set(values.values())) > 1:
-            raise ResultMismatchError(
-                f"{scenario.name}/{prepared.case.query_id}: "
-                f"results diverge across modes: {values}")
+        for i, prepared in members:
+            values: dict[str, int] = {}
+            for mode in scenario.modes:
+                result, trace = execute(prepared.plan, prepared.tables, mode,
+                                        per_mode_thresholds[mode], clock, prepared.seed,
+                                        engine_config, memo=memo)
+                rows[mode][i] = SampleRow(query_id=prepared.case.query_id,
+                                          latency=trace.total_latency,
+                                          failed=trace.failed)
+                if result is not None:
+                    values[mode] = result.value
+            if len(set(values.values())) > 1:
+                raise ResultMismatchError(
+                    f"{scenario.name}/{prepared.case.query_id}: "
+                    f"results diverge across modes: {values}")
 
     return {mode: build_report(scenario.name, mode, scenario.seed, clock.mode,
                                per_mode_thresholds[mode].source, rows[mode])

@@ -14,7 +14,7 @@ import math
 import time
 from typing import Callable, TypeVar
 
-from .rng import stream_unit
+from .rng import unit_at
 
 T = TypeVar("T")
 
@@ -34,9 +34,9 @@ class SimulatedClock:
         """Lognormal multiplier exp(sigma * z), z standard normal."""
         if self.sigma == 0.0:
             return 1.0
-        u = stream_unit(seed, 2 * counter, 2)
-        u1 = min(u[0] + 2.0**-54, 1.0)
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u[1])
+        u1 = min(unit_at(seed, 2 * counter) + 2.0**-54, 1.0)
+        u2 = unit_at(seed, 2 * counter + 1)
+        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return math.exp(self.sigma * z)
 
     def charge(self, model_cost: float, seed: int, counter: int,

@@ -17,8 +17,9 @@ alone.
 A switch decision discards no work: variants start from the same
 materialized input, whose cost was charged once.
 
-On the simulated clock the modes of one query share kernel outputs: a
-kernel runs once per node and path of executed variants, and every mode that
+On the simulated clock the executions that run one plan on one set of tables
+(every mode of every query in such a group) share kernel outputs: a kernel
+runs once per node and path of executed variants, and every execution that
 reaches it along the same path reuses the result while its own cost is
 still charged.  The wall clock bypasses this, since it times every run.
 """
@@ -178,9 +179,10 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
     out_chunks: dict[str, list[np.ndarray]] = {name: [] for name in (*carried, *build_carried)}
     for start in range(0, probe_key.size, block):
         p = probe_key[start:start + block]
-        hits = p[:, None] == build_key[None, :]
-        # row-major flat positions: probe-major, build-ascending
-        p_idx, b_idx = np.divmod(np.flatnonzero(hits), build_key.size)
+        # row-major flat positions: probe-major, build-ascending; the block's
+        # compare matrix is freed here, before the next block allocates its own
+        p_idx, b_idx = np.divmod(np.flatnonzero(p[:, None] == build_key[None, :]),
+                                 build_key.size)
         total += p_idx.size
         for name, col in carried.items():
             out_chunks[name].append(col[start:start + block][p_idx])
@@ -228,9 +230,10 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             ) -> tuple[Optional[QueryResult], ExecutionTrace]:
     """Run one annotated plan; returns (result, trace), result None on failure.
 
-    Calls that share a memo must share plan and tables: each kernel then runs
-    once per node and path of executed variants (so an aggregate never reuses
-    another join kernel's output), and later calls get the same output objects.
+    Calls that share a memo must share plan and tables, whatever their mode
+    or query seed: each kernel then runs once per node and path of executed
+    variants (so an aggregate never reuses another join kernel's output), and
+    later calls get the same output objects.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -62,6 +63,12 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
 def stream_unit(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform floats in [0, 1) with 53-bit resolution."""
     return (stream_u64(seed, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def unit_at(seed: int, counter: int) -> float:
+    """stream_unit(seed, counter, 1)[0] in pure Python, without numpy's
+    per-call overhead."""
+    return (mix64(seed + (counter + 1) * _GOLDEN_INT) >> 11) * 2.0**-53
 
 
 class Stream:

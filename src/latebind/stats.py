@@ -84,12 +84,16 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS) -> TableSta
                 bucket_edges=(), bucket_counts=(), captured_generation=table.generation,
             )
             continue
-        lo = int(values.min())
-        hi = int(values.max())
-        ndv = int(np.unique(values).size)
-        # integer value v occupies [v, v+1), so the histogram spans [lo, hi+1)
+        # one sort yields the range, the distinct count and the histogram
+        ordered = np.sort(values)
+        lo = int(ordered[0])
+        hi = int(ordered[-1])
+        ndv = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        # integer value v occupies [v, v+1), so the histogram spans [lo, hi+1);
+        # the last edge lies above every value, so left-side search counts
+        # each bucket as [edge, next edge)
         edges = np.linspace(lo, hi + 1, buckets + 1)
-        counts, _ = np.histogram(values, bins=edges)
+        counts = np.diff(np.searchsorted(ordered, edges, side="left"))
         cols[spec.name] = ColumnStats(
             column=spec.name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
             bucket_edges=tuple(float(e) for e in edges),

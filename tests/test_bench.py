@@ -184,9 +184,17 @@ def test_cross_mode_mismatch_aborts(monkeypatch):
     assert flip["n"] >= 1
 
 
-def test_kernel_memo_leaves_reports_unchanged(monkeypatch):
-    scenario = scenario_input_scale_shift(seed=3, query_count=12)
+@pytest.mark.parametrize("build", [scenario_input_scale_shift, scenario_stale_stats],
+                         ids=["input_scale_shift", "stale_stats"])
+def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build):
+    scenario = build(seed=3, query_count=40)
     assert any(case.fact_variant != bench.BASE_VARIANT for case in scenario.cases)
+    # some (plan, tables) group comes back after another group ran, so the
+    # grouped run reorders queries and must put the rows back in query order
+    groups = [(id(q.plan), *map(id, q.tables.values()))
+              for q in bench.scenario_queries(scenario)]
+    adjacent_runs = 1 + sum(a != b for a, b in zip(groups, groups[1:]))
+    assert adjacent_runs > len(set(groups))
     clock = SimulatedClock(sigma=0.05)
     shared = run_scenario(scenario, clock)
     real_execute = bench.execute
@@ -196,28 +204,31 @@ def test_kernel_memo_leaves_reports_unchanged(monkeypatch):
 
     monkeypatch.setattr(bench, "execute", execute_without_memo)
     assert run_scenario(scenario, clock) == shared
+    for report in shared.values():
+        assert [row.query_id for row in report.rows] == \
+            [case.query_id for case in scenario.cases]
 
 
 def count_join_kernels(monkeypatch) -> tuple[list, list]:
     """Wrap bench.execute and the join kernels; returns (executions, kernel
-    calls), each call tagged with its query seed and kernel name."""
-    executions: list[tuple[int, str, str]] = []   # (query seed, mode, join variant)
-    calls: list[tuple[int, str]] = []
-    current = {"seed": None}
+    calls), each tagged with its (plan, tables) group and query seed."""
+    executions: list[tuple[tuple, int, str, str]] = []   # (group, seed, mode, join variant)
+    calls: list[tuple[tuple, int, str]] = []              # (group, seed, kernel)
+    current = {}
     real_execute = bench.execute
 
     def tagging_execute(plan, tables, mode, thresholds, clock, seed, config=None,
                         memo=None):
-        current["seed"] = seed
+        current["at"] = ((id(plan), *map(id, tables.values())), seed)
         result, trace = real_execute(plan, tables, mode, thresholds, clock, seed, config,
                                      memo=memo)
         join = next(r for r in trace.records if r.kind == "join")
-        executions.append((seed, mode, join.executed_variant))
+        executions.append((*current["at"], mode, join.executed_variant))
         return result, trace
 
     def counting(name, kernel):
         def wrapper(*args, **kwargs):
-            calls.append((current["seed"], name))
+            calls.append((*current["at"], name))
             return kernel(*args, **kwargs)
         return wrapper
 
@@ -230,18 +241,21 @@ def count_join_kernels(monkeypatch) -> tuple[list, list]:
 
 @pytest.mark.parametrize("clock", [SimulatedClock(sigma=0.05), WallClock()],
                          ids=["simulated", "wall"])
-def test_nested_loop_runs_once_per_query_only_on_simulated_clock(monkeypatch, clock):
+def test_nested_loop_runs_once_per_group_only_on_simulated_clock(monkeypatch, clock):
     scenario = scenario_input_scale_shift(seed=3, query_count=12)
     executions, calls = count_join_kernels(monkeypatch)
     run_scenario(scenario, clock)
-    per_query = Counter(seed for seed, name in calls if name == NESTED_LOOP)
-    modes_per_query = Counter(seed for seed, _, variant in executions
-                              if variant == NESTED_LOOP)
+    nl_runs = [(group, seed) for group, seed, _, variant in executions
+               if variant == NESTED_LOOP]
+    nl_calls = [(group, seed) for group, seed, name in calls if name == NESTED_LOOP]
+    groups = {group for group, _ in nl_runs}
+    # several queries share each group, so once per group is less than once per query
+    assert len({seed for _, seed in nl_runs}) > len(groups)
     if clock.mode == "simulated":
-        assert per_query == Counter(set(modes_per_query))  # once each
+        assert Counter(group for group, _ in nl_calls) == Counter(groups)  # once each
     else:
-        assert per_query == modes_per_query                 # once per mode
-    assert max(modes_per_query.values()) == len(scenario.modes)
+        assert Counter(nl_calls) == Counter(nl_runs)                       # once per mode
+    assert max(Counter(nl_runs).values()) == len(scenario.modes)
 
 
 def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):
@@ -253,11 +267,16 @@ def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):
     config = EngineConfig(nl_pair_cap=10**9)  # keep the nested loop literal
     executions, calls = count_join_kernels(monkeypatch)
     run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
-    for seed in {seed for seed, _, _ in executions}:
-        variants = {mode: v for s, mode, v in executions if s == seed}
+    seeds = {seed for _, seed, _, _ in executions}
+    assert len(seeds) == 2
+    for seed in seeds:
+        variants = {mode: v for _, s, mode, v in executions if s == seed}
         assert variants[BASELINE] == NESTED_LOOP
         assert variants[ORCHESTRATED] == HASH_JOIN
-        assert sorted(name for s, name in calls if s == seed) == [HASH_JOIN, NESTED_LOOP]
+    # both queries share the plan and the 20x table: one group, so each
+    # join kernel runs once for the pair
+    assert len({group for group, _, _, _ in executions}) == 1
+    assert sorted(name for _, _, name in calls) == [HASH_JOIN, NESTED_LOOP]
 
     # the aggregate of each join variant runs on that variant's own output,
     # so a wrong nested-loop output still fails the cross-mode check

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from latebind.rng import Stream, derive_seed, fnv1a64, mix64, stream_u64, stream_unit
+from latebind.rng import (Stream, derive_seed, fnv1a64, mix64, stream_u64, stream_unit,
+                          unit_at)
 
 
 def test_stream_matches_scalar_mix():
@@ -24,6 +25,15 @@ def test_stream_is_positional():
 def test_unit_range():
     u = stream_unit(3, 0, 10000)
     assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def test_unit_at_equals_stream_unit():
+    # the scalar form must agree bit for bit with the vectorized reference
+    seeds = [0, 1, 2**64 - 1, *(int(v) for v in stream_u64(77, 0, 20))]
+    counters = [0, 1, 2, 2**40, *(int(v) for v in Stream(78).integers(0, 2**40, 20))]
+    for seed in seeds:
+        for counter in counters:
+            assert unit_at(seed, counter) == stream_unit(seed, counter, 1)[0], (seed, counter)
 
 
 def test_integers_inclusive_bounds():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from latebind.clock import SimulatedClock
-from latebind.datagen import ColumnSpec, TableSpec, DriftSpec, apply_drift, generate_table
+from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, TableSpec,
+                              apply_drift, generate_table)
 from latebind.engine import execute
 from latebind.errors import ValidationError
 from latebind.planner import AggSpec, CostModel, Query, plan
@@ -50,6 +51,33 @@ def test_bucket_conservation_many_shapes():
         t = generate_table(TableSpec("t", rows, (ColumnSpec("a", 0, domain - 1),)), seed=seed)
         cs = capture_statistics(t).column("a")
         assert sum(cs.bucket_counts) == rows
+
+
+def reference_column_stats(values: np.ndarray, buckets: int) -> tuple:
+    """Range, distinct count and histogram computed the plain way."""
+    lo, hi = int(values.min()), int(values.max())
+    edges = np.linspace(lo, hi + 1, buckets + 1)
+    counts, _ = np.histogram(values, bins=edges)
+    return (lo, hi, int(np.unique(values).size), tuple(float(e) for e in edges),
+            tuple(int(c) for c in counts))
+
+
+@pytest.mark.parametrize("buckets", [1, 7, 32])
+def test_capture_matches_unique_and_histogram(buckets):
+    base = generate_table(TableSpec("t", 3000, (
+        ColumnSpec("u", -50, 949), ColumnSpec("z", 0, 99, "zipf", 1.3))), seed=12)
+    shifted = apply_drift(base, DriftSpec(scale_factor=1.0, domain_shift=300,
+                                          skew_change=DistributionChange("zipf", 1.1)),
+                          seed=13)
+    tables = [base, shifted,
+              table_from_arrays("one_value", a=np.full(500, 7)),
+              table_from_arrays("one_row", a=np.array([42]))]
+    for table in tables:
+        stats = capture_statistics(table, buckets=buckets)
+        for name, values in table.columns.items():
+            cs = stats.column(name)
+            got = (cs.min_value, cs.max_value, cs.ndv, cs.bucket_edges, cs.bucket_counts)
+            assert got == reference_column_stats(values, buckets), (table.spec.name, name)
 
 
 def test_captured_generation_tracks_drift():
