@@ -28,7 +28,7 @@ from . import bench
 from .accel import calibrate_break_evens, fits_csv, measurements_csv
 from .clock import SimulatedClock, WallClock
 from .datagen import dump_table_csv, generate_table, load_table_spec
-from .errors import ResultMismatchError, ValidationError
+from .errors import ConfigurationError, ResultMismatchError, ValidationError
 from .planner import AcceleratorCost, CostModel, LinearCost
 from .policy import (MODES, Thresholds, calibrate, calibration_report,
                      dump_thresholds, load_thresholds)
@@ -56,7 +56,6 @@ class RunConfig:
     thresholds_file: str = ""
     # decision thresholds
     rho_join: float = Thresholds.rho_join
-    mem_high: float = Thresholds.mem_high
     offload_margin: float = Thresholds.offload_margin
     # calibrate-only knobs
     cpu_per_item: float = 1.0
@@ -131,8 +130,7 @@ def _clock(cfg: RunConfig) -> SimulatedClock | WallClock:
 
 
 def _base_thresholds(cfg: RunConfig) -> Thresholds:
-    return Thresholds(rho_join=cfg.rho_join, mem_high=cfg.mem_high,
-                      offload_margin=cfg.offload_margin)
+    return Thresholds(rho_join=cfg.rho_join, offload_margin=cfg.offload_margin)
 
 
 def _calibration_model(cfg: RunConfig) -> CostModel:
@@ -276,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./out)")
         p.add_argument("--rho-join", dest="rho_join", type=float,
                        help="estimate-ratio trigger for join re-selection (default 10)")
-        p.add_argument("--mem-high", dest="mem_high", type=float,
-                       help="memory-pressure trigger (default 0.8)")
         p.add_argument("--offload-margin", dest="offload_margin", type=float,
                        help="safety multiplier on the break-even size (default 1.1)")
 
@@ -334,7 +330,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResultMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESULT_MISMATCH
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, ConfigurationError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

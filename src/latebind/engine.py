@@ -2,10 +2,12 @@
 
 Operators materialize their outputs fully, so when a late-bind node is about
 to run, its input cardinality is exact.  At that boundary the engine builds
-the componentwise risk vector (executor-side runtime signals, among them the
-ratio of observed to estimated input, and accelerator amortization risk from
-the active thresholds) and asks the policy for one decision per the
-execution mode.  Baseline never consults the policy.
+the componentwise risk vector (the observed input and its ratio to the
+estimate as executor-side runtime signals, and accelerator amortization risk
+from the active thresholds) and asks the policy for one decision per the
+execution mode.  Baseline never consults the policy.  Memory is accounted,
+not decided on: a working set above the budget is charged the spill
+multiplier, and one above the hard cap fails the query.
 
 Costs are charged through the pluggable clock from the *true* cost model at
 observed cardinalities; which formula applies is exactly the executed
@@ -26,7 +28,6 @@ still charged.  The wall clock bypasses this, since it times every run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import IO, Callable, Optional
 
@@ -45,25 +46,24 @@ from .rng import derive_seed
 
 Clock = SimulatedClock | WallClock
 
+SPILL_MULTIPLIER = 3.0   # charged-cost inflation of a node whose working set spills
+BATCH_SIZE = 1024        # probe rows per block of the literal nested loop
+
 
 @dataclass(frozen=True)
 class RuntimeSignals:
     observed_input_cardinality: int
     estimate_ratio: float
-    memory_pressure: float       # held / budget, unclamped
 
     def __post_init__(self):
-        if self.observed_input_cardinality < 0 or self.estimate_ratio < 0 \
-                or self.memory_pressure < 0:
+        if self.observed_input_cardinality < 0 or self.estimate_ratio < 0:
             raise ValidationError("runtime signals must be >= 0")
 
 
 @dataclass
 class EngineConfig:
     memory_budget_bytes: int = 64 * 1024 * 1024
-    spill_multiplier: float = 3.0
     hard_memory_factor: float = 4.0     # budget * factor exhausts the query
-    batch_size: int = 1024
     nl_pair_cap: int = 4_000_000        # see _nested_loop_join
     true_cost_model: Optional[CostModel] = None  # defaults to the plan's model
 
@@ -95,19 +95,15 @@ class QueryResult:
     value: int
 
 
-def observe(node: PlanNode, n_obs: int, held_bytes: int,
-            memory_budget: int) -> RuntimeSignals:
+def observe(node: PlanNode, n_obs: int) -> RuntimeSignals:
     """Executor-side signals for one late-bind boundary."""
-    return RuntimeSignals(
-        observed_input_cardinality=n_obs,
-        estimate_ratio=n_obs / max(1.0, node.est_input),
-        memory_pressure=held_bytes / memory_budget if memory_budget > 0 else math.inf,
-    )
+    return RuntimeSignals(observed_input_cardinality=n_obs,
+                          estimate_ratio=n_obs / max(1.0, node.est_input))
 
 
 def decision_hook(node: PlanNode, signals: RuntimeSignals, mode: str,
                   thresholds: Thresholds, r_acc: Optional[float],
-                  build_exceeds_budget: bool) -> tuple[str, tuple[str, ...]]:
+                  ) -> tuple[str, tuple[str, ...]]:
     """Resolve the variant to execute at a late-bind boundary.
 
     Returns (variant, decision labels); one decision, so one label.
@@ -116,8 +112,7 @@ def decision_hook(node: PlanNode, signals: RuntimeSignals, mode: str,
         raise ValidationError(f"{node.node_id}: decision hook on a non-late-bind node")
     if mode == BASELINE:
         return node.chosen, ("keep",)
-    ctx = NodeContext(kind=node.kind, current=node.chosen, variants=node.variants,
-                      build_exceeds_budget=build_exceeds_budget)
+    ctx = NodeContext(kind=node.kind, current=node.chosen, variants=node.variants)
     decision = policy_mod.decide(RiskVector(r_exec=signals, r_acc=r_acc), ctx,
                                  thresholds, mode)
     if decision.action == policy_mod.SWITCH:
@@ -287,7 +282,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             raise MemoryBudgetExceeded(
                 f"{node.node_id}: working set {working} exceeds hard cap {hard_cap:.0f}")
         if spilled:
-            charged *= config.spill_multiplier
+            charged *= SPILL_MULTIPLIER
         held += out_bytes
         charged_total += charged
         trace.records.append(NodeRecord(
@@ -297,13 +292,12 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         trace.decision_count += len(decisions)
         return out
 
-    def hook(node: PlanNode, n_obs: int,
-             build_exceeds: bool = False) -> tuple[str, tuple[str, ...]]:
-        signals = observe(node, n_obs, held, budget)
+    def hook(node: PlanNode, n_obs: int) -> tuple[str, tuple[str, ...]]:
+        signals = observe(node, n_obs)
         r_acc = None
         if node.kind in thresholds.n_star:
             r_acc = accelerator_risk(thresholds.n_star[node.kind], n_obs)
-        return decision_hook(node, signals, mode, thresholds, r_acc, build_exceeds)
+        return decision_hook(node, signals, mode, thresholds, r_acc)
 
     def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
                    table: Table, cols: list[str]) -> dict[str, np.ndarray]:
@@ -333,9 +327,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
         n_probe = int(left[q.left_key].size)
         n_build = int(right[q.right_key].size)
-        build_bytes = bytes_of(right)
-        join_exceeds = held + build_bytes > budget
-        variant, decisions = hook(plan.join, n_probe, build_exceeds=join_exceeds)
+        variant, decisions = hook(plan.join, n_probe)
 
         carried = {agg_col: left[agg_col]} if agg_side == "left" else {}
         build_carried = {agg_col: right[agg_col]} if agg_side == "right" else {}
@@ -346,9 +338,9 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                                   carried, build_carried)
             return _nested_loop_join(left[q.left_key], right[q.right_key],
                                      carried, build_carried,
-                                     config.batch_size, config.nl_pair_cap)
+                                     BATCH_SIZE, config.nl_pair_cap)
 
-        extra = build_bytes if variant == HASH_JOIN else 0
+        extra = bytes_of(right) if variant == HASH_JOIN else 0
         n_join, join_out = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe, decisions,
             kernel=run_join, extra_bytes=extra,

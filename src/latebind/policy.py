@@ -7,6 +7,9 @@ into one scalar; the components exist at different points in time and a
 scalar blend would erase exactly the information the runtime decision needs.
 Unlike the paper's signal, the vector has no optimizer-risk component: the
 optimizer enters through its estimates, which the estimate ratio divides by.
+Nor does the executor's resource state feed a decision: a memory backoff
+from hash join to nested loop only ever raised tail latency under this cost
+model, so memory is cost accounting (spills, the hard cap) in the engine.
 
 Modes: the orchestrated mode runs the rule table against calibrated
 thresholds; the independent-gates mode runs the same rules against
@@ -73,13 +76,11 @@ class NodeContext:
     kind: str
     current: str
     variants: tuple[str, ...]
-    build_exceeds_budget: bool = False
 
 
 @dataclass(frozen=True)
 class Thresholds:
     rho_join: float = 10.0        # estimate-ratio trigger for join re-selection
-    mem_high: float = 0.8         # memory-pressure trigger
     offload_margin: float = 1.1   # safety multiplier on the break-even size
     offload_thresholds: dict[str, float] = field(default_factory=dict)  # kind -> margin * N*
     n_star: dict[str, float] = field(default_factory=dict)              # kind -> N*
@@ -88,8 +89,6 @@ class Thresholds:
     def __post_init__(self):
         if not (self.rho_join > 1):
             raise ValidationError(f"rho_join must be > 1, got {self.rho_join}")
-        if not (0 < self.mem_high):
-            raise ValidationError(f"mem_high must be > 0, got {self.mem_high}")
         if not (self.offload_margin >= 1):
             raise ValidationError(f"offload_margin must be >= 1, got {self.offload_margin}")
 
@@ -100,7 +99,7 @@ class Thresholds:
     @staticmethod
     def disabled() -> "Thresholds":
         """All triggers unreachable: the hook never fires a change."""
-        return Thresholds(rho_join=math.inf, mem_high=math.inf,
+        return Thresholds(rho_join=math.inf,
                           offload_thresholds={k: math.inf for k in OFFLOADABLE_KINDS},
                           n_star={k: math.inf for k in OFFLOADABLE_KINDS},
                           source="manual")
@@ -126,27 +125,20 @@ def decide(urs: RiskVector, ctx: NodeContext, thresholds: Thresholds,
                 f"switch target {target!r} not among node variants {ctx.variants}")
         return Decision.switch(target)
 
-    # (1) join inputs far above estimate while on the quadratic strategy
+    # join_blowup: join inputs far above estimate while on the quadratic strategy
     if (ctx.kind == JOIN and ctx.current == NESTED_LOOP
             and signals.estimate_ratio >= thresholds.rho_join):
         return switch_to(HASH_JOIN)
 
-    # (2) hash build would not fit: back off to the streaming strategy
-    if (ctx.kind == JOIN and ctx.current == HASH_JOIN
-            and signals.memory_pressure >= thresholds.mem_high
-            and ctx.build_exceeds_budget):
-        return switch_to(NESTED_LOOP)
-
     if ctx.kind in OFFLOADABLE_KINDS:
         offload_at = thresholds.offload_thresholds.get(ctx.kind, math.inf)
-        # (3) input large enough that up-front costs amortize with margin
+        # offload: input large enough that up-front costs amortize with margin
         if ctx.current == CPU and signals.observed_input_cardinality >= offload_at:
             return switch_to(ACCELERATOR)
-        # (4) bound to the accelerator but the input will not amortize it
+        # return_cpu: bound to the accelerator but the input will not amortize it
         if ctx.current == ACCELERATOR and urs.r_acc is not None and urs.r_acc > 1.0:
             return switch_to(CPU)
 
-    # (5) nothing fired
     return Decision.keep()
 
 
@@ -192,7 +184,6 @@ def static_thresholds(model: CostModel, base: Optional[Thresholds] = None) -> Th
 def calibration_report(thresholds: Thresholds) -> str:
     lines = [f"thresholds (source={thresholds.source})",
              f"  rho_join          {thresholds.rho_join}",
-             f"  mem_high          {thresholds.mem_high}",
              f"  offload_margin    {thresholds.offload_margin}"]
     for kind in sorted(thresholds.offload_thresholds):
         n_star = thresholds.n_star.get(kind, math.inf)
@@ -207,7 +198,6 @@ def calibration_report(thresholds: Thresholds) -> str:
 def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
     doc = {
         "rho_join": thresholds.rho_join,
-        "mem_high": thresholds.mem_high,
         "offload_margin": thresholds.offload_margin,
         "offload_thresholds": thresholds.offload_thresholds,
         "n_star": thresholds.n_star,
@@ -219,8 +209,7 @@ def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
 
 def load_thresholds(fh: IO[str]) -> Thresholds:
     doc = json.load(fh)
-    known = {"rho_join", "mem_high", "offload_margin", "offload_thresholds", "n_star",
-             "source"}
+    known = {"rho_join", "offload_margin", "offload_thresholds", "n_star", "source"}
     unknown = set(doc) - known
     if unknown:
         raise ValidationError(f"unknown threshold keys: {sorted(unknown)}")

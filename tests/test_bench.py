@@ -323,6 +323,25 @@ def test_report_emit_marks_failed_rows(tmp_path):
     assert len(report.samples) == 2
 
 
+def test_memory_exhaustion_reaches_report_files(tmp_path):
+    # a 64 KiB budget puts 15 queries' working sets above the hard cap in
+    # every mode; the run still completes, since the cross-mode check
+    # compares only the modes that returned a result
+    scenario = scenario_input_scale_shift(seed=1, query_count=100)
+    reports = run_scenario(scenario, SimulatedClock(sigma=0.05),
+                           engine_config=EngineConfig(memory_budget_bytes=64 * 1024))
+    failed = [row.query_id for row in reports[BASELINE].rows if row.failed]
+    assert len(failed) == 15
+    assert failed[:5] == ["q006", "q019", "q027", "q029", "q032"]
+    for mode, report in reports.items():
+        assert [row.query_id for row in report.rows if row.failed] == failed
+        report_emit(report, tmp_path)
+        target = tmp_path / scenario.name / mode
+        lines = (target / "samples.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines if line.endswith(",1")] == failed
+        assert "failures    15\n" in (target / "summary.txt").read_text()
+
+
 def test_summarize_and_compare_output():
     report = build_report("stale_stats", BASELINE, 1, "simulated", "manual",
                           [SampleRow("q000", 10.0, False), SampleRow("q001", 20.0, False)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from latebind import bench
-from latebind.cli import EXIT_OK, EXIT_VALIDATION, RunConfig, _base_thresholds, main
+from latebind.cli import (EXIT_OK, EXIT_VALIDATION, RunConfig, _base_thresholds,
+                          build_parser, main)
 from latebind.clock import SimulatedClock
 from latebind.policy import ORCHESTRATED, Thresholds
 
@@ -84,10 +86,24 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nonsense": 1}))
-    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path))
-    assert code == EXIT_VALIDATION
-    assert "unknown config keys" in capsys.readouterr().err
+    # mem_high was a config field; a file that still has it is rejected too
+    for key in ("nonsense", "mem_high"):
+        cfg.write_text(json.dumps({key: 1}))
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
+
+
+def test_every_flag_is_a_config_field():
+    # _apply_flags reads only RunConfig fields, so any other dest would be ignored
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command in ("calibrate", "run"):
+        dests = {action.dest for action in subparsers.choices[command]._actions
+                 if action.dest not in ("help", "config")}
+        assert dests
+        assert dests <= set(RunConfig.__dataclass_fields__), (command, dests)
 
 
 def test_threshold_flags_reach_thresholds_file(tmp_path):
@@ -208,11 +224,24 @@ def test_thresholds_file_with_deleted_keys_rejected(tmp_path, capsys):
     assert run_cli("calibrate", "--out", str(tmp_path), "--sigma", "0") == EXIT_OK
     path = tmp_path / "calibration" / "thresholds.json"
     doc = json.loads(path.read_text())
-    path.write_text(json.dumps({**doc, "opt_distrust": 1.0, "reevaluate_band": 1.2}))
+    path.write_text(json.dumps({**doc, "opt_distrust": 1.0, "reevaluate_band": 1.2,
+                                "mem_high": 0.8}))
     code = run_cli("run", "--scenario", "stale_stats", "--queries", "2",
                    "--out", str(tmp_path), "--thresholds", str(path))
     assert code == EXIT_VALIDATION
-    assert "unknown threshold keys" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown threshold keys" in err and "mem_high" in err
+
+
+def test_uncalibrated_thresholds_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "thresholds.json"
+    path.write_text(json.dumps({"rho_join": 10.0}))  # no "source": uncalibrated
+    code = run_cli("run", "--scenario", "stale_stats", "--queries", "5",
+                   "--out", str(tmp_path), "--thresholds", str(path))
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "requires calibrated thresholds" in err
 
 
 def test_report_reprints_run_comparison(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from latebind.clock import SimulatedClock, WallClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
 from latebind.engine import (EngineConfig, RuntimeSignals, _hash_join, _nested_loop_join,
-                             brute_force_join_count, decision_hook, execute, observe,
+                             brute_force_join_count, execute, observe,
                              trace_csv)
 from latebind.errors import ConfigurationError, ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
@@ -90,34 +90,15 @@ def test_simulated_clock_bitwise_determinism(small_plan, small_tables):
 
 def test_observe_ratio_examples(small_plan):
     node = dataclasses.replace(small_plan.join, est_input=1000.0)
-    s1 = observe(node, 1000, held_bytes=0, memory_budget=100)
+    s1 = observe(node, 1000)
     assert s1.estimate_ratio == pytest.approx(1.0)
-    s2 = observe(node, 12000, held_bytes=0, memory_budget=100)
+    s2 = observe(node, 12000)
     assert s2.estimate_ratio == pytest.approx(12.0)
-
-
-def test_observe_memory_pressure_ratio(small_plan):
-    s = observe(small_plan.join, 10, held_bytes=80 * 2**20, memory_budget=100 * 2**20)
-    assert s.memory_pressure == pytest.approx(0.8)
-    over = observe(small_plan.join, 10, held_bytes=150, memory_budget=100)
-    assert over.memory_pressure == pytest.approx(1.5)
-
-
-def test_memory_backoff_fires_with_mem_high_above_one(small_plan):
-    # pressure is not clamped, so a trigger above 1 is still reachable
-    node = dataclasses.replace(small_plan.join, chosen=HASH_JOIN)
-    thr = dataclasses.replace(static_thresholds(CostModel.default()), mem_high=1.2)
-    signals = observe(node, 10, held_bytes=150, memory_budget=100)
-    variant, labels = decision_hook(node, signals, INDEPENDENT_GATES, thr, r_acc=None,
-                                    build_exceeds_budget=True)
-    assert variant == NESTED_LOOP
-    assert labels == (f"switch:{NESTED_LOOP}",)
 
 
 def test_runtime_signals_validation():
     with pytest.raises(ValidationError):
-        RuntimeSignals(observed_input_cardinality=-1, estimate_ratio=1.0,
-                       memory_pressure=0.0)
+        RuntimeSignals(observed_input_cardinality=-1, estimate_ratio=1.0)
 
 
 def test_baseline_rigidity_under_drift(drift_setup):
@@ -196,26 +177,6 @@ def test_spill_inflates_charged_cost(small_plan, small_tables, default_model):
     spill_join = next(r for r in spill_trace.records if r.kind == "join")
     assert spill_join.spilled
     assert spill_join.charged_cost == pytest.approx(3.0 * base_join.charged_cost)
-
-
-def test_memory_pressure_backs_hash_join_off_to_nested_loop(drift_setup):
-    # forced hash build over a tight budget: rule 2 swaps in the streaming join
-    p, fact, _, dim, thr = drift_setup
-    hash_bound = forced(p, join=HASH_JOIN)
-    clock = SimulatedClock(sigma=0.0)
-    # held at the join = fact cols (2 * 2000 * 8) + dim col (2000 * 8) = 48000
-    tight = EngineConfig(memory_budget_bytes=56000, hard_memory_factor=1000.0)
-    for mode in (ORCHESTRATED, INDEPENDENT_GATES):
-        result, trace = execute(hash_bound, {"fact": fact, "dim": dim}, mode, thr,
-                                clock, seed=5, config=tight)
-        join = next(r for r in trace.records if r.kind == "join")
-        assert join.planned_variant == HASH_JOIN
-        assert join.executed_variant == NESTED_LOOP
-        assert join.decisions == (f"switch:{NESTED_LOOP}",)
-    _, baseline_trace = execute(hash_bound, {"fact": fact, "dim": dim}, BASELINE, thr,
-                                clock, seed=5, config=tight)
-    assert next(r for r in baseline_trace.records
-                if r.kind == "join").executed_variant == HASH_JOIN
 
 
 def test_concurrent_queries_match_sequential(small_plan, small_tables, default_model):

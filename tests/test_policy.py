@@ -17,9 +17,8 @@ from latebind.policy import (BASELINE, Decision, INDEPENDENT_GATES, KEEP,
                              static_thresholds)
 
 
-def signals(n_obs=1000, ratio=1.0, pressure=0.1) -> RuntimeSignals:
-    return RuntimeSignals(observed_input_cardinality=n_obs, estimate_ratio=ratio,
-                          memory_pressure=pressure)
+def signals(n_obs=1000, ratio=1.0) -> RuntimeSignals:
+    return RuntimeSignals(observed_input_cardinality=n_obs, estimate_ratio=ratio)
 
 
 def calibrated(**overrides) -> Thresholds:
@@ -50,16 +49,6 @@ def test_rule1_ratio_triggers_hash_join():
 def test_rule1_needs_nested_loop_current():
     urs = RiskVector(r_exec=signals(ratio=12.0), r_acc=None)
     assert decide(urs, JOIN_CTX_HASH, calibrated(), ORCHESTRATED) == Decision.keep()
-
-
-def test_rule2_memory_backoff_to_nested_loop():
-    urs = RiskVector(r_exec=signals(pressure=0.9), r_acc=None)
-    ctx = NodeContext(kind=JOIN, current=HASH_JOIN,
-                      variants=(HASH_JOIN, NESTED_LOOP), build_exceeds_budget=True)
-    assert decide(urs, ctx, calibrated(), ORCHESTRATED) == Decision.switch(NESTED_LOOP)
-    # without the build actually exceeding the budget the rule stays quiet
-    ctx2 = NodeContext(kind=JOIN, current=HASH_JOIN, variants=(HASH_JOIN, NESTED_LOOP))
-    assert decide(urs, ctx2, calibrated(), ORCHESTRATED) == Decision.keep()
 
 
 def test_rule3_offload_at_margin():
@@ -178,7 +167,7 @@ def test_threshold_validation():
 
 def test_disabled_thresholds_never_fire():
     thr = Thresholds.disabled()
-    extreme = RiskVector(r_exec=signals(n_obs=10**9, ratio=1e9, pressure=1.0),
+    extreme = RiskVector(r_exec=signals(n_obs=10**9, ratio=1e9),
                          r_acc=None)
     assert decide(extreme, JOIN_CTX_NL, thr, ORCHESTRATED) == Decision.keep()
     assert decide(extreme, FILTER_CTX_CPU, thr, ORCHESTRATED) == Decision.keep()
