@@ -15,7 +15,9 @@ Three scenarios stress the three ways an early-bound plan goes stale:
 Every query executes under all requested modes with the same per-query
 noise stream; result mismatches across modes abort the run.  Queries that
 share a plan and its tables run back to back so that they can share kernel
-outputs, and their rows are put back in query order.  Reports carry
+outputs, and their rows are put back in query order.  Outputs computed
+purely from table columns (joins of unfiltered tables, hash builds) live
+longer: per table set, from its first group to its last.  Reports carry
 sorted latency samples, nearest-rank percentiles, CDF points, and failure
 counts, and serialize byte-identically for identical inputs.
 """
@@ -33,7 +35,7 @@ from .accel import calibrate_break_evens
 from .clock import SIMULATED, SimulatedClock, WallClock
 from .datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                       apply_drift, generate_table)
-from .engine import EngineConfig, execute
+from .engine import EngineConfig, KernelMemo, execute
 from .errors import ResultMismatchError, ValidationError
 from .planner import (AggSpec, AnnotatedPlan, CostModel, Query, plan as build_plan)
 from .policy import (BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED, Thresholds,
@@ -345,9 +347,12 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                  ) -> dict[str, LatencyReport]:
     """Run every query under every mode and report per-mode distributions.
 
-    Queries that share a plan and its tables run back to back, and on the
-    simulated clock they share one kernel memo, dropped before the next
-    group starts; rows still come out in query order.  Result values are
+    Queries that share a plan and its tables run back to back as a group;
+    rows still come out in query order.  On the simulated clock kernel
+    outputs are shared with two lifetimes: each group has a memo, dropped
+    before the next group starts, and each table set (the table objects of
+    its groups) has a store for table-column joins and hash builds, made at
+    its first group and dropped after its last.  Result values are
     cross-checked per query over all modes that completed; any mismatch is a
     hard failure of the whole run.
     """
@@ -363,12 +368,16 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     for i, prepared in enumerate(queries):
         key = (id(prepared.plan), *map(id, prepared.tables.values()))
         groups.setdefault(key, []).append((i, prepared))
+    last_group = {key[1:]: g for g, key in enumerate(groups)}   # per table set
 
     rows: dict[str, list[SampleRow]] = {mode: [None] * len(queries)
                                         for mode in scenario.modes}
-    for members in groups.values():
+    stores: dict[tuple[int, ...], dict] = {}
+    for g, (key, members) in enumerate(groups.items()):
+        table_set = key[1:]
+        store = stores.setdefault(table_set, {})
         # the wall clock times every run, so it shares nothing
-        memo = {} if clock.mode == SIMULATED else None
+        memo = KernelMemo(table_set=store) if clock.mode == SIMULATED else None
         for i, prepared in members:
             values: dict[str, int] = {}
             for mode in scenario.modes:
@@ -384,6 +393,8 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                 raise ResultMismatchError(
                     f"{scenario.name}/{prepared.case.query_id}: "
                     f"results diverge across modes: {values}")
+        if last_group[table_set] == g:
+            del stores[table_set]
 
     return {mode: build_report(scenario.name, mode, scenario.seed, clock.mode,
                                per_mode_thresholds[mode].source, rows[mode])

@@ -187,25 +187,35 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# scenario-specific RunConfig field -> (its flag, the scenarios that take it)
+_SCENARIO_FIELDS = {
+    "drift_fraction": ("--drift-fraction", (bench.INPUT_SCALE_SHIFT,)),
+    "miscal_factor": ("--miscal-factor", (bench.BREAK_EVEN,)),
+    # break_even sizes its fact table from its own sweep
+    "fact_rows": ("--fact-rows", (bench.INPUT_SCALE_SHIFT, bench.STALE_STATS)),
+    "dim_rows": ("--dim-rows", bench.SCENARIO_NAMES),
+}
+
+
 def _build_scenario(cfg: RunConfig) -> bench.Scenario:
-    # scenario -> (builder, its scenario-specific arguments)
-    scenarios = {
-        bench.INPUT_SCALE_SHIFT: (bench.scenario_input_scale_shift,
-                                  {"drift_fraction": cfg.drift_fraction}),
-        bench.STALE_STATS: (bench.scenario_stale_stats, {}),
-        bench.BREAK_EVEN: (bench.scenario_break_even, {"miscal_factor": cfg.miscal_factor}),
+    builders = {
+        bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
+        bench.STALE_STATS: bench.scenario_stale_stats,
+        bench.BREAK_EVEN: bench.scenario_break_even,
     }
-    if cfg.scenario not in scenarios:
+    if cfg.scenario not in builders:
         raise ValidationError(f"unknown scenario {cfg.scenario!r}")
-    builder, extra = scenarios[cfg.scenario]
-    if cfg.fact_rows:
-        if cfg.scenario == bench.BREAK_EVEN:
-            raise ValidationError("fact_rows does not apply to break_even, "
-                                  "which sizes its fact table from its own sweep")
-        extra["fact_rows"] = cfg.fact_rows
-    if cfg.dim_rows:
-        extra["dim_rows"] = cfg.dim_rows
-    return builder(seed=cfg.seed, query_count=cfg.queries, modes=cfg.modes, **extra)
+    extra = {}
+    for name, (flag, scenarios) in _SCENARIO_FIELDS.items():
+        value = getattr(cfg, name)
+        if value == getattr(RunConfig, name):
+            continue   # the builder's default: the same value, or its own table size
+        if cfg.scenario not in scenarios:
+            raise ValidationError(f"{name} ({flag}) does not apply to {cfg.scenario}; "
+                                  f"it applies to {', '.join(scenarios)}")
+        extra[name] = value
+    return builders[cfg.scenario](seed=cfg.seed, query_count=cfg.queries, modes=cfg.modes,
+                                  **extra)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

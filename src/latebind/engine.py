@@ -19,11 +19,22 @@ alone.
 A switch decision discards no work: variants start from the same
 materialized input, whose cost was charged once.
 
-On the simulated clock the executions that run one plan on one set of tables
-(every mode of every query in such a group) share kernel outputs: a kernel
-runs once per node and path of executed variants, and every execution that
-reaches it along the same path reuses the result while its own cost is
-still charged.  The wall clock bypasses this, since it times every run.
+Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
+a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
+or aggregate, since the accelerator is a cost-model device.  On the
+simulated clock kernel outputs are shared with two lifetimes, while every
+execution still charges its own cost:
+
+* per group, the executions that run one plan on one set of tables (every
+  mode of every query in such a group): a kernel runs once per node and
+  path of kernels that leads to it;
+* per table set, every group over the same table objects: a join whose
+  inputs are all table columns runs once per kernel and input arrays, and
+  the hash build of a table-column build key is made once.  A filter whose
+  mask keeps every row returns its input arrays, so such joins recur across
+  groups with different predicates.
+
+The wall clock bypasses both, since it times every run.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from .datagen import Table
 from .errors import ConfigurationError, MemoryBudgetExceeded, ValidationError
 # predicted_cost is not called here; perfbench/layers.py wraps engine.predicted_cost
 from .planner import (ACCELERATOR, AnnotatedPlan, CPU, CostModel, HASH_JOIN,
-                      PlanNode, cost as model_cost, predicted_cost)
+                      NESTED_LOOP, PlanNode, cost as model_cost, predicted_cost)
 from .policy import BASELINE, MODES, NodeContext, RiskVector, Thresholds
 from .rng import derive_seed
 
@@ -64,7 +75,7 @@ class RuntimeSignals:
 class EngineConfig:
     memory_budget_bytes: int = 64 * 1024 * 1024
     hard_memory_factor: float = 4.0     # budget * factor exhausts the query
-    nl_pair_cap: int = 4_000_000        # see _nested_loop_join
+    nl_pair_cap: int = 4_000_000        # see join_kernel
     true_cost_model: Optional[CostModel] = None  # defaults to the plan's model
 
 
@@ -74,6 +85,7 @@ class NodeRecord:
     kind: str
     planned_variant: str
     executed_variant: str
+    kernel: str                  # what ran: hash_join, nested_loop, or cpu
     n_est: float
     n_obs: int
     decisions: tuple[str, ...]   # empty unless late_bind
@@ -93,6 +105,20 @@ class ExecutionTrace:
 @dataclass(frozen=True)
 class QueryResult:
     value: int
+
+
+@dataclass
+class KernelMemo:
+    """Kernel outputs that execute calls share, by lifetime.
+
+    ``group`` serves calls that share plan and tables, keyed by the path of
+    (node, kernel) pairs.  ``table_set`` serves every call over the same
+    table objects and holds only outputs computed purely from table
+    columns, each with the arrays that key it by identity.
+    """
+
+    table_set: dict = field(default_factory=dict)
+    group: dict = field(default_factory=dict)
 
 
 def observe(node: PlanNode, n_obs: int) -> RuntimeSignals:
@@ -123,13 +149,33 @@ def decision_hook(node: PlanNode, signals: RuntimeSignals, mode: str,
 # ── kernels ────────────────────────────────────────────────────────────────
 
 
+def join_kernel(variant: str, pairs: int, pair_cap: int) -> str:
+    """The kernel a join variant runs on inputs of `pairs` probe x build pairs.
+
+    Beyond pair_cap comparisons a nested-loop variant produces the same
+    multiset through the hash kernel: the variant governs the charged cost
+    model, not the bits of the result, and literal quadratic scans of
+    drifted inputs would dominate harness runtime for no informational gain.
+    """
+    if variant == NESTED_LOOP and pairs <= pair_cap:
+        return NESTED_LOOP
+    return HASH_JOIN
+
+
+def _hash_build(build_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hash kernel's build side: stable sort order and sorted keys."""
+    order = np.argsort(build_key, kind="stable")
+    return order, build_key[order]
+
+
 def _hash_join(probe_key: np.ndarray, build_key: np.ndarray,
                carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
+               build: Optional[tuple[np.ndarray, np.ndarray]] = None,
                ) -> tuple[int, dict[str, np.ndarray]]:
     """Equi-join emitting probe-major output; carried columns are gathered
-    into the output multiset."""
-    order = np.argsort(build_key, kind="stable")
-    sorted_key = build_key[order]
+    into the output multiset.  `build` is _hash_build(build_key) when the
+    caller already has it."""
+    order, sorted_key = build if build is not None else _hash_build(build_key)
     # search each distinct probe key once, then spread back to probe order
     keys, inverse = np.unique(probe_key, return_inverse=True)
     lo = np.searchsorted(sorted_key, keys, side="left")[inverse]
@@ -159,17 +205,8 @@ def _ranges_arange(counts: np.ndarray) -> np.ndarray:
 
 def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
                       carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
-                      block: int, pair_cap: int) -> tuple[int, dict[str, np.ndarray]]:
-    """Blocked all-pairs comparison, probe-major like the hash kernel.
-
-    Beyond pair_cap comparisons the same multiset is produced through the
-    hash kernel instead: the variant choice governs the charged cost model,
-    not the bits of the result, and literal quadratic scans of drifted
-    inputs would dominate harness runtime for no informational gain.
-    """
-    pairs = probe_key.size * build_key.size
-    if pairs > pair_cap:
-        return _hash_join(probe_key, build_key, carried, build_carried)
+                      block: int) -> tuple[int, dict[str, np.ndarray]]:
+    """Blocked all-pairs comparison, probe-major like the hash kernel."""
     total = 0
     out_chunks: dict[str, list[np.ndarray]] = {name: [] for name in (*carried, *build_carried)}
     for start in range(0, probe_key.size, block):
@@ -186,6 +223,16 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
     out = {name: (np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64))
            for name, chunks in out_chunks.items()}
     return total, out
+
+
+def _shared(store: dict, tag: tuple, arrays: tuple[np.ndarray, ...],
+            compute: Callable[[], object]) -> object:
+    """compute(), once per tag and identity of `arrays` in the store; the
+    entry keeps the arrays alive, so their ids stay theirs while it exists."""
+    key = (*tag, *map(id, arrays))
+    if key not in store:
+        store[key] = (arrays, compute())
+    return store[key][1]
 
 
 def brute_force_join_count(left_key: np.ndarray, right_key: np.ndarray) -> int:
@@ -221,14 +268,17 @@ def _needed_columns(plan: AnnotatedPlan) -> tuple[list[str], list[str], Optional
 
 def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             thresholds: Thresholds, clock: Clock, seed: int,
-            config: Optional[EngineConfig] = None, memo: Optional[dict] = None,
+            config: Optional[EngineConfig] = None, memo: Optional[KernelMemo] = None,
             ) -> tuple[Optional[QueryResult], ExecutionTrace]:
     """Run one annotated plan; returns (result, trace), result None on failure.
 
-    Calls that share a memo must share plan and tables, whatever their mode
-    or query seed: each kernel then runs once per node and path of executed
-    variants (so an aggregate never reuses another join kernel's output), and
-    later calls get the same output objects.
+    Calls that share a memo's ``group`` must share plan and tables, whatever
+    their mode or query seed: each kernel then runs once per node and path of
+    kernels (so an aggregate never reuses another join kernel's output).
+    Calls that share its ``table_set`` must share the table objects: a join
+    over unfiltered table columns then runs once per kernel and input arrays,
+    and a table-column hash build once.  Later calls get the same output
+    objects.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -258,20 +308,21 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
     def run_node(node: PlanNode, variant: str, cards: tuple[float, ...],
                  n_obs: int, decisions: tuple[str, ...],
-                 kernel: Callable[[], object], extra_bytes: int = 0,
+                 kernel: Callable[[], object], kernel_name: str = CPU,
+                 extra_bytes: int = 0,
                  out_bytes_of: Callable[[object], int] = lambda _: 0) -> object:
         nonlocal held, charged_total
         base = model_cost(node.kind, variant, cards, true_model)
         modeled_only = variant == ACCELERATOR
         work = kernel
         if memo is not None:
-            key = (*((r.node_id, r.executed_variant) for r in trace.records),
-                   (node.node_id, variant))
+            key = (*((r.node_id, r.kernel) for r in trace.records),
+                   (node.node_id, kernel_name))
 
             def work() -> object:
-                if key not in memo:
-                    memo[key] = kernel()
-                return memo[key]
+                if key not in memo.group:
+                    memo.group[key] = kernel()
+                return memo.group[key]
 
         out, charged = clock.charge(base, noise_seed, node_order[node.node_id],
                                     work=work, modeled_only=modeled_only)
@@ -287,8 +338,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         charged_total += charged
         trace.records.append(NodeRecord(
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
-            executed_variant=variant, n_est=node.est_input, n_obs=n_obs,
-            decisions=decisions, charged_cost=charged, spilled=spilled))
+            executed_variant=variant, kernel=kernel_name, n_est=node.est_input,
+            n_obs=n_obs, decisions=decisions, charged_cost=charged, spilled=spilled))
         trace.decision_count += len(decisions)
         return out
 
@@ -300,50 +351,65 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         return decision_hook(node, signals, mode, thresholds, r_acc)
 
     def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
-                   table: Table, cols: list[str]) -> dict[str, np.ndarray]:
+                   table: Table, cols: list[str]) -> tuple[dict[str, np.ndarray], bool]:
+        """The branch's output, and whether it is the table's own columns."""
         nonlocal held
         n = table.row_count
         out = run_node(scan_node, CPU, (float(n),), n, (),
                        kernel=lambda: {c: table.column(c) for c in cols},
                        out_bytes_of=bytes_of)
         if filter_node is None:
-            return out
+            return out, True
         variant, decisions = hook(filter_node, n)
         pred = filter_node.predicate
 
         def apply_filter() -> dict[str, np.ndarray]:
             mask = pred.mask(out[pred.column])
+            if mask.all():
+                return out
             return {name: arr[mask] for name, arr in out.items()}
 
         filtered = run_node(filter_node, variant, (float(n),),
                             n, decisions, kernel=apply_filter, out_bytes_of=bytes_of)
         held -= bytes_of(out)  # scan output consumed
-        return filtered
+        return filtered, filtered is out
 
     try:
-        left = run_branch(plan.left_scan, plan.left_filter, tables[q.left_table], left_cols)
-        right = run_branch(plan.right_scan, plan.right_filter, tables[q.right_table],
-                           right_cols)
+        left, left_is_table = run_branch(plan.left_scan, plan.left_filter,
+                                         tables[q.left_table], left_cols)
+        right, right_is_table = run_branch(plan.right_scan, plan.right_filter,
+                                           tables[q.right_table], right_cols)
 
-        n_probe = int(left[q.left_key].size)
-        n_build = int(right[q.right_key].size)
+        probe_key, build_key = left[q.left_key], right[q.right_key]
+        n_probe, n_build = int(probe_key.size), int(build_key.size)
         variant, decisions = hook(plan.join, n_probe)
+        kernel_name = join_kernel(variant, n_probe * n_build, config.nl_pair_cap)
 
         carried = {agg_col: left[agg_col]} if agg_side == "left" else {}
         build_carried = {agg_col: right[agg_col]} if agg_side == "right" else {}
+        store = memo.table_set if memo is not None else None
 
         def run_join() -> tuple[int, dict[str, np.ndarray]]:
-            if variant == HASH_JOIN:
-                return _hash_join(left[q.left_key], right[q.right_key],
-                                  carried, build_carried)
-            return _nested_loop_join(left[q.left_key], right[q.right_key],
-                                     carried, build_carried,
-                                     BATCH_SIZE, config.nl_pair_cap)
+            if kernel_name == NESTED_LOOP:
+                return _nested_loop_join(probe_key, build_key, carried, build_carried,
+                                         BATCH_SIZE)
+            build = None
+            if store is not None and right_is_table:
+                build = _shared(store, ("build",), (build_key,),
+                                lambda: _hash_build(build_key))
+            return _hash_join(probe_key, build_key, carried, build_carried, build)
+
+        def join_work() -> tuple[int, dict[str, np.ndarray]]:
+            if store is None or not (left_is_table and right_is_table):
+                return run_join()
+            return _shared(store, ("join", kernel_name, tuple(carried), tuple(build_carried)),
+                           (probe_key, build_key, *carried.values(), *build_carried.values()),
+                           run_join)
 
         extra = bytes_of(right) if variant == HASH_JOIN else 0
         n_join, join_out = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe, decisions,
-            kernel=run_join, extra_bytes=extra,
+            kernel=join_work, kernel_name=kernel_name, extra_bytes=extra,
             out_bytes_of=lambda pair: bytes_of(pair[1]))
         held -= bytes_of(left) + bytes_of(right)
 
@@ -369,9 +435,9 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
 def trace_csv(trace: ExecutionTrace, out: IO[str]) -> None:
     """One row per executed node; decisions joined by '+'."""
-    out.write("node_id,kind,planned_variant,executed_variant,n_est,n_obs,"
+    out.write("node_id,kind,planned_variant,executed_variant,kernel,n_est,n_obs,"
               "decisions,charged_cost,spilled\n")
     for r in trace.records:
         out.write(f"{r.node_id},{r.kind},{r.planned_variant},{r.executed_variant},"
-                  f"{r.n_est!r},{r.n_obs},{'+'.join(r.decisions)},{r.charged_cost!r},"
-                  f"{int(r.spilled)}\n")
+                  f"{r.kernel},{r.n_est!r},{r.n_obs},{'+'.join(r.decisions)},"
+                  f"{r.charged_cost!r},{int(r.spilled)}\n")

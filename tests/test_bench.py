@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import weakref
 from collections import Counter
 
 import pytest
@@ -184,9 +185,13 @@ def test_cross_mode_mismatch_aborts(monkeypatch):
     assert flip["n"] >= 1
 
 
-@pytest.mark.parametrize("build", [scenario_input_scale_shift, scenario_stale_stats],
-                         ids=["input_scale_shift", "stale_stats"])
-def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build):
+@pytest.mark.parametrize("build,config", [
+    (scenario_input_scale_shift, None),
+    (scenario_stale_stats, None),
+    # at a 768 KiB budget 63 of 120 stale_stats executions spill and none fails
+    (scenario_stale_stats, EngineConfig(memory_budget_bytes=768 * 1024)),
+], ids=["input_scale_shift", "stale_stats", "stale_stats_spilling"])
+def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build, config):
     scenario = build(seed=3, query_count=40)
     assert any(case.fact_variant != bench.BASE_VARIANT for case in scenario.cases)
     # some (plan, tables) group comes back after another group ran, so the
@@ -196,24 +201,31 @@ def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build):
     adjacent_runs = 1 + sum(a != b for a, b in zip(groups, groups[1:]))
     assert adjacent_runs > len(set(groups))
     clock = SimulatedClock(sigma=0.05)
-    shared = run_scenario(scenario, clock)
+    shared = run_scenario(scenario, clock, engine_config=config)
     real_execute = bench.execute
+    spilled = []
 
     def execute_without_memo(*args, memo=None, **kwargs):
-        return real_execute(*args, **kwargs)
+        result, trace = real_execute(*args, **kwargs)
+        spilled.append(any(record.spilled for record in trace.records))
+        return result, trace
 
     monkeypatch.setattr(bench, "execute", execute_without_memo)
-    assert run_scenario(scenario, clock) == shared
+    assert run_scenario(scenario, clock, engine_config=config) == shared
     for report in shared.values():
         assert [row.query_id for row in report.rows] == \
             [case.query_id for case in scenario.cases]
+    if config is not None:
+        assert 0 < sum(spilled) < len(spilled)
 
 
 def count_join_kernels(monkeypatch) -> tuple[list, list]:
     """Wrap bench.execute and the join kernels; returns (executions, kernel
-    calls), each tagged with its (plan, tables) group and query seed."""
-    executions: list[tuple[tuple, int, str, str]] = []   # (group, seed, mode, join variant)
-    calls: list[tuple[tuple, int, str]] = []              # (group, seed, kernel)
+    calls), each tagged with its (plan, tables) group and query seed.  A
+    call keeps its input arrays, so their ids stay distinct for the run."""
+    # (group, seed, mode, join variant, join kernel)
+    executions: list[tuple[tuple, int, str, str, str]] = []
+    calls: list[tuple[tuple, int, str, tuple]] = []   # (group, seed, kernel, inputs)
     current = {}
     real_execute = bench.execute
 
@@ -223,13 +235,14 @@ def count_join_kernels(monkeypatch) -> tuple[list, list]:
         result, trace = real_execute(plan, tables, mode, thresholds, clock, seed, config,
                                      memo=memo)
         join = next(r for r in trace.records if r.kind == "join")
-        executions.append((*current["at"], mode, join.executed_variant))
+        executions.append((*current["at"], mode, join.executed_variant, join.kernel))
         return result, trace
 
     def counting(name, kernel):
-        def wrapper(*args, **kwargs):
-            calls.append((*current["at"], name))
-            return kernel(*args, **kwargs)
+        def wrapper(probe_key, build_key, carried, build_carried, *rest):
+            inputs = (probe_key, build_key, *carried.values(), *build_carried.values())
+            calls.append((*current["at"], name, inputs))
+            return kernel(probe_key, build_key, carried, build_carried, *rest)
         return wrapper
 
     monkeypatch.setattr(bench, "execute", tagging_execute)
@@ -245,9 +258,9 @@ def test_nested_loop_runs_once_per_group_only_on_simulated_clock(monkeypatch, cl
     scenario = scenario_input_scale_shift(seed=3, query_count=12)
     executions, calls = count_join_kernels(monkeypatch)
     run_scenario(scenario, clock)
-    nl_runs = [(group, seed) for group, seed, _, variant in executions
-               if variant == NESTED_LOOP]
-    nl_calls = [(group, seed) for group, seed, name in calls if name == NESTED_LOOP]
+    nl_runs = [(group, seed) for group, seed, _, _, kernel in executions
+               if kernel == NESTED_LOOP]
+    nl_calls = [(group, seed) for group, seed, name, _ in calls if name == NESTED_LOOP]
     groups = {group for group, _ in nl_runs}
     # several queries share each group, so once per group is less than once per query
     assert len({seed for _, seed in nl_runs}) > len(groups)
@@ -256,6 +269,104 @@ def test_nested_loop_runs_once_per_group_only_on_simulated_clock(monkeypatch, cl
     else:
         assert Counter(nl_calls) == Counter(nl_runs)                       # once per mode
     assert max(Counter(nl_runs).values()) == len(scenario.modes)
+
+
+def test_stale_stats_runs_each_join_once_per_input_arrays(monkeypatch):
+    # the drift moves column a to 100..199, so a >= c keeps every row for
+    # c <= 100 and groups with different predicates join the same columns
+    scenario = scenario_stale_stats(seed=1, query_count=60)
+    executions, calls = count_join_kernels(monkeypatch)
+    prepared, memos = [], []
+    real_queries = bench.scenario_queries
+
+    def recording_queries(scenario):
+        prepared.extend(real_queries(scenario))
+        return prepared
+
+    class RecordingMemo(engine.KernelMemo):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            memos.append(self)
+
+    monkeypatch.setattr(bench, "scenario_queries", recording_queries)
+    monkeypatch.setattr(bench, "KernelMemo", RecordingMemo)
+    run_scenario(scenario, SimulatedClock(sigma=0.05))
+    runs = Counter((name, tuple(map(id, inputs))) for _, _, name, inputs in calls)
+    assert max(runs.values()) == 1
+    hash_groups = {group for group, _, _, _, kernel in executions if kernel == HASH_JOIN}
+    assert len(runs) < len(hash_groups)
+    # one table set, whose store keys its entries by table columns only
+    (store,) = {id(memo.table_set): memo.table_set for memo in memos}.values()
+    columns = {id(col) for q in prepared for table in q.tables.values()
+               for col in table.columns.values()}
+    assert store
+    assert all(id(array) in columns for arrays, _ in store.values() for array in arrays)
+    # every nested-loop variant here is above nl_pair_cap and runs the hash
+    # kernel, so no group executes the literal nested loop and none calls it
+    nl_variant = [kernel for _, _, _, variant, kernel in executions if variant == NESTED_LOOP]
+    assert nl_variant and set(nl_variant) == {HASH_JOIN}
+    nl_groups = {group for group, _, _, _, kernel in executions if kernel == NESTED_LOOP}
+    assert Counter(group for group, _, name, _ in calls if name == NESTED_LOOP) == \
+        Counter(nl_groups)
+
+
+def test_corrupted_nested_loop_served_across_groups_fails(monkeypatch):
+    # every kept predicate keeps every drifted row, so the groups differ by
+    # predicate but join the same table columns; only q007 (a >= 96)
+    # switches to hash in the hooked modes
+    scenario = scenario_stale_stats(seed=1, query_count=8, fact_rows=2000, dim_rows=1000)
+    scenario.cases = [case for case in scenario.cases if case.predicate.constant <= 100]
+    config = EngineConfig(nl_pair_cap=10**9)  # keep the nested loop literal
+    executions, calls = count_join_kernels(monkeypatch)
+    run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
+    nl_groups = {group for group, _, _, _, kernel in executions if kernel == NESTED_LOOP}
+    assert len(nl_groups) == len(scenario.cases) == 7
+    # one literal run serves every group; q007's hash join is the only other
+    assert sorted(name for _, _, name, _ in calls) == [HASH_JOIN, NESTED_LOOP]
+
+    real_nl = engine._nested_loop_join
+
+    def corrupt_nested_loop(*args, **kwargs):
+        total, out = real_nl(*args, **kwargs)
+        return total, {name: col + 1 for name, col in out.items()}
+
+    monkeypatch.setattr(engine, "_nested_loop_join", corrupt_nested_loop)
+    with pytest.raises(ResultMismatchError, match="q007"):
+        run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
+
+
+def test_table_set_store_released_after_last_group(monkeypatch):
+    # no filters, so every join is over table columns and goes to the store;
+    # each fact table variant is its own table set
+    scenario = scenario_input_scale_shift(seed=3, query_count=30)
+    outputs: list[tuple[tuple, weakref.ref]] = []   # (table set, output array)
+    checked = {"alive": 0, "dead": 0}
+    current = {}
+    real_execute = bench.execute
+
+    def checking_execute(plan, tables, mode, *args, **kwargs):
+        table_set = tuple(map(id, tables.values()))
+        for owner, ref in outputs:
+            alive = ref() is not None
+            assert alive == (owner == table_set)
+            checked["alive" if alive else "dead"] += 1
+        current["set"] = table_set
+        return real_execute(plan, tables, mode, *args, **kwargs)
+
+    def recording(kernel):
+        def wrapper(*args, **kwargs):
+            total, out = kernel(*args, **kwargs)
+            outputs.extend((current["set"], weakref.ref(col)) for col in out.values())
+            return total, out
+        return wrapper
+
+    monkeypatch.setattr(bench, "execute", checking_execute)
+    monkeypatch.setattr(engine, "_nested_loop_join", recording(engine._nested_loop_join))
+    monkeypatch.setattr(engine, "_hash_join", recording(engine._hash_join))
+    run_scenario(scenario, SimulatedClock(sigma=0.05))
+    assert len({owner for owner, _ in outputs}) >= 3
+    assert checked["alive"] > 0 and checked["dead"] > 0
+    assert all(ref() is None for _, ref in outputs)
 
 
 def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):
@@ -267,18 +378,18 @@ def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):
     config = EngineConfig(nl_pair_cap=10**9)  # keep the nested loop literal
     executions, calls = count_join_kernels(monkeypatch)
     run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
-    seeds = {seed for _, seed, _, _ in executions}
+    seeds = {seed for _, seed, _, _, _ in executions}
     assert len(seeds) == 2
     for seed in seeds:
-        variants = {mode: v for _, s, mode, v in executions if s == seed}
-        assert variants[BASELINE] == NESTED_LOOP
-        assert variants[ORCHESTRATED] == HASH_JOIN
+        kernels = {mode: kernel for _, s, mode, _, kernel in executions if s == seed}
+        assert kernels[BASELINE] == NESTED_LOOP
+        assert kernels[ORCHESTRATED] == HASH_JOIN
     # both queries share the plan and the 20x table: one group, so each
     # join kernel runs once for the pair
-    assert len({group for group, _, _, _ in executions}) == 1
-    assert sorted(name for _, _, name in calls) == [HASH_JOIN, NESTED_LOOP]
+    assert len({group for group, _, _, _, _ in executions}) == 1
+    assert sorted(name for _, _, name, _ in calls) == [HASH_JOIN, NESTED_LOOP]
 
-    # the aggregate of each join variant runs on that variant's own output,
+    # the aggregate of each join kernel runs on that kernel's own output,
     # so a wrong nested-loop output still fails the cross-mode check
     real_nl = engine._nested_loop_join
 

@@ -270,6 +270,19 @@ def test_break_even_rejects_fact_rows(tmp_path, capsys):
     assert not (tmp_path / "break_even").exists()
 
 
+@pytest.mark.parametrize("flag,value,scenarios", [
+    ("--drift-fraction", "0.9", ("stale_stats", "break_even")),
+    ("--miscal-factor", "7", ("input_scale_shift", "stale_stats")),
+], ids=["drift_fraction", "miscal_factor"])
+def test_scenario_flag_on_other_scenario_rejected(tmp_path, capsys, flag, value, scenarios):
+    for scenario in scenarios:
+        code = run_cli("run", "--scenario", scenario, "--queries", "3", flag, value,
+                       "--out", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / scenario).exists()
+
+
 def test_gen_writes_csv(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

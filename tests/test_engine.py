@@ -9,9 +9,9 @@ import pytest
 
 from latebind.clock import SimulatedClock, WallClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
-from latebind.engine import (EngineConfig, RuntimeSignals, _hash_join, _nested_loop_join,
-                             brute_force_join_count, execute, observe,
-                             trace_csv)
+from latebind.engine import (EngineConfig, RuntimeSignals, _hash_build, _hash_join,
+                             _nested_loop_join, brute_force_join_count, execute,
+                             join_kernel, observe, trace_csv)
 from latebind.errors import ConfigurationError, ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
@@ -245,7 +245,7 @@ def test_trace_csv_schema(small_plan, small_tables):
     buf = io.StringIO()
     trace_csv(trace, buf)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == ("node_id,kind,planned_variant,executed_variant,n_est,n_obs,"
+    assert lines[0] == ("node_id,kind,planned_variant,executed_variant,kernel,n_est,n_obs,"
                        "decisions,charged_cost,spilled")
     assert len(lines) == 1 + len(trace.records)
     assert any(line.startswith("join,") for line in lines[1:])
@@ -291,14 +291,43 @@ def test_join_kernels_match_brute_force_pairs(n_probe, n_build, pair_cap):
     p_idx, b_idx = brute_force_join_pairs(probe_key, build_key)
     expected = {"v": carried["v"][p_idx], "u": carried["u"][p_idx],
                 "w": build_carried["w"][b_idx]}
-    outputs = {
-        "hash": _hash_join(probe_key, build_key, carried, build_carried),
-        # 16 divides neither probe length
-        "nested_loop": _nested_loop_join(probe_key, build_key, carried, build_carried,
-                                         block=16, pair_cap=pair_cap),
+    # the nested-loop variant dispatched by pair count; 16 divides neither
+    # probe length
+    kernels = {
+        HASH_JOIN: lambda: _hash_join(probe_key, build_key, carried, build_carried),
+        NESTED_LOOP: lambda: _nested_loop_join(probe_key, build_key, carried,
+                                               build_carried, block=16),
     }
-    for kernel, (total, out) in outputs.items():
-        assert total == p_idx.size, kernel
-        assert sorted(out) == sorted(expected), kernel
+    kernel = join_kernel(NESTED_LOOP, n_probe * n_build, pair_cap)
+    assert kernel == (HASH_JOIN if n_probe * n_build > pair_cap else NESTED_LOOP)
+    outputs = {"hash": kernels[HASH_JOIN](), "nested_loop": kernels[kernel]()}
+    for label, (total, out) in outputs.items():
+        assert total == p_idx.size, label
+        assert sorted(out) == sorted(expected), label
         for name, column in expected.items():
-            assert np.array_equal(out[name], column), (kernel, name)
+            assert np.array_equal(out[name], column), (label, name)
+    # a prebuilt build gives the same arrays, in order and dtype
+    total, out = _hash_join(probe_key, build_key, carried, build_carried,
+                            _hash_build(build_key))
+    assert total == outputs["hash"][0]
+    assert list(out) == list(outputs["hash"][1])
+    for name, column in outputs["hash"][1].items():
+        assert out[name].dtype == column.dtype, name
+        assert np.array_equal(out[name], column), name
+
+
+@pytest.mark.parametrize("cap_offset,kernel", [(-1, HASH_JOIN), (0, NESTED_LOOP)],
+                         ids=["above_cap", "at_cap"])
+def test_nested_loop_variant_records_kernel_that_ran(small_plan, small_tables, cap_offset,
+                                                     kernel):
+    pairs = small_tables["l"].row_count * small_tables["r"].row_count
+    config = EngineConfig(nl_pair_cap=pairs + cap_offset)
+    result, trace = execute(forced(small_plan, join=NESTED_LOOP), small_tables, BASELINE,
+                            Thresholds(), SimulatedClock(sigma=0.0), seed=1, config=config)
+    join = next(r for r in trace.records if r.kind == "join")
+    assert join.executed_variant == NESTED_LOOP
+    assert join.kernel == kernel
+    assert {r.kernel for r in trace.records if r.kind != "join"} == {CPU}
+    assert result.value == brute_force_join_sum(small_tables["l"].column("k"),
+                                                small_tables["r"].column("k"),
+                                                small_tables["l"].column("v"))
