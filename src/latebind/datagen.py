@@ -207,8 +207,7 @@ def load_table_spec(path: str) -> TableSpec:
 def dump_table_csv(table: Table, out: IO[str]) -> None:
     """Write the table as CSV, header row = column names."""
     names = [c.name for c in table.spec.columns]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
-    cols = [table.columns[n] for n in names]
-    for i in range(table.row_count):
-        writer.writerow([int(col[i]) for col in cols])
+    csv.writer(out, lineterminator="\n").writerow(names)
+    # integer cells need no quoting, so each row is its cells joined by commas
+    cols = [map(str, table.columns[n].tolist()) for n in names]
+    out.writelines(f"{line}\n" for line in map(",".join, zip(*cols)))

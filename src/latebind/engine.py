@@ -176,11 +176,7 @@ def _hash_join(probe_key: np.ndarray, build_key: np.ndarray,
     into the output multiset.  `build` is _hash_build(build_key) when the
     caller already has it."""
     order, sorted_key = build if build is not None else _hash_build(build_key)
-    # search each distinct probe key once, then spread back to probe order
-    keys, inverse = np.unique(probe_key, return_inverse=True)
-    lo = np.searchsorted(sorted_key, keys, side="left")[inverse]
-    hi = np.searchsorted(sorted_key, keys, side="right")[inverse]
-    counts = hi - lo
+    lo, counts = _probe_ranges(probe_key, sorted_key)
     total = int(counts.sum())
     out: dict[str, np.ndarray] = {}
     for name, col in carried.items():
@@ -192,6 +188,34 @@ def _hash_join(probe_key: np.ndarray, build_key: np.ndarray,
         for name, col in build_carried.items():
             out[name] = col[gather]
     return total, out
+
+
+def _probe_ranges(probe_key: np.ndarray, sorted_key: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe row, the first position and the count of its key's run in
+    the sorted build key."""
+    n = sorted_key.size
+    if n:
+        kmin, kmax = int(sorted_key[0]), int(sorted_key[-1])
+        span = kmax - kmin + 1
+        if span <= probe_key.size + n:
+            # dense build key: starts[k] is the position of key kmin + k, and
+            # starts[span] = starts[span + 1] = n bounds an empty run that
+            # every key outside [kmin, kmax] reads
+            starts = np.full(span + 2, n, dtype=np.int64)
+            starts[0] = 0
+            np.cumsum(np.bincount(sorted_key - kmin, minlength=span), out=starts[1:span + 1])
+            # offsets wrap mod 2**64, so a key below kmin lands above span too
+            at = probe_key.astype(np.uint64)
+            at -= np.uint64(kmin & 0xFFFFFFFFFFFFFFFF)
+            np.minimum(at, np.uint64(span), out=at)
+            lo = starts[at]
+            return lo, starts[1:][at] - lo
+    # sparse build key: search each distinct probe key once, then spread
+    # back to probe order
+    keys, inverse = np.unique(probe_key, return_inverse=True)
+    lo = np.searchsorted(sorted_key, keys, side="left")[inverse]
+    return lo, np.searchsorted(sorted_key, keys, side="right")[inverse] - lo
 
 
 def _ranges_arange(counts: np.ndarray) -> np.ndarray:
@@ -207,6 +231,7 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
                       carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
                       block: int) -> tuple[int, dict[str, np.ndarray]]:
     """Blocked all-pairs comparison, probe-major like the hash kernel."""
+    probe_key, build_key = _narrow_keys(probe_key, build_key)
     total = 0
     out_chunks: dict[str, list[np.ndarray]] = {name: [] for name in (*carried, *build_carried)}
     for start in range(0, probe_key.size, block):
@@ -223,6 +248,21 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
     out = {name: (np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64))
            for name, chunks in out_chunks.items()}
     return total, out
+
+
+def _narrow_keys(probe_key: np.ndarray, build_key: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Both key arrays in the narrowest integer dtype that holds every key of
+    either side.  The cast is lossless, so every comparison is unchanged; a
+    range that only a float type holds keeps the keys as they are."""
+    if not (probe_key.size and build_key.size):
+        return probe_key, build_key
+    lo = min(probe_key.min(), build_key.min())
+    hi = max(probe_key.max(), build_key.max())
+    dtype = np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi))
+    if dtype.kind not in "iu":
+        return probe_key, build_key
+    return probe_key.astype(dtype, copy=False), build_key.astype(dtype, copy=False)
 
 
 def _shared(store: dict, tag: tuple, arrays: tuple[np.ndarray, ...],

@@ -16,6 +16,7 @@ _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # numpy deliberately wraps uint64 arithmetic mod 2**64; silence its warnings
 # locally rather than globally (errstate objects are single-use in numpy 2.x).
@@ -49,20 +50,30 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized SplitMix64 outputs for counters start..start+count-1."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    # one output vector and one shift buffer; every step runs in place
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    t = np.empty_like(z)
     with _wrap():
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        z = (np.uint64(seed & _MASK) + (idx + np.uint64(1)) * _GOLDEN).astype(np.uint64)
-        z ^= z >> np.uint64(30)
+        z *= _GOLDEN
+        z += np.uint64(seed & _MASK)
+        np.right_shift(z, _S30, out=t)
+        z ^= t
         z *= _MIX1
-        z ^= z >> np.uint64(27)
+        np.right_shift(z, _S27, out=t)
+        z ^= t
         z *= _MIX2
-        z ^= z >> np.uint64(31)
+        np.right_shift(z, _S31, out=t)
+        z ^= t
     return z
 
 
 def stream_unit(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform floats in [0, 1) with 53-bit resolution."""
-    return (stream_u64(seed, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = stream_u64(seed, start, count)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def unit_at(seed: int, counter: int) -> float:
@@ -101,7 +112,10 @@ class Stream:
         """
         if high < low:
             raise ValueError(f"empty range [{low}, {high}]")
-        span = np.uint64(high - low + 1)
+        vals = self.u64(count)
         with _wrap():
-            vals = self.u64(count) % span
-        return (vals.astype(np.int64) + np.int64(low)).astype(np.int64)
+            vals %= np.uint64(high - low + 1)
+        # the view reads the bits as astype(np.int64) would convert them
+        vals = vals.view(np.int64)
+        vals += np.int64(low)
+        return vals

@@ -18,6 +18,7 @@ from .datagen import Table
 from .errors import ValidationError
 
 DEFAULT_BUCKETS = 32
+_FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 
 COMPARISONS = ("<", "<=", "=", ">=", ">")
 
@@ -84,16 +85,27 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS) -> TableSta
                 bucket_edges=(), bucket_counts=(), captured_generation=table.generation,
             )
             continue
-        # one sort yields the range, the distinct count and the histogram
-        ordered = np.sort(values)
-        lo = int(ordered[0])
-        hi = int(ordered[-1])
-        ndv = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        lo = int(values.min())
+        hi = int(values.max())
         # integer value v occupies [v, v+1), so the histogram spans [lo, hi+1);
-        # the last edge lies above every value, so left-side search counts
-        # each bucket as [edge, next edge)
+        # bucket i counts the values below edge i+1 less those below edge i
         edges = np.linspace(lo, hi + 1, buckets + 1)
-        counts = np.diff(np.searchsorted(ordered, edges, side="left"))
+        span = hi - lo + 1
+        if span <= n and -_FLOAT_EXACT <= lo and hi < _FLOAT_EXACT:
+            # dense domain: a count per value in place of a sort.  below[k]
+            # counts the values under lo + k, and an integer is under an edge
+            # exactly when it is under the edge's ceiling (the sort path
+            # compares as float64, which agrees only on exactly held values)
+            freq = np.bincount(values - lo if lo else values, minlength=span)
+            ndv = int(np.count_nonzero(freq))
+            below = np.zeros(span + 1, dtype=np.int64)
+            np.cumsum(freq, out=below[1:])
+            at = np.clip(np.ceil(edges).astype(np.int64) - lo, 0, span)
+            counts = np.diff(below[at])
+        else:
+            ordered = np.sort(values)
+            ndv = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+            counts = np.diff(np.searchsorted(ordered, edges, side="left"))
         cols[spec.name] = ColumnStats(
             column=spec.name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
             bucket_edges=tuple(float(e) for e in edges),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 
@@ -141,12 +142,34 @@ def test_spec_json_unknown_keys_rejected():
                               "columns": [{"name": "a", "low": 0, "high": 1, "oops": 2}]})
 
 
+def reference_csv(table) -> str:
+    """The table written row by row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([c.name for c in table.spec.columns])
+    for i in range(table.row_count):
+        writer.writerow([int(table.columns[c.name][i]) for c in table.spec.columns])
+    return buf.getvalue()
+
+
 def test_csv_dump_deterministic():
-    t = generate_table(TableSpec("t", 4, (ColumnSpec("a", 0, 9), ColumnSpec("b", 0, 9))), seed=2)
+    spec = TableSpec("t", 4, (ColumnSpec("a", 0, 9), ColumnSpec("b", -9, 9),
+                              ColumnSpec("c", -10**12, 10**12)))
+    t = generate_table(spec, seed=2)
     buf1, buf2 = io.StringIO(), io.StringIO()
     dump_table_csv(t, buf1)
     dump_table_csv(t, buf2)
     assert buf1.getvalue() == buf2.getvalue()
-    lines = buf1.getvalue().strip().split("\n")
-    assert lines[0] == "a,b"
-    assert len(lines) == 5
+    assert buf1.getvalue() == ("a,b,c\n6,7,-850816887678\n9,-4,-747055247412\n"
+                               "4,-4,-759926549192\n1,1,117067349360\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 300])
+def test_csv_dump_matches_row_writer(rows):
+    spec = TableSpec("t", rows, (ColumnSpec("a", -5, 5), ColumnSpec("b", 0, 2**40),
+                                 ColumnSpec("c", -2**62, 2**62),
+                                 ColumnSpec("z", -20, 979, "zipf", 1.2)))
+    t = generate_table(spec, seed=rows)
+    buf = io.StringIO()
+    dump_table_csv(t, buf)
+    assert buf.getvalue() == reference_csv(t)

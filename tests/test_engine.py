@@ -17,7 +17,7 @@ from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
 from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds,
                              static_thresholds)
-from latebind.rng import Stream
+from latebind.rng import Stream, fnv1a64
 from latebind.stats import Predicate, capture_statistics
 
 
@@ -278,25 +278,21 @@ def brute_force_join_pairs(probe_key, build_key) -> tuple[np.ndarray, np.ndarray
             np.array([j for _, j in pairs], dtype=np.int64))
 
 
-@pytest.mark.parametrize("n_probe,n_build", [(0, 40), (40, 0), (37, 23), (150, 90)])
-@pytest.mark.parametrize("pair_cap", [10**9, 0], ids=["literal", "above_cap"])
-def test_join_kernels_match_brute_force_pairs(n_probe, n_build, pair_cap):
-    # keys repeat on both sides; probe keys 0..4 have no build match
-    stream = Stream(17 + n_probe)
-    probe_key = stream.integers(0, 14, n_probe)
-    build_key = stream.integers(5, 19, n_build)
+def check_join_kernels(probe_key, build_key, pair_cap, block=16) -> None:
+    """Hash kernel, the kernel join_kernel dispatches a nested-loop variant to,
+    and a prebuilt hash build all give the brute-force pairs' carried columns,
+    in probe-major, build-ascending order."""
+    n_probe, n_build = probe_key.size, build_key.size
     carried = {"v": np.arange(n_probe, dtype=np.int64) * 7 + 3,
                "u": np.arange(n_probe, dtype=np.int64)[::-1].copy()}
     build_carried = {"w": np.arange(n_build, dtype=np.int64) * 11 + 1000}
     p_idx, b_idx = brute_force_join_pairs(probe_key, build_key)
     expected = {"v": carried["v"][p_idx], "u": carried["u"][p_idx],
                 "w": build_carried["w"][b_idx]}
-    # the nested-loop variant dispatched by pair count; 16 divides neither
-    # probe length
     kernels = {
         HASH_JOIN: lambda: _hash_join(probe_key, build_key, carried, build_carried),
         NESTED_LOOP: lambda: _nested_loop_join(probe_key, build_key, carried,
-                                               build_carried, block=16),
+                                               build_carried, block=block),
     }
     kernel = join_kernel(NESTED_LOOP, n_probe * n_build, pair_cap)
     assert kernel == (HASH_JOIN if n_probe * n_build > pair_cap else NESTED_LOOP)
@@ -305,6 +301,7 @@ def test_join_kernels_match_brute_force_pairs(n_probe, n_build, pair_cap):
         assert total == p_idx.size, label
         assert sorted(out) == sorted(expected), label
         for name, column in expected.items():
+            assert out[name].dtype == np.int64, (label, name)
             assert np.array_equal(out[name], column), (label, name)
     # a prebuilt build gives the same arrays, in order and dtype
     total, out = _hash_join(probe_key, build_key, carried, build_carried,
@@ -314,6 +311,57 @@ def test_join_kernels_match_brute_force_pairs(n_probe, n_build, pair_cap):
     for name, column in outputs["hash"][1].items():
         assert out[name].dtype == column.dtype, name
         assert np.array_equal(out[name], column), name
+
+
+@pytest.mark.parametrize("n_probe,n_build", [(0, 40), (40, 0), (37, 23), (150, 90)])
+@pytest.mark.parametrize("pair_cap", [10**9, 0], ids=["literal", "above_cap"])
+def test_join_kernels_match_brute_force_pairs(n_probe, n_build, pair_cap):
+    # keys repeat on both sides; probe keys 0..4 have no build match; 16
+    # divides neither probe length
+    stream = Stream(17 + n_probe)
+    probe_key = stream.integers(0, 14, n_probe)
+    build_key = stream.integers(5, 19, n_build)
+    check_join_kernels(probe_key, build_key, pair_cap)
+
+
+def straddling(stream: Stream, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Probe and build keys drawn from both limits of dtype and one step past
+    each, with -1 and 0: every key fits only the next wider type."""
+    info = np.iinfo(dtype)
+    keys = np.array([info.min - 1, info.min, -1, 0, info.max, info.max + 1], dtype=np.int64)
+    return keys[stream.integers(0, 5, 40)], keys[stream.integers(0, 5, 30)]
+
+
+# (probe keys, build keys) per case.  The hash kernel probes a dense build
+# key (span <= probe + build rows) by direct address, a sparse one by
+# searching the distinct probe keys; the nested loop compares in the
+# narrowest dtype holding both sides.
+JOIN_KEY_CASES = {
+    "negative": lambda s: (s.integers(-30, -10, 70), s.integers(-25, -12, 40)),
+    "probe_outside_build": lambda s: (
+        np.concatenate([s.integers(-50, 200, 60), np.array([-2**63, 2**63 - 1, 9, 21])]),
+        s.integers(10, 20, 30)),
+    "single_key_build": lambda s: (s.integers(3, 7, 50), np.full(6, 5, dtype=np.int64)),
+    "single_row_build": lambda s: (s.integers(-2, 2, 50), np.array([-1], dtype=np.int64)),
+    "sparse_build": lambda s: (
+        np.concatenate([s.integers(0, 10**6, 40), np.array([0, 10**6, 77, 10**9])]),
+        np.array([10**6, 77, 0, 77, 5 * 10**5, 10**6, 0], dtype=np.int64)),
+    "dense_int8_limits": lambda s: (s.integers(-130, -126, 40), s.integers(-129, 127, 300)),
+    "uint8_limits": lambda s: (s.integers(250, 260, 40), s.integers(254, 257, 30)),
+    "int8_limits": lambda s: straddling(s, np.int8),
+    "int16_limits": lambda s: straddling(s, np.int16),
+    "int32_limits": lambda s: straddling(s, np.int32),
+    "int64_limits": lambda s: (
+        np.array([-2**63, -1, 0, 2**63 - 1, 2**62, -2**63, 2**63 - 1], dtype=np.int64),
+        np.array([2**63 - 1, -2**63, 0, 2**62 + 1, -2**63], dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOIN_KEY_CASES))
+@pytest.mark.parametrize("pair_cap", [10**9, 0], ids=["literal", "above_cap"])
+def test_join_kernels_match_brute_force_pairs_key_shapes(case, pair_cap):
+    probe_key, build_key = JOIN_KEY_CASES[case](Stream(fnv1a64(case)))
+    check_join_kernels(probe_key, build_key, pair_cap, block=7)
 
 
 @pytest.mark.parametrize("cap_offset,kernel", [(-1, HASH_JOIN), (0, NESTED_LOOP)],

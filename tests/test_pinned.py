@@ -1,0 +1,83 @@
+"""Byte identity of seed-1 outputs against digests pinned on one platform.
+
+`perfbench/pinned.json` holds the sha256 of every mode's seed-1
+`samples.csv`, with the environment it was pinned on; latencies pass
+through libm and zipf columns through `pow`, so elsewhere the bytes may
+differ and these tests skip.  The file is only read here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from latebind import bench
+from latebind.cli import EXIT_OK, main
+from latebind.datagen import Table
+from latebind.policy import MODES
+
+PINNED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json")
+                    .read_text(encoding="utf-8"))
+HERE = {"python": platform.python_version(), "numpy": np.__version__,
+        "system": platform.system(), "machine": platform.machine(),
+        "libc": "-".join(platform.libc_ver())}
+
+pinned_platform = pytest.mark.skipif(
+    {k: HERE.get(k) for k in PINNED["env"]} != PINNED["env"],
+    reason=f"digests pinned on {PINNED['env']}")
+
+# sha256 of the seed-1 tables of _materialize: (dim, base fact, every other
+# fact variant in the order _materialize makes them)
+TABLE_DIGESTS = {
+    bench.INPUT_SCALE_SHIFT: (
+        "8cd919be4c3e2be8a5f6c06e33173a26403abf46bfc0aed587c3ff21043b7e06",
+        "2db8406f75b586adef09bf38e65a18f9fbef37509a6956c5e0c2dc78d55d592d",
+        "158838f5404be5a08c489ff0902ac2bd7712b748b7b217910dfc0b9821c7a75d"),
+    bench.STALE_STATS: (
+        "2de825df90037113d914751931478322496c46469c44b776e45e080904112422",
+        "20aa8a94234a7e4320316fb23ada81b18fa229fe0000e0aec7a9844cc04f718d",
+        "7495e55f9ec7f5978febcf6eb4d3ad5591a54cf132b8ac936c403211658662f9"),
+    bench.BREAK_EVEN: (
+        "709f8def9ae01111957730c10a904a683253ac178525abc95c9c99f3548e8329",
+        "d05143030c678c0f80710fb57c7f7e9537736b219e0100006a8289ecd5778437",
+        "62118285a8189c1eb71868739825c23a439d8495f6662882482707d3fe18f78c"),
+}
+
+SCENARIOS = {bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
+             bench.STALE_STATS: bench.scenario_stale_stats,
+             bench.BREAK_EVEN: bench.scenario_break_even}
+
+
+def tables_digest(tables: list[Table]) -> str:
+    h = hashlib.sha256()
+    for t in tables:
+        for name, col in t.columns.items():
+            h.update(f"{t.name}/{t.generation}/{t.row_count}/{name}/{col.dtype.str}\n"
+                     .encode())
+            h.update(col.tobytes())
+    return h.hexdigest()
+
+
+@pinned_platform
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_generated_tables_match_pinned_digests(scenario):
+    variants, dim = bench._materialize(SCENARIOS[scenario](seed=1))
+    others = [t for label, t in variants.items() if label != bench.BASE_VARIANT]
+    got = (tables_digest([dim]), tables_digest([variants[bench.BASE_VARIANT]]),
+           tables_digest(others))
+    assert got == TABLE_DIGESTS[scenario]
+
+
+@pinned_platform
+@pytest.mark.parametrize("scenario", sorted(PINNED["digests"]))
+def test_samples_match_pinned_digests(scenario, tmp_path):
+    assert main(["run", "--scenario", scenario, "--seed", str(PINNED["seed"]),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    got = {mode: hashlib.sha256((tmp_path / scenario / mode / "samples.csv").read_bytes())
+           .hexdigest() for mode in MODES}
+    assert got == PINNED["digests"][scenario]

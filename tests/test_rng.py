@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from latebind.rng import (Stream, derive_seed, fnv1a64, mix64, stream_u64, stream_unit,
                           unit_at)
@@ -14,6 +15,33 @@ def test_stream_matches_scalar_mix():
     for i in range(4):
         expected = mix64((seed + (i + 1) * golden) & 0xFFFFFFFFFFFFFFFF)
         assert int(vals[i]) == expected
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+MASK = 0xFFFFFFFFFFFFFFFF
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+@pytest.mark.parametrize("start,count", [(0, 0), (0, 1), (5, 0), (5, 1), (37, 9),
+                                         (2**40, 3)])
+def test_stream_matches_scalar_mix_at_any_start(seed, start, count):
+    vals = stream_u64(seed, start, count)
+    assert vals.dtype == np.uint64 and vals.shape == (count,)
+    expected = [mix64((seed + (i + 1) * GOLDEN) & MASK) for i in range(start, start + count)]
+    assert [int(v) for v in vals] == expected
+
+
+@pytest.mark.parametrize("low,high", [(-3, 3), (-1000, -1), (7, 7), (-5, -5), (0, 999),
+                                      (-2**40, 2**40)])
+def test_integers_match_reference_reduction(low, high):
+    # the plain form: reduce the raw draws, convert, shift
+    count = 257
+    u64 = Stream(31).u64(count)
+    expected = (u64 % np.uint64(high - low + 1)).astype(np.int64) + np.int64(low)
+    got = Stream(31).integers(low, high, count)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+    assert Stream(31).integers(low, high, 0).shape == (0,)
 
 
 def test_stream_is_positional():

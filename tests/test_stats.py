@@ -13,8 +13,8 @@ from latebind.engine import execute
 from latebind.errors import ValidationError
 from latebind.planner import AggSpec, CostModel, Query, plan
 from latebind.policy import BASELINE, Thresholds
-from latebind.rng import Stream
-from latebind.stats import (Predicate, capture_statistics, dump_stats,
+from latebind.rng import Stream, fnv1a64
+from latebind.stats import (ColumnStats, Predicate, capture_statistics, dump_stats,
                             estimate_selectivity, load_stats)
 from conftest import table_from_arrays
 
@@ -78,6 +78,46 @@ def test_capture_matches_unique_and_histogram(buckets):
             cs = stats.column(name)
             got = (cs.min_value, cs.max_value, cs.ndv, cs.bucket_edges, cs.bucket_counts)
             assert got == reference_column_stats(values, buckets), (table.spec.name, name)
+
+
+def sorted_column_stats(name: str, values: np.ndarray, buckets: int) -> ColumnStats:
+    """ColumnStats from one sort: distinct count from adjacent differences,
+    bucket counts from left-side searches of the edges."""
+    ordered = np.sort(values)
+    lo, hi = int(ordered[0]), int(ordered[-1])
+    edges = np.linspace(lo, hi + 1, buckets + 1)
+    counts = np.diff(np.searchsorted(ordered, edges, side="left"))
+    return ColumnStats(column=name, row_count=values.size,
+                       ndv=1 + int(np.count_nonzero(ordered[1:] != ordered[:-1])),
+                       min_value=lo, max_value=hi,
+                       bucket_edges=tuple(float(e) for e in edges),
+                       bucket_counts=tuple(int(c) for c in counts), captured_generation=0)
+
+
+DENSITY_COLUMNS = {
+    # value span <= rows: counted per value
+    "negative_low": lambda s: s.integers(-70, -20, 400),
+    "straddles_zero": lambda s: s.integers(-13, 29, 43),
+    "single_value": lambda s: np.full(9, -4, dtype=np.int64),
+    "single_row": lambda s: np.array([123456789], dtype=np.int64),
+    "span_equals_rows": lambda s: np.concatenate([[-8, 91], s.integers(-8, 91, 98)]),
+    "large_magnitude": lambda s: s.integers(2**52, 2**52 + 40, 60),
+    # dense, but past the integers float64 edges hold exactly: sorted
+    "beyond_float_exact": lambda s: s.integers(2**53 - 20, 2**53 + 20, 82),
+    # value span above rows: sorted
+    "span_one_above_rows": lambda s: np.concatenate([[-8, 92], s.integers(-8, 92, 98)]),
+    "sparse": lambda s: s.integers(-10**9, 10**9, 50),
+}
+
+
+@pytest.mark.parametrize("buckets", [1, 7, 32])
+@pytest.mark.parametrize("case", sorted(DENSITY_COLUMNS))
+def test_capture_matches_sorted_reference(case, buckets):
+    values = DENSITY_COLUMNS[case](Stream(fnv1a64(case)))
+    span = int(values.max()) - int(values.min()) + 1
+    assert (span <= values.size) == (case not in ("span_one_above_rows", "sparse"))
+    got = capture_statistics(table_from_arrays("t", a=values), buckets=buckets).column("a")
+    assert got == sorted_column_stats("a", values, buckets)
 
 
 def test_captured_generation_tracks_drift():
