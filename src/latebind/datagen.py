@@ -24,6 +24,7 @@ from .rng import Stream, derive_seed
 UNIFORM = "uniform"
 ZIPF = "zipf"
 
+MAX_ZIPF_DOMAIN = 2**24  # values; a zipf CDF holds a float64 per value (128 MiB)
 _zipf_cdf_cache: dict[tuple[int, float], np.ndarray] = {}
 
 
@@ -44,6 +45,9 @@ class ColumnSpec:
             raise ValidationError(f"column {self.name}: unknown distribution {self.distribution!r}")
         if self.distribution == ZIPF and not self.skew > 0:
             raise ValidationError(f"column {self.name}: zipf skew must be > 0, got {self.skew}")
+        if self.distribution == ZIPF and self.high - self.low >= MAX_ZIPF_DOMAIN:
+            raise ValidationError(f"column {self.name}: zipf domain exceeds "
+                                  f"{MAX_ZIPF_DOMAIN} values, the most its CDF holds")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from .errors import ConfigurationError, MemoryBudgetExceeded, ValidationError
 # predicted_cost is not called here; perfbench/layers.py wraps engine.predicted_cost
 from .planner import (ACCELERATOR, AnnotatedPlan, CPU, CostModel, HASH_JOIN,
                       NESTED_LOOP, PlanNode, cost as model_cost, predicted_cost)
-from .policy import BASELINE, MODES, NodeContext, RiskVector, Thresholds
+from .policy import BASELINE, KEEP, MODES, SWITCH, RiskVector, Thresholds
 from .rng import derive_seed
 
 Clock = SimulatedClock | WallClock
@@ -97,7 +97,6 @@ class NodeRecord:
 class ExecutionTrace:
     records: list[NodeRecord] = field(default_factory=list)
     total_latency: float = 0.0
-    decision_count: int = 0
     failed: bool = False
     failure: str = ""
 
@@ -137,13 +136,9 @@ def decision_hook(node: PlanNode, signals: RuntimeSignals, mode: str,
     if not node.late_bind:
         raise ValidationError(f"{node.node_id}: decision hook on a non-late-bind node")
     if mode == BASELINE:
-        return node.chosen, ("keep",)
-    ctx = NodeContext(kind=node.kind, current=node.chosen, variants=node.variants)
-    decision = policy_mod.decide(RiskVector(r_exec=signals, r_acc=r_acc), ctx,
-                                 thresholds, mode)
-    if decision.action == policy_mod.SWITCH:
-        return decision.target, (f"switch:{decision.target}",)
-    return node.chosen, (decision.action,)
+        return node.chosen, (KEEP,)
+    variant = policy_mod.decide(RiskVector(signals, r_acc), node, thresholds, mode)
+    return variant, (KEEP if variant == node.chosen else f"{SWITCH}:{variant}",)
 
 
 # ── kernels ────────────────────────────────────────────────────────────────
@@ -380,7 +375,6 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
             executed_variant=variant, kernel=kernel_name, n_est=node.est_input,
             n_obs=n_obs, decisions=decisions, charged_cost=charged, spilled=spilled))
-        trace.decision_count += len(decisions)
         return out
 
     def hook(node: PlanNode, n_obs: int) -> tuple[str, tuple[str, ...]]:

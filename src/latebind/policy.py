@@ -1,8 +1,8 @@
 """Unified risk signal and the runtime decision rules.
 
 The risk vector stays componentwise: executor-side runtime signals and
-accelerator amortization risk are carried as separate (optional) components
-and consulted by an ordered rule table.  Nothing in this module folds them
+accelerator amortization risk (none for joins) are carried as separate
+components and consulted by an ordered rule table.  Nothing here folds them
 into one scalar; the components exist at different points in time and a
 scalar blend would erase exactly the information the runtime decision needs.
 Unlike the paper's signal, the vector has no optimizer-risk component: the
@@ -11,10 +11,11 @@ Nor does the executor's resource state feed a decision: a memory backoff
 from hash join to nested loop only ever raised tail latency under this cost
 model, so memory is cost accounting (spills, the hard cap) in the engine.
 
-Modes: the orchestrated mode runs the rule table against calibrated
-thresholds; the independent-gates mode runs the same rules against
-thresholds derived statically from the planner's own cost model (its
-ablation contract: no measured calibration).
+A kind offloads at an observed input of offload_margin x N*, its break-even
+size.  The orchestrated mode runs the rule table against calibrated N*; the
+independent-gates mode runs the same rules against N* derived statically
+from the planner's own cost model (its ablation contract: no measured
+calibration).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import IO, TYPE_CHECKING, Optional
 from .accel import BreakEven
 from .errors import ConfigurationError, ValidationError
 from .planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, JOIN, NESTED_LOOP,
-                      OFFLOADABLE_KINDS, model_break_even)
+                      OFFLOADABLE_KINDS, PlanNode, model_break_even)
 
 if TYPE_CHECKING:  # runtime signals are produced by the engine
     from .engine import RuntimeSignals
@@ -46,44 +47,20 @@ UNCALIBRATED = "uncalibrated"
 
 @dataclass(frozen=True)
 class RiskVector:
-    """Componentwise risk; missing components are explicitly None.
+    """Componentwise risk; r_acc is None for a kind without an N* (joins).
 
     Deliberately exposes no scalar fold of its components.
     """
 
-    r_exec: Optional["RuntimeSignals"] = None
+    r_exec: RuntimeSignals
     r_acc: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class Decision:
-    action: str
-    target: Optional[str] = None
-
-    @staticmethod
-    def keep() -> "Decision":
-        return Decision(KEEP)
-
-    @staticmethod
-    def switch(target: str) -> "Decision":
-        return Decision(SWITCH, target)
-
-
-@dataclass(frozen=True)
-class NodeContext:
-    """What the decision rules need to know about the node at the hook."""
-
-    kind: str
-    current: str
-    variants: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Thresholds:
     rho_join: float = 10.0        # estimate-ratio trigger for join re-selection
     offload_margin: float = 1.1   # safety multiplier on the break-even size
-    offload_thresholds: dict[str, float] = field(default_factory=dict)  # kind -> margin * N*
-    n_star: dict[str, float] = field(default_factory=dict)              # kind -> N*
+    n_star: dict[str, float] = field(default_factory=dict)  # kind -> N*
     source: str = UNCALIBRATED    # uncalibrated | calibrated | static | manual
 
     def __post_init__(self):
@@ -100,14 +77,12 @@ class Thresholds:
     def disabled() -> "Thresholds":
         """All triggers unreachable: the hook never fires a change."""
         return Thresholds(rho_join=math.inf,
-                          offload_thresholds={k: math.inf for k in OFFLOADABLE_KINDS},
                           n_star={k: math.inf for k in OFFLOADABLE_KINDS},
                           source="manual")
 
 
-def decide(urs: RiskVector, ctx: NodeContext, thresholds: Thresholds,
-           mode: str) -> Decision:
-    """Evaluate the rule table top-down; first matching rule wins."""
+def decide(urs: RiskVector, node: PlanNode, thresholds: Thresholds, mode: str) -> str:
+    """The variant to run: the first matching rule's target, else node.chosen."""
     if mode == BASELINE:
         raise ConfigurationError("baseline mode never consults the decision rules")
     if mode not in MODES:
@@ -116,30 +91,28 @@ def decide(urs: RiskVector, ctx: NodeContext, thresholds: Thresholds,
         raise ConfigurationError("orchestrated mode requires calibrated thresholds")
 
     signals = urs.r_exec
-    if signals is None:
-        return Decision.keep()
 
-    def switch_to(target: str) -> Decision:
-        if target not in ctx.variants:
+    def switch_to(target: str) -> str:
+        if target not in node.variants:
             raise ValidationError(
-                f"switch target {target!r} not among node variants {ctx.variants}")
-        return Decision.switch(target)
+                f"switch target {target!r} not among node variants {node.variants}")
+        return target
 
     # join_blowup: join inputs far above estimate while on the quadratic strategy
-    if (ctx.kind == JOIN and ctx.current == NESTED_LOOP
+    if (node.kind == JOIN and node.chosen == NESTED_LOOP
             and signals.estimate_ratio >= thresholds.rho_join):
         return switch_to(HASH_JOIN)
 
-    if ctx.kind in OFFLOADABLE_KINDS:
-        offload_at = thresholds.offload_thresholds.get(ctx.kind, math.inf)
+    if node.kind in OFFLOADABLE_KINDS:
+        offload_at = thresholds.offload_margin * thresholds.n_star.get(node.kind, math.inf)
         # offload: input large enough that up-front costs amortize with margin
-        if ctx.current == CPU and signals.observed_input_cardinality >= offload_at:
+        if node.chosen == CPU and signals.observed_input_cardinality >= offload_at:
             return switch_to(ACCELERATOR)
         # return_cpu: bound to the accelerator but the input will not amortize it
-        if ctx.current == ACCELERATOR and urs.r_acc is not None and urs.r_acc > 1.0:
+        if node.chosen == ACCELERATOR and urs.r_acc is not None and urs.r_acc > 1.0:
             return switch_to(CPU)
 
-    return Decision.keep()
+    return node.chosen
 
 
 def calibrate(break_evens: dict[str, Optional[BreakEven]],
@@ -151,43 +124,24 @@ def calibrate(break_evens: dict[str, Optional[BreakEven]],
     """
     if not break_evens:
         raise ValidationError("calibration requires at least one op kind's break-even result")
-    base = base or Thresholds()
-    offload = {}
-    n_star = {}
-    for kind, be in sorted(break_evens.items()):
-        if be is None:
-            offload[kind] = math.inf
-            n_star[kind] = math.inf
-        else:
-            offload[kind] = base.offload_margin * be.n_star_estimated
-            n_star[kind] = be.n_star_estimated
-    return replace(base, offload_thresholds=offload, n_star=n_star, source="calibrated")
+    n_star = {kind: math.inf if be is None else be.n_star_estimated
+              for kind, be in sorted(break_evens.items())}
+    return replace(base or Thresholds(), n_star=n_star, source="calibrated")
 
 
 def static_thresholds(model: CostModel, base: Optional[Thresholds] = None) -> Thresholds:
     """Thresholds for the independent-gates ablation: break-evens read off
     the planner's cost model coefficients instead of measurements."""
-    base = base or Thresholds()
-    offload = {}
-    n_star = {}
-    for kind in sorted(model.accel):
-        analytic = model_break_even(model, kind)
-        if analytic is None:
-            offload[kind] = math.inf
-            n_star[kind] = math.inf
-        else:
-            offload[kind] = base.offload_margin * analytic
-            n_star[kind] = analytic
-    return replace(base, offload_thresholds=offload, n_star=n_star, source="static")
+    n_star = {kind: model_break_even(model, kind) or math.inf for kind in sorted(model.accel)}
+    return replace(base or Thresholds(), n_star=n_star, source="static")
 
 
 def calibration_report(thresholds: Thresholds) -> str:
     lines = [f"thresholds (source={thresholds.source})",
              f"  rho_join          {thresholds.rho_join}",
              f"  offload_margin    {thresholds.offload_margin}"]
-    for kind in sorted(thresholds.offload_thresholds):
-        n_star = thresholds.n_star.get(kind, math.inf)
-        at = thresholds.offload_thresholds[kind]
+    for kind, n_star in sorted(thresholds.n_star.items()):
+        at = thresholds.offload_margin * n_star
         if math.isfinite(at):
             lines.append(f"  offload[{kind}]  n*={n_star:.2f}  threshold={at:.2f}")
         else:
@@ -199,7 +153,6 @@ def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
     doc = {
         "rho_join": thresholds.rho_join,
         "offload_margin": thresholds.offload_margin,
-        "offload_thresholds": thresholds.offload_thresholds,
         "n_star": thresholds.n_star,
         "source": thresholds.source,
     }
@@ -209,10 +162,9 @@ def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
 
 def load_thresholds(fh: IO[str]) -> Thresholds:
     doc = json.load(fh)
-    known = {"rho_join", "offload_margin", "offload_thresholds", "n_star", "source"}
+    known = {"rho_join", "offload_margin", "n_star", "source"}
     unknown = set(doc) - known
     if unknown:
         raise ValidationError(f"unknown threshold keys: {sorted(unknown)}")
-    doc["offload_thresholds"] = {k: float(v) for k, v in doc.get("offload_thresholds", {}).items()}
     doc["n_star"] = {k: float(v) for k, v in doc.get("n_star", {}).items()}
     return Thresholds(**doc)

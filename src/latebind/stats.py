@@ -9,6 +9,7 @@ value range.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import IO
 
@@ -94,8 +95,7 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS) -> TableSta
         if span <= n and -_FLOAT_EXACT <= lo and hi < _FLOAT_EXACT:
             # dense domain: a count per value in place of a sort.  below[k]
             # counts the values under lo + k, and an integer is under an edge
-            # exactly when it is under the edge's ceiling (the sort path
-            # compares as float64, which agrees only on exactly held values)
+            # exactly when it is under the edge's ceiling
             freq = np.bincount(values - lo if lo else values, minlength=span)
             ndv = int(np.count_nonzero(freq))
             below = np.zeros(span + 1, dtype=np.int64)
@@ -105,7 +105,13 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS) -> TableSta
         else:
             ordered = np.sort(values)
             ndv = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-            counts = np.diff(np.searchsorted(ordered, edges, side="left"))
+            # edge ceilings as above, since float64 rounds values past 2**53;
+            # the outer edges stand for lo and hi + 1, so the counts sum to n
+            ceilings = [math.ceil(e) for e in edges[1:-1].tolist()]
+            inner = np.searchsorted(ordered, np.array([min(max(c, lo), hi) for c in ceilings],
+                                                      dtype=np.int64))
+            inner[[c > hi for c in ceilings]] = n  # the clamp kept these in int64
+            counts = np.diff([0, *inner, n])
         cols[spec.name] = ColumnStats(
             column=spec.name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
             bucket_edges=tuple(float(e) for e in edges),

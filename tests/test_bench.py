@@ -8,14 +8,14 @@ from collections import Counter
 import pytest
 
 from latebind import bench, engine
-from latebind.bench import (LatencyReport, SampleRow, build_report, cdf_points,
-                            compare_reports, percentile, report_emit, run_scenario,
-                            scenario_break_even, scenario_input_scale_shift,
-                            scenario_stale_stats, summarize)
+from latebind.bench import (BREAK_EVEN, INPUT_SCALE_SHIFT, STALE_STATS, LatencyReport,
+                            SampleRow, build_report, cdf_points, compare_reports,
+                            percentile, report_emit, run_scenario, scenario_break_even,
+                            scenario_input_scale_shift, scenario_stale_stats, summarize)
 from latebind.clock import SimulatedClock, WallClock
 from latebind.engine import EngineConfig
 from latebind.errors import ResultMismatchError, ValidationError
-from latebind.planner import HASH_JOIN, NESTED_LOOP
+from latebind.planner import ACCELERATOR, AGGREGATE, CPU, HASH_JOIN, JOIN, NESTED_LOOP
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED
 from latebind.rng import Stream
 
@@ -125,6 +125,43 @@ def test_run_scenario_deterministic_reports():
         assert r1[mode].samples == r2[mode].samples
         assert [row.latency for row in r1[mode].rows] == \
             [row.latency for row in r2[mode].rows]
+
+
+NL_TO_HASH = (JOIN, NESTED_LOOP, HASH_JOIN)
+CPU_TO_ACC = (AGGREGATE, CPU, ACCELERATOR)
+ACC_TO_CPU = (AGGREGATE, ACCELERATOR, CPU)
+SEED1_SWITCHES = {
+    # scenario: {(mode, node kind, planned, executed): count}
+    BREAK_EVEN: {(ORCHESTRATED, *ACC_TO_CPU): 30},
+    INPUT_SCALE_SHIFT: {(mode, *switch): 25 for mode in (INDEPENDENT_GATES, ORCHESTRATED)
+                        for switch in (NL_TO_HASH, CPU_TO_ACC)},
+    STALE_STATS: {(mode, *switch): count for mode in (INDEPENDENT_GATES, ORCHESTRATED)
+                  for switch, count in ((NL_TO_HASH, 112), (CPU_TO_ACC, 87))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED1_SWITCHES))
+def test_seed1_switch_counts(monkeypatch, name):
+    switches: Counter = Counter()
+    execute = bench.execute
+
+    def counting(plan, tables, mode, *args, **kwargs):
+        result, trace = execute(plan, tables, mode, *args, **kwargs)
+        for r in trace.records:
+            if r.decisions:
+                # the label names a switch exactly when the variant changed
+                assert r.decisions == ((f"switch:{r.executed_variant}",)
+                                       if r.executed_variant != r.planned_variant
+                                       else ("keep",))
+            if r.executed_variant != r.planned_variant:
+                switches[mode, r.kind, r.planned_variant, r.executed_variant] += 1
+        return result, trace
+
+    monkeypatch.setattr(bench, "execute", counting)
+    build = {BREAK_EVEN: scenario_break_even, INPUT_SCALE_SHIFT: scenario_input_scale_shift,
+             STALE_STATS: scenario_stale_stats}[name]
+    run_scenario(build(seed=1), SimulatedClock(sigma=0.05))
+    assert dict(switches) == SEED1_SWITCHES[name]
 
 
 def test_zero_drift_control_modes_agree(small_tables):

@@ -23,11 +23,12 @@ def test_calibrate_writes_margin_thresholds(tmp_path, capsys):
     assert code == EXIT_OK
     doc = json.loads((tmp_path / "calibration" / "thresholds.json").read_text())
     for kind in ("filter", "aggregate"):
-        assert doc["offload_thresholds"][kind] == pytest.approx(
-            doc["offload_margin"] * doc["n_star"][kind])
         assert doc["n_star"][kind] == pytest.approx(10000.0, rel=1e-9)
     out = capsys.readouterr().out
     assert "break-even[filter]" in out
+    # the offload point is derived, never stored: margin x N*
+    assert "offload_thresholds" not in doc
+    assert f"threshold={doc['offload_margin'] * doc['n_star']['filter']:.2f}" in out
     assert (tmp_path / "calibration" / "measurements.csv").exists()
     assert (tmp_path / "calibration" / "fits.csv").exists()
     assert (tmp_path / "calibration" / "break_evens.csv").exists()
@@ -106,7 +107,7 @@ def test_every_flag_is_a_config_field():
         assert dests <= set(RunConfig.__dataclass_fields__), (command, dests)
 
 
-def test_threshold_flags_reach_thresholds_file(tmp_path):
+def test_threshold_flags_reach_thresholds_file(tmp_path, capsys):
     # without flags the run config yields Thresholds' own defaults
     assert _base_thresholds(RunConfig()) == Thresholds()
     code = run_cli("calibrate", "--out", str(tmp_path), "--sigma", "0",
@@ -115,7 +116,7 @@ def test_threshold_flags_reach_thresholds_file(tmp_path):
     doc = json.loads((tmp_path / "calibration" / "thresholds.json").read_text())
     assert doc["offload_margin"] == 1.5
     assert doc["rho_join"] == 25.0
-    assert doc["offload_thresholds"]["filter"] == pytest.approx(1.5 * doc["n_star"]["filter"])
+    assert f"threshold={1.5 * doc['n_star']['filter']:.2f}" in capsys.readouterr().out
 
 
 def test_threshold_flags_change_run_behavior(tmp_path):
@@ -225,12 +226,14 @@ def test_thresholds_file_with_deleted_keys_rejected(tmp_path, capsys):
     path = tmp_path / "calibration" / "thresholds.json"
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({**doc, "opt_distrust": 1.0, "reevaluate_band": 1.2,
-                                "mem_high": 0.8}))
+                                "mem_high": 0.8,
+                                "offload_thresholds": {"filter": 11000.0}}))
     code = run_cli("run", "--scenario", "stale_stats", "--queries", "2",
                    "--out", str(tmp_path), "--thresholds", str(path))
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "unknown threshold keys" in err and "mem_high" in err
+    assert "offload_thresholds" in err
 
 
 def test_uncalibrated_thresholds_file_exits_1(tmp_path, capsys):

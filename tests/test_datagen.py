@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, TableSpec,
-                              apply_drift, dump_table_csv, generate_table,
+from latebind.datagen import (MAX_ZIPF_DOMAIN, ColumnSpec, DistributionChange, DriftSpec,
+                              TableSpec, apply_drift, dump_table_csv, generate_table,
                               table_spec_from_json)
 from latebind.errors import ValidationError
 
@@ -109,10 +109,20 @@ def test_zipf_generation_bounds():
     TableSpec("t", 10, (ColumnSpec("a", 0, 9, distribution="zipf", skew=0.0),)),
     TableSpec("t", 10, ()),
     TableSpec("t", 10, (ColumnSpec("a", 0, 9), ColumnSpec("a", 0, 9))),
+    TableSpec("t", 10, (ColumnSpec("a", 0, MAX_ZIPF_DOMAIN, "zipf"),)),
+    TableSpec("t", 10, (ColumnSpec("a", -2**62, 2**62, "zipf"),)),  # np.arange comes back empty
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValidationError):
         generate_table(bad, seed=1)
+
+
+def test_drift_to_zipf_beyond_cdf_rejected():
+    ColumnSpec("a", 0, MAX_ZIPF_DOMAIN - 1, "zipf").validate()  # the widest zipf domain
+    # a uniform column needs no CDF, but drifting it to zipf builds one
+    wide = generate_table(TableSpec("t", 10, (ColumnSpec("a", -2**62, 2**62),)), seed=1)
+    with pytest.raises(ValidationError, match="zipf domain"):
+        apply_drift(wide, DriftSpec(skew_change=DistributionChange("zipf", 1.1)), seed=2)
 
 
 def test_invalid_drift_rejected():

@@ -82,11 +82,15 @@ def test_capture_matches_unique_and_histogram(buckets):
 
 def sorted_column_stats(name: str, values: np.ndarray, buckets: int) -> ColumnStats:
     """ColumnStats from one sort: distinct count from adjacent differences,
-    bucket counts from left-side searches of the edges."""
+    bucket counts by exact int-to-float comparison of each value with each
+    inner edge (Python compares them exactly, numpy as float64); the outer
+    edges stand for lo and hi + 1, so the counts sum to the row count."""
     ordered = np.sort(values)
     lo, hi = int(ordered[0]), int(ordered[-1])
     edges = np.linspace(lo, hi + 1, buckets + 1)
-    counts = np.diff(np.searchsorted(ordered, edges, side="left"))
+    ints = ordered.tolist()
+    below = [0, *(sum(v < e for v in ints) for e in edges[1:-1].tolist()), len(ints)]
+    counts = np.diff(below)
     return ColumnStats(column=name, row_count=values.size,
                        ndv=1 + int(np.count_nonzero(ordered[1:] != ordered[:-1])),
                        min_value=lo, max_value=hi,
@@ -104,9 +108,17 @@ DENSITY_COLUMNS = {
     "large_magnitude": lambda s: s.integers(2**52, 2**52 + 40, 60),
     # dense, but past the integers float64 edges hold exactly: sorted
     "beyond_float_exact": lambda s: s.integers(2**53 - 20, 2**53 + 20, 82),
+    "far_beyond_float_exact": lambda s: np.concatenate(
+        [[2**60 - 24, 2**60 + 25], s.integers(2**60 - 24, 2**60 + 25, 48)]),
     # value span above rows: sorted
     "span_one_above_rows": lambda s: np.concatenate([[-8, 92], s.integers(-8, 92, 98)]),
     "sparse": lambda s: s.integers(-10**9, 10**9, 50),
+    # float64 rounds lo down to 2**60 and the upper inner edges past hi
+    "rounded_past_hi": lambda s: np.concatenate(
+        [[2**60 + 100, 2**60 + 200], s.integers(2**60 + 100, 2**60 + 200, 30)]),
+    "int64_extremes": lambda s: np.concatenate(
+        [[-2**63, 2**63 - 1], s.integers(-2**63, -2**63 + 9, 20),
+         s.integers(2**63 - 10, 2**63 - 1, 20)]),
 }
 
 
@@ -115,9 +127,11 @@ DENSITY_COLUMNS = {
 def test_capture_matches_sorted_reference(case, buckets):
     values = DENSITY_COLUMNS[case](Stream(fnv1a64(case)))
     span = int(values.max()) - int(values.min()) + 1
-    assert (span <= values.size) == (case not in ("span_one_above_rows", "sparse"))
+    assert (span <= values.size) == (
+        case not in ("span_one_above_rows", "sparse", "rounded_past_hi", "int64_extremes"))
     got = capture_statistics(table_from_arrays("t", a=values), buckets=buckets).column("a")
     assert got == sorted_column_stats("a", values, buckets)
+    assert sum(got.bucket_counts) == values.size
 
 
 def test_captured_generation_tracks_drift():
