@@ -14,12 +14,15 @@ Three scenarios stress the three ways an early-bound plan goes stale:
 
 Every query executes under all requested modes with the same per-query
 noise stream; result mismatches across modes abort the run.  Queries that
-share a plan and its tables run back to back so that they can share kernel
-outputs, and their rows are put back in query order.  Outputs computed
-purely from table columns (joins of unfiltered tables, hash builds) live
-longer: per table set, from its first group to its last.  Reports carry
-sorted latency samples, nearest-rank percentiles, CDF points, and failure
-counts, and serialize byte-identically for identical inputs.
+share a plan and its tables run back to back as a group, so that they can
+share kernel outputs, and their rows are put back in query order.  Tables
+live per group: a fact table and its statistics are made at the first group
+that reads them and dropped after the last, so a run holds one fact variant
+at a time besides the dim table (and the base fact table where queries,
+drifts or plans read it).  Outputs computed purely from table columns
+(joins of unfiltered tables, hash builds) live as long as their fact table.
+Reports carry sorted latency samples, nearest-rank percentiles, CDF points,
+and failure counts, and serialize byte-identically for identical inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .accel import calibrate_break_evens
 from .clock import SIMULATED, SimulatedClock, WallClock
@@ -248,19 +251,17 @@ def scenario_break_even(seed: int = 1, query_count: int = 200,
 # ── scenario execution ─────────────────────────────────────────────────────
 
 
-def _materialize(scenario: Scenario) -> tuple[dict[str, Table], Table]:
-    """fact table per variant label, plus the dim table."""
+def _fact_table(scenario: Scenario, label: str, base: Optional[Table]) -> Table:
+    """The fact table of one variant label; a drift variant is drawn from the
+    base table.  Every seed depends on the label alone, so the tables can be
+    made in any order."""
     seed = scenario.seed
-    dim = generate_table(scenario.dim_spec, derive_seed(seed, "table/dim"))
-    variants: dict[str, Table] = {
-        BASE_VARIANT: generate_table(scenario.fact_spec, derive_seed(seed, "table/fact"))}
-    for label, drift in scenario.drifts.items():
-        variants[label] = apply_drift(variants[BASE_VARIANT], drift,
-                                      derive_seed(seed, f"drift/{label}"))
-    for label, rows in scenario.size_variants.items():
-        spec = replace(scenario.fact_spec, row_count=rows)
-        variants[label] = generate_table(spec, derive_seed(seed, f"table/fact/{label}"))
-    return variants, dim
+    if label == BASE_VARIANT:
+        return generate_table(scenario.fact_spec, derive_seed(seed, "table/fact"))
+    if label in scenario.drifts:
+        return apply_drift(base, scenario.drifts[label], derive_seed(seed, f"drift/{label}"))
+    spec = replace(scenario.fact_spec, row_count=scenario.size_variants[label])
+    return generate_table(spec, derive_seed(seed, f"table/fact/{label}"))
 
 
 def _roundtrip(stats: TableStats) -> TableStats:
@@ -300,43 +301,81 @@ class PreparedQuery:
     seed: int
 
 
-def scenario_queries(scenario: Scenario) -> list[PreparedQuery]:
-    """Materialize tables and plans for every case of the scenario."""
-    variants, dim = _materialize(scenario)
-    base_fact_stats = capture_statistics(variants[BASE_VARIANT])
+@dataclass(frozen=True)
+class QueryGroup:
+    """The queries that share one plan and one set of tables, each with its
+    position in query order.  ``store`` is the kernel store of the table set
+    (``KernelMemo.table_set``), handed to every group over the same tables."""
+
+    queries: list[tuple[int, PreparedQuery]]
+    store: dict
+
+
+def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
+    """Prepare the scenario's queries group by group, in order of first
+    appearance; a group is the cases that share a fact table variant and a
+    plan.
+
+    A variant's table, with its fresh statistics if the scenario takes them,
+    is made at the variant's first group and dropped after its last, together
+    with its table set's store.  The dim table lives for the whole run, and so
+    does the base fact table where a case, a drift or the plans' statistics
+    read it.
+    """
+    seed = scenario.seed
+    fresh = scenario.fresh_stats_per_variant
+    dim = generate_table(scenario.dim_spec, derive_seed(seed, "table/dim"))
     dim_stats = capture_statistics(dim)
+    base = base_stats = None
+    if (not fresh or scenario.drifts
+            or any(case.fact_variant == BASE_VARIANT for case in scenario.cases)):
+        base = _fact_table(scenario, BASE_VARIANT, None)
+    if not fresh:
+        base_stats = capture_statistics(base)
     if scenario.stats_roundtrip:
-        base_fact_stats = _roundtrip(base_fact_stats)
         dim_stats = _roundtrip(dim_stats)
-    fresh_stats: dict[str, TableStats] = {}
-    if scenario.fresh_stats_per_variant:
-        for label, table in variants.items():
-            fresh_stats[label] = capture_statistics(table)
+        if base_stats is not None:
+            base_stats = _roundtrip(base_stats)
 
+    # (fact variant, plan key) -> query positions; a plan is keyed by the
+    # table its statistics describe and the predicate
+    groups: dict[tuple[str, tuple[str, str]], list[int]] = {}
+    for i, case in enumerate(scenario.cases):
+        plan_key = (case.fact_variant if fresh else BASE_VARIANT, str(case.predicate))
+        groups.setdefault((case.fact_variant, plan_key), []).append(i)
+    last_group = {label: g for g, (label, _) in enumerate(groups)}
+
+    live: dict[str, tuple[Table, Optional[TableStats], dict]] = {}  # table, stats, store
     plans: dict[tuple[str, str], AnnotatedPlan] = {}
-
-    def plan_for(case: QueryCase) -> AnnotatedPlan:
-        key = (case.fact_variant if scenario.fresh_stats_per_variant else BASE_VARIANT,
-               str(case.predicate))
-        if key not in plans:
-            fact_stats = (fresh_stats[case.fact_variant]
-                          if scenario.fresh_stats_per_variant else base_fact_stats)
+    for g, ((label, plan_key), members) in enumerate(groups.items()):
+        if label not in live:
+            table = base if label == BASE_VARIANT else _fact_table(scenario, label, base)
+            live[label] = (table, capture_statistics(table) if fresh else base_stats, {})
+        table, fact_stats, store = live[label]
+        if plan_key not in plans:
             query = Query(
                 left_table=scenario.fact_spec.name, right_table=scenario.dim_spec.name,
                 left_key=scenario.left_key, right_key=scenario.right_key,
-                aggregate=scenario.aggregate, left_filter=case.predicate)
-            plans[key] = build_plan(query, {fact_stats.table: fact_stats,
-                                            dim_stats.table: dim_stats},
-                                    scenario.planner_model)
-        return plans[key]
+                aggregate=scenario.aggregate,
+                left_filter=scenario.cases[members[0]].predicate)
+            plans[plan_key] = build_plan(query, {fact_stats.table: fact_stats,
+                                                 dim_stats.table: dim_stats},
+                                         scenario.planner_model)
+        yield QueryGroup(queries=[(i, PreparedQuery(
+            case=scenario.cases[i], plan=plans[plan_key],
+            tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
+            seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store)
+        if last_group[label] == g:
+            del live[label]
 
-    prepared = []
-    for i, case in enumerate(scenario.cases):
-        prepared.append(PreparedQuery(
-            case=case, plan=plan_for(case),
-            tables={scenario.fact_spec.name: variants[case.fact_variant],
-                    scenario.dim_spec.name: dim},
-            seed=derive_seed(scenario.seed, f"query/{i}")))
+
+def scenario_queries(scenario: Scenario) -> list[PreparedQuery]:
+    """Every case's prepared query, in query order, with all of its tables
+    alive at once."""
+    prepared: list[Optional[PreparedQuery]] = [None] * len(scenario.cases)
+    for group in scenario_groups(scenario):
+        for i, query in group.queries:
+            prepared[i] = query
     return prepared
 
 
@@ -347,12 +386,12 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                  ) -> dict[str, LatencyReport]:
     """Run every query under every mode and report per-mode distributions.
 
-    Queries that share a plan and its tables run back to back as a group;
-    rows still come out in query order.  On the simulated clock kernel
-    outputs are shared with two lifetimes: each group has a memo, dropped
-    before the next group starts, and each table set (the table objects of
-    its groups) has a store for table-column joins and hash builds, made at
-    its first group and dropped after its last.  Result values are
+    Queries run group by group as scenario_groups prepares them, so a fact
+    table lives only from its first group to its last; rows still come out
+    in query order.  On the simulated clock kernel outputs are shared with
+    two lifetimes: each group has a memo, dropped before the next group
+    starts, and each table set has a store for table-column joins and hash
+    builds, which lives as long as the set's fact table.  Result values are
     cross-checked per query over all modes that completed; any mismatch is a
     hard failure of the whole run.
     """
@@ -361,24 +400,12 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     if engine_config.true_cost_model is None:
         engine_config = replace(engine_config, true_cost_model=scenario.true_model)
 
-    queries = scenario_queries(scenario)
-    # scenario_queries hands one plan object and one table object to every
-    # case that shares them, so identity is the memo's precondition
-    groups: dict[tuple[int, ...], list[tuple[int, PreparedQuery]]] = {}
-    for i, prepared in enumerate(queries):
-        key = (id(prepared.plan), *map(id, prepared.tables.values()))
-        groups.setdefault(key, []).append((i, prepared))
-    last_group = {key[1:]: g for g, key in enumerate(groups)}   # per table set
-
-    rows: dict[str, list[SampleRow]] = {mode: [None] * len(queries)
+    rows: dict[str, list[SampleRow]] = {mode: [None] * len(scenario.cases)
                                         for mode in scenario.modes}
-    stores: dict[tuple[int, ...], dict] = {}
-    for g, (key, members) in enumerate(groups.items()):
-        table_set = key[1:]
-        store = stores.setdefault(table_set, {})
+    for group in scenario_groups(scenario):
         # the wall clock times every run, so it shares nothing
-        memo = KernelMemo(table_set=store) if clock.mode == SIMULATED else None
-        for i, prepared in members:
+        memo = KernelMemo(table_set=group.store) if clock.mode == SIMULATED else None
+        for i, prepared in group.queries:
             values: dict[str, int] = {}
             for mode in scenario.modes:
                 result, trace = execute(prepared.plan, prepared.tables, mode,
@@ -393,8 +420,6 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                 raise ResultMismatchError(
                     f"{scenario.name}/{prepared.case.query_id}: "
                     f"results diverge across modes: {values}")
-        if last_group[table_set] == g:
-            del stores[table_set]
 
     return {mode: build_report(scenario.name, mode, scenario.seed, clock.mode,
                                per_mode_thresholds[mode].source, rows[mode])

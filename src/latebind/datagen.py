@@ -19,7 +19,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .rng import Stream, derive_seed
+from .rng import INT64_MAX, INT64_MIN, Stream, derive_seed
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
@@ -41,6 +41,9 @@ class ColumnSpec:
             raise ValidationError("column name must be non-empty")
         if self.low > self.high:
             raise ValidationError(f"column {self.name}: empty range [{self.low}, {self.high}]")
+        if self.low < INT64_MIN or self.high > INT64_MAX:
+            raise ValidationError(f"column {self.name}: range [{self.low}, {self.high}] "
+                                  f"exceeds int64")
         if self.distribution not in (UNIFORM, ZIPF):
             raise ValidationError(f"column {self.name}: unknown distribution {self.distribution!r}")
         if self.distribution == ZIPF and not self.skew > 0:

@@ -1,13 +1,14 @@
 """Columnar executor with decision hooks at late-bind operator boundaries.
 
-Operators materialize their outputs fully, so when a late-bind node is about
-to run, its input cardinality is exact.  At that boundary the engine builds
-the componentwise risk vector (the observed input and its ratio to the
-estimate as executor-side runtime signals, and accelerator amortization risk
-from the active thresholds) and asks the policy for one decision per the
-execution mode.  Baseline never consults the policy.  Memory is accounted,
-not decided on: a working set above the budget is charged the spill
-multiplier, and one above the hard cap fails the query.
+Each operator runs to completion before the next starts, so when a
+late-bind node is about to run, its input cardinality is exact.  At that
+boundary the engine builds the componentwise risk vector (the observed
+input and its ratio to the estimate as executor-side runtime signals, and
+accelerator amortization risk from the active thresholds) and asks the
+policy for one decision per the execution mode.  Baseline never consults
+the policy.  Memory is accounted, not decided on: a working set above the
+budget is charged the spill multiplier, and one above the hard cap fails
+the query.
 
 Costs are charged through the pluggable clock from the *true* cost model at
 observed cardinalities; which formula applies is exactly the executed
@@ -18,6 +19,13 @@ alone.
 
 A switch decision discards no work: variants start from the same
 materialized input, whose cost was charged once.
+
+The join kernels aggregate eagerly (Yan & Larson, "Eager Aggregation and
+Lazy Aggregation", VLDB 1995): a join yields its output row count and, per
+carried column, that column's int64 sum over the output rows, which is all
+the aggregate above it reads.  The output is charged as if materialized, a
+row of every carried column per output row, so spills and hard-cap failures
+are those of an engine that builds the rows.
 
 Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
@@ -157,92 +165,93 @@ def join_kernel(variant: str, pairs: int, pair_cap: int) -> str:
     return HASH_JOIN
 
 
-def _hash_build(build_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The hash kernel's build side: stable sort order and sorted keys."""
+def _hash_build(build_key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hash kernel's build side, grouped by key: the stable sort order of
+    the build rows, the start of each key's run in that order, and the
+    distinct keys, ascending."""
     order = np.argsort(build_key, kind="stable")
-    return order, build_key[order]
+    sorted_key = build_key[order]
+    run_start = np.ones(sorted_key.size, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    return order, starts, sorted_key[starts]
 
 
 def _hash_join(probe_key: np.ndarray, build_key: np.ndarray,
                carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
-               build: Optional[tuple[np.ndarray, np.ndarray]] = None,
-               ) -> tuple[int, dict[str, np.ndarray]]:
-    """Equi-join emitting probe-major output; carried columns are gathered
-    into the output multiset.  `build` is _hash_build(build_key) when the
-    caller already has it."""
-    order, sorted_key = build if build is not None else _hash_build(build_key)
-    lo, counts = _probe_ranges(probe_key, sorted_key)
-    total = int(counts.sum())
-    out: dict[str, np.ndarray] = {}
-    for name, col in carried.items():
-        out[name] = np.repeat(col, counts)
-    if build_carried:
-        # per-probe ranges expanded into indices of the sorted build side
-        expand = np.repeat(lo, counts) + _ranges_arange(counts)
-        gather = order[expand]
-        for name, col in build_carried.items():
-            out[name] = col[gather]
-    return total, out
+               build: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+               ) -> tuple[int, dict[str, int]]:
+    """Equi-join aggregated eagerly: the output row count, and per carried
+    column its int64 sum over the output rows, without building the rows.
+    Each build key gets its match count and its sum of each build column,
+    and each probe row gathers its key's.  `build` is _hash_build(build_key)
+    when the caller already has it."""
+    order, starts, keys = build if build is not None else _hash_build(build_key)
+    key_at, probe_at, size = _key_table(probe_key, keys, order.size)
+
+    def per_probe_row(per_key: np.ndarray) -> np.ndarray:
+        table = np.zeros(size, dtype=np.int64)
+        table[key_at] = per_key
+        return np.take(table, probe_at, mode="clip")
+
+    counts = per_probe_row(np.diff(starts, append=order.size))
+    sums = {name: int((col.astype(np.int64, copy=False) * counts).sum(dtype=np.int64))
+            for name, col in carried.items()}
+    for name, col in build_carried.items():
+        key_sums = np.add.reduceat(col[order], starts, dtype=np.int64)
+        sums[name] = int(per_probe_row(key_sums).sum(dtype=np.int64))
+    return int(counts.sum()), sums
 
 
-def _probe_ranges(probe_key: np.ndarray, sorted_key: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Per probe row, the first position and the count of its key's run in
-    the sorted build key."""
-    n = sorted_key.size
+def _key_table(probe_key: np.ndarray, keys: np.ndarray, build_rows: int,
+               ) -> tuple[np.ndarray, np.ndarray, int]:
+    """A table with an entry per distinct build key (`keys`, ascending) that
+    probe rows read by position: the position of each key, the position of
+    each probe row's key (read with clipping), and the table size.  Every
+    other position is a key that no build row has."""
+    n = keys.size
     if n:
-        kmin, kmax = int(sorted_key[0]), int(sorted_key[-1])
+        kmin, kmax = int(keys[0]), int(keys[-1])
         span = kmax - kmin + 1
-        if span <= probe_key.size + n:
-            # dense build key: starts[k] is the position of key kmin + k, and
-            # starts[span] = starts[span + 1] = n bounds an empty run that
-            # every key outside [kmin, kmax] reads
-            starts = np.full(span + 2, n, dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(np.bincount(sorted_key - kmin, minlength=span), out=starts[1:span + 1])
-            # offsets wrap mod 2**64, so a key below kmin lands above span too
-            at = probe_key.astype(np.uint64)
-            at -= np.uint64(kmin & 0xFFFFFFFFFFFFFFFF)
-            np.minimum(at, np.uint64(span), out=at)
-            lo = starts[at]
-            return lo, starts[1:][at] - lo
+        if span <= probe_key.size + build_rows:
+            # dense build key: key kmin + k sits at k + 1, between two empty
+            # ends.  Offsets wrap mod 2**64, and a wrapped offset is never in
+            # [1, span], so every key outside [kmin, kmax] clips to an end.
+            at = probe_key - np.int64(kmin)
+            at += 1
+            key_at = keys - np.int64(kmin)
+            key_at += 1
+            return key_at, at, span + 2
     # sparse build key: search each distinct probe key once, then spread
-    # back to probe order
-    keys, inverse = np.unique(probe_key, return_inverse=True)
-    lo = np.searchsorted(sorted_key, keys, side="left")[inverse]
-    return lo, np.searchsorted(sorted_key, keys, side="right")[inverse] - lo
-
-
-def _ranges_arange(counts: np.ndarray) -> np.ndarray:
-    """[0..c0) ++ [0..c1) ++ ... as one vector."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - starts
+    # back to probe order; position 0 is the empty entry
+    distinct, inverse = np.unique(probe_key, return_inverse=True)
+    at = np.searchsorted(keys, distinct)
+    found = at < n
+    found[found] = keys[at[found]] == distinct[found]
+    return np.arange(1, n + 1), np.where(found, at + 1, 0)[inverse], n + 1
 
 
 def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
                       carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
-                      block: int) -> tuple[int, dict[str, np.ndarray]]:
-    """Blocked all-pairs comparison, probe-major like the hash kernel."""
+                      block: int) -> tuple[int, dict[str, int]]:
+    """Blocked all-pairs comparison, aggregated eagerly like the hash kernel:
+    each block's matches are counted per probe row and per build row."""
     probe_key, build_key = _narrow_keys(probe_key, build_key)
-    total = 0
-    out_chunks: dict[str, list[np.ndarray]] = {name: [] for name in (*carried, *build_carried)}
+    probe_counts = np.zeros(probe_key.size, dtype=np.int64)
+    build_counts = np.zeros(build_key.size, dtype=np.int64)
     for start in range(0, probe_key.size, block):
         p = probe_key[start:start + block]
-        # row-major flat positions: probe-major, build-ascending; the block's
-        # compare matrix is freed here, before the next block allocates its own
+        # row-major flat positions of the block's matches; its compare
+        # matrix is freed here, before the next block allocates its own
         p_idx, b_idx = np.divmod(np.flatnonzero(p[:, None] == build_key[None, :]),
                                  build_key.size)
-        total += p_idx.size
-        for name, col in carried.items():
-            out_chunks[name].append(col[start:start + block][p_idx])
-        for name, col in build_carried.items():
-            out_chunks[name].append(col[b_idx])
-    out = {name: (np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64))
-           for name, chunks in out_chunks.items()}
-    return total, out
+        probe_counts[start:start + p.size] = np.bincount(p_idx, minlength=p.size)
+        build_counts += np.bincount(b_idx, minlength=build_key.size)
+    sums = {}
+    for cols, counts in ((carried, probe_counts), (build_carried, build_counts)):
+        for name, col in cols.items():
+            sums[name] = int((col.astype(np.int64, copy=False) * counts).sum(dtype=np.int64))
+    return int(probe_counts.sum()), sums
 
 
 def _narrow_keys(probe_key: np.ndarray, build_key: np.ndarray,
@@ -423,7 +432,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         build_carried = {agg_col: right[agg_col]} if agg_side == "right" else {}
         store = memo.table_set if memo is not None else None
 
-        def run_join() -> tuple[int, dict[str, np.ndarray]]:
+        def run_join() -> tuple[int, dict[str, int]]:
             if kernel_name == NESTED_LOOP:
                 return _nested_loop_join(probe_key, build_key, carried, build_carried,
                                          BATCH_SIZE)
@@ -433,7 +442,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                                 lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, build_carried, build)
 
-        def join_work() -> tuple[int, dict[str, np.ndarray]]:
+        def join_work() -> tuple[int, dict[str, int]]:
             if store is None or not (left_is_table and right_is_table):
                 return run_join()
             return _shared(store, ("join", kernel_name, tuple(carried), tuple(build_carried)),
@@ -441,22 +450,20 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                            run_join)
 
         extra = bytes_of(right) if variant == HASH_JOIN else 0
-        n_join, join_out = run_node(
+        # the join output is charged as if materialized: a row of every
+        # carried column per output row
+        row_bytes = sum(col.itemsize for col in (*carried.values(), *build_carried.values()))
+        n_join, join_sums = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe, decisions,
             kernel=join_work, kernel_name=kernel_name, extra_bytes=extra,
-            out_bytes_of=lambda pair: bytes_of(pair[1]))
+            out_bytes_of=lambda out: out[0] * row_bytes)
         held -= bytes_of(left) + bytes_of(right)
 
         variant, decisions = hook(plan.aggregate, n_join)
-
-        def run_agg() -> int:
-            if q.aggregate.op == "count":
-                return n_join
-            return int(join_out[agg_col].sum(dtype=np.int64)) if n_join else 0
-
+        total = n_join if q.aggregate.op == "count" else join_sums[agg_col]
         value = run_node(plan.aggregate, variant, (float(n_join),), n_join, decisions,
-                         kernel=run_agg)
-        held -= bytes_of(join_out)
+                         kernel=lambda: total)
+        held -= n_join * row_bytes
     except MemoryBudgetExceeded as exc:
         trace.failed = True
         trace.failure = str(exc)

@@ -16,6 +16,7 @@ _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # numpy deliberately wraps uint64 arithmetic mod 2**64; silence its warnings
@@ -105,16 +106,20 @@ class Stream:
         return out
 
     def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        """Uniform int64 in [low, high] inclusive.
+        """Uniform int64 in [low, high] inclusive, both within int64.
 
         Uses modulo reduction; the bias is O(range / 2**64), irrelevant for
-        the integer domains used here.
+        the integer domains used here.  A range of all 2**64 values takes
+        each draw as it is.
         """
         if high < low:
             raise ValueError(f"empty range [{low}, {high}]")
+        if low < INT64_MIN or high > INT64_MAX:
+            raise ValueError(f"range [{low}, {high}] exceeds int64")
         vals = self.u64(count)
-        with _wrap():
-            vals %= np.uint64(high - low + 1)
+        if high - low < _MASK:
+            with _wrap():
+                vals %= np.uint64(high - low + 1)
         # the view reads the bits as astype(np.int64) would convert them
         vals = vals.view(np.int64)
         vals += np.int64(low)

@@ -222,21 +222,23 @@ def test_cross_mode_mismatch_aborts(monkeypatch):
     assert flip["n"] >= 1
 
 
-@pytest.mark.parametrize("build,config", [
-    (scenario_input_scale_shift, None),
-    (scenario_stale_stats, None),
+@pytest.mark.parametrize("build,config,reordered", [
+    (scenario_input_scale_shift, None, True),
+    (scenario_stale_stats, None, True),
     # at a 768 KiB budget 63 of 120 stale_stats executions spill and none fails
-    (scenario_stale_stats, EngineConfig(memory_budget_bytes=768 * 1024)),
-], ids=["input_scale_shift", "stale_stats", "stale_stats_spilling"])
-def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build, config):
+    (scenario_stale_stats, EngineConfig(memory_budget_bytes=768 * 1024), True),
+    # every query has its own fact table, so each group is one query
+    (scenario_break_even, None, False),
+], ids=["input_scale_shift", "stale_stats", "stale_stats_spilling", "break_even"])
+def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build, config, reordered):
     scenario = build(seed=3, query_count=40)
     assert any(case.fact_variant != bench.BASE_VARIANT for case in scenario.cases)
-    # some (plan, tables) group comes back after another group ran, so the
-    # grouped run reorders queries and must put the rows back in query order
-    groups = [(id(q.plan), *map(id, q.tables.values()))
-              for q in bench.scenario_queries(scenario)]
-    adjacent_runs = 1 + sum(a != b for a, b in zip(groups, groups[1:]))
-    assert adjacent_runs > len(set(groups))
+    # where some group comes back after another group ran, the grouped run
+    # reorders queries and must put the rows back in query order
+    positions = [[i for i, _ in group.queries] for group in bench.scenario_groups(scenario)]
+    assert sorted(i for members in positions for i in members) == \
+        list(range(len(scenario.cases)))
+    assert (positions != [[i] for i in range(len(scenario.cases))]) == reordered
     clock = SimulatedClock(sigma=0.05)
     shared = run_scenario(scenario, clock, engine_config=config)
     real_execute = bench.execute
@@ -258,16 +260,19 @@ def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build, config):
 
 def count_join_kernels(monkeypatch) -> tuple[list, list]:
     """Wrap bench.execute and the join kernels; returns (executions, kernel
-    calls), each tagged with its (plan, tables) group and query seed.  A
-    call keeps its input arrays, so their ids stay distinct for the run."""
+    calls), each tagged with its (plan, tables) group and query seed.  The
+    wrappers keep every plan, table and kernel input they see, so their ids
+    stay distinct for the run even where the run drops a table."""
     # (group, seed, mode, join variant, join kernel)
     executions: list[tuple[tuple, int, str, str, str]] = []
     calls: list[tuple[tuple, int, str, tuple]] = []   # (group, seed, kernel, inputs)
     current = {}
+    kept = []
     real_execute = bench.execute
 
     def tagging_execute(plan, tables, mode, thresholds, clock, seed, config=None,
                         memo=None):
+        kept.append((plan, tables))
         current["at"] = ((id(plan), *map(id, tables.values())), seed)
         result, trace = real_execute(plan, tables, mode, thresholds, clock, seed, config,
                                      memo=memo)
@@ -314,18 +319,19 @@ def test_stale_stats_runs_each_join_once_per_input_arrays(monkeypatch):
     scenario = scenario_stale_stats(seed=1, query_count=60)
     executions, calls = count_join_kernels(monkeypatch)
     prepared, memos = [], []
-    real_queries = bench.scenario_queries
+    real_groups = bench.scenario_groups
 
-    def recording_queries(scenario):
-        prepared.extend(real_queries(scenario))
-        return prepared
+    def recording_groups(scenario):
+        for group in real_groups(scenario):
+            prepared.extend(query for _, query in group.queries)
+            yield group
 
     class RecordingMemo(engine.KernelMemo):
         def __init__(self, **kwargs):
             super().__init__(**kwargs)
             memos.append(self)
 
-    monkeypatch.setattr(bench, "scenario_queries", recording_queries)
+    monkeypatch.setattr(bench, "scenario_groups", recording_groups)
     monkeypatch.setattr(bench, "KernelMemo", RecordingMemo)
     run_scenario(scenario, SimulatedClock(sigma=0.05))
     runs = Counter((name, tuple(map(id, inputs))) for _, _, name, inputs in calls)
@@ -372,38 +378,49 @@ def test_corrupted_nested_loop_served_across_groups_fails(monkeypatch):
         run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
 
 
+class StoreToken:
+    """Put in a table set's store, so that a weakref tells when the store is
+    released."""
+
+
 def test_table_set_store_released_after_last_group(monkeypatch):
     # no filters, so every join is over table columns and goes to the store;
-    # each fact table variant is its own table set
-    scenario = scenario_input_scale_shift(seed=3, query_count=30)
-    outputs: list[tuple[tuple, weakref.ref]] = []   # (table set, output array)
-    checked = {"alive": 0, "dead": 0}
-    current = {}
-    real_execute = bench.execute
+    # each fact table variant is its own table set.  From the first group
+    # after a variant's last one, its fact table and its store are released,
+    # except input_scale_shift's base table, which lives for the run because
+    # the drift variants are drawn from it
+    real_groups, real_execute = bench.scenario_groups, bench.execute
+    for scenario in (scenario_input_scale_shift(seed=3, query_count=30),
+                     scenario_break_even(seed=3, query_count=30)):
+        last_query = {case.fact_variant: i for i, case in enumerate(scenario.cases)}
+        # (variant, fact table, store) of each variant whose last group ran
+        finished: list[tuple[str, weakref.ref, weakref.ref]] = []
+        checked = Counter()
 
-    def checking_execute(plan, tables, mode, *args, **kwargs):
-        table_set = tuple(map(id, tables.values()))
-        for owner, ref in outputs:
-            alive = ref() is not None
-            assert alive == (owner == table_set)
-            checked["alive" if alive else "dead"] += 1
-        current["set"] = table_set
-        return real_execute(plan, tables, mode, *args, **kwargs)
+        def recording_groups(scenario):
+            for group in real_groups(scenario):
+                yield group
+                (variant,) = {query.case.fact_variant for _, query in group.queries}
+                if any(i == last_query[variant] for i, _ in group.queries):
+                    finished.append((
+                        variant,
+                        weakref.ref(group.queries[0][1].tables[scenario.fact_spec.name]),
+                        weakref.ref(group.store.setdefault(StoreToken, StoreToken()))))
 
-    def recording(kernel):
-        def wrapper(*args, **kwargs):
-            total, out = kernel(*args, **kwargs)
-            outputs.extend((current["set"], weakref.ref(col)) for col in out.values())
-            return total, out
-        return wrapper
+        def checking_execute(*args, **kwargs):
+            for variant, table, store in finished:
+                assert store() is None, variant
+                assert (table() is not None) == (variant == bench.BASE_VARIANT), variant
+                checked[variant] += 1
+            return real_execute(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "execute", checking_execute)
-    monkeypatch.setattr(engine, "_nested_loop_join", recording(engine._nested_loop_join))
-    monkeypatch.setattr(engine, "_hash_join", recording(engine._hash_join))
-    run_scenario(scenario, SimulatedClock(sigma=0.05))
-    assert len({owner for owner, _ in outputs}) >= 3
-    assert checked["alive"] > 0 and checked["dead"] > 0
-    assert all(ref() is None for _, ref in outputs)
+        monkeypatch.setattr(bench, "scenario_groups", recording_groups)
+        monkeypatch.setattr(bench, "execute", checking_execute)
+        run_scenario(scenario, SimulatedClock(sigma=0.05))
+        assert sorted(variant for variant, _, _ in finished) == sorted(last_query)
+        # every variant but the last one is checked while later groups run
+        assert len(checked) == len(last_query) - 1 >= 2
+        assert all(table() is None and store() is None for _, table, store in finished)
 
 
 def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):

@@ -111,6 +111,9 @@ def test_zipf_generation_bounds():
     TableSpec("t", 10, (ColumnSpec("a", 0, 9), ColumnSpec("a", 0, 9))),
     TableSpec("t", 10, (ColumnSpec("a", 0, MAX_ZIPF_DOMAIN, "zipf"),)),
     TableSpec("t", 10, (ColumnSpec("a", -2**62, 2**62, "zipf"),)),  # np.arange comes back empty
+    TableSpec("t", 10, (ColumnSpec("a", 0, 2**63),)),
+    TableSpec("t", 10, (ColumnSpec("a", -2**63 - 1, 0),)),
+    TableSpec("t", 10, (ColumnSpec("a", 0, 2**64),)),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValidationError):
@@ -183,3 +186,15 @@ def test_csv_dump_matches_row_writer(rows):
     buf = io.StringIO()
     dump_table_csv(t, buf)
     assert buf.getvalue() == reference_csv(t)
+
+
+@pytest.mark.parametrize("low,high", [(-2**63, 2**63 - 1), (-2**63, -2**63), (2**63 - 1, 2**63 - 1),
+                                      (0, 2**63 - 1)])
+def test_int64_limit_ranges_generate(low, high):
+    # the whole int64 range is 2**64 values, one more than a uint64 modulus holds
+    t = generate_table(TableSpec("t", 500, (ColumnSpec("a", low, high),)), seed=21)
+    values = t.column("a")
+    assert values.dtype == np.int64
+    assert low <= int(values.min()) and int(values.max()) <= high
+    if high - low >= 2**63:
+        assert int(values.min()) < 0 < int(values.max())

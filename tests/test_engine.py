@@ -277,17 +277,29 @@ def brute_force_join_pairs(probe_key, build_key) -> tuple[np.ndarray, np.ndarray
             np.array([j for _, j in pairs], dtype=np.int64))
 
 
-def check_join_kernels(probe_key, build_key, pair_cap, block=16) -> None:
+def wrapped_int64(value: int) -> int:
+    """A Python integer reduced to int64 the way int64 addition wraps."""
+    return (value + 2**63) % 2**64 - 2**63
+
+
+def check_join_kernels(probe_key, build_key, pair_cap, block=16, carried=None,
+                       build_carried=None) -> None:
     """Hash kernel, the kernel join_kernel dispatches a nested-loop variant to,
-    and a prebuilt hash build all give the brute-force pairs' carried columns,
-    in probe-major, build-ascending order."""
+    and a prebuilt hash build all give the brute-force pairs' row count and,
+    per carried column, its int64 sum over the pairs, as Python ints."""
     n_probe, n_build = probe_key.size, build_key.size
-    carried = {"v": np.arange(n_probe, dtype=np.int64) * 7 + 3,
-               "u": np.arange(n_probe, dtype=np.int64)[::-1].copy()}
-    build_carried = {"w": np.arange(n_build, dtype=np.int64) * 11 + 1000}
+    if carried is None:
+        carried = {"v": np.arange(n_probe, dtype=np.int64) * 7 + 3,
+                   "u": np.arange(n_probe, dtype=np.int64)[::-1].copy()}
+    if build_carried is None:
+        build_carried = {"w": np.arange(n_build, dtype=np.int64) * 11 + 1000}
     p_idx, b_idx = brute_force_join_pairs(probe_key, build_key)
-    expected = {"v": carried["v"][p_idx], "u": carried["u"][p_idx],
-                "w": build_carried["w"][b_idx]}
+    pair_columns = {**{name: col[p_idx] for name, col in carried.items()},
+                    **{name: col[b_idx] for name, col in build_carried.items()}}
+    expected = {name: wrapped_int64(sum(col.tolist())) for name, col in pair_columns.items()}
+    # the sum of the materialized join output that the aggregate used to take
+    assert expected == {name: int(col.sum(dtype=np.int64))
+                        for name, col in pair_columns.items()}
     kernels = {
         HASH_JOIN: lambda: _hash_join(probe_key, build_key, carried, build_carried),
         NESTED_LOOP: lambda: _nested_loop_join(probe_key, build_key, carried,
@@ -295,21 +307,13 @@ def check_join_kernels(probe_key, build_key, pair_cap, block=16) -> None:
     }
     kernel = join_kernel(NESTED_LOOP, n_probe * n_build, pair_cap)
     assert kernel == (HASH_JOIN if n_probe * n_build > pair_cap else NESTED_LOOP)
-    outputs = {"hash": kernels[HASH_JOIN](), "nested_loop": kernels[kernel]()}
-    for label, (total, out) in outputs.items():
-        assert total == p_idx.size, label
-        assert sorted(out) == sorted(expected), label
-        for name, column in expected.items():
-            assert out[name].dtype == np.int64, (label, name)
-            assert np.array_equal(out[name], column), (label, name)
-    # a prebuilt build gives the same arrays, in order and dtype
-    total, out = _hash_join(probe_key, build_key, carried, build_carried,
-                            _hash_build(build_key))
-    assert total == outputs["hash"][0]
-    assert list(out) == list(outputs["hash"][1])
-    for name, column in outputs["hash"][1].items():
-        assert out[name].dtype == column.dtype, name
-        assert np.array_equal(out[name], column), name
+    outputs = {"hash": kernels[HASH_JOIN](), "nested_loop": kernels[kernel](),
+               "prebuilt": _hash_join(probe_key, build_key, carried, build_carried,
+                                      _hash_build(build_key))}
+    for label, (rows, sums) in outputs.items():
+        assert type(rows) is int and rows == p_idx.size, label
+        assert sums == expected, label
+        assert all(type(value) is int for value in sums.values()), label
 
 
 @pytest.mark.parametrize("n_probe,n_build", [(0, 40), (40, 0), (37, 23), (150, 90)])
@@ -353,6 +357,16 @@ JOIN_KEY_CASES = {
     "int64_limits": lambda s: (
         np.array([-2**63, -1, 0, 2**63 - 1, 2**62, -2**63, 2**63 - 1], dtype=np.int64),
         np.array([2**63 - 1, -2**63, 0, 2**62 + 1, -2**63], dtype=np.int64)),
+    # dense build keys at either end of int64; the probe keys at the other
+    # end wrap around when offset from the build key's minimum
+    "dense_int64_min": lambda s: (
+        np.concatenate([-2**63 + s.integers(0, 8, 40),
+                        np.array([2**63 - 1, 2**63 - 6, -1, 0], dtype=np.int64)]),
+        -2**63 + s.integers(0, 5, 20)),
+    "dense_int64_max": lambda s: (
+        np.concatenate([2**63 - 1 - s.integers(0, 8, 40),
+                        np.array([-2**63, -2**63 + 1, -2**63 + 7, 0], dtype=np.int64)]),
+        2**63 - 1 - s.integers(0, 5, 20)),
 }
 
 
@@ -361,6 +375,24 @@ JOIN_KEY_CASES = {
 def test_join_kernels_match_brute_force_pairs_key_shapes(case, pair_cap):
     probe_key, build_key = JOIN_KEY_CASES[case](Stream(fnv1a64(case)))
     check_join_kernels(probe_key, build_key, pair_cap, block=7)
+
+
+@pytest.mark.parametrize("pair_cap", [10**9, 0], ids=["literal", "above_cap"])
+def test_join_kernel_sums_wrap_like_int64(pair_cap):
+    # values near +-2**62 matched several times each: the true sums leave the
+    # int64 range, and the kernels must wrap them as an int64 sum of the
+    # materialized output does
+    stream = Stream(4062)
+    probe_key, build_key = stream.integers(0, 3, 60), stream.integers(0, 3, 25)
+    carried = {"v": 2**62 + stream.integers(0, 1000, 60),
+               "neg": -(2**62) - stream.integers(0, 1000, 60)}
+    build_carried = {"w": 2**62 - 1 - stream.integers(0, 1000, 25)}
+    p_idx, b_idx = brute_force_join_pairs(probe_key, build_key)
+    for col, idx in ((carried["v"], p_idx), (carried["neg"], p_idx),
+                     (build_carried["w"], b_idx)):
+        assert not -2**63 <= sum(col[idx].tolist()) < 2**63
+    check_join_kernels(probe_key, build_key, pair_cap, block=7, carried=carried,
+                       build_carried=build_carried)
 
 
 @pytest.mark.parametrize("cap_offset,kernel", [(-1, HASH_JOIN), (0, NESTED_LOOP)],

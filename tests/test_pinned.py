@@ -31,8 +31,8 @@ pinned_platform = pytest.mark.skipif(
     {k: HERE.get(k) for k in PINNED["env"]} != PINNED["env"],
     reason=f"digests pinned on {PINNED['env']}")
 
-# sha256 of the seed-1 tables of _materialize: (dim, base fact, every other
-# fact variant in the order _materialize makes them)
+# sha256 of the seed-1 tables: (dim, base fact, every other fact variant,
+# drift variants first, each in the order the scenario declares them)
 TABLE_DIGESTS = {
     bench.INPUT_SCALE_SHIFT: (
         "8cd919be4c3e2be8a5f6c06e33173a26403abf46bfc0aed587c3ff21043b7e06",
@@ -66,10 +66,17 @@ def tables_digest(tables: list[Table]) -> str:
 @pinned_platform
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_generated_tables_match_pinned_digests(scenario):
-    variants, dim = bench._materialize(SCENARIOS[scenario](seed=1))
-    others = [t for label, t in variants.items() if label != bench.BASE_VARIANT]
-    got = (tables_digest([dim]), tables_digest([variants[bench.BASE_VARIANT]]),
-           tables_digest(others))
+    s = SCENARIOS[scenario](seed=1)
+    # the tables the prepared queries carry, by fact variant
+    queries = bench.scenario_queries(s)
+    facts = {query.case.fact_variant: query.tables[s.fact_spec.name] for query in queries}
+    dim = queries[0].tables[s.dim_spec.name]
+    assert all(query.tables[s.dim_spec.name] is dim for query in queries)
+    # break_even's queries read no base table, so none is made for them
+    base = facts.pop(bench.BASE_VARIANT, None) or bench._fact_table(s, bench.BASE_VARIANT, None)
+    assert sorted(facts) == sorted((*s.drifts, *s.size_variants))
+    others = [facts[label] for label in (*s.drifts, *s.size_variants)]
+    got = (tables_digest([dim]), tables_digest([base]), tables_digest(others))
     assert got == TABLE_DIGESTS[scenario]
 
 

@@ -44,6 +44,21 @@ def test_integers_match_reference_reduction(low, high):
     assert Stream(31).integers(low, high, 0).shape == (0,)
 
 
+def test_integers_whole_int64_range_takes_draws_as_they_are():
+    count = 257
+    u64 = Stream(31).u64(count)
+    got = Stream(31).integers(-2**63, 2**63 - 1, count)
+    assert got.dtype == np.int64
+    assert got.tolist() == [u - 2**63 for u in u64.tolist()]
+
+
+@pytest.mark.parametrize("low,high", [(0, 2**63), (-2**63 - 1, 0), (0, 2**64),
+                                      (-2**64, 2**64)])
+def test_integers_reject_bounds_outside_int64(low, high):
+    with pytest.raises(ValueError, match="exceeds int64"):
+        Stream(31).integers(low, high, 4)
+
+
 def test_stream_is_positional():
     whole = stream_u64(9, 0, 100)
     tail = stream_u64(9, 60, 40)
