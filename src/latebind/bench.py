@@ -317,10 +317,10 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     plan.
 
     A variant's table, with its fresh statistics if the scenario takes them,
-    is made at the variant's first group and dropped after its last, together
-    with its table set's store.  The dim table lives for the whole run, and so
-    does the base fact table where a case, a drift or the plans' statistics
-    read it.
+    is made at the variant's first group and dropped after its last, when
+    its table set's store is emptied too.  The dim table lives for the whole
+    run, and so does the base fact table where a case, a drift or the plans'
+    statistics read it.
     """
     seed = scenario.seed
     fresh = scenario.fresh_stats_per_variant
@@ -366,7 +366,9 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
             tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
             seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store)
         if last_group[label] == g:
-            del live[label]
+            # empty the store now, whoever still holds it, so that its
+            # kernel outputs are freed before the next table is made
+            live.pop(label)[2].clear()
 
 
 def scenario_queries(scenario: Scenario) -> list[PreparedQuery]:
@@ -420,6 +422,8 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                 raise ResultMismatchError(
                     f"{scenario.name}/{prepared.case.query_id}: "
                     f"results diverge across modes: {values}")
+        # free the group's kernel outputs before the next table is made
+        del memo
 
     return {mode: build_report(scenario.name, mode, scenario.seed, clock.mode,
                                per_mode_thresholds[mode].source, rows[mode])

@@ -22,10 +22,13 @@ materialized input, whose cost was charged once.
 
 The join kernels aggregate eagerly (Yan & Larson, "Eager Aggregation and
 Lazy Aggregation", VLDB 1995): a join yields its output row count and, per
-carried column, that column's int64 sum over the output rows, which is all
-the aggregate above it reads.  The output is charged as if materialized, a
-row of every carried column per output row, so spills and hard-cap failures
-are those of an engine that builds the rows.
+carried column, how many output rows each of that column's rows is in.
+The aggregate above it takes the int64 sum weighted by those counts, which
+equals the sum over the built rows, so the aggregate's own kernel still
+does the reduction and the wall clock times it there.  The output is
+charged as if materialized, a row of every carried column per output row,
+so spills and hard-cap failures are those of an engine that builds the
+rows.
 
 Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
@@ -180,27 +183,26 @@ def _hash_build(build_key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _hash_join(probe_key: np.ndarray, build_key: np.ndarray,
                carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
                build: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-               ) -> tuple[int, dict[str, int]]:
+               ) -> tuple[int, dict[str, np.ndarray]]:
     """Equi-join aggregated eagerly: the output row count, and per carried
-    column its int64 sum over the output rows, without building the rows.
-    Each build key gets its match count and its sum of each build column,
-    and each probe row gathers its key's.  `build` is _hash_build(build_key)
-    when the caller already has it."""
+    column the number of output rows each of its rows is in, without
+    building the rows.  Each probe row gathers its key's count of build rows;
+    each build row, when a build column is carried, its key's count of probe
+    rows.  `build` is _hash_build(build_key) when the caller already has it."""
     order, starts, keys = build if build is not None else _hash_build(build_key)
     key_at, probe_at, size = _key_table(probe_key, keys, order.size)
-
-    def per_probe_row(per_key: np.ndarray) -> np.ndarray:
-        table = np.zeros(size, dtype=np.int64)
-        table[key_at] = per_key
-        return np.take(table, probe_at, mode="clip")
-
-    counts = per_probe_row(np.diff(starts, append=order.size))
-    sums = {name: int((col.astype(np.int64, copy=False) * counts).sum(dtype=np.int64))
-            for name, col in carried.items()}
-    for name, col in build_carried.items():
-        key_sums = np.add.reduceat(col[order], starts, dtype=np.int64)
-        sums[name] = int(per_probe_row(key_sums).sum(dtype=np.int64))
-    return int(counts.sum()), sums
+    run_rows = np.diff(starts, append=order.size)
+    per_key = np.zeros(size, dtype=np.int64)
+    per_key[key_at] = run_rows
+    probe_counts = np.take(per_key, probe_at, mode="clip")
+    weights = dict.fromkeys(carried, probe_counts)
+    if build_carried:
+        # clipped as np.take clips: a probe key outside the table counts at an empty end
+        hits = np.bincount(np.clip(probe_at, 0, size - 1), minlength=size)
+        build_counts = np.empty(order.size, dtype=np.int64)
+        build_counts[order] = np.repeat(hits[key_at], run_rows)
+        weights.update(dict.fromkeys(build_carried, build_counts))
+    return int(probe_counts.sum()), weights
 
 
 def _key_table(probe_key: np.ndarray, keys: np.ndarray, build_rows: int,
@@ -233,7 +235,7 @@ def _key_table(probe_key: np.ndarray, keys: np.ndarray, build_rows: int,
 
 def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
                       carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
-                      block: int) -> tuple[int, dict[str, int]]:
+                      block: int) -> tuple[int, dict[str, np.ndarray]]:
     """Blocked all-pairs comparison, aggregated eagerly like the hash kernel:
     each block's matches are counted per probe row and per build row."""
     probe_key, build_key = _narrow_keys(probe_key, build_key)
@@ -247,11 +249,15 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
                                  build_key.size)
         probe_counts[start:start + p.size] = np.bincount(p_idx, minlength=p.size)
         build_counts += np.bincount(b_idx, minlength=build_key.size)
-    sums = {}
-    for cols, counts in ((carried, probe_counts), (build_carried, build_counts)):
-        for name, col in cols.items():
-            sums[name] = int((col.astype(np.int64, copy=False) * counts).sum(dtype=np.int64))
-    return int(probe_counts.sum()), sums
+    weights = {**dict.fromkeys(carried, probe_counts),
+               **dict.fromkeys(build_carried, build_counts)}
+    return int(probe_counts.sum()), weights
+
+
+def _output_sum(col: np.ndarray, weights: np.ndarray) -> int:
+    """col's int64 sum over a join output that holds its row i weights[i]
+    times, wrapping as the sum of the materialized output does."""
+    return int(np.dot(col.astype(np.int64, copy=False), weights))
 
 
 def _narrow_keys(probe_key: np.ndarray, build_key: np.ndarray,
@@ -432,7 +438,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         build_carried = {agg_col: right[agg_col]} if agg_side == "right" else {}
         store = memo.table_set if memo is not None else None
 
-        def run_join() -> tuple[int, dict[str, int]]:
+        def run_join() -> tuple[int, dict[str, np.ndarray]]:
             if kernel_name == NESTED_LOOP:
                 return _nested_loop_join(probe_key, build_key, carried, build_carried,
                                          BATCH_SIZE)
@@ -442,7 +448,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                                 lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, build_carried, build)
 
-        def join_work() -> tuple[int, dict[str, int]]:
+        def join_work() -> tuple[int, dict[str, np.ndarray]]:
             if store is None or not (left_is_table and right_is_table):
                 return run_join()
             return _shared(store, ("join", kernel_name, tuple(carried), tuple(build_carried)),
@@ -453,16 +459,22 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         # the join output is charged as if materialized: a row of every
         # carried column per output row
         row_bytes = sum(col.itemsize for col in (*carried.values(), *build_carried.values()))
-        n_join, join_sums = run_node(
+        n_join, join_weights = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe, decisions,
             kernel=join_work, kernel_name=kernel_name, extra_bytes=extra,
             out_bytes_of=lambda out: out[0] * row_bytes)
         held -= bytes_of(left) + bytes_of(right)
 
         variant, decisions = hook(plan.aggregate, n_join)
-        total = n_join if q.aggregate.op == "count" else join_sums[agg_col]
+
+        def run_agg() -> int:
+            if q.aggregate.op == "count":
+                return n_join
+            col = (carried or build_carried)[agg_col]
+            return _output_sum(col, join_weights[agg_col])
+
         value = run_node(plan.aggregate, variant, (float(n_join),), n_join, decisions,
-                         kernel=lambda: total)
+                         kernel=run_agg)
         held -= n_join * row_bytes
     except MemoryBudgetExceeded as exc:
         trace.failed = True

@@ -235,10 +235,9 @@ def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build, config, reorde
     assert any(case.fact_variant != bench.BASE_VARIANT for case in scenario.cases)
     # where some group comes back after another group ran, the grouped run
     # reorders queries and must put the rows back in query order
-    positions = [[i for i, _ in group.queries] for group in bench.scenario_groups(scenario)]
-    assert sorted(i for members in positions for i in members) == \
-        list(range(len(scenario.cases)))
-    assert (positions != [[i] for i in range(len(scenario.cases))]) == reordered
+    order = [i for group in bench.scenario_groups(scenario) for i, _ in group.queries]
+    assert sorted(order) == list(range(len(scenario.cases)))
+    assert (order != sorted(order)) == reordered
     clock = SimulatedClock(sigma=0.05)
     shared = run_scenario(scenario, clock, engine_config=config)
     real_execute = bench.execute
@@ -318,13 +317,14 @@ def test_stale_stats_runs_each_join_once_per_input_arrays(monkeypatch):
     # c <= 100 and groups with different predicates join the same columns
     scenario = scenario_stale_stats(seed=1, query_count=60)
     executions, calls = count_join_kernels(monkeypatch)
-    prepared, memos = [], []
+    prepared, memos, entries = [], [], {}
     real_groups = bench.scenario_groups
 
     def recording_groups(scenario):
         for group in real_groups(scenario):
             prepared.extend(query for _, query in group.queries)
             yield group
+            entries.update(group.store)   # before the set's last group empties it
 
     class RecordingMemo(engine.KernelMemo):
         def __init__(self, **kwargs):
@@ -338,12 +338,14 @@ def test_stale_stats_runs_each_join_once_per_input_arrays(monkeypatch):
     assert max(runs.values()) == 1
     hash_groups = {group for group, _, _, _, kernel in executions if kernel == HASH_JOIN}
     assert len(runs) < len(hash_groups)
-    # one table set, whose store keys its entries by table columns only
+    # one table set, whose store keys its entries by table columns only and
+    # is emptied after the set's last group
     (store,) = {id(memo.table_set): memo.table_set for memo in memos}.values()
+    assert not store
     columns = {id(col) for q in prepared for table in q.tables.values()
                for col in table.columns.values()}
-    assert store
-    assert all(id(array) in columns for arrays, _ in store.values() for array in arrays)
+    assert entries
+    assert all(id(array) in columns for arrays, _ in entries.values() for array in arrays)
     # every nested-loop variant here is above nl_pair_cap and runs the hash
     # kernel, so no group executes the literal nested loop and none calls it
     nl_variant = [kernel for _, _, _, variant, kernel in executions if variant == NESTED_LOOP]
@@ -421,6 +423,34 @@ def test_table_set_store_released_after_last_group(monkeypatch):
         # every variant but the last one is checked while later groups run
         assert len(checked) == len(last_query) - 1 >= 2
         assert all(table() is None and store() is None for _, table, store in finished)
+
+
+def test_join_outputs_freed_before_next_table_is_made(monkeypatch):
+    # every break_even query has its own fact table, so each group makes
+    # one.  A group's join outputs must be gone by then: in a process that
+    # keeps the tables, a freed output left between two of them stays
+    # resident
+    outputs: list[weakref.ref] = []
+    alive_at_generate = []
+    real_generate = bench.generate_table
+
+    def recording(kernel):
+        def wrapper(*args, **kwargs):
+            rows, weights = kernel(*args, **kwargs)
+            outputs.extend(weakref.ref(weight) for weight in weights.values())
+            return rows, weights
+        return wrapper
+
+    def checking_generate(*args, **kwargs):
+        alive_at_generate.append(sum(ref() is not None for ref in outputs))
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_hash_join", recording(engine._hash_join))
+    monkeypatch.setattr(engine, "_nested_loop_join", recording(engine._nested_loop_join))
+    monkeypatch.setattr(bench, "generate_table", checking_generate)
+    run_scenario(scenario_break_even(seed=3, query_count=12), SimulatedClock(sigma=0.05))
+    assert outputs
+    assert alive_at_generate == [0] * 13   # the dim table and 12 fact tables
 
 
 def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):

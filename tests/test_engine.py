@@ -9,9 +9,10 @@ import pytest
 
 from latebind.clock import SimulatedClock, WallClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
+from latebind import engine
 from latebind.engine import (EngineConfig, RuntimeSignals, _hash_build, _hash_join,
-                             _nested_loop_join, brute_force_join_count, execute,
-                             join_kernel, observe, trace_csv)
+                             _nested_loop_join, _output_sum, brute_force_join_count,
+                             execute, join_kernel, observe, trace_csv)
 from latebind.errors import ConfigurationError, ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
@@ -286,7 +287,8 @@ def check_join_kernels(probe_key, build_key, pair_cap, block=16, carried=None,
                        build_carried=None) -> None:
     """Hash kernel, the kernel join_kernel dispatches a nested-loop variant to,
     and a prebuilt hash build all give the brute-force pairs' row count and,
-    per carried column, its int64 sum over the pairs, as Python ints."""
+    per carried column, how many pairs each of its rows is in; the weighted
+    sum is the column's int64 sum over the pairs."""
     n_probe, n_build = probe_key.size, build_key.size
     if carried is None:
         carried = {"v": np.arange(n_probe, dtype=np.int64) * 7 + 3,
@@ -310,8 +312,16 @@ def check_join_kernels(probe_key, build_key, pair_cap, block=16, carried=None,
     outputs = {"hash": kernels[HASH_JOIN](), "nested_loop": kernels[kernel](),
                "prebuilt": _hash_join(probe_key, build_key, carried, build_carried,
                                       _hash_build(build_key))}
-    for label, (rows, sums) in outputs.items():
+    multiplicity = {**dict.fromkeys(carried, np.bincount(p_idx, minlength=n_probe)),
+                    **dict.fromkeys(build_carried, np.bincount(b_idx, minlength=n_build))}
+    columns = {**carried, **build_carried}
+    for label, (rows, weights) in outputs.items():
         assert type(rows) is int and rows == p_idx.size, label
+        assert weights.keys() == multiplicity.keys(), label
+        for name, weight in weights.items():
+            assert weight.dtype == np.int64, label
+            np.testing.assert_array_equal(weight, multiplicity[name], err_msg=label)
+        sums = {name: _output_sum(col, weights[name]) for name, col in columns.items()}
         assert sums == expected, label
         assert all(type(value) is int for value in sums.values()), label
 
@@ -393,6 +403,40 @@ def test_join_kernel_sums_wrap_like_int64(pair_cap):
         assert not -2**63 <= sum(col[idx].tolist()) < 2**63
     check_join_kernels(probe_key, build_key, pair_cap, block=7, carried=carried,
                        build_carried=build_carried)
+
+
+@pytest.mark.parametrize("join", [HASH_JOIN, NESTED_LOOP])
+@pytest.mark.parametrize("aggregate", [CPU, ACCELERATOR])
+def test_wall_clock_times_the_sum_in_the_aggregate(monkeypatch, small_plan, small_tables,
+                                                   join, aggregate):
+    # the join yields match counts and the aggregate's own kernel takes the
+    # weighted sum, so the wall clock charges that reduction to a cpu
+    # aggregate, and an accelerator aggregate, charged its modeled cost
+    # untimed, does not pay for it inside the join
+    plan_ = forced(small_plan, join=join, aggregate=aggregate)
+    node_order = {node.node_id: i for i, node in enumerate(plan_.nodes())}
+    charging = []     # (counter, modeled_only) of the charge whose work runs
+    summed_in = []
+
+    class RecordingClock(WallClock):
+        def charge(self, model_cost, seed, counter, work=lambda: None, modeled_only=False):
+            charging.append((counter, modeled_only))
+            try:
+                return super().charge(model_cost, seed, counter, work, modeled_only)
+            finally:
+                charging.pop()
+
+    def recording_sum(col, weights):
+        summed_in.append(charging[-1])
+        return _output_sum(col, weights)
+
+    monkeypatch.setattr(engine, "_output_sum", recording_sum)
+    result, trace = execute(plan_, small_tables, BASELINE, Thresholds(), RecordingClock(),
+                            seed=1)
+    assert result.value == brute_force_join_sum(small_tables["l"].column("k"),
+                                                small_tables["r"].column("k"),
+                                                small_tables["l"].column("v"))
+    assert summed_in == [(node_order[plan_.aggregate.node_id], aggregate == ACCELERATOR)]
 
 
 @pytest.mark.parametrize("cap_offset,kernel", [(-1, HASH_JOIN), (0, NESTED_LOOP)],
