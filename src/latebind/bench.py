@@ -12,15 +12,18 @@ Three scenarios stress the three ways an early-bound plan goes stale:
   crossover while the planner's device model is deliberately miscalibrated;
   only runtime observation can bind the device correctly.
 
-Every query executes under all requested modes with the same per-query
-noise stream; result mismatches across modes abort the run.  Queries that
-share a plan and its tables run back to back as a group, so that they can
-share kernel outputs, and their rows are put back in query order.  Tables
-live per group: a fact table and its statistics are made at the first group
-that reads them and dropped after the last, so a run holds one fact variant
-at a time besides the dim table (and the base fact table where queries,
-drifts or plans read it).  Outputs computed purely from table columns
-(joins of unfiltered tables, hash builds) live as long as their fact table.
+Every query executes under all requested modes, back to back, with the
+same per-query noise, which is drawn once and shared by its modes; result
+mismatches across modes abort the run.  Queries that share a plan and its
+tables run back to back as a group, so that they can share kernel outputs,
+and their rows are put back in query order.  Tables live per group: a fact
+table and its statistics are made at the first group that reads them and
+dropped after the last, so a run holds one fact variant at a time besides
+the dim table (and the base fact table where queries, drifts or plans read
+it).  Statistics describe exactly the columns plans read: the join keys
+(for ndv) and the filter columns (for histograms).  Outputs computed purely
+from table columns (joins of unfiltered tables, hash builds) live as long
+as their fact table.
 Reports carry sorted latency samples, nearest-rank percentiles, CDF points,
 and failure counts, and serialize byte-identically for identical inputs.
 """
@@ -320,18 +323,23 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     is made at the variant's first group and dropped after its last, when
     its table set's store is emptied too.  The dim table lives for the whole
     run, and so does the base fact table where a case, a drift or the plans'
-    statistics read it.
+    statistics read it.  Statistics are captured when their table is made,
+    of the columns plans read only; a capture on first read would keep the
+    tables alive, since the plans outlive them.
     """
     seed = scenario.seed
     fresh = scenario.fresh_stats_per_variant
+    # the columns plans read: join keys for ndv, filter columns for histograms
+    fact_columns = {scenario.left_key,
+                    *(case.predicate.column for case in scenario.cases if case.predicate)}
     dim = generate_table(scenario.dim_spec, derive_seed(seed, "table/dim"))
-    dim_stats = capture_statistics(dim)
+    dim_stats = capture_statistics(dim, columns=(scenario.right_key,))
     base = base_stats = None
     if (not fresh or scenario.drifts
             or any(case.fact_variant == BASE_VARIANT for case in scenario.cases)):
         base = _fact_table(scenario, BASE_VARIANT, None)
     if not fresh:
-        base_stats = capture_statistics(base)
+        base_stats = capture_statistics(base, columns=fact_columns)
     if scenario.stats_roundtrip:
         dim_stats = _roundtrip(dim_stats)
         if base_stats is not None:
@@ -350,7 +358,8 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     for g, ((label, plan_key), members) in enumerate(groups.items()):
         if label not in live:
             table = base if label == BASE_VARIANT else _fact_table(scenario, label, base)
-            live[label] = (table, capture_statistics(table) if fresh else base_stats, {})
+            stats = capture_statistics(table, columns=fact_columns) if fresh else base_stats
+            live[label] = (table, stats, {})
         table, fact_stats, store = live[label]
         if plan_key not in plans:
             query = Query(

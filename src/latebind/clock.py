@@ -3,16 +3,18 @@
 The simulated clock charges modeled operator costs inflated by seeded
 lognormal noise; charges are a pure function of (noise seed, event counter),
 so two runs with the same seed agree bitwise and runs that differ only in
-decision outcomes still draw identical noise per event.  The wall clock
-measures real elapsed time of the supplied kernel and exists for sanity
-checks only.
+decision outcomes still draw identical noise per event.  Noise never
+depends on the mode, so a query's modes share it: the clock keeps the
+draws of the last seed it charged, and each (seed, counter) is drawn once
+while its seed is charged back to back.  The wall clock measures real
+elapsed time of the supplied kernel and exists for sanity checks only.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .rng import unit_at
 
@@ -29,6 +31,11 @@ class SimulatedClock:
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self.sigma = sigma
+        # (seed, {counter: noise(seed, counter)}) of the last seed charged;
+        # replaced whole, so threads sharing the clock never mix two seeds.
+        # Two threads on one seed may both draw a counter; they store the
+        # same value, since noise is a pure function
+        self._drawn: tuple[Optional[int], dict[int, float]] = (None, {})
 
     def noise(self, seed: int, counter: int) -> float:
         """Lognormal multiplier exp(sigma * z), z standard normal."""
@@ -43,7 +50,13 @@ class SimulatedClock:
                work: Callable[[], T] = lambda: None,
                modeled_only: bool = False) -> tuple[T, float]:
         result = work()
-        return result, model_cost * self.noise(seed, counter)
+        drawn_seed, drawn = self._drawn
+        if drawn_seed != seed:
+            drawn = {}
+            self._drawn = (seed, drawn)
+        if counter not in drawn:
+            drawn[counter] = self.noise(seed, counter)
+        return result, model_cost * drawn[counter]
 
 
 class WallClock:

@@ -285,16 +285,13 @@ def _shared(store: dict, tag: tuple, arrays: tuple[np.ndarray, ...],
     return store[key][1]
 
 
-def brute_force_join_count(left_key: np.ndarray, right_key: np.ndarray) -> int:
-    """All-pairs oracle; intended for tests on small inputs."""
-    return int(sum(int((right_key == k).sum()) for k in left_key))
-
-
 # ── execution ──────────────────────────────────────────────────────────────
 
 
-def _needed_columns(plan: AnnotatedPlan) -> tuple[list[str], list[str], Optional[str], str]:
-    """Columns to materialize per side, plus the aggregate column and its side."""
+def _needed_columns(plan: AnnotatedPlan, tables: dict[str, Table],
+                    ) -> tuple[list[str], list[str], Optional[str], str]:
+    """Columns to materialize per side, plus the aggregate column and its side
+    (found in the tables, since statistics need not describe it)."""
     q = plan.query
     left_cols = {q.left_key}
     right_cols = {q.right_key}
@@ -305,10 +302,10 @@ def _needed_columns(plan: AnnotatedPlan) -> tuple[list[str], list[str], Optional
     agg_col = q.aggregate.column
     agg_side = ""
     if q.aggregate.op == "sum":
-        if agg_col in plan.stats[q.left_table].columns:
+        if agg_col in tables[q.left_table].columns:
             left_cols.add(agg_col)
             agg_side = "left"
-        elif agg_col in plan.stats[q.right_table].columns:
+        elif agg_col in tables[q.right_table].columns:
             right_cols.add(agg_col)
             agg_side = "right"
         else:
@@ -343,7 +340,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         if tables[name].generation < plan.stats[name].captured_generation:
             raise ValidationError(f"table {name!r} regressed below its statistics generation")
 
-    left_cols, right_cols, agg_col, agg_side = _needed_columns(plan)
+    left_cols, right_cols, agg_col, agg_side = _needed_columns(plan, tables)
     noise_seed = derive_seed(seed, "clock")
     node_order = {node.node_id: i for i, node in enumerate(plan.nodes())}
 

@@ -110,7 +110,8 @@ class Stream:
 
         Uses modulo reduction; the bias is O(range / 2**64), irrelevant for
         the integer domains used here.  A range of all 2**64 values takes
-        each draw as it is.
+        each draw as it is.  The remainder is taken as x - (x // m) * m,
+        which equals x % m for uint64 and runs faster in numpy.
         """
         if high < low:
             raise ValueError(f"empty range [{low}, {high}]")
@@ -118,8 +119,11 @@ class Stream:
             raise ValueError(f"range [{low}, {high}] exceeds int64")
         vals = self.u64(count)
         if high - low < _MASK:
+            m = np.uint64(high - low + 1)
             with _wrap():
-                vals %= np.uint64(high - low + 1)
+                q = vals // m
+                q *= m
+                vals -= q
         # the view reads the bits as astype(np.int64) would convert them
         vals = vals.view(np.int64)
         vals += np.int64(low)

@@ -1,9 +1,10 @@
 """Point-in-time column statistics and selectivity estimates.
 
 Statistics are captured from a concrete table generation: row count, exact
-distinct count, and an equi-width histogram.  Range estimates interpolate
-uniformly within buckets; equality estimates are 1/ndv inside the observed
-value range.
+distinct count, and an equi-width histogram.  A capture may name the columns
+to describe; the scenarios describe exactly the columns their plans read
+(join keys and filter columns).  Range estimates interpolate uniformly
+within buckets; equality estimates are 1/ndv inside the observed value range.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import IO
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
@@ -72,17 +73,26 @@ class TableStats:
         return self.columns[name]
 
 
-def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS) -> TableStats:
-    """Scan the table and freeze per-column statistics at its current generation."""
+def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
+                       columns: Optional[Iterable[str]] = None) -> TableStats:
+    """Scan the table and freeze per-column statistics at its current
+    generation, for the named columns (every column by default)."""
     if buckets < 1:
         raise ValidationError(f"bucket count must be >= 1, got {buckets}")
+    names = [spec.name for spec in table.spec.columns]
+    if columns is not None:
+        wanted = set(columns)
+        if not wanted <= set(names):
+            raise ValidationError(
+                f"no columns {sorted(wanted - set(names))} in table {table.spec.name}")
+        names = [name for name in names if name in wanted]
     cols: dict[str, ColumnStats] = {}
-    for spec in table.spec.columns:
-        values = table.columns[spec.name]
+    for name in names:
+        values = table.columns[name]
         n = len(values)
         if n == 0:
-            cols[spec.name] = ColumnStats(
-                column=spec.name, row_count=0, ndv=0, min_value=0, max_value=0,
+            cols[name] = ColumnStats(
+                column=name, row_count=0, ndv=0, min_value=0, max_value=0,
                 bucket_edges=(), bucket_counts=(), captured_generation=table.generation,
             )
             continue
@@ -112,10 +122,10 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS) -> TableSta
                                                       dtype=np.int64))
             inner[[c > hi for c in ceilings]] = n  # the clamp kept these in int64
             counts = np.diff([0, *inner, n])
-        cols[spec.name] = ColumnStats(
-            column=spec.name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
-            bucket_edges=tuple(float(e) for e in edges),
-            bucket_counts=tuple(int(c) for c in counts),
+        cols[name] = ColumnStats(
+            column=name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
+            bucket_edges=tuple(edges.tolist()),
+            bucket_counts=tuple(counts.tolist()),
             captured_generation=table.generation,
         )
     return TableStats(table=table.spec.name, row_count=table.row_count,

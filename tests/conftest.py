@@ -36,3 +36,8 @@ def table_from_arrays(name: str, **cols: np.ndarray) -> Table:
     spec = TableSpec(name, len(next(iter(cols.values()))), specs)
     return Table(spec=spec, generation=0, columns={k: np.asarray(v, dtype=np.int64)
                                                    for k, v in cols.items()})
+
+
+def brute_force_join_count(left_key: np.ndarray, right_key: np.ndarray) -> int:
+    """All-pairs oracle of an equi-join's row count, for small inputs."""
+    return int(sum(int((right_key == k).sum()) for k in left_key))

@@ -18,13 +18,14 @@ from latebind.bench import (percentile, report_emit, run_scenario,
                             scenario_queries, scenario_stale_stats)
 from latebind.clock import SimulatedClock
 from latebind.datagen import ColumnSpec, TableSpec, generate_table
-from latebind.engine import brute_force_join_count, execute
+from latebind.engine import execute
 from latebind.errors import NoBreakEvenError
 from latebind.planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, NESTED_LOOP,
                               AggSpec, Query, plan)
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds
 from latebind.rng import Stream, derive_seed
 from latebind.stats import Predicate, capture_statistics, estimate_selectivity
+from conftest import brute_force_join_count
 
 SEED = 1
 Q = 200

@@ -164,6 +164,59 @@ def test_seed1_switch_counts(monkeypatch, name):
     assert dict(switches) == SEED1_SWITCHES[name]
 
 
+SCENARIO_BUILDERS = {BREAK_EVEN: scenario_break_even,
+                     INPUT_SCALE_SHIFT: scenario_input_scale_shift,
+                     STALE_STATS: scenario_stale_stats}
+
+
+def group_plans(scenario) -> list:
+    """Each group's plan nodes and the statistics they were planned from."""
+    return [(group.queries[0][1].plan.nodes(), group.queries[0][1].plan.stats)
+            for group in bench.scenario_groups(scenario)]
+
+
+@pytest.mark.parametrize("seed", [1, 100001, 200001])
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_statistics_of_read_columns_plan_as_full_statistics(monkeypatch, name, seed):
+    scenario = SCENARIO_BUILDERS[name](seed=seed)
+    read = group_plans(scenario)
+    full_capture = bench.capture_statistics
+    monkeypatch.setattr(bench, "capture_statistics",
+                        lambda table, columns=None: full_capture(table))
+    full = group_plans(scenario)
+    assert len(read) == len(full) > 0
+    filtered = {case.predicate.column for case in scenario.cases if case.predicate}
+    for (nodes, stats), (full_nodes, all_stats) in zip(read, full):
+        # every node's choice, estimates and late-bind flag
+        assert nodes == full_nodes
+        assert set(stats[scenario.fact_spec.name].columns) == {scenario.left_key, *filtered}
+        assert set(stats[scenario.dim_spec.name].columns) == {scenario.right_key}
+        for table, table_stats in stats.items():
+            assert table_stats.row_count == all_stats[table].row_count
+            for column, column_stats in table_stats.columns.items():
+                assert column_stats == all_stats[table].columns[column]
+
+
+@pytest.mark.parametrize("name,nodes,calls", [
+    (BREAK_EVEN, 4, 960), (INPUT_SCALE_SHIFT, 4, 960), (STALE_STATS, 5, 1160)])
+def test_noise_drawn_once_per_query_and_node(monkeypatch, name, nodes, calls):
+    # noise never depends on the mode, so a query's modes share each draw
+    drawn = []
+    noise = SimulatedClock.noise
+
+    def counting(self, seed, counter):
+        drawn.append((seed, counter))
+        return noise(self, seed, counter)
+
+    monkeypatch.setattr(SimulatedClock, "noise", counting)
+    scenario = SCENARIO_BUILDERS[name](seed=1)
+    thresholds = bench.scenario_thresholds(scenario)   # calibration draws its own
+    calibration = len(drawn)
+    run_scenario(scenario, SimulatedClock(sigma=0.05), thresholds=thresholds)
+    assert len(drawn) - calibration == len(scenario.cases) * nodes
+    assert len(set(drawn)) == len(drawn) == calls
+
+
 def test_zero_drift_control_modes_agree(small_tables):
     scenario = scenario_input_scale_shift(seed=6, query_count=30, drift_fraction=0.0)
     reports = run_scenario(scenario, SimulatedClock(sigma=0.05))

@@ -11,8 +11,8 @@ from latebind.clock import SimulatedClock, WallClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
 from latebind import engine
 from latebind.engine import (EngineConfig, RuntimeSignals, _hash_build, _hash_join,
-                             _nested_loop_join, _output_sum, brute_force_join_count,
-                             execute, join_kernel, observe, trace_csv)
+                             _nested_loop_join, _output_sum, execute, join_kernel,
+                             observe, trace_csv)
 from latebind.errors import ConfigurationError, ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
@@ -20,6 +20,7 @@ from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Threshol
                              static_thresholds)
 from latebind.rng import Stream, fnv1a64
 from latebind.stats import Predicate, capture_statistics
+from conftest import brute_force_join_count
 
 
 def forced(plan_, join=None, left_filter=None, aggregate=None):
@@ -87,6 +88,23 @@ def test_simulated_clock_bitwise_determinism(small_plan, small_tables):
     assert [r.charged_cost for r in t1.records] == [r.charged_cost for r in t2.records]
     _, t3 = execute(small_plan, small_tables, BASELINE, Thresholds(), clock, seed=10)
     assert t1.total_latency != t3.total_latency
+
+
+def test_simulated_clock_keeps_interleaved_seeds_apart(monkeypatch):
+    # the clock keeps the last seed's draws.  A charge of another seed that
+    # runs while one seed draws, as another thread's may, must not mix them
+    clock = SimulatedClock(sigma=0.05)
+    noise = SimulatedClock.noise
+
+    def interleaving(self, seed, counter):
+        if seed == 1:
+            clock.charge(1.0, 2, counter)
+        return noise(self, seed, counter)
+
+    monkeypatch.setattr(SimulatedClock, "noise", interleaving)
+    assert clock.charge(1.0, 1, 0)[1] == noise(clock, 1, 0)
+    assert clock.charge(1.0, 2, 0)[1] == noise(clock, 2, 0)
+    assert noise(clock, 1, 0) != noise(clock, 2, 0)
 
 
 def test_observe_ratio_examples(small_plan):

@@ -44,6 +44,23 @@ def test_integers_match_reference_reduction(low, high):
     assert Stream(31).integers(low, high, 0).shape == (0,)
 
 
+@pytest.mark.parametrize("low,modulus", [
+    (low, modulus) for modulus in (1, 2, 1000, 2**32 + 3, 2**63, 2**64 - 1, 2**64)
+    for low in (0, -2**63) if low + modulus - 1 < 2**63])
+@pytest.mark.parametrize("offset", [0, 7, 1000])
+def test_integers_equal_remainder_reference(low, modulus, offset):
+    # the reduction by floor division gives each draw's remainder, in
+    # Python integers, at any stream position; a modulus of 2**64 is the
+    # full-range path, which takes the draws as they are
+    count = 257
+    u64 = stream_u64(31, offset, count).tolist()
+    stream = Stream(31)
+    stream.u64(offset)   # moves the cursor to the offset
+    got = stream.integers(low, low + modulus - 1, count)
+    assert got.dtype == np.int64
+    assert got.tolist() == [low + u % modulus for u in u64]
+
+
 def test_integers_whole_int64_range_takes_draws_as_they_are():
     count = 257
     u64 = Stream(31).u64(count)

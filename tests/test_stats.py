@@ -225,6 +225,20 @@ def test_optimizer_risk_generation_regression_rejected():
         execute(stale_plan, {"t": t}, BASELINE, Thresholds(), SimulatedClock(sigma=0.0), seed=1)
 
 
+def test_capture_of_named_columns_equals_full_capture():
+    t = generate_table(TableSpec("t", 500, (
+        ColumnSpec("a", 0, 99), ColumnSpec("b", -5, 5), ColumnSpec("c", 0, 10**9))), seed=45)
+    full = capture_statistics(t)
+    named = capture_statistics(t, columns=("c", "a"))
+    assert list(named.columns) == ["a", "c"]   # in table order
+    assert named.columns == {name: full.columns[name] for name in ("a", "c")}
+    assert (named.table, named.row_count, named.captured_generation) == \
+        (full.table, full.row_count, full.captured_generation)
+    assert capture_statistics(t, columns=()).columns == {}
+    with pytest.raises(ValidationError, match="no columns"):
+        capture_statistics(t, columns=("a", "z"))
+
+
 def test_stats_serialization_roundtrip():
     t = generate_table(TableSpec("t", 500, (
         ColumnSpec("a", 0, 99), ColumnSpec("b", -5, 5))), seed=44)
