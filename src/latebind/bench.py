@@ -21,9 +21,9 @@ table and its statistics are made at the first group that reads them and
 dropped after the last, so a run holds one fact variant at a time besides
 the dim table (and the base fact table where queries, drifts or plans read
 it).  Statistics describe exactly the columns plans read: the join keys
-(for ndv) and the filter columns (for histograms).  Outputs computed purely
-from table columns (joins of unfiltered tables, hash builds) live as long
-as their fact table.
+(for ndv) and the filter columns (for histograms).  Joins of unfiltered
+tables live as long as their fact table, and a hash build of a table column
+as long as that table, so the dim table's is made once per run.
 Reports carry sorted latency samples, nearest-rank percentiles, CDF points,
 and failure counts, and serialize byte-identically for identical inputs.
 """
@@ -308,10 +308,14 @@ class PreparedQuery:
 class QueryGroup:
     """The queries that share one plan and one set of tables, each with its
     position in query order.  ``store`` is the kernel store of the table set
-    (``KernelMemo.table_set``), handed to every group over the same tables."""
+    (``KernelMemo.table_set``), handed to every group over the same tables.
+    ``tables`` holds each table's own store (``KernelMemo.tables``), handed
+    to every group that reads the table; the fact table's is ``store``, which
+    is emptied after the variant's last group."""
 
     queries: list[tuple[int, PreparedQuery]]
     store: dict
+    tables: dict[str, dict]
 
 
 def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
@@ -321,11 +325,11 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
 
     A variant's table, with its fresh statistics if the scenario takes them,
     is made at the variant's first group and dropped after its last, when
-    its table set's store is emptied too.  The dim table lives for the whole
-    run, and so does the base fact table where a case, a drift or the plans'
-    statistics read it.  Statistics are captured when their table is made,
-    of the columns plans read only; a capture on first read would keep the
-    tables alive, since the plans outlive them.
+    its table set's store is emptied too.  The dim table, with its own
+    store, lives for the whole run, and so does the base fact table where a
+    case, a drift or the plans' statistics read it.  Statistics are captured
+    when their table is made, of the columns plans read only; a capture on
+    first read would keep the tables alive, since the plans outlive them.
     """
     seed = scenario.seed
     fresh = scenario.fresh_stats_per_variant
@@ -333,6 +337,7 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     fact_columns = {scenario.left_key,
                     *(case.predicate.column for case in scenario.cases if case.predicate)}
     dim = generate_table(scenario.dim_spec, derive_seed(seed, "table/dim"))
+    dim_store: dict = {}
     dim_stats = capture_statistics(dim, columns=(scenario.right_key,))
     base = base_stats = None
     if (not fresh or scenario.drifts
@@ -373,7 +378,8 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
         yield QueryGroup(queries=[(i, PreparedQuery(
             case=scenario.cases[i], plan=plans[plan_key],
             tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
-            seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store)
+            seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store,
+            tables={scenario.fact_spec.name: store, scenario.dim_spec.name: dim_store})
         if last_group[label] == g:
             # empty the store now, whoever still holds it, so that its
             # kernel outputs are freed before the next table is made
@@ -400,11 +406,12 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     Queries run group by group as scenario_groups prepares them, so a fact
     table lives only from its first group to its last; rows still come out
     in query order.  On the simulated clock kernel outputs are shared with
-    two lifetimes: each group has a memo, dropped before the next group
-    starts, and each table set has a store for table-column joins and hash
-    builds, which lives as long as the set's fact table.  Result values are
-    cross-checked per query over all modes that completed; any mismatch is a
-    hard failure of the whole run.
+    three lifetimes: each group has a memo, dropped before the next group
+    starts; each table set has a store for table-column joins and the fact
+    table's hash builds, which lives as long as the set's fact table; and
+    the dim table has a store for its hash builds, which lives for the whole
+    run.  Result values are cross-checked per query over all modes that
+    completed; any mismatch is a hard failure of the whole run.
     """
     per_mode_thresholds = thresholds or scenario_thresholds(scenario, base_thresholds)
     engine_config = engine_config or EngineConfig(true_cost_model=scenario.true_model)
@@ -415,7 +422,8 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                                         for mode in scenario.modes}
     for group in scenario_groups(scenario):
         # the wall clock times every run, so it shares nothing
-        memo = KernelMemo(table_set=group.store) if clock.mode == SIMULATED else None
+        memo = (KernelMemo(table_set=group.store, tables=group.tables)
+                if clock.mode == SIMULATED else None)
         for i, prepared in group.queries:
             values: dict[str, int] = {}
             for mode in scenario.modes:

@@ -28,24 +28,29 @@ equals the sum over the built rows, so the aggregate's own kernel still
 does the reduction and the wall clock times it there.  The output is
 charged as if materialized, a row of every carried column per output row,
 so spills and hard-cap failures are those of an engine that builds the
-rows.
+rows.  The literal nested loop compares a block of build rows with every
+probe row at once and adds the block's matches per probe row as uint8 (a
+block has at most 255 rows, so the count cannot wrap); it counts matches
+per build row only when a build column is carried.
 
 Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
 or aggregate, since the accelerator is a cost-model device.  On the
-simulated clock kernel outputs are shared with two lifetimes, while every
+simulated clock kernel outputs are shared with three lifetimes, while every
 execution still charges its own cost:
 
 * per group, the executions that run one plan on one set of tables (every
   mode of every query in such a group): a kernel runs once per node and
   path of kernels that leads to it;
 * per table set, every group over the same table objects: a join whose
-  inputs are all table columns runs once per kernel and input arrays, and
-  the hash build of a table-column build key is made once.  A filter whose
-  mask keeps every row returns its input arrays, so such joins recur across
-  groups with different predicates.
+  inputs are all table columns runs once per kernel and input arrays.  A
+  filter whose mask keeps every row returns its input arrays, so such joins
+  recur across groups with different predicates;
+* per table, every group that reads the table: the hash build of a
+  table-column build key is made once and lives as long as its table, so a
+  table that several table sets share is built once.
 
-The wall clock bypasses both, since it times every run.
+The wall clock bypasses all three, since it times every run.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ from .rng import derive_seed
 Clock = SimulatedClock | WallClock
 
 SPILL_MULTIPLIER = 3.0   # charged-cost inflation of a node whose working set spills
-BATCH_SIZE = 1024        # probe rows per block of the literal nested loop
+BATCH_SIZE = 255         # build rows per block of the literal nested loop; its
+                         # per-probe-row counts are uint8, so at most 255
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,15 @@ class KernelMemo:
     ``group`` serves calls that share plan and tables, keyed by the path of
     (node, kernel) pairs.  ``table_set`` serves every call over the same
     table objects and holds only outputs computed purely from table
-    columns, each with the arrays that key it by identity.
+    columns, each with the arrays that key it by identity.  ``tables`` maps
+    a table name to the store of outputs computed from that table's columns
+    alone (hash builds), which may outlive the table set; a table without
+    one files them under ``table_set``.
     """
 
     table_set: dict = field(default_factory=dict)
     group: dict = field(default_factory=dict)
+    tables: dict[str, dict] = field(default_factory=dict)
 
 
 def observe(node: PlanNode, n_obs: int) -> RuntimeSignals:
@@ -236,19 +246,23 @@ def _key_table(probe_key: np.ndarray, keys: np.ndarray, build_rows: int,
 def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
                       carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
                       block: int) -> tuple[int, dict[str, np.ndarray]]:
-    """Blocked all-pairs comparison, aggregated eagerly like the hash kernel:
-    each block's matches are counted per probe row and per build row."""
+    """Blocked all-pairs comparison, aggregated eagerly like the hash kernel.
+    A block of `block` build rows is compared with every probe row; its
+    matches per probe row are added up as uint8, which holds a block's count
+    since a block has at most 255 rows, and its matches per build row are
+    counted only when a build column is carried."""
+    if not 1 <= block <= 255:
+        raise ValidationError(f"nested-loop block must be in 1..255 build rows, got {block}")
     probe_key, build_key = _narrow_keys(probe_key, build_key)
     probe_counts = np.zeros(probe_key.size, dtype=np.int64)
     build_counts = np.zeros(build_key.size, dtype=np.int64)
-    for start in range(0, probe_key.size, block):
-        p = probe_key[start:start + block]
-        # row-major flat positions of the block's matches; its compare
-        # matrix is freed here, before the next block allocates its own
-        p_idx, b_idx = np.divmod(np.flatnonzero(p[:, None] == build_key[None, :]),
-                                 build_key.size)
-        probe_counts[start:start + p.size] = np.bincount(p_idx, minlength=p.size)
-        build_counts += np.bincount(b_idx, minlength=build_key.size)
+    for start in range(0, build_key.size, block):
+        # the block's compare matrix is freed here, before the next block
+        # allocates its own
+        eq = build_key[start:start + block, None] == probe_key[None, :]
+        probe_counts += np.add.reduce(eq.view(np.uint8), axis=0, dtype=np.uint8)
+        if build_carried:
+            build_counts[start:start + block] = np.count_nonzero(eq, axis=1)
     weights = {**dict.fromkeys(carried, probe_counts),
                **dict.fromkeys(build_carried, build_counts)}
     return int(probe_counts.sum()), weights
@@ -323,9 +337,10 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     their mode or query seed: each kernel then runs once per node and path of
     kernels (so an aggregate never reuses another join kernel's output).
     Calls that share its ``table_set`` must share the table objects: a join
-    over unfiltered table columns then runs once per kernel and input arrays,
-    and a table-column hash build once.  Later calls get the same output
-    objects.
+    over unfiltered table columns then runs once per kernel and input arrays.
+    A table-column hash build is made once per store of ``tables`` that
+    serves its table, else once per ``table_set``.  Later calls get the same
+    output objects.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -441,8 +456,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                                          BATCH_SIZE)
             build = None
             if store is not None and right_is_table:
-                build = _shared(store, ("build",), (build_key,),
-                                lambda: _hash_build(build_key))
+                build = _shared(memo.tables.get(q.right_table, store), ("build",),
+                                (build_key,), lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, build_carried, build)
 
         def join_work() -> tuple[int, dict[str, np.ndarray]]:

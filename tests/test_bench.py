@@ -506,6 +506,25 @@ def test_join_outputs_freed_before_next_table_is_made(monkeypatch):
     assert alive_at_generate == [0] * 13   # the dim table and 12 fact tables
 
 
+@pytest.mark.parametrize("clock,builds", [(SimulatedClock(sigma=0.05), 1), (WallClock(), 420)],
+                         ids=["simulated", "wall"])
+def test_dim_hash_build_made_once_per_run_on_simulated_clock(monkeypatch, clock, builds):
+    # every fact variant is its own table set, but all of them join the one
+    # dim table, whose hash build lives as long as it does; the wall clock
+    # times every hash join, so each of the 420 makes its own build
+    built = []
+    real_build = engine._hash_build
+
+    def counting_build(build_key):
+        built.append(build_key.size)
+        return real_build(build_key)
+
+    monkeypatch.setattr(engine, "_hash_build", counting_build)
+    scenario = scenario_break_even(seed=1)
+    run_scenario(scenario, clock)
+    assert built == [scenario.dim_spec.row_count] * builds
+
+
 def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):
     # every query drifted 20x: baseline keeps the nested loop, the hooked
     # modes switch to hash; all modes keep the cpu aggregate

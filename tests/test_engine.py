@@ -423,6 +423,25 @@ def test_join_kernel_sums_wrap_like_int64(pair_cap):
                        build_carried=build_carried)
 
 
+@pytest.mark.parametrize("block", [1, 7, 255])
+def test_nested_loop_counts_past_a_uint8_block(block):
+    # the nested loop adds each block's matches per probe row as uint8.  At
+    # block 255 the first block is 255 rows of key 1, the most a uint8 count
+    # holds, and key 2's 600 rows span three blocks, so its probe rows match
+    # more often than one block's count can say
+    build_key = np.concatenate([np.full(255, 1), np.full(600, 2),
+                                np.arange(3, 40)]).astype(np.int64)
+    probe_key = np.array([1, 2, 0, 2, 1, 5, 39, 40, 1], dtype=np.int64)
+    check_join_kernels(probe_key, build_key, 10**9, block=block)
+
+
+@pytest.mark.parametrize("block", [0, -1, 256, 1024])
+def test_nested_loop_block_outside_uint8_count_rejected(block):
+    key = np.zeros(300, dtype=np.int64)
+    with pytest.raises(ValidationError, match="block"):
+        _nested_loop_join(key[:3], key, {}, {}, block)
+
+
 @pytest.mark.parametrize("join", [HASH_JOIN, NESTED_LOOP])
 @pytest.mark.parametrize("aggregate", [CPU, ACCELERATOR])
 def test_wall_clock_times_the_sum_in_the_aggregate(monkeypatch, small_plan, small_tables,
