@@ -309,9 +309,9 @@ class QueryGroup:
     """The queries that share one plan and one set of tables, each with its
     position in query order.  ``store`` is the kernel store of the table set
     (``KernelMemo.table_set``), handed to every group over the same tables.
-    ``tables`` holds each table's own store (``KernelMemo.tables``), handed
-    to every group that reads the table; the fact table's is ``store``, which
-    is emptied after the variant's last group."""
+    ``tables`` (``KernelMemo.tables``) lists only the tables that outlive
+    their table set, here the dim table, each with the store of its hash
+    builds, handed to every group that reads the table."""
 
     queries: list[tuple[int, PreparedQuery]]
     store: dict
@@ -379,7 +379,7 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
             case=scenario.cases[i], plan=plans[plan_key],
             tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
             seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store,
-            tables={scenario.fact_spec.name: store, scenario.dim_spec.name: dim_store})
+            tables={scenario.dim_spec.name: dim_store})
         if last_group[label] == g:
             # empty the store now, whoever still holds it, so that its
             # kernel outputs are freed before the next table is made
@@ -407,11 +407,11 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     table lives only from its first group to its last; rows still come out
     in query order.  On the simulated clock kernel outputs are shared with
     three lifetimes: each group has a memo, dropped before the next group
-    starts; each table set has a store for table-column joins and the fact
-    table's hash builds, which lives as long as the set's fact table; and
-    the dim table has a store for its hash builds, which lives for the whole
-    run.  Result values are cross-checked per query over all modes that
-    completed; any mismatch is a hard failure of the whole run.
+    starts; each table set has a store for table-column joins, which lives
+    as long as the set's fact table; and the dim table, which every hash
+    join builds on, has a store for its hash builds, which lives for the
+    whole run.  Result values are cross-checked per query over all modes
+    that completed; any mismatch is a hard failure of the whole run.
     """
     per_mode_thresholds = thresholds or scenario_thresholds(scenario, base_thresholds)
     engine_config = engine_config or EngineConfig(true_cost_model=scenario.true_model)

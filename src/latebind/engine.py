@@ -131,14 +131,14 @@ class KernelMemo:
     (node, kernel) pairs.  ``table_set`` serves every call over the same
     table objects and holds only outputs computed purely from table
     columns, each with the arrays that key it by identity.  ``tables`` maps
-    a table name to the store of outputs computed from that table's columns
-    alone (hash builds), which may outlive the table set; a table without
-    one files them under ``table_set``.
+    the name of every table a hash join builds on to the store of outputs
+    computed from that table's columns alone (hash builds), which lives as
+    long as the table and so may outlive the table set.
     """
 
-    table_set: dict = field(default_factory=dict)
+    table_set: dict
+    tables: dict[str, dict]
     group: dict = field(default_factory=dict)
-    tables: dict[str, dict] = field(default_factory=dict)
 
 
 def observe(node: PlanNode, n_obs: int) -> RuntimeSignals:
@@ -250,7 +250,14 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
     A block of `block` build rows is compared with every probe row; its
     matches per probe row are added up as uint8, which holds a block's count
     since a block has at most 255 rows, and its matches per build row are
-    counted only when a build column is carried."""
+    counted only when a build column is carried.
+
+    Shape limit: the loop runs once per `block` build rows, however few
+    probe rows there are, so each pass is cheap only while the probe side
+    has hundreds of rows or more, as in every scenario's defaults.  A build
+    side far larger than the probe side (a few fact rows against a large
+    `--dim-rows`) makes thousands of small passes and runs several times
+    slower than blocks of probe rows would."""
     if not 1 <= block <= 255:
         raise ValidationError(f"nested-loop block must be in 1..255 build rows, got {block}")
     probe_key, build_key = _narrow_keys(probe_key, build_key)
@@ -338,9 +345,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     kernels (so an aggregate never reuses another join kernel's output).
     Calls that share its ``table_set`` must share the table objects: a join
     over unfiltered table columns then runs once per kernel and input arrays.
-    A table-column hash build is made once per store of ``tables`` that
-    serves its table, else once per ``table_set``.  Later calls get the same
-    output objects.
+    A table-column hash build is made once per store that ``tables`` names
+    for its table.  Later calls get the same output objects.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -456,8 +462,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                                          BATCH_SIZE)
             build = None
             if store is not None and right_is_table:
-                build = _shared(memo.tables.get(q.right_table, store), ("build",),
-                                (build_key,), lambda: _hash_build(build_key))
+                build = _shared(memo.tables[q.right_table], ("build",), (build_key,),
+                                lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, build_carried, build)
 
         def join_work() -> tuple[int, dict[str, np.ndarray]]:
