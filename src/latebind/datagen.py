@@ -1,12 +1,16 @@
 """Deterministic synthetic tables and controlled drift.
 
-Tables are columnar int64 vectors generated from a seed via SplitMix64
+Tables are columnar integer vectors generated from a seed via SplitMix64
 (see rng module), so identical (spec, seed) pairs are bitwise identical on
-any machine.  Drift produces a *new* table one generation later whose
-columns are a fresh deterministic sample of the drifted distribution
-(scaled row count, shifted value domain, optionally replaced skew); the
-input table is never mutated.  Statistics captured before a drift therefore
-describe a distribution the drifted table no longer follows.
+any machine.  Each column is stored in the narrowest of int8, int16, int32
+and int64 that holds its spec's [low, high] (column_dtype): the width
+follows from the spec alone, never from the values drawn, and the values
+are those of an int64 draw.  Drift produces a *new* table one generation
+later whose columns are a fresh deterministic sample of the drifted
+distribution (scaled row count, shifted value domain, optionally replaced
+skew); the input table is never mutated.  Statistics captured before a
+drift therefore describe a distribution the drifted table no longer
+follows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .rng import INT64_MAX, INT64_MIN, Stream, derive_seed
+from .rng import INT64_MAX, INT64_MIN, SIGNED_BOUNDS, Stream, derive_seed
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
@@ -81,6 +85,9 @@ class TableSpec:
 
 @dataclass(frozen=True)
 class Table:
+    """One generation of a table: an array per column of the spec, in that
+    column's column_dtype, so readers must take any signed integer width."""
+
     spec: TableSpec
     generation: int
     columns: dict[str, np.ndarray] = field(repr=False)
@@ -125,20 +132,33 @@ def _zipf_cdf(domain_size: int, skew: float) -> np.ndarray:
         ranks = np.arange(1, domain_size + 1, dtype=np.float64)
         weights = ranks ** (-skew)
         cached = np.cumsum(weights) / weights.sum()
+        # the rounded sum may end a step below 1, where a draw of u = 1 - 2**-53
+        # would land past the domain; every u is below 1, so no other draw moves
+        cached[-1] = 1.0
         _zipf_cdf_cache[key] = cached
     return cached
 
 
+def column_dtype(col: ColumnSpec) -> np.dtype:
+    """The narrowest signed integer type that holds col's [low, high]."""
+    for dtype, (low, high) in SIGNED_BOUNDS.items():
+        if low <= col.low and col.high <= high:
+            return dtype
+    raise ValidationError(f"column {col.name}: range [{col.low}, {col.high}] exceeds int64")
+
+
 def _sample_column(col: ColumnSpec, rows: int, stream: Stream) -> np.ndarray:
+    dtype = column_dtype(col)
     if rows == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     if col.distribution == UNIFORM:
-        return stream.integers(col.low, col.high, rows)
-    # zipf: rank 1 (most frequent) maps to the low end of the domain
+        return stream.integers(col.low, col.high, rows, dtype)
+    # zipf: rank 1 (most frequent) maps to the low end of the domain; ranks
+    # are added to low at int64 width, where the domain's every value fits
     cdf = _zipf_cdf(col.high - col.low + 1, col.skew)
     u = stream.unit(rows)
     ranks = np.searchsorted(cdf, u, side="right")
-    return (ranks + col.low).astype(np.int64)
+    return np.add(ranks, col.low, dtype=np.int64).astype(dtype, copy=False)
 
 
 def generate_table(spec: TableSpec, seed: int) -> Table:

@@ -8,7 +8,9 @@ accelerator amortization risk from the active thresholds) and asks the
 policy for one decision per the execution mode.  Baseline never consults
 the policy.  Memory is accounted, not decided on: a working set above the
 budget is charged the spill multiplier, and one above the hard cap fails
-the query.
+the query.  Memory is part of the simulated cost model, so it is charged
+at int64 width, VALUE_BYTES per value, whatever integer type a column is
+stored in; spills and failures do not depend on how narrow the tables are.
 
 Costs are charged through the pluggable clock from the *true* cost model at
 observed cardinalities; which formula applies is exactly the executed
@@ -74,6 +76,7 @@ from .rng import derive_seed
 Clock = SimulatedClock | WallClock
 
 SPILL_MULTIPLIER = 3.0   # charged-cost inflation of a node whose working set spills
+VALUE_BYTES = 8          # bytes charged per column value: int64, whatever the dtype
 BATCH_SIZE = 255         # build rows per block of the literal nested loop; its
                          # per-probe-row counts are uint8, so at most 255
 
@@ -227,7 +230,8 @@ def _key_table(probe_key: np.ndarray, keys: np.ndarray, build_rows: int,
         span = kmax - kmin + 1
         if span <= probe_key.size + build_rows:
             # dense build key: key kmin + k sits at k + 1, between two empty
-            # ends.  Offsets wrap mod 2**64, and a wrapped offset is never in
+            # ends.  Offsets are taken at int64 width, whatever the keys'
+            # width; they wrap mod 2**64, and a wrapped offset is never in
             # [1, span], so every key outside [kmin, kmax] clips to an end.
             at = probe_key - np.int64(kmin)
             at += 1
@@ -277,7 +281,8 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
 
 def _output_sum(col: np.ndarray, weights: np.ndarray) -> int:
     """col's int64 sum over a join output that holds its row i weights[i]
-    times, wrapping as the sum of the materialized output does."""
+    times, wrapping as the sum of the materialized output does; a narrow
+    column is widened first, so the products cannot wrap at its width."""
     return int(np.dot(col.astype(np.int64, copy=False), weights))
 
 
@@ -372,7 +377,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     charged_total = 0.0
 
     def bytes_of(cols: dict[str, np.ndarray]) -> int:
-        return sum(arr.nbytes for arr in cols.values())
+        return VALUE_BYTES * sum(arr.size for arr in cols.values())
 
     def run_node(node: PlanNode, variant: str, cards: tuple[float, ...],
                  n_obs: int, decisions: tuple[str, ...],
@@ -476,7 +481,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         extra = bytes_of(right) if variant == HASH_JOIN else 0
         # the join output is charged as if materialized: a row of every
         # carried column per output row
-        row_bytes = sum(col.itemsize for col in (*carried.values(), *build_carried.values()))
+        row_bytes = VALUE_BYTES * (len(carried) + len(build_carried))
         n_join, join_weights = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe, decisions,
             kernel=join_work, kernel_name=kernel_name, extra_bytes=extra,

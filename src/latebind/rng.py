@@ -17,6 +17,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+# the signed integer types a draw may be stored in, narrowest first, with
+# the least and greatest value of each
+SIGNED_BOUNDS = {np.dtype(t): (int(np.iinfo(t).min), int(np.iinfo(t).max))
+                 for t in (np.int8, np.int16, np.int32, np.int64)}
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # numpy deliberately wraps uint64 arithmetic mod 2**64; silence its warnings
@@ -105,18 +109,28 @@ class Stream:
         self._pos += count
         return out
 
-    def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        """Uniform int64 in [low, high] inclusive, both within int64.
+    def integers(self, low: int, high: int, count: int,
+                 dtype: np.dtype = np.dtype(np.int64)) -> np.ndarray:
+        """Uniform integers in [low, high] inclusive, as `dtype`: a signed
+        integer type (SIGNED_BOUNDS) that holds both bounds, int64 by default.
 
         Uses modulo reduction; the bias is O(range / 2**64), irrelevant for
         the integer domains used here.  A range of all 2**64 values takes
         each draw as it is.  The remainder is taken as x - (x // m) * m,
-        which equals x % m for uint64 and runs faster in numpy.
+        which equals x % m for uint64 and runs faster in numpy.  A narrower
+        `dtype` keeps only the remainder's low bits, by one contiguous cast
+        (cheaper than writing the subtraction at that width through numpy's
+        casting buffers); adding `low` at that width wraps back into [low,
+        high], so the values equal the int64 draw's.
         """
+        dtype = np.dtype(dtype)
         if high < low:
             raise ValueError(f"empty range [{low}, {high}]")
-        if low < INT64_MIN or high > INT64_MAX:
-            raise ValueError(f"range [{low}, {high}] exceeds int64")
+        if dtype not in SIGNED_BOUNDS:
+            raise ValueError(f"{dtype} is not a signed integer type")
+        type_low, type_high = SIGNED_BOUNDS[dtype]
+        if low < type_low or high > type_high:
+            raise ValueError(f"range [{low}, {high}] exceeds {dtype}")
         vals = self.u64(count)
         if high - low < _MASK:
             m = np.uint64(high - low + 1)
@@ -124,7 +138,9 @@ class Stream:
                 q = vals // m
                 q *= m
                 vals -= q
-        # the view reads the bits as astype(np.int64) would convert them
-        vals = vals.view(np.int64)
-        vals += np.int64(low)
+        if dtype.itemsize < vals.itemsize:
+            vals = vals.astype(f"u{dtype.itemsize}")
+        # the view reads the bits as astype(dtype) would convert them
+        vals = vals.view(dtype)
+        vals += dtype.type(low)
         return vals

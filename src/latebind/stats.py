@@ -105,8 +105,10 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
         if span <= n and -_FLOAT_EXACT <= lo and hi < _FLOAT_EXACT:
             # dense domain: a count per value in place of a sort.  below[k]
             # counts the values under lo + k, and an integer is under an edge
-            # exactly when it is under the edge's ceiling
-            freq = np.bincount(values - lo if lo else values, minlength=span)
+            # exactly when it is under the edge's ceiling.  Offsets from lo
+            # are taken at int64 width: they may not fit the column's type
+            freq = np.bincount(np.subtract(values, lo, dtype=np.int64) if lo else values,
+                               minlength=span)
             ndv = int(np.count_nonzero(freq))
             below = np.zeros(span + 1, dtype=np.int64)
             np.cumsum(freq, out=below[1:])
@@ -119,8 +121,8 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
             # the outer edges stand for lo and hi + 1, so the counts sum to n
             ceilings = [math.ceil(e) for e in edges[1:-1].tolist()]
             inner = np.searchsorted(ordered, np.array([min(max(c, lo), hi) for c in ceilings],
-                                                      dtype=np.int64))
-            inner[[c > hi for c in ceilings]] = n  # the clamp kept these in int64
+                                                      dtype=ordered.dtype))
+            inner[[c > hi for c in ceilings]] = n  # the clamp kept these in the column's type
             counts = np.diff([0, *inner, n])
         cols[name] = ColumnStats(
             column=name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,

@@ -5,9 +5,10 @@ import statistics
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from latebind import bench, engine
+from latebind import bench, datagen, engine
 from latebind.bench import (BREAK_EVEN, INPUT_SCALE_SHIFT, STALE_STATS, LatencyReport,
                             SampleRow, build_report, cdf_points, compare_reports,
                             percentile, report_emit, run_scenario, scenario_break_even,
@@ -308,6 +309,61 @@ def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build, config, reorde
             [case.query_id for case in scenario.cases]
     if config is not None:
         assert 0 < sum(spilled) < len(spilled)
+
+
+def run_at_both_widths(monkeypatch, make_scenario, config=None) -> list[tuple]:
+    """run_scenario with each column at its narrowest width, then with every
+    column forced to int64: per run, the reports, each execution's (spilled,
+    failed), and the dtypes of the columns the executions read."""
+    real_execute = bench.execute
+    outcomes: list[tuple[bool, bool]] = []
+    dtypes: set[str] = set()
+
+    def recording_execute(plan, tables, *args, **kwargs):
+        dtypes.update(str(col.dtype) for t in tables.values() for col in t.columns.values())
+        result, trace = real_execute(plan, tables, *args, **kwargs)
+        outcomes.append((any(record.spilled for record in trace.records), trace.failed))
+        return result, trace
+
+    monkeypatch.setattr(bench, "execute", recording_execute)
+    runs = []
+    for force_int64 in (False, True):
+        if force_int64:
+            monkeypatch.setattr(datagen, "column_dtype", lambda col: np.dtype(np.int64))
+        outcomes.clear()
+        dtypes.clear()
+        reports = run_scenario(make_scenario(), SimulatedClock(), engine_config=config)
+        runs.append((reports, list(outcomes), set(dtypes)))
+    return runs
+
+
+@pytest.mark.parametrize("seed", [1, 100001, 200001])
+@pytest.mark.parametrize("build", [scenario_input_scale_shift, scenario_stale_stats,
+                                   scenario_break_even],
+                         ids=[INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN])
+def test_narrow_columns_leave_reports_unchanged(monkeypatch, build, seed):
+    (narrow, _, narrow_dtypes), (wide, _, wide_dtypes) = \
+        run_at_both_widths(monkeypatch, lambda: build(seed=seed))
+    assert "int64" not in narrow_dtypes and wide_dtypes == {"int64"}
+    assert narrow == wide
+
+
+@pytest.mark.parametrize("make_scenario,config,spills,failures", [
+    # 63 of 120 stale_stats executions spill and none fails
+    (lambda: scenario_stale_stats(seed=3, query_count=40),
+     EngineConfig(memory_budget_bytes=768 * 1024), 63, 0),
+    # 15 queries fail in each of the 3 modes; 21 executions spill
+    (lambda: scenario_input_scale_shift(seed=1, query_count=100),
+     EngineConfig(memory_budget_bytes=64 * 1024), 21, 45),
+], ids=["stale_stats_spilling", "input_scale_shift_failing"])
+def test_memory_outcomes_do_not_depend_on_column_width(monkeypatch, make_scenario, config,
+                                                       spills, failures):
+    (narrow, narrow_outcomes, _), (wide, wide_outcomes, _) = \
+        run_at_both_widths(monkeypatch, make_scenario, config)
+    assert narrow == wide
+    assert narrow_outcomes == wide_outcomes
+    assert sum(spilled for spilled, _ in narrow_outcomes) == spills
+    assert sum(failed for _, failed in narrow_outcomes) == failures
 
 
 def count_join_kernels(monkeypatch) -> tuple[list, list]:

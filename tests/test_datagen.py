@@ -7,10 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from latebind.datagen import (MAX_ZIPF_DOMAIN, ColumnSpec, DistributionChange, DriftSpec,
-                              TableSpec, apply_drift, dump_table_csv, generate_table,
-                              table_spec_from_json)
+from latebind import datagen
+from latebind.datagen import (MAX_ZIPF_DOMAIN, ZIPF, ColumnSpec, DistributionChange,
+                              DriftSpec, TableSpec, _zipf_cdf, apply_drift, column_dtype,
+                              dump_table_csv, generate_table, table_spec_from_json)
 from latebind.errors import ValidationError
+from latebind.rng import SIGNED_BOUNDS
+
+WIDTHS = tuple(SIGNED_BOUNDS)   # column types, narrowest first
 
 
 def uniform_spec(rows: int, low: int = 0, high: int = 99, name: str = "t") -> TableSpec:
@@ -198,3 +202,62 @@ def test_int64_limit_ranges_generate(low, high):
     assert low <= int(values.min()) and int(values.max()) <= high
     if high - low >= 2**63:
         assert int(values.min()) < 0 < int(values.max())
+
+
+@pytest.mark.parametrize("dtype", WIDTHS)
+def test_width_rule_at_each_dtype_limit(dtype):
+    info = np.iinfo(dtype)
+    assert column_dtype(ColumnSpec("a", info.min, info.max)) == dtype
+    wider = WIDTHS[WIDTHS.index(dtype) + 1:]
+    for low, high in ((info.min - 1, info.max), (info.min, info.max + 1)):
+        col = ColumnSpec("a", low, high)
+        if wider:
+            assert column_dtype(col) == wider[0]
+        else:
+            with pytest.raises(ValidationError, match="exceeds int64"):
+                column_dtype(col)
+
+
+# one column per width, uniform and zipf, at and near the types' limits
+NARROW_SPEC = TableSpec("t", 3000, (
+    ColumnSpec("a", -128, 127), ColumnSpec("b", 0, 999),
+    ColumnSpec("c", -100, 100, ZIPF, 1.1), ColumnSpec("d", 32767 - 40, 32767, ZIPF, 0.6),
+    ColumnSpec("e", -2**31, 2**31 - 1), ColumnSpec("f", 2**31 - 1, 2**31 + 5)))
+
+
+def test_narrow_columns_hold_the_int64_values(monkeypatch):
+    # a drift of -20 widens a, narrows f, and keeps the others' widths
+    drift = DriftSpec(scale_factor=0.5, domain_shift=-20)
+    narrow = generate_table(NARROW_SPEC, seed=3)
+    narrow_drifted = apply_drift(narrow, drift, seed=4)
+    monkeypatch.setattr(datagen, "column_dtype", lambda col: np.dtype(np.int64))
+    wide = generate_table(NARROW_SPEC, seed=3)
+    wide_drifted = apply_drift(wide, drift, seed=4)
+    widths = {"t": dict(a="int8", b="int16", c="int8", d="int16", e="int32", f="int64"),
+              "drifted": dict(a="int16", b="int16", c="int8", d="int16", e="int64",
+                              f="int32")}
+    for label, got, want in (("t", narrow, wide), ("drifted", narrow_drifted, wide_drifted)):
+        assert {name: str(col.dtype) for name, col in got.columns.items()} == widths[label]
+        assert all(col.dtype == np.int64 for col in want.columns.values())
+        for spec in got.spec.columns:
+            values = got.column(spec.name).tolist()
+            assert values == want.column(spec.name).tolist(), (label, spec.name)
+            assert spec.low <= min(values) and max(values) <= spec.high
+
+
+def test_drift_to_wider_domain_picks_wider_type():
+    t = generate_table(TableSpec("t", 500, (ColumnSpec("a", 0, 100),)), seed=5)
+    assert t.column("a").dtype == np.int8
+    shifted = apply_drift(t, DriftSpec(domain_shift=100), seed=6).column("a")
+    assert shifted.dtype == np.int16
+    assert 100 <= shifted.min() and 127 < shifted.max() <= 200
+
+
+def test_zipf_cdf_ends_at_one():
+    # the rounded sum ends a step below 1 here, where u = 1 - 2**-53 would
+    # draw rank 17 of 16: high + 1, which wraps at a type's maximum
+    weights = np.arange(1, 17, dtype=np.float64) ** -1.1
+    assert (np.cumsum(weights) / weights.sum())[-1] == 1 - 2**-53
+    cdf = _zipf_cdf(16, 1.1)
+    assert cdf[-1] == 1.0
+    assert np.searchsorted(cdf, 1 - 2**-53, "right") == 15

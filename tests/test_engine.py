@@ -197,6 +197,31 @@ def test_spill_inflates_charged_cost(small_plan, small_tables, default_model):
     assert spill_join.charged_cost == pytest.approx(3.0 * base_join.charged_cost)
 
 
+def int64_copies(tables: dict) -> dict:
+    return {name: dataclasses.replace(t, columns={col: values.astype(np.int64)
+                                                  for col, values in t.columns.items()})
+            for name, t in tables.items()}
+
+
+@pytest.mark.parametrize("budget,factor,outcome", [
+    (1200, 1000.0, "spill"), (64, 1.0, "fail"), (64 * 1024 * 1024, 4.0, "none")])
+@pytest.mark.parametrize("join", [HASH_JOIN, NESTED_LOOP])
+def test_memory_charged_at_int64_width(small_plan, small_tables, budget, factor, outcome,
+                                       join):
+    # the small tables are int8; charged at their own width they would not
+    # spill at 1200 bytes (a scan of 50 rows by 2 columns holds 100 bytes)
+    assert {col.dtype for t in small_tables.values() for col in t.columns.values()} == \
+        {np.dtype(np.int8)}
+    config = EngineConfig(memory_budget_bytes=budget, hard_memory_factor=factor)
+    narrow, wide = (execute(forced(small_plan, join=join), tables, BASELINE, Thresholds(),
+                            SimulatedClock(sigma=0.05), seed=8, config=config)
+                    for tables in (small_tables, int64_copies(small_tables)))
+    assert narrow == wide
+    trace = narrow[1]
+    assert (trace.failed, any(r.spilled for r in trace.records)) == \
+        (outcome == "fail", outcome == "spill")
+
+
 def test_concurrent_queries_match_sequential(small_plan, small_tables, default_model):
     from concurrent.futures import ThreadPoolExecutor
 
@@ -421,6 +446,39 @@ def test_join_kernel_sums_wrap_like_int64(pair_cap):
         assert not -2**63 <= sum(col[idx].tolist()) < 2**63
     check_join_kernels(probe_key, build_key, pair_cap, block=7, carried=carried,
                        build_carried=build_carried)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+@pytest.mark.parametrize("build", ["dense", "sparse"])
+@pytest.mark.parametrize("pair_cap", [10**9, 0], ids=["literal", "above_cap"])
+def test_join_kernels_take_narrow_columns(dtype, build, pair_cap):
+    # keys at both limits of the type, so key offsets leave its range, and
+    # carried values at its maximum, so the sums do; a dense build key sits
+    # at the type's maximum and the probe keys reach its minimum
+    info = np.iinfo(dtype)
+    stream = Stream(fnv1a64(f"{np.dtype(dtype)}/{build}"))
+    keys = np.array([info.min, info.min + 1, -1, 0, info.max - 1, info.max], dtype=dtype)
+    probe_key = keys[stream.integers(0, 5, 40)]
+    build_key = (stream.integers(info.max - 3, info.max, 30, dtype) if build == "dense"
+                 else keys[stream.integers(1, 5, 30)])
+    carried = {"v": np.full(40, info.max, dtype=dtype),
+               "u": stream.integers(info.min, info.max, 40, dtype)}
+    build_carried = {"w": stream.integers(info.min, info.max, 30, dtype)}
+    check_join_kernels(probe_key, build_key, pair_cap, block=7, carried=carried,
+                       build_carried=build_carried)
+
+    def wide(cols: dict) -> dict:
+        return {name: col.astype(np.int64) for name, col in cols.items()}
+
+    for kernel in (_hash_join, lambda *args: _nested_loop_join(*args, block=7)):
+        rows, weights = kernel(probe_key, build_key, carried, build_carried)
+        wide_rows, wide_weights = kernel(probe_key.astype(np.int64), build_key.astype(np.int64),
+                                         wide(carried), wide(build_carried))
+        assert rows == wide_rows
+        for name, col in {**carried, **build_carried}.items():
+            np.testing.assert_array_equal(weights[name], wide_weights[name])
+            assert _output_sum(col, weights[name]) == \
+                _output_sum(col.astype(np.int64), wide_weights[name])
 
 
 @pytest.mark.parametrize("block", [1, 7, 255])

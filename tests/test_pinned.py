@@ -54,18 +54,19 @@ SCENARIOS = {bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
 
 
 def tables_digest(tables: list[Table]) -> str:
+    """sha256 of the tables' values at int64 width, whatever width each column
+    is stored at, so the digests pinned for all-int64 tables still hold."""
     h = hashlib.sha256()
     for t in tables:
         for name, col in t.columns.items():
-            h.update(f"{t.name}/{t.generation}/{t.row_count}/{name}/{col.dtype.str}\n"
-                     .encode())
-            h.update(col.tobytes())
+            h.update(f"{t.name}/{t.generation}/{t.row_count}/{name}/<i8\n".encode())
+            h.update(col.astype("<i8").tobytes())
     return h.hexdigest()
 
 
-@pinned_platform
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_generated_tables_match_pinned_digests(scenario):
+def seed1_tables(scenario: str) -> tuple[Table, Table, list[Table]]:
+    """The seed-1 dim table, base fact table and every other fact variant
+    (drift variants first, each in the order the scenario declares them)."""
     s = SCENARIOS[scenario](seed=1)
     # the tables the prepared queries carry, by fact variant
     queries = bench.scenario_queries(s)
@@ -75,9 +76,52 @@ def test_generated_tables_match_pinned_digests(scenario):
     # break_even's queries read no base table, so none is made for them
     base = facts.pop(bench.BASE_VARIANT, None) or bench._fact_table(s, bench.BASE_VARIANT, None)
     assert sorted(facts) == sorted((*s.drifts, *s.size_variants))
-    others = [facts[label] for label in (*s.drifts, *s.size_variants)]
+    return dim, base, [facts[label] for label in (*s.drifts, *s.size_variants)]
+
+
+@pinned_platform
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_generated_tables_match_pinned_digests(scenario):
+    dim, base, others = seed1_tables(scenario)
     got = (tables_digest([dim]), tables_digest([base]), tables_digest(others))
     assert got == TABLE_DIGESTS[scenario]
+
+
+# each column's dtype: the narrowest signed type of its spec's [low, high].
+# (dim, base fact, every other fact variant); stale_stats' drift shifts the
+# filter column a from [0, 99] to [100, 199]
+TABLE_DTYPES = {
+    bench.INPUT_SCALE_SHIFT: ({"pk": "int16"}, {"fk": "int16", "v": "int16"},
+                              {"fk": "int16", "v": "int16"}),
+    bench.STALE_STATS: ({"pk": "int16"}, {"a": "int8", "fk": "int16", "v": "int16"},
+                        {"a": "int16", "fk": "int16", "v": "int16"}),
+    bench.BREAK_EVEN: ({"pk": "int16"}, {"fk": "int16", "v": "int16"},
+                       {"fk": "int16", "v": "int16"}),
+}
+
+
+def column_dtypes(table: Table) -> dict[str, str]:
+    return {name: str(col.dtype) for name, col in table.columns.items()}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_generated_tables_take_narrowest_dtypes(scenario):
+    dim, base, others = seed1_tables(scenario)
+    want_dim, want_base, want_other = TABLE_DTYPES[scenario]
+    assert column_dtypes(dim) == want_dim
+    assert column_dtypes(base) == want_base
+    assert all(column_dtypes(t) == want_other for t in others)
+
+
+def test_break_even_fact_tables_hold_two_bytes_per_value():
+    # the 200 seed-1 fact tables hold 4,328,711 rows of fk and v, both in
+    # [0, 999]: 17.3 MB at int16 where int64 took 69.3 MB
+    queries = bench.scenario_queries(bench.scenario_break_even(seed=1))
+    facts = {id(t): t for t in (query.tables["fact"] for query in queries)}
+    assert len(facts) == 200
+    values = sum(col.size for t in facts.values() for col in t.columns.values())
+    assert values == 2 * 4_328_711
+    assert sum(col.nbytes for t in facts.values() for col in t.columns.values()) == 2 * values
 
 
 @pinned_platform

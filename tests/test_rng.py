@@ -112,3 +112,27 @@ def test_derive_seed_distinct_labels():
 def test_fnv1a64_known_value():
     # FNV-1a of empty input is the offset basis
     assert fnv1a64("") == 0xCBF29CE484222325
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_narrow_integers_equal_int64_draws(dtype):
+    # the remainder keeps only its low bits, and adding low at the narrow
+    # width wraps back into [low, high], so the values are the int64 draw's
+    # even where the span or a remainder passes the type's maximum
+    info = np.iinfo(dtype)
+    for low, high in ((info.min, info.max), (info.min, info.min), (info.max, info.max),
+                      (info.min, 0), (0, info.max), (info.min + 1, info.max - 1), (-3, 3)):
+        got = Stream(31).integers(low, high, 257, dtype)
+        assert got.dtype == dtype
+        assert got.tolist() == Stream(31).integers(low, high, 257).tolist()
+        assert Stream(31).integers(low, high, 0, dtype).dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_integers_reject_bounds_outside_dtype(dtype):
+    info = np.iinfo(dtype)
+    for low, high in ((info.min - 1, 0), (0, info.max + 1)):
+        with pytest.raises(ValueError, match=f"exceeds {np.dtype(dtype)}"):
+            Stream(1).integers(low, high, 1, dtype)
+    with pytest.raises(ValueError, match="uint8 is not a signed integer type"):
+        Stream(1).integers(0, 9, 1, np.uint8)

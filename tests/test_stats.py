@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latebind.clock import SimulatedClock
-from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, TableSpec,
+from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                               apply_drift, generate_table)
 from latebind.engine import execute
 from latebind.errors import ValidationError
@@ -132,6 +132,35 @@ def test_capture_matches_sorted_reference(case, buckets):
     got = capture_statistics(table_from_arrays("t", a=values), buckets=buckets).column("a")
     assert got == sorted_column_stats("a", values, buckets)
     assert sum(got.bucket_counts) == values.size
+
+
+@pytest.mark.parametrize("rows", [70_000, 5_000], ids=["dense", "sorted"])
+@pytest.mark.parametrize("buckets", [1, 32])
+def test_int16_capture_equals_its_int64_copy(rows, buckets):
+    # values - lo reaches 60,000, past int16: the dense path counts per value
+    # at int64 width, and the sorted path searches at the column's own width
+    values = Stream(16).integers(-30000, 30000, rows, np.int16)
+    values[:2] = (-30000, 30000)
+    spec = TableSpec("t", rows, (ColumnSpec("a", -30000, 30000),))
+    stats = [capture_statistics(Table(spec=spec, generation=0, columns={"a": col}),
+                                buckets=buckets)
+             for col in (values, values.astype(np.int64))]
+    assert stats[0] == stats[1]
+    assert (60_001 <= rows) == (rows == 70_000)
+    assert stats[0].column("a") == sorted_column_stats("a", values.astype(np.int64), buckets)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_predicate_masks_take_constants_beyond_the_column_type(dtype):
+    info = np.iinfo(dtype)
+    values = np.array([info.min, -1, 0, 1, info.max], dtype=dtype)
+    wide = values.astype(np.int64)
+    for constant in (info.min - 1, info.min, 0, info.max, info.max + 1, 2**40, -2**63,
+                     2**63 - 1):
+        for comparison in ("<", "<=", "=", ">=", ">"):
+            pred = Predicate("a", comparison, constant)
+            np.testing.assert_array_equal(pred.mask(values), pred.mask(wide),
+                                          err_msg=str(pred))
 
 
 def test_captured_generation_tracks_drift():
