@@ -56,6 +56,11 @@ SCENARIO_NAMES = (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN)
 
 BASE_VARIANT = "base"
 
+# every scenario joins fact.fk to dim.pk and sums fact.v
+LEFT_KEY = "fk"
+RIGHT_KEY = "pk"
+AGGREGATE = AggSpec("sum", "v")
+
 
 @dataclass(frozen=True)
 class QueryCase:
@@ -68,13 +73,9 @@ class QueryCase:
 class Scenario:
     name: str
     seed: int
-    query_count: int
     modes: tuple[str, ...]
     fact_spec: TableSpec
     dim_spec: TableSpec
-    left_key: str
-    right_key: str
-    aggregate: AggSpec
     cases: list[QueryCase]
     drifts: dict[str, DriftSpec] = field(default_factory=dict)
     size_variants: dict[str, int] = field(default_factory=dict)
@@ -86,8 +87,8 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValidationError(f"unknown scenario {self.name!r}")
-        if self.query_count < 1:
-            raise ValidationError("query_count must be >= 1")
+        if not self.cases:
+            raise ValidationError("a scenario needs at least one query")
         for m in self.modes:
             if m not in MODES:
                 raise ValidationError(f"unknown mode {m!r}")
@@ -179,10 +180,8 @@ def scenario_input_scale_shift(seed: int = 1, query_count: int = 200,
         variant = f"x{scales[pick]:g}" if drifted else BASE_VARIANT
         cases.append(QueryCase(query_id=f"q{i:03d}", fact_variant=variant))
     return Scenario(
-        name=INPUT_SCALE_SHIFT, seed=seed, query_count=query_count, modes=modes,
-        fact_spec=fact, dim_spec=dim, left_key="fk", right_key="pk",
-        aggregate=AggSpec("sum", "v"), cases=cases, drifts=drifts,
-        planner_model=model, true_model=model)
+        name=INPUT_SCALE_SHIFT, seed=seed, modes=modes, fact_spec=fact, dim_spec=dim,
+        cases=cases, drifts=drifts, planner_model=model, true_model=model)
 
 
 def scenario_stale_stats(seed: int = 1, query_count: int = 200,
@@ -210,10 +209,8 @@ def scenario_stale_stats(seed: int = 1, query_count: int = 200,
         cases.append(QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
                                predicate=Predicate("a", ">=", c)))
     return Scenario(
-        name=STALE_STATS, seed=seed, query_count=query_count, modes=modes,
-        fact_spec=fact, dim_spec=dim, left_key="fk", right_key="pk",
-        aggregate=AggSpec("sum", "v"), cases=cases,
-        drifts={"drifted": drift}, planner_model=model, true_model=model,
+        name=STALE_STATS, seed=seed, modes=modes, fact_spec=fact, dim_spec=dim,
+        cases=cases, drifts={"drifted": drift}, planner_model=model, true_model=model,
         stats_roundtrip=True)
 
 
@@ -244,9 +241,8 @@ def scenario_break_even(seed: int = 1, query_count: int = 200,
         size_variants[label] = n
         cases.append(QueryCase(query_id=f"q{i:03d}", fact_variant=label))
     return Scenario(
-        name=BREAK_EVEN, seed=seed, query_count=query_count, modes=modes,
-        fact_spec=fact, dim_spec=dim, left_key="fk", right_key="pk",
-        aggregate=AggSpec("sum", "v"), cases=cases, size_variants=size_variants,
+        name=BREAK_EVEN, seed=seed, modes=modes, fact_spec=fact, dim_spec=dim,
+        cases=cases, size_variants=size_variants,
         planner_model=planner_model, true_model=true_model,
         fresh_stats_per_variant=True)
 
@@ -321,7 +317,7 @@ class QueryGroup:
 def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     """Prepare the scenario's queries group by group, in order of first
     appearance; a group is the cases that share a fact table variant and a
-    plan.
+    predicate, and its plan is made when the group starts.
 
     A variant's table, with its fresh statistics if the scenario takes them,
     is made at the variant's first group and dropped after its last, when
@@ -334,11 +330,11 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     seed = scenario.seed
     fresh = scenario.fresh_stats_per_variant
     # the columns plans read: join keys for ndv, filter columns for histograms
-    fact_columns = {scenario.left_key,
+    fact_columns = {LEFT_KEY,
                     *(case.predicate.column for case in scenario.cases if case.predicate)}
     dim = generate_table(scenario.dim_spec, derive_seed(seed, "table/dim"))
     dim_store: dict = {}
-    dim_stats = capture_statistics(dim, columns=(scenario.right_key,))
+    dim_stats = capture_statistics(dim, columns=(RIGHT_KEY,))
     base = base_stats = None
     if (not fresh or scenario.drifts
             or any(case.fact_variant == BASE_VARIANT for case in scenario.cases)):
@@ -350,33 +346,27 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
         if base_stats is not None:
             base_stats = _roundtrip(base_stats)
 
-    # (fact variant, plan key) -> query positions; a plan is keyed by the
-    # table its statistics describe and the predicate
-    groups: dict[tuple[str, tuple[str, str]], list[int]] = {}
+    # (fact variant, predicate text) -> query positions
+    groups: dict[tuple[str, str], list[int]] = {}
     for i, case in enumerate(scenario.cases):
-        plan_key = (case.fact_variant if fresh else BASE_VARIANT, str(case.predicate))
-        groups.setdefault((case.fact_variant, plan_key), []).append(i)
+        groups.setdefault((case.fact_variant, str(case.predicate)), []).append(i)
     last_group = {label: g for g, (label, _) in enumerate(groups)}
 
     live: dict[str, tuple[Table, Optional[TableStats], dict]] = {}  # table, stats, store
-    plans: dict[tuple[str, str], AnnotatedPlan] = {}
-    for g, ((label, plan_key), members) in enumerate(groups.items()):
+    for g, ((label, _), members) in enumerate(groups.items()):
         if label not in live:
             table = base if label == BASE_VARIANT else _fact_table(scenario, label, base)
             stats = capture_statistics(table, columns=fact_columns) if fresh else base_stats
             live[label] = (table, stats, {})
         table, fact_stats, store = live[label]
-        if plan_key not in plans:
-            query = Query(
-                left_table=scenario.fact_spec.name, right_table=scenario.dim_spec.name,
-                left_key=scenario.left_key, right_key=scenario.right_key,
-                aggregate=scenario.aggregate,
-                left_filter=scenario.cases[members[0]].predicate)
-            plans[plan_key] = build_plan(query, {fact_stats.table: fact_stats,
-                                                 dim_stats.table: dim_stats},
-                                         scenario.planner_model)
+        query = Query(
+            left_table=scenario.fact_spec.name, right_table=scenario.dim_spec.name,
+            left_key=LEFT_KEY, right_key=RIGHT_KEY, aggregate=AGGREGATE,
+            left_filter=scenario.cases[members[0]].predicate)
+        plan = build_plan(query, {fact_stats.table: fact_stats, dim_stats.table: dim_stats},
+                          scenario.planner_model)
         yield QueryGroup(queries=[(i, PreparedQuery(
-            case=scenario.cases[i], plan=plans[plan_key],
+            case=scenario.cases[i], plan=plan,
             tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
             seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store,
             tables={scenario.dim_spec.name: dim_store})
@@ -414,9 +404,8 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     that completed; any mismatch is a hard failure of the whole run.
     """
     per_mode_thresholds = thresholds or scenario_thresholds(scenario, base_thresholds)
-    engine_config = engine_config or EngineConfig(true_cost_model=scenario.true_model)
-    if engine_config.true_cost_model is None:
-        engine_config = replace(engine_config, true_cost_model=scenario.true_model)
+    config = engine_config or EngineConfig()
+    config = replace(config, true_cost_model=config.true_cost_model or scenario.true_model)
 
     rows: dict[str, list[SampleRow]] = {mode: [None] * len(scenario.cases)
                                         for mode in scenario.modes}
@@ -429,7 +418,7 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
             for mode in scenario.modes:
                 result, trace = execute(prepared.plan, prepared.tables, mode,
                                         per_mode_thresholds[mode], clock, prepared.seed,
-                                        engine_config, memo=memo)
+                                        config, memo=memo)
                 rows[mode][i] = SampleRow(query_id=prepared.case.query_id,
                                           latency=trace.total_latency,
                                           failed=trace.failed)

@@ -51,8 +51,8 @@ class RunConfig:
     modes: tuple[str, ...] = MODES
     drift_fraction: float = 0.2
     miscal_factor: float = 2.0
-    fact_rows: int = 0            # 0 = scenario default
-    dim_rows: int = 0
+    fact_rows: Optional[int] = None   # None = scenario default
+    dim_rows: Optional[int] = None
     thresholds_file: str = ""
     # decision thresholds
     rho_join: float = Thresholds.rho_join
@@ -68,15 +68,20 @@ class RunConfig:
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
 
 
-def _load_config(path: Optional[str]) -> RunConfig:
+def _load_config(path: Optional[str], command: str) -> RunConfig:
+    """The config file's settings; the "command" key that _write_config adds
+    must name the running subcommand."""
     cfg = RunConfig()
     if not path:
         return cfg
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    unknown = set(doc) - _CONFIG_FIELDS
+    unknown = set(doc) - _CONFIG_FIELDS - {"command"}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    written_by = doc.pop("command", command)
+    if written_by != command:
+        raise ValidationError(f"config file {path} is for {written_by!r}, not {command!r}")
     if "modes" in doc:
         doc["modes"] = tuple(doc["modes"])
     if "sizes" in doc:
@@ -98,7 +103,7 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config(getattr(args, "config", None))
+    cfg = _load_config(getattr(args, "config", None), args.command)
     if getattr(args, "out", None) is None and os.environ.get(ENV_OUT_DIR) and cfg.out == "out":
         cfg = replace(cfg, out=os.environ[ENV_OUT_DIR])
     return _apply_flags(cfg, args)
@@ -209,7 +214,7 @@ def _build_scenario(cfg: RunConfig) -> bench.Scenario:
     for name, (flag, scenarios) in _SCENARIO_FIELDS.items():
         value = getattr(cfg, name)
         if value == getattr(RunConfig, name):
-            continue   # the builder's default: the same value, or its own table size
+            continue   # the builder's default: the same value, or None for its own size
         if cfg.scenario not in scenarios:
             raise ValidationError(f"{name} ({flag}) does not apply to {cfg.scenario}; "
                                   f"it applies to {', '.join(scenarios)}")

@@ -76,12 +76,6 @@ class TableSpec:
         for col in self.columns:
             col.validate()
 
-    def column(self, name: str) -> ColumnSpec:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise ValidationError(f"table {self.name}: no column {name!r}")
-
 
 @dataclass(frozen=True)
 class Table:
@@ -95,10 +89,6 @@ class Table:
     @property
     def row_count(self) -> int:
         return self.spec.row_count
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:

@@ -58,7 +58,7 @@ The wall clock bypasses all three, since it times every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class NodeRecord:
     planned_variant: str
     executed_variant: str
     kernel: str                  # what ran: hash_join, nested_loop, or cpu
-    n_est: float
     n_obs: int
     decisions: tuple[str, ...]   # empty unless late_bind
     charged_cost: float
@@ -260,11 +259,9 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
     probe rows there are, so each pass is cheap only while the probe side
     has hundreds of rows or more, as in every scenario's defaults.  A build
     side far larger than the probe side (a few fact rows against a large
-    `--dim-rows`) makes thousands of small passes and runs several times
-    slower than blocks of probe rows would."""
+    `--dim-rows`) makes thousands of small passes."""
     if not 1 <= block <= 255:
         raise ValidationError(f"nested-loop block must be in 1..255 build rows, got {block}")
-    probe_key, build_key = _narrow_keys(probe_key, build_key)
     probe_counts = np.zeros(probe_key.size, dtype=np.int64)
     build_counts = np.zeros(build_key.size, dtype=np.int64)
     for start in range(0, build_key.size, block):
@@ -284,21 +281,6 @@ def _output_sum(col: np.ndarray, weights: np.ndarray) -> int:
     times, wrapping as the sum of the materialized output does; a narrow
     column is widened first, so the products cannot wrap at its width."""
     return int(np.dot(col.astype(np.int64, copy=False), weights))
-
-
-def _narrow_keys(probe_key: np.ndarray, build_key: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both key arrays in the narrowest integer dtype that holds every key of
-    either side.  The cast is lossless, so every comparison is unchanged; a
-    range that only a float type holds keeps the keys as they are."""
-    if not (probe_key.size and build_key.size):
-        return probe_key, build_key
-    lo = min(probe_key.min(), build_key.min())
-    hi = max(probe_key.max(), build_key.max())
-    dtype = np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi))
-    if dtype.kind not in "iu":
-        return probe_key, build_key
-    return probe_key.astype(dtype, copy=False), build_key.astype(dtype, copy=False)
 
 
 def _shared(store: dict, tag: tuple, arrays: tuple[np.ndarray, ...],
@@ -411,8 +393,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         charged_total += charged
         trace.records.append(NodeRecord(
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
-            executed_variant=variant, kernel=kernel_name, n_est=node.est_input,
-            n_obs=n_obs, decisions=decisions, charged_cost=charged, spilled=spilled))
+            executed_variant=variant, kernel=kernel_name, n_obs=n_obs,
+            decisions=decisions, charged_cost=charged, spilled=spilled))
         return out
 
     def hook(node: PlanNode, n_obs: int) -> tuple[str, tuple[str, ...]]:
@@ -507,13 +489,3 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
     trace.total_latency = charged_total
     return QueryResult(value=int(value)), trace
-
-
-def trace_csv(trace: ExecutionTrace, out: IO[str]) -> None:
-    """One row per executed node; decisions joined by '+'."""
-    out.write("node_id,kind,planned_variant,executed_variant,kernel,n_est,n_obs,"
-              "decisions,charged_cost,spilled\n")
-    for r in trace.records:
-        out.write(f"{r.node_id},{r.kind},{r.planned_variant},{r.executed_variant},"
-                  f"{r.kernel},{r.n_est!r},{r.n_obs},{'+'.join(r.decisions)},"
-                  f"{r.charged_cost!r},{int(r.spilled)}\n")

@@ -267,33 +267,3 @@ def predicted_cost(plan_: AnnotatedPlan, node: PlanNode) -> float:
     else:
         cards = (node.est_input,)
     return cost(node.kind, node.chosen, cards, plan_.cost_model)
-
-
-def explain(plan_: AnnotatedPlan) -> str:
-    """Indented text rendering of the plan tree (root = aggregate)."""
-    q = plan_.query
-
-    def line(node: PlanNode, detail: str, depth: int) -> str:
-        flags = " late_bind" if node.late_bind else ""
-        variants = f" variants=[{','.join(node.variants)}]" if node.variants else ""
-        est = f" est_in={node.est_input:.1f}"
-        if node.est_build is not None:
-            est += f" est_build={node.est_build:.1f}"
-        est += f" est_out={node.est_output:.1f}"
-        return f"{'  ' * depth}{node.kind}[{detail}] variant={node.chosen}{flags}{variants}{est}"
-
-    rows = [line(plan_.aggregate, q.aggregate.op if q.aggregate.op == "count"
-                 else f"sum({q.aggregate.column})", 0)]
-    rows.append(line(plan_.join, f"{q.left_key}={q.right_key}", 1))
-    depth = 2
-    if plan_.left_filter:
-        rows.append(line(plan_.left_filter, str(q.left_filter), depth))
-        rows.append(line(plan_.left_scan, q.left_table, depth + 1))
-    else:
-        rows.append(line(plan_.left_scan, q.left_table, depth))
-    if plan_.right_filter:
-        rows.append(line(plan_.right_filter, str(q.right_filter), depth))
-        rows.append(line(plan_.right_scan, q.right_table, depth + 1))
-    else:
-        rows.append(line(plan_.right_scan, q.right_table, depth))
-    return "\n".join(rows)

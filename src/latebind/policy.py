@@ -73,13 +73,6 @@ class Thresholds:
     def calibrated(self) -> bool:
         return self.source != UNCALIBRATED
 
-    @staticmethod
-    def disabled() -> "Thresholds":
-        """All triggers unreachable: the hook never fires a change."""
-        return Thresholds(rho_join=math.inf,
-                          n_star={k: math.inf for k in OFFLOADABLE_KINDS},
-                          source="manual")
-
 
 def decide(urs: RiskVector, node: PlanNode, thresholds: Thresholds, mode: str) -> str:
     """The variant to run: the first matching rule's target, else node.chosen."""

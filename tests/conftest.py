@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from latebind.datagen import ColumnSpec, Table, TableSpec, generate_table
-from latebind.planner import AggSpec, CostModel, Query, plan
+from latebind.planner import OFFLOADABLE_KINDS, AggSpec, CostModel, Query, plan
+from latebind.policy import Thresholds
 from latebind.stats import capture_statistics
 
 
@@ -41,3 +44,9 @@ def table_from_arrays(name: str, **cols: np.ndarray) -> Table:
 def brute_force_join_count(left_key: np.ndarray, right_key: np.ndarray) -> int:
     """All-pairs oracle of an equi-join's row count, for small inputs."""
     return int(sum(int((right_key == k).sum()) for k in left_key))
+
+
+def disabled_thresholds() -> Thresholds:
+    """All triggers unreachable: the hook never fires a change."""
+    return Thresholds(rho_join=math.inf, n_star={k: math.inf for k in OFFLOADABLE_KINDS},
+                      source="manual")

@@ -25,7 +25,7 @@ from latebind.planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, NESTED_LOO
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds
 from latebind.rng import Stream, derive_seed
 from latebind.stats import Predicate, capture_statistics, estimate_selectivity
-from conftest import brute_force_join_count
+from conftest import brute_force_join_count, disabled_thresholds
 
 SEED = 1
 Q = 200
@@ -251,7 +251,7 @@ def test_criterion_9_disabled_thresholds_equal_baseline():
     scenario = scenario_input_scale_shift(seed=SEED, query_count=Q,
                                           modes=(BASELINE, ORCHESTRATED))
     reports = run_scenario(scenario, CLOCK, thresholds={
-        BASELINE: Thresholds(), ORCHESTRATED: Thresholds.disabled()})
+        BASELINE: Thresholds(), ORCHESTRATED: disabled_thresholds()})
     base_rows = [(r.query_id, r.latency) for r in reports[BASELINE].rows]
     orch_rows = [(r.query_id, r.latency) for r in reports[ORCHESTRATED].rows]
     check("9 baseline-equivalence degeneracy", base_rows == orch_rows,

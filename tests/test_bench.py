@@ -190,8 +190,8 @@ def test_statistics_of_read_columns_plan_as_full_statistics(monkeypatch, name, s
     for (nodes, stats), (full_nodes, all_stats) in zip(read, full):
         # every node's choice, estimates and late-bind flag
         assert nodes == full_nodes
-        assert set(stats[scenario.fact_spec.name].columns) == {scenario.left_key, *filtered}
-        assert set(stats[scenario.dim_spec.name].columns) == {scenario.right_key}
+        assert set(stats[scenario.fact_spec.name].columns) == {bench.LEFT_KEY, *filtered}
+        assert set(stats[scenario.dim_spec.name].columns) == {bench.RIGHT_KEY}
         for table, table_stats in stats.items():
             assert table_stats.row_count == all_stats[table].row_count
             for column, column_stats in table_stats.columns.items():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -311,3 +312,121 @@ def test_gen_rows_override(tmp_path, capsys):
     assert run_cli("gen", "--spec", str(spec), "--rows", "9",
                    "--out-file", str(out_file)) == EXIT_OK
     assert len(out_file.read_text().strip().splitlines()) == 10
+
+
+REPORT_FILES = ("samples.csv", "cdf.csv", "summary.txt")
+
+
+def mode_files(out: Path, scenario: str) -> dict[str, bytes]:
+    return {f"{mode.name}/{name}": (mode / name).read_bytes()
+            for mode in sorted(p for p in (out / scenario).iterdir() if p.is_dir())
+            for name in REPORT_FILES}
+
+
+def test_run_config_json_feeds_back(tmp_path):
+    assert run_cli("run", "--scenario", "stale_stats", "--queries", "6", "--seed", "3",
+                   "--rho-join", "20", "--dim-rows", "4000",
+                   "--out", str(tmp_path / "a")) == EXIT_OK
+    written = tmp_path / "a" / "stale_stats" / "config.json"
+    assert json.loads(written.read_text())["command"] == "run"
+    assert run_cli("run", "--config", str(written), "--out", str(tmp_path / "b")) == EXIT_OK
+    first, second = mode_files(tmp_path / "a", "stale_stats"), mode_files(tmp_path / "b",
+                                                                          "stale_stats")
+    assert len(first) == 3 * len(REPORT_FILES)
+    assert first == second
+    again = json.loads((tmp_path / "b" / "stale_stats" / "config.json").read_text())
+    assert again == {**json.loads(written.read_text()), "out": str(tmp_path / "b")}
+
+
+def test_calibrate_config_json_feeds_back(tmp_path):
+    assert run_cli("calibrate", "--seed", "3", "--sizes", "3000,10000,30000",
+                   "--accel-setup", "6000", "--out", str(tmp_path / "a")) == EXIT_OK
+    written = tmp_path / "a" / "calibration" / "config.json"
+    assert json.loads(written.read_text())["command"] == "calibrate"
+    assert run_cli("calibrate", "--config", str(written),
+                   "--out", str(tmp_path / "b")) == EXIT_OK
+    for name in ("thresholds.json", "measurements.csv", "fits.csv", "break_evens.csv"):
+        assert ((tmp_path / "a" / "calibration" / name).read_bytes()
+                == (tmp_path / "b" / "calibration" / name).read_bytes()), name
+
+
+def test_config_json_of_another_command_rejected(tmp_path, capsys):
+    assert run_cli("run", "--queries", "3", "--out", str(tmp_path)) == EXIT_OK
+    written = tmp_path / "input_scale_shift" / "config.json"
+    capsys.readouterr()
+    assert run_cli("calibrate", "--config", str(written), "--out", str(tmp_path)) \
+        == EXIT_VALIDATION
+    assert "'run', not 'calibrate'" in capsys.readouterr().err
+    assert not (tmp_path / "calibration").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "gen", "queries": 3}))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert "'gen', not 'run'" in capsys.readouterr().err
+
+
+def test_explicit_zero_fact_rows_reaches_builder(tmp_path):
+    # 0 is a size, not "the scenario default": the fact table is empty
+    assert run_cli("run", "--queries", "6", "--fact-rows", "0",
+                   "--out", str(tmp_path / "cli")) == EXIT_OK
+    reports = bench.run_scenario(bench.scenario_input_scale_shift(query_count=6, fact_rows=0),
+                                 SimulatedClock(sigma=0.05))
+    for report in reports.values():
+        bench.report_emit(report, tmp_path / "api")
+    assert mode_files(tmp_path / "cli", "input_scale_shift") == \
+        mode_files(tmp_path / "api", "input_scale_shift")
+    assert run_cli("run", "--queries", "6", "--out", str(tmp_path / "default")) == EXIT_OK
+    assert mode_files(tmp_path / "cli", "input_scale_shift") != \
+        mode_files(tmp_path / "default", "input_scale_shift")
+    doc = json.loads((tmp_path / "cli" / "input_scale_shift" / "config.json").read_text())
+    assert doc["fact_rows"] == 0 and doc["dim_rows"] is None
+    doc = json.loads((tmp_path / "default" / "input_scale_shift" / "config.json").read_text())
+    assert doc["fact_rows"] is None
+
+
+@pytest.mark.parametrize("flag,value", [("--fact-rows", "-1"), ("--dim-rows", "-3"),
+                                        ("--dim-rows", "0")])
+def test_table_sizes_the_builder_rejects_exit_1(tmp_path, capsys, flag, value):
+    # an empty dim table leaves its key column no range, so 0 is rejected there
+    code = run_cli("run", "--queries", "3", flag, value, "--out", str(tmp_path))
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "input_scale_shift").exists()
+
+
+def test_dim_rows_flag_changes_samples(tmp_path):
+    for name, extra in (("default", ()), ("dim", ("--dim-rows", "500"))):
+        assert run_cli("run", "--scenario", "break_even", "--queries", "4",
+                       "--out", str(tmp_path / name), *extra) == EXIT_OK
+    default = (tmp_path / "default" / "break_even" / "baseline" / "samples.csv").read_bytes()
+    changed = (tmp_path / "dim" / "break_even" / "baseline" / "samples.csv").read_bytes()
+    assert default != changed
+
+
+def test_modes_flag_writes_only_those_modes(tmp_path):
+    assert run_cli("run", "--queries", "3", "--modes", "baseline,orchestrated",
+                   "--out", str(tmp_path)) == EXIT_OK
+    written = {p.name for p in (tmp_path / "input_scale_shift").iterdir() if p.is_dir()}
+    assert written == {"baseline", "orchestrated"}
+
+
+def test_wall_clock_flag_reaches_summary(tmp_path):
+    assert run_cli("run", "--queries", "3", "--fact-rows", "300", "--dim-rows", "300",
+                   "--clock", "wall", "--out", str(tmp_path)) == EXIT_OK
+    for mode in ("baseline", "independent_gates", "orchestrated"):
+        summary = (tmp_path / "input_scale_shift" / mode / "summary.txt").read_text()
+        assert "clock       wall\n" in summary
+
+
+def test_calibrate_sizes_and_repetitions_set_measurements(tmp_path):
+    sizes = (2000, 5000, 10000, 20000, 50000)
+    assert run_cli("calibrate", "--sizes", ",".join(map(str, sizes)), "--repetitions", "2",
+                   "--out", str(tmp_path)) == EXIT_OK
+    with (tmp_path / "calibration" / "measurements.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    per_series: dict[tuple[str, str], list[int]] = {}
+    for row in rows:
+        per_series.setdefault((row["op_kind"], row["device"]), []).append(int(row["n"]))
+    assert set(per_series) == {(kind, device) for kind in ("aggregate", "filter")
+                               for device in ("accelerator", "cpu")}
+    for ns in per_series.values():
+        assert sorted(ns) == sorted(sizes * 2)

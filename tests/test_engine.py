@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 
 import numpy as np
@@ -12,7 +11,7 @@ from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, gene
 from latebind import engine
 from latebind.engine import (EngineConfig, RuntimeSignals, _hash_build, _hash_join,
                              _nested_loop_join, _output_sum, execute, join_kernel,
-                             observe, trace_csv)
+                             observe)
 from latebind.errors import ConfigurationError, ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
@@ -20,7 +19,7 @@ from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Threshol
                              static_thresholds)
 from latebind.rng import Stream, fnv1a64
 from latebind.stats import Predicate, capture_statistics
-from conftest import brute_force_join_count
+from conftest import brute_force_join_count, disabled_thresholds
 
 
 def forced(plan_, join=None, left_filter=None, aggregate=None):
@@ -254,7 +253,7 @@ def test_disabled_thresholds_match_baseline_exactly(drift_setup):
     _, t_base = execute(p, {"fact": drifted, "dim": dim}, BASELINE,
                         Thresholds(), clock, seed=12)
     _, t_off = execute(p, {"fact": drifted, "dim": dim}, ORCHESTRATED,
-                       Thresholds.disabled(), clock, seed=12)
+                       disabled_thresholds(), clock, seed=12)
     assert t_base.total_latency == t_off.total_latency
     assert [r.charged_cost for r in t_base.records] == [r.charged_cost for r in t_off.records]
     assert [r.executed_variant for r in t_base.records] == \
@@ -280,18 +279,6 @@ def test_wall_clock_runs_and_reports_positive_latency(small_plan, small_tables):
                             WallClock(), seed=1)
     assert result is not None
     assert trace.total_latency > 0.0
-
-
-def test_trace_csv_schema(small_plan, small_tables):
-    clock = SimulatedClock(sigma=0.0)
-    _, trace = execute(small_plan, small_tables, BASELINE, Thresholds(), clock, seed=2)
-    buf = io.StringIO()
-    trace_csv(trace, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == ("node_id,kind,planned_variant,executed_variant,kernel,n_est,n_obs,"
-                       "decisions,charged_cost,spilled")
-    assert len(lines) == 1 + len(trace.records)
-    assert any(line.startswith("join,") for line in lines[1:])
 
 
 def test_nested_loop_kernel_matches_hash_kernel_bits(default_model):
@@ -390,8 +377,8 @@ def straddling(stream: Stream, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 # (probe keys, build keys) per case.  The hash kernel probes a dense build
 # key (span <= probe + build rows) by direct address, a sparse one by
-# searching the distinct probe keys; the nested loop compares in the
-# narrowest dtype holding both sides.
+# searching the distinct probe keys; the nested loop compares the keys as
+# given.
 JOIN_KEY_CASES = {
     "negative": lambda s: (s.integers(-30, -10, 70), s.integers(-25, -12, 40)),
     "probe_outside_build": lambda s: (

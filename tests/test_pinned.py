@@ -59,7 +59,7 @@ def tables_digest(tables: list[Table]) -> str:
     h = hashlib.sha256()
     for t in tables:
         for name, col in t.columns.items():
-            h.update(f"{t.name}/{t.generation}/{t.row_count}/{name}/<i8\n".encode())
+            h.update(f"{t.spec.name}/{t.generation}/{t.row_count}/{name}/<i8\n".encode())
             h.update(col.astype("<i8").tobytes())
     return h.hexdigest()
 

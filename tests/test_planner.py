@@ -9,8 +9,7 @@ from latebind.datagen import ColumnSpec, TableSpec, generate_table
 from latebind.errors import ValidationError
 from latebind.planner import (ACCELERATOR, AGGREGATE, AcceleratorCost, AggSpec, CPU,
                               CostModel, FILTER, HASH_JOIN, JOIN, JoinCost, LinearCost,
-                              NESTED_LOOP, Query, SCAN, cost, explain, model_break_even,
-                              plan)
+                              NESTED_LOOP, Query, SCAN, cost, model_break_even, plan)
 from latebind.rng import Stream
 from latebind.stats import Predicate, capture_statistics
 from conftest import table_from_arrays
@@ -173,8 +172,7 @@ def test_plan_deterministic(default_model):
     q = default_query(left_filter=Predicate("a", ">", 10))
     p1 = plan(q, stats, default_model)
     p2 = plan(q, stats, default_model)
-    assert explain(p1) == explain(p2)
-    assert [n.chosen for n in p1.nodes()] == [n.chosen for n in p2.nodes()]
+    assert p1 == p2
 
 
 def test_plan_missing_stats_rejected(default_model):
@@ -191,17 +189,6 @@ def test_join_output_estimate_formula(default_model):
     p = plan(default_query(), stats, default_model)
     # ndv(fk)=1000, ndv(pk)=500: |join| = 1000*500/max(1000,500)
     assert p.join.est_output == pytest.approx(1000 * 500 / 1000)
-
-
-def test_explain_mentions_variants_and_flags(default_model):
-    stats = make_stats()
-    p = plan(default_query(left_filter=Predicate("a", "<", 5)), stats, default_model)
-    text = explain(p)
-    assert "late_bind" in text
-    assert "hash_join" in text and "nested_loop" in text
-    assert "accelerator" in text and "cpu" in text
-    assert "est_in=" in text and "est_build=" in text
-    assert text.splitlines()[0].startswith("aggregate")
 
 
 def test_late_bind_invariants_enforced():

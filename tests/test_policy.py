@@ -13,6 +13,7 @@ from latebind.planner import (ACCELERATOR, AGGREGATE, CPU, CostModel, FILTER,
 from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, RiskVector,
                              Thresholds, calibrate, calibration_report, decide,
                              dump_thresholds, load_thresholds, static_thresholds)
+from conftest import disabled_thresholds
 
 
 def signals(n_obs=1000, ratio=1.0) -> RuntimeSignals:
@@ -162,7 +163,7 @@ def test_threshold_validation():
 
 
 def test_disabled_thresholds_never_fire():
-    thr = Thresholds.disabled()
+    thr = disabled_thresholds()
     extreme = RiskVector(r_exec=signals(n_obs=10**9, ratio=1e9),
                          r_acc=None)
     assert decide(extreme, JOIN_NL, thr, ORCHESTRATED) == JOIN_NL.chosen
@@ -170,7 +171,7 @@ def test_disabled_thresholds_never_fire():
 
 
 def test_thresholds_roundtrip_including_disabled():
-    for thr in (calibrated(rho_join=7.5), Thresholds.disabled()):
+    for thr in (calibrated(rho_join=7.5), disabled_thresholds()):
         buf = io.StringIO()
         dump_thresholds(thr, buf)
         buf.seek(0)
