@@ -49,24 +49,24 @@ class BreakEven:
         return abs(self.n_star_estimated - self.n_star_observed) / self.n_star_observed
 
 
-def default_size_grid(n_star_hint: float, count: int = 8, span: float = 5.0) -> list[int]:
-    """Log-spaced measurement sizes centered on the expected break-even.
+GRID_COUNT = 8    # sizes in the default measurement grid
+GRID_SPAN = 5.0   # which covers [hint / GRID_SPAN, hint * GRID_SPAN]
 
-    A span of s covers [hint/s, hint*s].  Tight spans localize the crossover
-    far better than wide ones: with multiplicative noise the cost lines are
-    pinned near the design center, so centering the grid on the expected
-    crossover is what makes the fitted and observed break-even agree.
+
+def default_size_grid(n_star_hint: float) -> list[int]:
+    """Log-spaced measurement sizes centered on the expected break-even N* > 0.
+
+    Tight spans localize the crossover far better than wide ones: with
+    multiplicative noise the cost lines are pinned near the design center, so
+    centering the grid on the expected crossover is what makes the fitted and
+    observed break-even agree.
     """
-    if n_star_hint <= 0:
-        raise ValidationError("size grid needs a positive break-even hint")
-    if count < 2 or span <= 1.0:
-        raise ValidationError("size grid needs count >= 2 and span > 1")
-    lo = math.log(n_star_hint / span)
-    hi = math.log(n_star_hint * span)
-    sizes = sorted({max(1, round(math.exp(lo + (hi - lo) * i / (count - 1))))
-                    for i in range(count)})
-    if len(sizes) < count:
-        raise ValidationError("size grid collapsed; widen span or lower count")
+    lo = math.log(n_star_hint / GRID_SPAN)
+    hi = math.log(n_star_hint * GRID_SPAN)
+    sizes = sorted({max(1, round(math.exp(lo + (hi - lo) * i / (GRID_COUNT - 1))))
+                    for i in range(GRID_COUNT)})
+    if len(sizes) < GRID_COUNT:
+        raise ValidationError("size grid collapsed; the break-even hint is too small")
     return sizes
 
 

@@ -6,8 +6,8 @@ Three scenarios stress the three ways an early-bound plan goes stale:
   fact table while the planner keeps generation-0 statistics ("large
   noselect": no filters, scan-join-aggregate).
 * stale_stats: a domain-shift plus skew-change drift inverts filter
-  selectivities; statistics are frozen pre-drift (and round-tripped through
-  their file form), so tiny estimates meet large runtime inputs.
+  selectivities; statistics are frozen pre-drift, so tiny estimates meet
+  large runtime inputs.
 * break_even: per-query input sizes sweep log-spaced across the device
   crossover while the planner's device model is deliberately miscalibrated;
   only runtime observation can bind the device correctly.
@@ -19,11 +19,14 @@ tables run back to back as a group, so that they can share kernel outputs,
 and their rows are put back in query order.  Tables live per group: a fact
 table and its statistics are made at the first group that reads them and
 dropped after the last, so a run holds one fact variant at a time besides
-the dim table (and the base fact table where queries, drifts or plans read
-it).  Statistics describe exactly the columns plans read: the join keys
-(for ndv) and the filter columns (for histograms).  Joins of unfiltered
-tables live as long as their fact table, and a hash build of a table column
-as long as that table, so the dim table's is made once per run.
+the dim table (and the base fact table, in a scenario without size
+variants).  A scenario with size variants plans each fact table from its own
+statistics; any other plans every variant from the base fact table's and the
+dim table's, after their round trip through the JSON file form.  Statistics
+describe exactly the columns plans read: the join keys (for ndv) and the
+filter columns (for histograms).  Joins of unfiltered tables live as long as
+their fact table, and a hash build of a table column as long as that table,
+so the dim table's is made once per run.
 Reports carry sorted latency samples, nearest-rank percentiles, CDF points,
 and failure counts, and serialize byte-identically for identical inputs.
 """
@@ -56,6 +59,8 @@ SCENARIO_NAMES = (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN)
 
 BASE_VARIANT = "base"
 
+SAMPLES_HEADER = "mode,query_id,latency,failed"
+
 # every scenario joins fact.fk to dim.pk and sums fact.v
 LEFT_KEY = "fk"
 RIGHT_KEY = "pk"
@@ -71,6 +76,9 @@ class QueryCase:
 
 @dataclass
 class Scenario:
+    """One experiment.  Each size variant is planned from its own statistics;
+    without size variants, from the base and dim tables', round-tripped."""
+
     name: str
     seed: int
     modes: tuple[str, ...]
@@ -81,8 +89,6 @@ class Scenario:
     size_variants: dict[str, int] = field(default_factory=dict)
     planner_model: CostModel = field(default_factory=CostModel.default)
     true_model: CostModel = field(default_factory=CostModel.default)
-    stats_roundtrip: bool = False
-    fresh_stats_per_variant: bool = False
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
@@ -160,14 +166,12 @@ def scenario_input_scale_shift(seed: int = 1, query_count: int = 200,
                                fact_rows: int = 2000, dim_rows: int = 2000,
                                drift_fraction: float = 0.2,
                                scales: tuple[float, ...] = (5.0, 10.0, 20.0),
-                               modes: tuple[str, ...] = MODES,
-                               model: Optional[CostModel] = None) -> Scenario:
+                               modes: tuple[str, ...] = MODES) -> Scenario:
     """Selection-free scan-join-aggregate; a drifted fraction of queries see
     a scale-multiplied fact table the planner knows nothing about.  A
     drift_fraction of 0 is the zero-drift control configuration."""
     if not (0.0 <= drift_fraction <= 1.0):
         raise ValidationError("drift_fraction must be in [0, 1]")
-    model = model or CostModel.default()
     fact = TableSpec("fact", fact_rows, (
         ColumnSpec("fk", 0, dim_rows - 1), ColumnSpec("v", 0, 999)))
     dim = TableSpec("dim", dim_rows, (ColumnSpec("pk", 0, dim_rows - 1),))
@@ -181,59 +185,49 @@ def scenario_input_scale_shift(seed: int = 1, query_count: int = 200,
         cases.append(QueryCase(query_id=f"q{i:03d}", fact_variant=variant))
     return Scenario(
         name=INPUT_SCALE_SHIFT, seed=seed, modes=modes, fact_spec=fact, dim_spec=dim,
-        cases=cases, drifts=drifts, planner_model=model, true_model=model)
+        cases=cases, drifts=drifts)
 
 
 def scenario_stale_stats(seed: int = 1, query_count: int = 200,
                          fact_rows: int = 20000, dim_rows: int = 10000,
-                         domain_shift: int = 100, drift_skew: float = 1.1,
-                         constant_lo: int = 60, constant_hi: int = 140,
-                         modes: tuple[str, ...] = MODES,
-                         model: Optional[CostModel] = None) -> Scenario:
+                         modes: tuple[str, ...] = MODES) -> Scenario:
     """Every query runs post-drift with pre-drift statistics.  The drift
-    shifts the value domain and replaces the distribution with a skewed one,
-    so range predicates whose estimates round to nothing select nearly the
-    whole table."""
-    model = model or CostModel.default()
+    shifts the filter column's domain up by 100 and replaces its uniform
+    distribution with zipf(1.1), so predicates a >= c, c in [60, 140],
+    whose estimates round to nothing select nearly the whole table."""
     key_domain = dim_rows // 2
     fact = TableSpec("fact", fact_rows, (
         ColumnSpec("a", 0, 99), ColumnSpec("fk", 0, key_domain - 1),
         ColumnSpec("v", 0, 999)))
     dim = TableSpec("dim", dim_rows, (ColumnSpec("pk", 0, key_domain - 1),))
-    drift = DriftSpec(scale_factor=1.0, domain_shift=domain_shift,
-                      skew_change=DistributionChange("zipf", drift_skew))
+    drift = DriftSpec(scale_factor=1.0, domain_shift=100,
+                      skew_change=DistributionChange("zipf", 1.1))
     sched = Stream(derive_seed(seed, "schedule/stale_stats"))
     cases = []
     for i in range(query_count):
-        c = int(sched.integers(constant_lo, constant_hi, 1)[0])
+        c = int(sched.integers(60, 140, 1)[0])
         cases.append(QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
                                predicate=Predicate("a", ">=", c)))
     return Scenario(
         name=STALE_STATS, seed=seed, modes=modes, fact_spec=fact, dim_spec=dim,
-        cases=cases, drifts={"drifted": drift}, planner_model=model, true_model=model,
-        stats_roundtrip=True)
+        cases=cases, drifts={"drifted": drift})
 
 
 def scenario_break_even(seed: int = 1, query_count: int = 200,
-                        dim_rows: int = 1000,
-                        size_lo: int = 1000, size_hi: int = 100000,
-                        miscal_factor: float = 2.0,
-                        modes: tuple[str, ...] = MODES,
-                        model: Optional[CostModel] = None) -> Scenario:
-    """Primitive input sizes sweep log-spaced across the device crossover.
-    The planner prices the accelerator from a model whose setup cost is off
-    by miscal_factor, so its static device bindings are wrong in the band
-    around the true crossover; statistics themselves are fresh per size."""
+                        dim_rows: int = 1000, miscal_factor: float = 2.0,
+                        modes: tuple[str, ...] = MODES) -> Scenario:
+    """Primitive input sizes sweep log-spaced over [1000, 100000], across
+    the device crossover.  The planner prices the accelerator from a model
+    whose setup cost is off by miscal_factor, so its static device bindings
+    are wrong around the true crossover; statistics are fresh per size."""
     if miscal_factor <= 0:
         raise ValidationError("miscal_factor must be > 0")
-    true_model = model or CostModel.default()
-    planner_model = true_model.scaled_accel_setup(1.0 / miscal_factor)
-    fact = TableSpec("fact", size_lo, (
+    fact = TableSpec("fact", 1000, (
         ColumnSpec("fk", 0, dim_rows - 1), ColumnSpec("v", 0, 999)))
     dim = TableSpec("dim", dim_rows, (ColumnSpec("pk", 0, dim_rows - 1),))
     cases = []
     size_variants = {}
-    log_lo, log_hi = math.log(size_lo), math.log(size_hi)
+    log_lo, log_hi = math.log(1000), math.log(100000)
     for i in range(query_count):
         frac = i / (query_count - 1) if query_count > 1 else 0.0
         n = max(1, round(math.exp(log_lo + (log_hi - log_lo) * frac)))
@@ -243,8 +237,7 @@ def scenario_break_even(seed: int = 1, query_count: int = 200,
     return Scenario(
         name=BREAK_EVEN, seed=seed, modes=modes, fact_spec=fact, dim_spec=dim,
         cases=cases, size_variants=size_variants,
-        planner_model=planner_model, true_model=true_model,
-        fresh_stats_per_variant=True)
+        planner_model=CostModel.default().scaled_accel_setup(1.0 / miscal_factor))
 
 
 # ── scenario execution ─────────────────────────────────────────────────────
@@ -319,16 +312,17 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     appearance; a group is the cases that share a fact table variant and a
     predicate, and its plan is made when the group starts.
 
-    A variant's table, with its fresh statistics if the scenario takes them,
-    is made at the variant's first group and dropped after its last, when
-    its table set's store is emptied too.  The dim table, with its own
-    store, lives for the whole run, and so does the base fact table where a
-    case, a drift or the plans' statistics read it.  Statistics are captured
-    when their table is made, of the columns plans read only; a capture on
-    first read would keep the tables alive, since the plans outlive them.
+    A variant's table, with its own statistics under size variants, is
+    made at the variant's first group and dropped after its last, when its
+    table set's store is emptied too.  The dim table, with its own store,
+    lives for the whole run, and so does the base fact table of a scenario
+    without size variants, whose plans read the round-tripped base and dim
+    statistics.  Statistics are captured when their table is made, of the
+    columns plans read only; a capture on first read would keep the tables
+    alive, since the plans outlive them.
     """
     seed = scenario.seed
-    fresh = scenario.fresh_stats_per_variant
+    fresh = bool(scenario.size_variants)
     # the columns plans read: join keys for ndv, filter columns for histograms
     fact_columns = {LEFT_KEY,
                     *(case.predicate.column for case in scenario.cases if case.predicate)}
@@ -336,15 +330,10 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     dim_store: dict = {}
     dim_stats = capture_statistics(dim, columns=(RIGHT_KEY,))
     base = base_stats = None
-    if (not fresh or scenario.drifts
-            or any(case.fact_variant == BASE_VARIANT for case in scenario.cases)):
-        base = _fact_table(scenario, BASE_VARIANT, None)
     if not fresh:
-        base_stats = capture_statistics(base, columns=fact_columns)
-    if scenario.stats_roundtrip:
+        base = _fact_table(scenario, BASE_VARIANT, None)
+        base_stats = _roundtrip(capture_statistics(base, columns=fact_columns))
         dim_stats = _roundtrip(dim_stats)
-        if base_stats is not None:
-            base_stats = _roundtrip(base_stats)
 
     # (fact variant, predicate text) -> query positions
     groups: dict[tuple[str, str], list[int]] = {}
@@ -389,7 +378,6 @@ def scenario_queries(scenario: Scenario) -> list[PreparedQuery]:
 def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                  engine_config: Optional[EngineConfig] = None,
                  thresholds: Optional[dict[str, Thresholds]] = None,
-                 base_thresholds: Optional[Thresholds] = None,
                  ) -> dict[str, LatencyReport]:
     """Run every query under every mode and report per-mode distributions.
 
@@ -403,7 +391,7 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     whole run.  Result values are cross-checked per query over all modes
     that completed; any mismatch is a hard failure of the whole run.
     """
-    per_mode_thresholds = thresholds or scenario_thresholds(scenario, base_thresholds)
+    per_mode_thresholds = thresholds or scenario_thresholds(scenario)
     config = engine_config or EngineConfig()
     config = replace(config, true_cost_model=config.true_cost_model or scenario.true_model)
 
@@ -446,7 +434,7 @@ def report_emit(report: LatencyReport, out_dir: Path) -> list[Path]:
     target.mkdir(parents=True, exist_ok=True)
     samples_path = target / "samples.csv"
     with samples_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mode,query_id,latency,failed\n")
+        fh.write(SAMPLES_HEADER + "\n")
         for row in report.rows:
             fh.write(f"{report.mode},{row.query_id},{row.latency!r},{int(row.failed)}\n")
     cdf_path = target / "cdf.csv"
@@ -467,10 +455,17 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
     modes: set[str] = set()
     rows: list[SampleRow] = []
     with path.open(encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != SAMPLES_HEADER.split(","):
+            raise ValidationError(f"{path} does not start with the header {SAMPLES_HEADER}")
+        for row in reader:
+            try:
+                rows.append(SampleRow(query_id=row["query_id"], latency=float(row["latency"]),
+                                      failed=row["failed"] not in ("0", "")))
+            except (TypeError, ValueError):
+                raise ValidationError(f"{path}: {row['query_id']} has latency "
+                                      f"{row['latency']!r}, not a number") from None
             modes.add(row["mode"])
-            rows.append(SampleRow(query_id=row["query_id"], latency=float(row["latency"]),
-                                  failed=row["failed"] not in ("0", "")))
     if len(modes) > 1:
         raise ValidationError(f"{path} mixes modes {sorted(modes)}")
     if all(r.failed for r in rows):

@@ -17,6 +17,7 @@ run/calibrate write it next to their outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -49,9 +50,9 @@ class RunConfig:
     out: str = "out"
     queries: int = 200
     modes: tuple[str, ...] = MODES
-    drift_fraction: float = 0.2
-    miscal_factor: float = 2.0
-    fact_rows: Optional[int] = None   # None = scenario default
+    drift_fraction: Optional[float] = None   # None = scenario default
+    miscal_factor: Optional[float] = None
+    fact_rows: Optional[int] = None
     dim_rows: Optional[int] = None
     thresholds_file: str = ""
     # decision thresholds
@@ -110,19 +111,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _banner(cfg: RunConfig, command: str) -> str:
-    doc = asdict(cfg)
-    doc["command"] = command
-    return "config: " + json.dumps(doc, sort_keys=True)
+    return "config: " + json.dumps({**asdict(cfg), "command": command}, sort_keys=True)
 
 
 def _write_config(cfg: RunConfig, command: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
-    doc = asdict(cfg)
-    doc["command"] = command
-    doc["modes"] = list(doc["modes"])
-    doc["sizes"] = list(doc["sizes"])
     with target.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({**asdict(cfg), "command": command}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -192,14 +187,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# scenario-specific RunConfig field -> (its flag, the scenarios that take it)
-_SCENARIO_FIELDS = {
-    "drift_fraction": ("--drift-fraction", (bench.INPUT_SCALE_SHIFT,)),
-    "miscal_factor": ("--miscal-factor", (bench.BREAK_EVEN,)),
-    # break_even sizes its fact table from its own sweep
-    "fact_rows": ("--fact-rows", (bench.INPUT_SCALE_SHIFT, bench.STALE_STATS)),
-    "dim_rows": ("--dim-rows", bench.SCENARIO_NAMES),
-}
+# settings that a scenario takes when its builder has a parameter of that name
+_SCENARIO_FIELDS = ("drift_fraction", "miscal_factor", "fact_rows", "dim_rows")
 
 
 def _build_scenario(cfg: RunConfig) -> bench.Scenario:
@@ -210,17 +199,16 @@ def _build_scenario(cfg: RunConfig) -> bench.Scenario:
     }
     if cfg.scenario not in builders:
         raise ValidationError(f"unknown scenario {cfg.scenario!r}")
-    extra = {}
-    for name, (flag, scenarios) in _SCENARIO_FIELDS.items():
-        value = getattr(cfg, name)
-        if value == getattr(RunConfig, name):
-            continue   # the builder's default: the same value, or None for its own size
-        if cfg.scenario not in scenarios:
-            raise ValidationError(f"{name} ({flag}) does not apply to {cfg.scenario}; "
-                                  f"it applies to {', '.join(scenarios)}")
-        extra[name] = value
-    return builders[cfg.scenario](seed=cfg.seed, query_count=cfg.queries, modes=cfg.modes,
-                                  **extra)
+    build = builders[cfg.scenario]
+    extra = {name: getattr(cfg, name) for name in _SCENARIO_FIELDS
+             if getattr(cfg, name) is not None}
+    for name in extra:
+        if name not in inspect.signature(build).parameters:
+            takers = [scenario for scenario, other in builders.items()
+                      if name in inspect.signature(other).parameters]
+            raise ValidationError(f"{name} (--{name.replace('_', '-')}) does not apply to "
+                                  f"{cfg.scenario}; it applies to {', '.join(takers)}")
+    return build(seed=cfg.seed, query_count=cfg.queries, modes=cfg.modes, **extra)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -228,15 +216,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(_banner(cfg, "run"))
     scenario = _build_scenario(cfg)
     clock = _clock(cfg)
-    base = _base_thresholds(cfg)
-    thresholds = None
+    thresholds = bench.scenario_thresholds(scenario, _base_thresholds(cfg))
     if cfg.thresholds_file:
         with open(cfg.thresholds_file, encoding="utf-8") as fh:
-            loaded = load_thresholds(fh)
-        thresholds = bench.scenario_thresholds(scenario, base)
-        thresholds[bench.ORCHESTRATED] = loaded
-    reports = bench.run_scenario(scenario, clock, thresholds=thresholds,
-                                 base_thresholds=base)
+            thresholds[bench.ORCHESTRATED] = load_thresholds(fh)
+    reports = bench.run_scenario(scenario, clock, thresholds=thresholds)
     out_dir = Path(cfg.out)
     for report in reports.values():
         bench.report_emit(report, out_dir)

@@ -16,6 +16,7 @@ import math
 import time
 from typing import Callable, Optional, TypeVar
 
+from .errors import ValidationError
 from .rng import unit_at
 
 T = TypeVar("T")
@@ -28,8 +29,8 @@ class SimulatedClock:
     mode = SIMULATED
 
     def __init__(self, sigma: float = 0.05):
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
+        if not 0 <= sigma < math.inf:
+            raise ValidationError(f"sigma must be >= 0 and finite, got {sigma}")
         self.sigma = sigma
         # (seed, {counter: noise(seed, counter)}) of the last seed charged;
         # replaced whole, so threads sharing the clock never mix two seeds.

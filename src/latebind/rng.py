@@ -46,9 +46,9 @@ def fnv1a64(label: str) -> int:
     return h
 
 
-def derive_seed(seed: int, label: str, index: int = 0) -> int:
+def derive_seed(seed: int, label: str) -> int:
     """Deterministic child seed for a named substream."""
-    return mix64(mix64(seed & _MASK) ^ fnv1a64(label) ^ mix64(index & _MASK))
+    return mix64(mix64(seed & _MASK) ^ fnv1a64(label))
 
 
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_criterion_4_ablation_ordering(input_scale_reports, stale_stats_reports)
 
 def test_criterion_5_break_even_fidelity():
     model = CostModel.default()
-    grid = default_size_grid(10000.0, count=8)
+    grid = default_size_grid(10000.0)
     noisy = SimulatedClock(sigma=0.05)
     within = 0
     for trial in range(100):

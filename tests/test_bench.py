@@ -198,6 +198,31 @@ def test_statistics_of_read_columns_plan_as_full_statistics(monkeypatch, name, s
                 assert column_stats == all_stats[table].columns[column]
 
 
+@pytest.mark.parametrize("seed", [1, 100001, 200001])
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_stats_roundtrip_is_exact_where_plans_read_it(monkeypatch, name, seed):
+    # a scenario without size variants plans from the round-tripped base and
+    # dim statistics; the round trip must give back what was captured
+    trips = []
+    roundtrip = bench._roundtrip
+
+    def recording(stats):
+        back = roundtrip(stats)
+        trips.append((stats, back))
+        return back
+
+    monkeypatch.setattr(bench, "_roundtrip", recording)
+    scenario = SCENARIO_BUILDERS[name](seed=seed)
+    first = next(bench.scenario_groups(scenario)).queries[0][1].plan
+    if scenario.size_variants:
+        assert trips == []   # each variant is planned from its own fresh statistics
+        return
+    assert sorted(stats.table for stats, _ in trips) == ["dim", "fact"]
+    for stats, back in trips:
+        assert back == stats
+        assert first.stats[stats.table] is back
+
+
 @pytest.mark.parametrize("name,nodes,calls", [
     (BREAK_EVEN, 4, 960), (INPUT_SCALE_SHIFT, 4, 960), (STALE_STATS, 5, 1160)])
 def test_noise_drawn_once_per_query_and_node(monkeypatch, name, nodes, calls):

@@ -210,6 +210,18 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
     assert str(a) in err and str(b) in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("baseline,q000,5.0,0\n", "does not start with the header"),
+    ("mode,query_id,latency,failed\nbaseline,q000,fast,0\n", "'fast', not a number"),
+], ids=["no_header", "latency_not_a_number"])
+def test_report_malformed_samples_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    assert run_cli("report", str(path)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err
+
+
 def test_report_mixed_mode_file_names_path_and_modes(tmp_path, capsys):
     mixed = tmp_path / "samples.csv"
     mixed.write_text("mode,query_id,latency,failed\n"
@@ -277,7 +289,11 @@ def test_break_even_rejects_fact_rows(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value,scenarios", [
     ("--drift-fraction", "0.9", ("stale_stats", "break_even")),
     ("--miscal-factor", "7", ("input_scale_shift", "stale_stats")),
-], ids=["drift_fraction", "miscal_factor"])
+    # the value input_scale_shift and break_even take by default
+    ("--drift-fraction", "0.2", ("stale_stats", "break_even")),
+    ("--miscal-factor", "2.0", ("input_scale_shift", "stale_stats")),
+], ids=["drift_fraction", "miscal_factor", "drift_fraction_default",
+        "miscal_factor_default"])
 def test_scenario_flag_on_other_scenario_rejected(tmp_path, capsys, flag, value, scenarios):
     for scenario in scenarios:
         code = run_cli("run", "--scenario", scenario, "--queries", "3", flag, value,
@@ -285,6 +301,33 @@ def test_scenario_flag_on_other_scenario_rejected(tmp_path, capsys, flag, value,
         assert code == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
         assert not (tmp_path / scenario).exists()
+
+
+def test_scenario_key_in_config_file_on_other_scenario_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "stale_stats", "drift_fraction": 0.2}))
+    code = run_cli("run", "--config", str(cfg), "--queries", "3", "--out", str(tmp_path))
+    assert code == EXIT_VALIDATION
+    assert "drift_fraction (--drift-fraction) does not apply to stale_stats; " \
+        "it applies to input_scale_shift" in capsys.readouterr().err
+    assert not (tmp_path / "stale_stats").exists()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_bad_sigma_exits_1_without_traceback(tmp_path, capsys, command, sigma):
+    assert run_cli(command, "--sigma", sigma, "--out", str(tmp_path)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma must be >= 0 and finite" in err
+    assert "Traceback" not in err
+
+
+def test_calibrate_grid_collapse_exits_1(tmp_path, capsys):
+    # a 1-unit setup puts the model break-even near one row, where the
+    # default grid's sizes round onto each other
+    assert run_cli("calibrate", "--accel-setup", "1", "--out", str(tmp_path)) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: size grid collapsed")
 
 
 def test_gen_writes_csv(tmp_path, capsys):
@@ -336,6 +379,18 @@ def test_run_config_json_feeds_back(tmp_path):
     assert first == second
     again = json.loads((tmp_path / "b" / "stale_stats" / "config.json").read_text())
     assert again == {**json.loads(written.read_text()), "out": str(tmp_path / "b")}
+
+
+def test_run_config_json_with_unset_scenario_settings_feeds_back(tmp_path):
+    assert run_cli("run", "--scenario", "break_even", "--queries", "4",
+                   "--out", str(tmp_path / "a")) == EXIT_OK
+    written = tmp_path / "a" / "break_even" / "config.json"
+    doc = json.loads(written.read_text())
+    assert [doc[name] for name in ("drift_fraction", "miscal_factor", "fact_rows",
+                                   "dim_rows")] == [None] * 4
+    assert run_cli("run", "--config", str(written), "--out", str(tmp_path / "b")) == EXIT_OK
+    assert mode_files(tmp_path / "a", "break_even") == mode_files(tmp_path / "b",
+                                                                  "break_even")
 
 
 def test_calibrate_config_json_feeds_back(tmp_path):

@@ -1,9 +1,10 @@
-"""Byte identity of seed-1 outputs against digests pinned on one platform.
+"""Byte identity of outputs against digests pinned on one platform.
 
 `perfbench/pinned.json` holds the sha256 of every mode's seed-1
-`samples.csv`, with the environment it was pinned on; latencies pass
-through libm and zipf columns through `pow`, so elsewhere the bytes may
-differ and these tests skip.  The file is only read here.
+`samples.csv`, with the environment it was pinned on, and MORE_SEED_DIGESTS
+below the seeds 100001 and 200001, pinned in the same environment;
+latencies pass through libm and zipf columns through `pow`, so elsewhere
+the bytes may differ and these tests skip.  The file is only read here.
 """
 
 from __future__ import annotations
@@ -132,3 +133,32 @@ def test_samples_match_pinned_digests(scenario, tmp_path):
     got = {mode: hashlib.sha256((tmp_path / scenario / mode / "samples.csv").read_bytes())
            .hexdigest() for mode in MODES}
     assert got == PINNED["digests"][scenario]
+
+
+# sha256 of the three modes' samples.csv, concatenated in MODES order, at two
+# more seeds; pinned on the same platform as perfbench/pinned.json
+MORE_SEED_DIGESTS = {
+    (bench.BREAK_EVEN, 100001):
+        "8c9ca3bce9a63e1812fb25e1e097b83e48b282b504d4db80b92c1f68a3fe0142",
+    (bench.BREAK_EVEN, 200001):
+        "11429112a5997dfe7c0dbd8174abe00c073c0689e2e3fb9682caf5e73df0fdbe",
+    (bench.INPUT_SCALE_SHIFT, 100001):
+        "b0310552a203681bc272b267dbac3156b241947e0d173916a5189af0d7d42975",
+    (bench.INPUT_SCALE_SHIFT, 200001):
+        "02642fea335cdc427bd3aa44e02da0f501eb9212aba1b4e208b3d874ca7e3d8e",
+    (bench.STALE_STATS, 100001):
+        "664e4edd5adcf9f4ea5c641221d789e6de9deb0e35b269324cba430ddca862a0",
+    (bench.STALE_STATS, 200001):
+        "363e10d790bde7a8c4f0bcd4dd9e20d8e1580a49369d97bd30844b703baaee10",
+}
+
+
+@pinned_platform
+@pytest.mark.parametrize("scenario,seed", sorted(MORE_SEED_DIGESTS))
+def test_samples_at_more_seeds_match_pinned_digests(scenario, seed, tmp_path):
+    assert main(["run", "--scenario", scenario, "--seed", str(seed),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    h = hashlib.sha256()
+    for mode in MODES:
+        h.update((tmp_path / scenario / mode / "samples.csv").read_bytes())
+    assert h.hexdigest() == MORE_SEED_DIGESTS[(scenario, seed)]

@@ -105,7 +105,6 @@ def test_integers_inclusive_bounds():
 
 def test_derive_seed_distinct_labels():
     assert derive_seed(1, "a") != derive_seed(1, "b")
-    assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
     assert derive_seed(1, "a") == derive_seed(1, "a")
 
 
