@@ -7,7 +7,8 @@ Three scenarios stress the three ways an early-bound plan goes stale:
   noselect": no filters, scan-join-aggregate).
 * stale_stats: a domain-shift plus skew-change drift inverts filter
   selectivities; statistics are frozen pre-drift, so tiny estimates meet
-  large runtime inputs.
+  large runtime inputs.  Its predicate constants are drawn in one call,
+  query i's at position i of the schedule stream.
 * break_even: per-query input sizes sweep log-spaced across the device
   crossover while the planner's device model is deliberately miscalibrated;
   only runtime observation can bind the device correctly.
@@ -44,7 +45,7 @@ from .accel import calibrate_break_evens
 from .clock import SIMULATED, SimulatedClock, WallClock
 from .datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                       apply_drift, generate_table)
-from .engine import EngineConfig, KernelMemo, execute
+from .engine import TRUE_COST_MODEL, EngineConfig, KernelMemo, execute
 from .errors import ResultMismatchError, ValidationError
 from .planner import (AggSpec, AnnotatedPlan, CostModel, Query, plan as build_plan)
 from .policy import (BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED, Thresholds,
@@ -88,7 +89,6 @@ class Scenario:
     drifts: dict[str, DriftSpec] = field(default_factory=dict)
     size_variants: dict[str, int] = field(default_factory=dict)
     planner_model: CostModel = field(default_factory=CostModel.default)
-    true_model: CostModel = field(default_factory=CostModel.default)
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
@@ -202,12 +202,13 @@ def scenario_stale_stats(seed: int = 1, query_count: int = 200,
     dim = TableSpec("dim", dim_rows, (ColumnSpec("pk", 0, key_domain - 1),))
     drift = DriftSpec(scale_factor=1.0, domain_shift=100,
                       skew_change=DistributionChange("zipf", 1.1))
-    sched = Stream(derive_seed(seed, "schedule/stale_stats"))
-    cases = []
-    for i in range(query_count):
-        c = int(sched.integers(60, 140, 1)[0])
-        cases.append(QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
-                               predicate=Predicate("a", ">=", c)))
+    # one draw: constant i sits at stream position i, and tolist() gives
+    # Python ints, whose text names each query's group; a count below 1
+    # leaves no case, which Scenario rejects
+    constants = Stream(derive_seed(seed, "schedule/stale_stats")).integers(
+        60, 140, max(query_count, 0)).tolist()
+    cases = [QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
+                       predicate=Predicate("a", ">=", c)) for i, c in enumerate(constants)]
     return Scenario(
         name=STALE_STATS, seed=seed, modes=modes, fact_spec=fact, dim_spec=dim,
         cases=cases, drifts={"drifted": drift})
@@ -277,7 +278,7 @@ def scenario_thresholds(scenario: Scenario,
             per_mode[mode] = static_thresholds(scenario.planner_model, base)
         elif mode == ORCHESTRATED:
             break_evens, _, _ = calibrate_break_evens(
-                scenario.true_model, SimulatedClock(sigma=0.0),
+                TRUE_COST_MODEL, SimulatedClock(sigma=0.0),
                 derive_seed(scenario.seed, "calibration"))
             per_mode[mode] = calibrate(break_evens, base)
     return per_mode
@@ -393,7 +394,6 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     """
     per_mode_thresholds = thresholds or scenario_thresholds(scenario)
     config = engine_config or EngineConfig()
-    config = replace(config, true_cost_model=config.true_cost_model or scenario.true_model)
 
     rows: dict[str, list[SampleRow]] = {mode: [None] * len(scenario.cases)
                                         for mode in scenario.modes}

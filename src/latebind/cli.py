@@ -21,9 +21,10 @@ import inspect
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bench
 from .accel import calibrate_break_evens, fits_csv, measurements_csv
@@ -67,6 +68,23 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _from_json(name: str, value: object, hint: object) -> object:
+    """A config file's `value` for field `name`, held as the field's type
+    `hint` holds it: a JSON list becomes a tuple and a JSON integer passes
+    for a float; any value of another type is rejected."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # Optional[T]
+        return None if value is None else _from_json(name, value, args[0])
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        if isinstance(value, list):
+            return tuple(_from_json(name, item, args[0]) for item in value)
+    elif type(value) is hint or (hint is float and type(value) is int):
+        return value
+    raise ValidationError(f"config key {name!r} takes "
+                          f"{RunConfig.__dataclass_fields__[name].type}, not {value!r}")
 
 
 def _load_config(path: Optional[str], command: str) -> RunConfig:
@@ -83,11 +101,8 @@ def _load_config(path: Optional[str], command: str) -> RunConfig:
     written_by = doc.pop("command", command)
     if written_by != command:
         raise ValidationError(f"config file {path} is for {written_by!r}, not {command!r}")
-    if "modes" in doc:
-        doc["modes"] = tuple(doc["modes"])
-    if "sizes" in doc:
-        doc["sizes"] = tuple(int(s) for s in doc["sizes"])
-    return replace(cfg, **doc)
+    return replace(cfg, **{name: _from_json(name, value, _FIELD_TYPES[name])
+                           for name, value in doc.items()})
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -96,11 +111,15 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
-    if "modes" in updates:
-        updates["modes"] = tuple(updates["modes"].split(","))
-    if "sizes" in updates:
-        updates["sizes"] = tuple(int(s) for s in updates["sizes"].split(","))
     return replace(cfg, **updates)
+
+
+def _comma_separated(item: type) -> Callable[[str], tuple]:
+    """An argparse type: a comma-separated list of `item`s, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(","))
+    parse.__name__ = f"comma-separated {item.__name__}"   # argparse's error names it
+    return parse
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -285,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--accel-per-item", dest="accel_per_item", type=float,
                      help="accelerator transfer+compute cost per row (default 0.2)")
     cal.add_argument("--repetitions", type=int, help="measurements per size (default 5)")
-    cal.add_argument("--sizes", help="comma-separated measurement sizes")
+    cal.add_argument("--sizes", type=_comma_separated(int),
+                     help="comma-separated measurement sizes")
     cal.set_defaults(func=cmd_calibrate)
 
     run = sub.add_parser("run", help="run a benchmark scenario")
@@ -295,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--clock", choices=("simulated", "wall"),
                      help="clock mode (default simulated)")
     run.add_argument("--queries", type=int, help="queries per scenario (default 200)")
-    run.add_argument("--modes", help="comma-separated execution modes (default all)")
+    run.add_argument("--modes", type=_comma_separated(str),
+                     help="comma-separated execution modes (default all)")
     run.add_argument("--drift-fraction", dest="drift_fraction", type=float,
                      help="drifted query fraction for input_scale_shift "
                           "(default 0.2; 0 = zero-drift control)")

@@ -12,9 +12,10 @@ the query.  Memory is part of the simulated cost model, so it is charged
 at int64 width, VALUE_BYTES per value, whatever integer type a column is
 stored in; spills and failures do not depend on how narrow the tables are.
 
-Costs are charged through the pluggable clock from the *true* cost model at
-observed cardinalities; which formula applies is exactly the executed
-variant's, which is how an inappropriate early binding shows up as latency.
+Costs are charged through the pluggable clock from the one true cost model,
+TRUE_COST_MODEL, at observed cardinalities, whatever model the plan was
+priced from; which formula applies is exactly the executed variant's, which
+is how an inappropriate early binding shows up as latency.
 Noise events are keyed by (query seed, node position), never by mode or
 decision outcome, so latency differences between modes reflect decisions
 alone.
@@ -45,9 +46,10 @@ execution still charges its own cost:
   mode of every query in such a group): a kernel runs once per node and
   path of kernels that leads to it;
 * per table set, every group over the same table objects: a join whose
-  inputs are all table columns runs once per kernel and input arrays.  A
-  filter whose mask keeps every row returns its input arrays, so such joins
-  recur across groups with different predicates;
+  inputs are all table columns runs once per kernel and input arrays.  The
+  filter kernel gathers the rows its mask keeps by index, one take per
+  column, but a mask that keeps every row returns its input dict itself, so
+  such joins recur across groups with different predicates;
 * per table, every group that reads the table: the hash build of a
   table-column build key is made once and lives as long as its table, so a
   table that several table sets share is built once.
@@ -72,6 +74,7 @@ from .planner import (ACCELERATOR, AnnotatedPlan, CPU, CostModel, HASH_JOIN,
                       NESTED_LOOP, PlanNode, cost as model_cost, predicted_cost)
 from .policy import BASELINE, KEEP, MODES, SWITCH, RiskVector, Thresholds
 from .rng import derive_seed
+from .stats import Predicate
 
 Clock = SimulatedClock | WallClock
 
@@ -79,6 +82,8 @@ SPILL_MULTIPLIER = 3.0   # charged-cost inflation of a node whose working set sp
 VALUE_BYTES = 8          # bytes charged per column value: int64, whatever the dtype
 BATCH_SIZE = 255         # build rows per block of the literal nested loop; its
                          # per-probe-row counts are uint8, so at most 255
+# what execution costs, whatever model a plan was priced from
+TRUE_COST_MODEL = CostModel.default()
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,6 @@ class EngineConfig:
     memory_budget_bytes: int = 64 * 1024 * 1024
     hard_memory_factor: float = 4.0     # budget * factor exhausts the query
     nl_pair_cap: int = 4_000_000        # see join_kernel
-    true_cost_model: Optional[CostModel] = None  # defaults to the plan's model
 
 
 @dataclass
@@ -276,6 +280,17 @@ def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
     return int(probe_counts.sum()), weights
 
 
+def _filter(cols: dict[str, np.ndarray], pred: Predicate) -> dict[str, np.ndarray]:
+    """The rows of `cols` that pass `pred`, gathered by index: one take per
+    column, several times faster than boolean selection, which rescans the
+    mask for every column.  When every row passes, `cols` itself."""
+    mask = pred.mask(cols[pred.column])
+    if mask.all():
+        return cols
+    rows = np.flatnonzero(mask)
+    return {name: arr.take(rows) for name, arr in cols.items()}
+
+
 def _output_sum(col: np.ndarray, weights: np.ndarray) -> int:
     """col's int64 sum over a join output that holds its row i weights[i]
     times, wrapping as the sum of the materialized output does; a narrow
@@ -340,7 +355,6 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     if mode != BASELINE and not thresholds.calibrated:
         raise ConfigurationError(f"{mode} mode requires calibrated thresholds")
     config = config or EngineConfig()
-    true_model = config.true_cost_model or plan.cost_model
     q = plan.query
     for name in (q.left_table, q.right_table):
         if name not in tables:
@@ -367,7 +381,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                  extra_bytes: int = 0,
                  out_bytes_of: Callable[[object], int] = lambda _: 0) -> object:
         nonlocal held, charged_total
-        base = model_cost(node.kind, variant, cards, true_model)
+        base = model_cost(node.kind, variant, cards, TRUE_COST_MODEL)
         modeled_only = variant == ACCELERATOR
         work = kernel
         if memo is not None:
@@ -415,16 +429,9 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         if filter_node is None:
             return out, True
         variant, decisions = hook(filter_node, n)
-        pred = filter_node.predicate
-
-        def apply_filter() -> dict[str, np.ndarray]:
-            mask = pred.mask(out[pred.column])
-            if mask.all():
-                return out
-            return {name: arr[mask] for name, arr in out.items()}
-
-        filtered = run_node(filter_node, variant, (float(n),),
-                            n, decisions, kernel=apply_filter, out_bytes_of=bytes_of)
+        filtered = run_node(filter_node, variant, (float(n),), n, decisions,
+                            kernel=lambda: _filter(out, filter_node.predicate),
+                            out_bytes_of=bytes_of)
         held -= bytes_of(out)  # scan output consumed
         return filtered, filtered is out
 

@@ -1,14 +1,86 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
 
+from latebind import bench
+from latebind.cli import main
 from latebind.datagen import ColumnSpec, Table, TableSpec, generate_table
 from latebind.planner import OFFLOADABLE_KINDS, AggSpec, CostModel, Query, plan
-from latebind.policy import Thresholds
+from latebind.policy import MODES, Thresholds
 from latebind.stats import capture_statistics
+
+DEFAULT_BUILDERS = {bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
+                    bench.STALE_STATS: bench.scenario_stale_stats,
+                    bench.BREAK_EVEN: bench.scenario_break_even}
+
+
+@dataclass(frozen=True)
+class DefaultRun:
+    """`latebind run --scenario <name> --seed 1`, every other setting at its
+    default: the exit code, the reports run_scenario returned, and each
+    mode's samples.csv bytes."""
+
+    exit_code: int
+    reports: dict[str, bench.LatencyReport]
+    samples: dict[str, bytes]
+
+
+@pytest.fixture(scope="session")
+def default_run(tmp_path_factory) -> Callable[[str], DefaultRun]:
+    """The default run of a scenario at seed 1, made once per session through
+    the CLI; every call hands out a deep copy, so no test sees another's
+    changes.  Tests whose subject is a run of their own (reruns, memo or
+    width comparisons, monkeypatched or counted engine calls) make it
+    themselves."""
+    runs: dict[str, DefaultRun] = {}
+
+    def get(name: str) -> DefaultRun:
+        if name not in runs:
+            out = tmp_path_factory.mktemp(name)
+            returned = []
+            real = bench.run_scenario
+
+            def keeping(*args, **kwargs):
+                returned.append(real(*args, **kwargs))
+                return returned[-1]
+
+            with pytest.MonkeyPatch.context() as mp, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                mp.setattr(bench, "run_scenario", keeping)
+                code = main(["run", "--scenario", name, "--seed", "1", "--out", str(out)])
+            samples = {mode: (out / name / mode / "samples.csv").read_bytes()
+                       for mode in MODES if (out / name / mode / "samples.csv").exists()}
+            runs[name] = DefaultRun(code, returned[0] if returned else {}, samples)
+        return copy.deepcopy(runs[name])
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def default_queries() -> Callable[[str], list[bench.PreparedQuery]]:
+    """bench.scenario_queries of a scenario's default at seed 1, made once per
+    session.  Every table column is read-only, so no test can change the
+    tables another test reads; each call hands out a new list."""
+    made: dict[str, list[bench.PreparedQuery]] = {}
+
+    def get(name: str) -> list[bench.PreparedQuery]:
+        if name not in made:
+            made[name] = bench.scenario_queries(DEFAULT_BUILDERS[name](seed=1))
+            for query in made[name]:
+                for table in query.tables.values():
+                    for col in table.columns.values():
+                        col.flags.writeable = False
+        return list(made[name])
+
+    return get
 
 
 @pytest.fixture

@@ -13,9 +13,9 @@ import itertools
 import pytest
 
 from latebind.accel import break_even, default_size_grid, fit_linear, run_microbenchmark
-from latebind.bench import (percentile, report_emit, run_scenario,
-                            scenario_break_even, scenario_input_scale_shift,
-                            scenario_queries, scenario_stale_stats)
+from latebind.bench import (BREAK_EVEN, INPUT_SCALE_SHIFT, STALE_STATS, percentile,
+                            report_emit, run_scenario, scenario_break_even,
+                            scenario_input_scale_shift, scenario_stale_stats)
 from latebind.clock import SimulatedClock
 from latebind.datagen import ColumnSpec, TableSpec, generate_table
 from latebind.engine import execute
@@ -37,14 +37,15 @@ def check(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+# each scenario's default run at seed 1: 200 queries, every mode, sigma 0.05
 @pytest.fixture(scope="module")
-def input_scale_reports():
-    return run_scenario(scenario_input_scale_shift(seed=SEED, query_count=Q), CLOCK)
+def input_scale_reports(default_run):
+    return default_run(INPUT_SCALE_SHIFT).reports
 
 
 @pytest.fixture(scope="module")
-def stale_stats_reports():
-    return run_scenario(scenario_stale_stats(seed=SEED, query_count=Q), CLOCK)
+def stale_stats_reports(default_run):
+    return default_run(STALE_STATS).reports
 
 
 @pytest.fixture(scope="module")
@@ -134,24 +135,22 @@ def _forced_combos(prepared):
         yield forced_plan
 
 
-def test_criterion_6_result_equivalence():
+def test_criterion_6_result_equivalence(default_queries):
     # cross-mode equality is asserted inside run_scenario for every query of
-    # every scenario fixture above; here every query also runs under every
-    # forced variant assignment, and small joins are checked against the
-    # all-pairs oracle.
+    # every scenario fixture above; here every query of each scenario's
+    # default at seed 1 also runs under every forced variant assignment, and
+    # small joins are checked against the all-pairs oracle.
     clock = SimulatedClock(sigma=0.0)
     checked = 0
-    for scenario in (scenario_input_scale_shift(seed=SEED, query_count=Q),
-                     scenario_stale_stats(seed=SEED, query_count=Q),
-                     scenario_break_even(seed=SEED, query_count=Q)):
-        for prepared in scenario_queries(scenario):
+    for name in (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN):
+        for prepared in default_queries(name):
             values = set()
             for forced_plan in _forced_combos(prepared):
                 result, trace = execute(forced_plan, prepared.tables, BASELINE,
                                         Thresholds(), clock, prepared.seed)
                 assert not trace.failed
                 values.add(result.value)
-            assert len(values) == 1, f"{scenario.name}/{prepared.case.query_id}: {values}"
+            assert len(values) == 1, f"{name}/{prepared.case.query_id}: {values}"
             checked += 1
 
     stream = Stream(202)

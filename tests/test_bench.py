@@ -10,7 +10,7 @@ import pytest
 
 from latebind import bench, datagen, engine
 from latebind.bench import (BREAK_EVEN, INPUT_SCALE_SHIFT, STALE_STATS, LatencyReport,
-                            SampleRow, build_report, cdf_points, compare_reports,
+                            QueryCase, SampleRow, build_report, cdf_points, compare_reports,
                             percentile, report_emit, run_scenario, scenario_break_even,
                             scenario_input_scale_shift, scenario_stale_stats, summarize)
 from latebind.clock import SimulatedClock, WallClock
@@ -18,7 +18,8 @@ from latebind.engine import EngineConfig
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.planner import ACCELERATOR, AGGREGATE, CPU, HASH_JOIN, JOIN, NESTED_LOOP
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED
-from latebind.rng import Stream
+from latebind.rng import Stream, derive_seed
+from latebind.stats import Predicate
 
 
 def oracle_percentile(samples: list[float], p: float) -> float:
@@ -115,6 +116,24 @@ def test_scenario_schedule_deterministic():
     c = scenario_input_scale_shift(seed=5, query_count=50)
     assert a.cases == b.cases
     assert a.cases != c.cases
+
+
+def stale_stats_cases_drawn_one_by_one(seed: int, query_count: int) -> list[QueryCase]:
+    """The stale_stats schedule as one draw per query: query i's constant is
+    the value at stream position i."""
+    sched = Stream(derive_seed(seed, "schedule/stale_stats"))
+    return [QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
+                      predicate=Predicate("a", ">=", int(sched.integers(60, 140, 1)[0])))
+            for i in range(query_count)]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 100001, 2**63 + 5])
+@pytest.mark.parametrize("query_count", [1, 2, 200, 333])
+def test_stale_stats_schedule_equals_one_draw_per_query(seed, query_count):
+    cases = scenario_stale_stats(seed=seed, query_count=query_count).cases
+    assert cases == stale_stats_cases_drawn_one_by_one(seed, query_count)
+    # Python ints, whose text names each query's group
+    assert {type(case.predicate.constant) for case in cases} == {int}
 
 
 def test_run_scenario_deterministic_reports():

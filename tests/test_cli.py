@@ -322,6 +322,34 @@ def test_bad_sigma_exits_1_without_traceback(tmp_path, capsys, command, sigma):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"queries": "a"}, "config key 'queries' takes int, not 'a'"),
+    ({"modes": 5}, "config key 'modes' takes tuple[str, ...], not 5"),
+    # JSON true is no integer, though Python's bool is an int
+    ({"queries": True}, "config key 'queries' takes int, not True"),
+])
+def test_config_value_of_another_type_exits_1_without_traceback(tmp_path, capsys, doc,
+                                                                message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "input_scale_shift").exists()
+
+
+def test_non_integer_sizes_flag_exits_2_with_usage(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("calibrate", "--sizes", "3000,a", "--out", str(tmp_path))
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: latebind calibrate ")
+    assert err.endswith("error: argument --sizes: invalid comma-separated int value: "
+                        "'3000,a'\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "calibration").exists()
+
+
 def test_calibrate_grid_collapse_exits_1(tmp_path, capsys):
     # a 1-unit setup puts the model break-even near one row, where the
     # default grid's sizes round onto each other

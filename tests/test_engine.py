@@ -468,6 +468,36 @@ def test_join_kernels_take_narrow_columns(dtype, build, pair_cap):
                 _output_sum(col.astype(np.int64), wide_weights[name])
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("density", ["none", "partial", "all"])
+def test_filter_gathers_the_rows_a_boolean_mask_selects(dtype, density):
+    info = np.iinfo(dtype)
+    stream = Stream(fnv1a64(f"filter/{np.dtype(dtype)}"))
+    a = stream.integers(int(info.min), int(info.max), 1000, dtype=np.dtype(dtype))
+    cols = {"a": a, "fk": stream.integers(0, 999, a.size, dtype=np.dtype(np.int16)),
+            "v": stream.integers(-2**40, 2**40, a.size)}
+    ordered = np.sort(a)
+    pred = {"none": Predicate("a", ">", int(ordered[-1])),
+            "partial": Predicate("a", ">=", int(ordered[a.size // 3])),
+            "all": Predicate("a", ">=", int(ordered[0]))}[density]
+    got = engine._filter(cols, pred)
+    if density == "all":
+        # the very input dict: the table-set store keys joins by array identity
+        assert got is cols
+        return
+    mask = pred.mask(a)
+    assert 0 <= mask.sum() < a.size and (density == "none") == (mask.sum() == 0)
+    assert list(got) == list(cols)
+    for name, col in cols.items():
+        assert got[name].dtype == col.dtype
+        assert np.array_equal(got[name], col[mask])
+
+
+def test_filter_of_an_empty_table_returns_its_input():
+    cols = {"a": np.empty(0, dtype=np.int8), "v": np.empty(0, dtype=np.int16)}
+    assert engine._filter(cols, Predicate("a", ">=", 0)) is cols
+
+
 @pytest.mark.parametrize("block", [1, 7, 255])
 def test_nested_loop_counts_past_a_uint8_block(block):
     # the nested loop adds each block's matches per probe row as uint8.  At

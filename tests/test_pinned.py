@@ -65,12 +65,12 @@ def tables_digest(tables: list[Table]) -> str:
     return h.hexdigest()
 
 
-def seed1_tables(scenario: str) -> tuple[Table, Table, list[Table]]:
+def seed1_tables(scenario: str, default_queries) -> tuple[Table, Table, list[Table]]:
     """The seed-1 dim table, base fact table and every other fact variant
     (drift variants first, each in the order the scenario declares them)."""
     s = SCENARIOS[scenario](seed=1)
     # the tables the prepared queries carry, by fact variant
-    queries = bench.scenario_queries(s)
+    queries = default_queries(scenario)
     facts = {query.case.fact_variant: query.tables[s.fact_spec.name] for query in queries}
     dim = queries[0].tables[s.dim_spec.name]
     assert all(query.tables[s.dim_spec.name] is dim for query in queries)
@@ -82,8 +82,8 @@ def seed1_tables(scenario: str) -> tuple[Table, Table, list[Table]]:
 
 @pinned_platform
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_generated_tables_match_pinned_digests(scenario):
-    dim, base, others = seed1_tables(scenario)
+def test_generated_tables_match_pinned_digests(scenario, default_queries):
+    dim, base, others = seed1_tables(scenario, default_queries)
     got = (tables_digest([dim]), tables_digest([base]), tables_digest(others))
     assert got == TABLE_DIGESTS[scenario]
 
@@ -106,18 +106,18 @@ def column_dtypes(table: Table) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_generated_tables_take_narrowest_dtypes(scenario):
-    dim, base, others = seed1_tables(scenario)
+def test_generated_tables_take_narrowest_dtypes(scenario, default_queries):
+    dim, base, others = seed1_tables(scenario, default_queries)
     want_dim, want_base, want_other = TABLE_DTYPES[scenario]
     assert column_dtypes(dim) == want_dim
     assert column_dtypes(base) == want_base
     assert all(column_dtypes(t) == want_other for t in others)
 
 
-def test_break_even_fact_tables_hold_two_bytes_per_value():
+def test_break_even_fact_tables_hold_two_bytes_per_value(default_queries):
     # the 200 seed-1 fact tables hold 4,328,711 rows of fk and v, both in
     # [0, 999]: 17.3 MB at int16 where int64 took 69.3 MB
-    queries = bench.scenario_queries(bench.scenario_break_even(seed=1))
+    queries = default_queries(bench.BREAK_EVEN)
     facts = {id(t): t for t in (query.tables["fact"] for query in queries)}
     assert len(facts) == 200
     values = sum(col.size for t in facts.values() for col in t.columns.values())
@@ -127,11 +127,12 @@ def test_break_even_fact_tables_hold_two_bytes_per_value():
 
 @pinned_platform
 @pytest.mark.parametrize("scenario", sorted(PINNED["digests"]))
-def test_samples_match_pinned_digests(scenario, tmp_path):
-    assert main(["run", "--scenario", scenario, "--seed", str(PINNED["seed"]),
-                 "--out", str(tmp_path)]) == EXIT_OK
-    got = {mode: hashlib.sha256((tmp_path / scenario / mode / "samples.csv").read_bytes())
-           .hexdigest() for mode in MODES}
+def test_samples_match_pinned_digests(scenario, default_run):
+    # `latebind run --scenario <scenario> --seed 1`
+    assert PINNED["seed"] == 1
+    run = default_run(scenario)
+    assert run.exit_code == EXIT_OK
+    got = {mode: hashlib.sha256(run.samples[mode]).hexdigest() for mode in MODES}
     assert got == PINNED["digests"][scenario]
 
 

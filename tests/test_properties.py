@@ -1,0 +1,113 @@
+"""Property: a scenario run gives the rows of executing every query alone.
+
+run_scenario executes group by group and shares kernel outputs through a
+memo; the reference below executes every query under every mode with no
+memo, in query order, from the same prepared queries, thresholds, clock and
+engine config.  Scenarios are drawn small but cover what the hand-picked
+tests pin at a few points: every scenario, any seed, 1-30 queries, empty
+fact tables, budgets from 64 KiB (where queries spill and fail, in some
+examples every query of a mode), noise-free and noisy clocks, and any subset
+of modes in any order.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from latebind import bench
+from latebind.bench import SampleRow, build_report, run_scenario
+from latebind.clock import SimulatedClock
+from latebind.engine import EngineConfig, execute
+from latebind.errors import ResultMismatchError, ValidationError
+from latebind.policy import MODES
+
+KIB = 1024
+
+
+@st.composite
+def scenarios(draw, name: str) -> bench.Scenario:
+    common = {"seed": draw(st.integers(0, 2**64 - 1)),
+              "query_count": draw(st.integers(1, 30)),
+              "modes": tuple(draw(st.permutations(MODES))[:draw(st.integers(1, len(MODES)))])}
+    if name == bench.INPUT_SCALE_SHIFT:
+        return bench.scenario_input_scale_shift(
+            fact_rows=draw(st.integers(0, 1500)), dim_rows=draw(st.integers(1, 1500)),
+            drift_fraction=draw(st.floats(0.0, 1.0)), **common)
+    if name == bench.STALE_STATS:
+        # the key domain is half the dim rows, so it needs two
+        return bench.scenario_stale_stats(
+            fact_rows=draw(st.integers(0, 4000)), dim_rows=draw(st.integers(2, 1500)),
+            **common)
+    return bench.scenario_break_even(
+        dim_rows=draw(st.integers(1, 400)), miscal_factor=draw(st.floats(0.25, 4.0)),
+        **common)
+
+
+def outcome(run) -> tuple[str, object]:
+    """("reports", the reports), or the error that ends a run, by type: a
+    result mismatch, or a mode in which every query failed."""
+    try:
+        return "reports", run()
+    except ResultMismatchError:
+        return "mismatch", None
+    except ValidationError as exc:
+        assert "every query failed" in str(exc)
+        return "all failed", str(exc)
+
+
+def reference_reports(scenario: bench.Scenario, clock: SimulatedClock,
+                      config: EngineConfig) -> dict[str, bench.LatencyReport]:
+    thresholds = bench.scenario_thresholds(scenario)
+    rows: dict[str, list[SampleRow]] = {mode: [] for mode in scenario.modes}
+    for prepared in bench.scenario_queries(scenario):
+        assert prepared.plan.query.left_filter == prepared.case.predicate
+        values = set()
+        for mode in scenario.modes:
+            result, trace = execute(prepared.plan, prepared.tables, mode, thresholds[mode],
+                                    clock, prepared.seed, config, memo=None)
+            rows[mode].append(SampleRow(prepared.case.query_id, trace.total_latency,
+                                        trace.failed))
+            if result is not None:
+                values.add(result.value)
+        if len(values) > 1:
+            raise ResultMismatchError(f"{prepared.case.query_id}: {values}")
+    return {mode: build_report(scenario.name, mode, scenario.seed, clock.mode,
+                               thresholds[mode].source, rows[mode])
+            for mode in scenario.modes}
+
+
+def check_run_scenario(scenario: bench.Scenario, budget: int, hard_factor: float,
+                       sigma: float) -> None:
+    clock = SimulatedClock(sigma=sigma)
+    config = EngineConfig(memory_budget_bytes=budget, hard_memory_factor=hard_factor)
+    got = outcome(lambda: run_scenario(scenario, clock, engine_config=config))
+    assert got == outcome(lambda: reference_reports(scenario, clock, config))
+
+
+@pytest.mark.parametrize("name", bench.SCENARIO_NAMES)
+def test_run_scenario_equals_executing_every_query_alone(name):
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(scenario=scenarios(name),
+           budget=st.one_of(st.sampled_from((64 * KIB, 256 * KIB, 64 * 1024 * KIB)),
+                            st.integers(64 * KIB, 1024 * KIB)),
+           # at a hard cap of one budget every query that spills fails
+           hard_factor=st.sampled_from((1.0, 4.0)),
+           sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    def prop(scenario, budget, hard_factor, sigma):
+        check_run_scenario(scenario, budget, hard_factor, sigma)
+
+    prop()
+
+
+@pytest.mark.parametrize("make_scenario,hard_factor,sigma", [
+    # every query fails at the fact table's scan, so no mode has a row to report
+    (lambda: bench.scenario_stale_stats(seed=1, query_count=3, fact_rows=4000, dim_rows=100),
+     1.0, 0.0),
+    # some queries spill and some fail in every mode
+    (lambda: bench.scenario_input_scale_shift(seed=1, query_count=30), 4.0, 0.05),
+], ids=["every_query_fails", "some_queries_fail"])
+def test_run_scenario_equals_executing_every_query_alone_at_64_kib(make_scenario,
+                                                                   hard_factor, sigma):
+    check_run_scenario(make_scenario(), 64 * KIB, hard_factor, sigma)
