@@ -25,9 +25,9 @@ variants).  A scenario with size variants plans each fact table from its own
 statistics; any other plans every variant from the base fact table's and the
 dim table's, after their round trip through the JSON file form.  Statistics
 describe exactly the columns plans read: the join keys (for ndv) and the
-filter columns (for histograms).  Joins of unfiltered tables live as long as
-their fact table, and a hash build of a table column as long as that table,
-so the dim table's is made once per run.
+filter columns (for histograms).  Joins of unfiltered tables and hash
+builds of table columns live as long as their fact table, so the dim
+table's hash build is made once per fact table.
 Reports carry sorted latency samples, nearest-rank percentiles, CDF points,
 and failure counts, and serialize byte-identically for identical inputs.
 """
@@ -298,14 +298,10 @@ class PreparedQuery:
 class QueryGroup:
     """The queries that share one plan and one set of tables, each with its
     position in query order.  ``store`` is the kernel store of the table set
-    (``KernelMemo.table_set``), handed to every group over the same tables.
-    ``tables`` (``KernelMemo.tables``) lists only the tables that outlive
-    their table set, here the dim table, each with the store of its hash
-    builds, handed to every group that reads the table."""
+    (``KernelMemo.table_set``), handed to every group over the same tables."""
 
     queries: list[tuple[int, PreparedQuery]]
     store: dict
-    tables: dict[str, dict]
 
 
 def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
@@ -315,12 +311,12 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
 
     A variant's table, with its own statistics under size variants, is
     made at the variant's first group and dropped after its last, when its
-    table set's store is emptied too.  The dim table, with its own store,
-    lives for the whole run, and so does the base fact table of a scenario
-    without size variants, whose plans read the round-tripped base and dim
-    statistics.  Statistics are captured when their table is made, of the
-    columns plans read only; a capture on first read would keep the tables
-    alive, since the plans outlive them.
+    table set's store is emptied too.  The dim table lives for the whole
+    run, and so does the base fact table of a scenario without size
+    variants, whose plans read the round-tripped base and dim statistics.
+    Statistics are captured when their table is made, of the columns plans
+    read only; a capture on first read would keep the tables alive, since
+    the plans outlive them.
     """
     seed = scenario.seed
     fresh = bool(scenario.size_variants)
@@ -328,7 +324,6 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
     fact_columns = {LEFT_KEY,
                     *(case.predicate.column for case in scenario.cases if case.predicate)}
     dim = generate_table(scenario.dim_spec, derive_seed(seed, "table/dim"))
-    dim_store: dict = {}
     dim_stats = capture_statistics(dim, columns=(RIGHT_KEY,))
     base = base_stats = None
     if not fresh:
@@ -358,8 +353,7 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
         yield QueryGroup(queries=[(i, PreparedQuery(
             case=scenario.cases[i], plan=plan,
             tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
-            seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store,
-            tables={scenario.dim_spec.name: dim_store})
+            seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store)
         if last_group[label] == g:
             # empty the store now, whoever still holds it, so that its
             # kernel outputs are freed before the next table is made
@@ -385,12 +379,11 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     Queries run group by group as scenario_groups prepares them, so a fact
     table lives only from its first group to its last; rows still come out
     in query order.  On the simulated clock kernel outputs are shared with
-    three lifetimes: each group has a memo, dropped before the next group
-    starts; each table set has a store for table-column joins, which lives
-    as long as the set's fact table; and the dim table, which every hash
-    join builds on, has a store for its hash builds, which lives for the
-    whole run.  Result values are cross-checked per query over all modes
-    that completed; any mismatch is a hard failure of the whole run.
+    two lifetimes: each group has a memo, dropped before the next group
+    starts, and each table set has a store for table-column joins and hash
+    builds, which lives as long as the set's fact table.  Result values are
+    cross-checked per query over all modes that completed; any mismatch is a
+    hard failure of the whole run.
     """
     per_mode_thresholds = thresholds or scenario_thresholds(scenario)
     config = engine_config or EngineConfig()
@@ -399,8 +392,7 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                                         for mode in scenario.modes}
     for group in scenario_groups(scenario):
         # the wall clock times every run, so it shares nothing
-        memo = (KernelMemo(table_set=group.store, tables=group.tables)
-                if clock.mode == SIMULATED else None)
+        memo = KernelMemo(table_set=group.store) if clock.mode == SIMULATED else None
         for i, prepared in group.queries:
             values: dict[str, int] = {}
             for mode in scenario.modes:

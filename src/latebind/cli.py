@@ -21,7 +21,6 @@ import inspect
 import json
 import os
 import sys
-import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -30,7 +29,7 @@ from . import bench
 from .accel import calibrate_break_evens, fits_csv, measurements_csv
 from .clock import SimulatedClock, WallClock
 from .datagen import dump_table_csv, generate_table, load_table_spec
-from .errors import ConfigurationError, ResultMismatchError, ValidationError
+from .errors import ConfigurationError, ResultMismatchError, ValidationError, json_fields
 from .planner import AcceleratorCost, CostModel, LinearCost
 from .policy import (MODES, Thresholds, calibrate, calibration_report,
                      dump_thresholds, load_thresholds)
@@ -68,41 +67,19 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
-
-
-def _from_json(name: str, value: object, hint: object) -> object:
-    """A config file's `value` for field `name`, held as the field's type
-    `hint` holds it: a JSON list becomes a tuple and a JSON integer passes
-    for a float; any value of another type is rejected."""
-    args = typing.get_args(hint)
-    if type(None) in args:  # Optional[T]
-        return None if value is None else _from_json(name, value, args[0])
-    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
-        if isinstance(value, list):
-            return tuple(_from_json(name, item, args[0]) for item in value)
-    elif type(value) is hint or (hint is float and type(value) is int):
-        return value
-    raise ValidationError(f"config key {name!r} takes "
-                          f"{RunConfig.__dataclass_fields__[name].type}, not {value!r}")
 
 
 def _load_config(path: Optional[str], command: str) -> RunConfig:
-    """The config file's settings; the "command" key that _write_config adds
-    must name the running subcommand."""
-    cfg = RunConfig()
+    """The config file's settings, each of its field's type; the "command"
+    key that _write_config adds must name the running subcommand."""
     if not path:
-        return cfg
+        return RunConfig()
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    unknown = set(doc) - _CONFIG_FIELDS - {"command"}
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    written_by = doc.pop("command", command)
+    written_by = doc.pop("command", command) if isinstance(doc, dict) else command
     if written_by != command:
         raise ValidationError(f"config file {path} is for {written_by!r}, not {command!r}")
-    return replace(cfg, **{name: _from_json(name, value, _FIELD_TYPES[name])
-                           for name, value in doc.items()})
+    return RunConfig(**json_fields(RunConfig, doc, "config"))
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:

@@ -22,13 +22,14 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_fields
 from .rng import INT64_MAX, INT64_MIN, SIGNED_BOUNDS, Stream, derive_seed
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
 
 MAX_ZIPF_DOMAIN = 2**24  # values; a zipf CDF holds a float64 per value (128 MiB)
+MAX_TABLE_BYTES = 2**30  # a table's bytes at int64 width, 8 per value (1 GiB)
 _zipf_cdf_cache: dict[tuple[int, float], np.ndarray] = {}
 
 
@@ -68,6 +69,10 @@ class TableSpec:
             raise ValidationError("table name must be non-empty")
         if self.row_count < 0:
             raise ValidationError(f"table {self.name}: row_count must be >= 0, got {self.row_count}")
+        if 8 * self.row_count * len(self.columns) > MAX_TABLE_BYTES:
+            raise ValidationError(f"table {self.name}: {self.row_count} rows of "
+                                  f"{len(self.columns)} columns exceed {MAX_TABLE_BYTES} "
+                                  f"bytes at int64 width")
         if not self.columns:
             raise ValidationError(f"table {self.name}: at least one column required")
         names = [c.name for c in self.columns]
@@ -194,24 +199,10 @@ def apply_drift(table: Table, drift: DriftSpec, seed: int) -> Table:
 # ── config / debug I/O ─────────────────────────────────────────────────────
 
 
-def table_spec_from_json(doc: dict) -> TableSpec:
-    """Build a TableSpec from a parsed JSON document; unknown keys rejected."""
-    allowed = {"name", "row_count", "columns"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"unknown table spec keys: {sorted(unknown)}")
-    cols = []
-    for cdoc in doc.get("columns", []):
-        callowed = {"name", "low", "high", "distribution", "skew"}
-        cunknown = set(cdoc) - callowed
-        if cunknown:
-            raise ValidationError(f"unknown column spec keys: {sorted(cunknown)}")
-        cols.append(ColumnSpec(
-            name=cdoc["name"], low=int(cdoc["low"]), high=int(cdoc["high"]),
-            distribution=cdoc.get("distribution", UNIFORM),
-            skew=float(cdoc.get("skew", 1.0)),
-        ))
-    spec = TableSpec(name=doc["name"], row_count=int(doc["row_count"]), columns=tuple(cols))
+def table_spec_from_json(doc: object) -> TableSpec:
+    """Build a TableSpec from a parsed JSON document; unknown or missing keys
+    and values of another type than their field's are rejected."""
+    spec = TableSpec(**json_fields(TableSpec, doc, "table spec"))
     spec.validate()
     return spec
 

@@ -2,15 +2,17 @@
 
 Each operator runs to completion before the next starts, so when a
 late-bind node is about to run, its input cardinality is exact.  At that
-boundary the engine builds the componentwise risk vector (the observed
-input and its ratio to the estimate as executor-side runtime signals, and
-accelerator amortization risk from the active thresholds) and asks the
-policy for one decision per the execution mode.  Baseline never consults
-the policy.  Memory is accounted, not decided on: a working set above the
-budget is charged the spill multiplier, and one above the hard cap fails
-the query.  Memory is part of the simulated cost model, so it is charged
-at int64 width, VALUE_BYTES per value, whatever integer type a column is
-stored in; spills and failures do not depend on how narrow the tables are.
+boundary the decision hook runs the planned variant under baseline, which
+never consults the policy; in a deciding mode, observe builds the node's
+risk vector once (the observed input and its ratio to the estimate as
+executor-side runtime signals, and accelerator amortization risk from the
+mode's thresholds) and the policy makes the one decision.  A record's
+decision label follows from its planned and executed variants.  Memory is
+accounted, not decided on: a working set above the budget is charged the
+spill multiplier, and one above the hard cap fails the query.  Memory is
+part of the simulated cost model, so it is charged at int64 width,
+VALUE_BYTES per value, whatever integer type a column is stored in; spills
+and failures do not depend on how narrow the tables are.
 
 Costs are charged through the pluggable clock from the one true cost model,
 TRUE_COST_MODEL, at observed cardinalities, whatever model the plan was
@@ -39,22 +41,20 @@ per build row only when a build column is carried.
 Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
 or aggregate, since the accelerator is a cost-model device.  On the
-simulated clock kernel outputs are shared with three lifetimes, while every
+simulated clock kernel outputs are shared with two lifetimes, while every
 execution still charges its own cost:
 
 * per group, the executions that run one plan on one set of tables (every
   mode of every query in such a group): a kernel runs once per node and
   path of kernels that leads to it;
 * per table set, every group over the same table objects: a join whose
-  inputs are all table columns runs once per kernel and input arrays.  The
-  filter kernel gathers the rows its mask keeps by index, one take per
-  column, but a mask that keeps every row returns its input dict itself, so
-  such joins recur across groups with different predicates;
-* per table, every group that reads the table: the hash build of a
-  table-column build key is made once and lives as long as its table, so a
-  table that several table sets share is built once.
+  inputs are all table columns runs once per kernel and input arrays, and
+  the hash build of a table-column build key is made once.  The filter
+  kernel gathers the rows its mask keeps by index, one take per column, but
+  a mask that keeps every row returns its input dict itself, so such joins
+  recur across groups with different predicates.
 
-The wall clock bypasses all three, since it times every run.
+The wall clock bypasses both, since it times every run.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .datagen import Table
 from .errors import ConfigurationError, MemoryBudgetExceeded, ValidationError
 # predicted_cost is not called here; perfbench/layers.py wraps engine.predicted_cost
 from .planner import (ACCELERATOR, AnnotatedPlan, CPU, CostModel, HASH_JOIN,
-                      NESTED_LOOP, PlanNode, cost as model_cost, predicted_cost)
+                      NESTED_LOOP, VARIANTS, PlanNode, cost as model_cost, predicted_cost)
 from .policy import BASELINE, KEEP, MODES, SWITCH, RiskVector, Thresholds
 from .rng import derive_seed
 from .stats import Predicate
@@ -84,16 +84,6 @@ BATCH_SIZE = 255         # build rows per block of the literal nested loop; its
                          # per-probe-row counts are uint8, so at most 255
 # what execution costs, whatever model a plan was priced from
 TRUE_COST_MODEL = CostModel.default()
-
-
-@dataclass(frozen=True)
-class RuntimeSignals:
-    observed_input_cardinality: int
-    estimate_ratio: float
-
-    def __post_init__(self):
-        if self.observed_input_cardinality < 0 or self.estimate_ratio < 0:
-            raise ValidationError("runtime signals must be >= 0")
 
 
 @dataclass
@@ -111,9 +101,18 @@ class NodeRecord:
     executed_variant: str
     kernel: str                  # what ran: hash_join, nested_loop, or cpu
     n_obs: int
-    decisions: tuple[str, ...]   # empty unless late_bind
     charged_cost: float
     spilled: bool = False
+
+    @property
+    def decisions(self) -> tuple[str, ...]:
+        """The decision label of a late-bind node, keep or switch:<variant>;
+        empty for any other node."""
+        if self.kind not in VARIANTS:
+            return ()
+        if self.executed_variant == self.planned_variant:
+            return (KEEP,)
+        return (f"{SWITCH}:{self.executed_variant}",)
 
 
 @dataclass
@@ -136,36 +135,29 @@ class KernelMemo:
     ``group`` serves calls that share plan and tables, keyed by the path of
     (node, kernel) pairs.  ``table_set`` serves every call over the same
     table objects and holds only outputs computed purely from table
-    columns, each with the arrays that key it by identity.  ``tables`` maps
-    the name of every table a hash join builds on to the store of outputs
-    computed from that table's columns alone (hash builds), which lives as
-    long as the table and so may outlive the table set.
+    columns (table-column joins and hash builds), each with the arrays that
+    key it by identity.
     """
 
     table_set: dict
-    tables: dict[str, dict]
     group: dict = field(default_factory=dict)
 
 
-def observe(node: PlanNode, n_obs: int) -> RuntimeSignals:
-    """Executor-side signals for one late-bind boundary."""
-    return RuntimeSignals(observed_input_cardinality=n_obs,
-                          estimate_ratio=n_obs / max(1.0, node.est_input))
+def observe(node: PlanNode, n_obs: int, thresholds: Thresholds) -> RiskVector:
+    """The risk vector of one late-bind boundary: the observed input, its
+    ratio to the planner's estimate, and the accelerator amortization risk
+    against the node kind's N*, None for a kind without one (joins)."""
+    n_star = thresholds.n_star.get(node.kind)
+    return RiskVector(n_obs, n_obs / max(1.0, node.est_input),
+                      None if n_star is None else accelerator_risk(n_star, n_obs))
 
 
-def decision_hook(node: PlanNode, signals: RuntimeSignals, mode: str,
-                  thresholds: Thresholds, r_acc: Optional[float],
-                  ) -> tuple[str, tuple[str, ...]]:
-    """Resolve the variant to execute at a late-bind boundary.
-
-    Returns (variant, decision labels); one decision, so one label.
-    """
-    if not node.late_bind:
-        raise ValidationError(f"{node.node_id}: decision hook on a non-late-bind node")
+def decision_hook(node: PlanNode, n_obs: int, mode: str, thresholds: Thresholds) -> str:
+    """The variant to execute at a late-bind boundary: the planned one under
+    baseline, else the policy's decision on the node's risk vector."""
     if mode == BASELINE:
-        return node.chosen, (KEEP,)
-    variant = policy_mod.decide(RiskVector(signals, r_acc), node, thresholds, mode)
-    return variant, (KEEP if variant == node.chosen else f"{SWITCH}:{variant}",)
+        return node.chosen
+    return policy_mod.decide(observe(node, n_obs, thresholds), node, thresholds)
 
 
 # ── kernels ────────────────────────────────────────────────────────────────
@@ -346,9 +338,9 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     their mode or query seed: each kernel then runs once per node and path of
     kernels (so an aggregate never reuses another join kernel's output).
     Calls that share its ``table_set`` must share the table objects: a join
-    over unfiltered table columns then runs once per kernel and input arrays.
-    A table-column hash build is made once per store that ``tables`` names
-    for its table.  Later calls get the same output objects.
+    over unfiltered table columns then runs once per kernel and input arrays,
+    and a table-column hash build once per build key.  Later calls get the
+    same output objects.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -375,8 +367,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     def bytes_of(cols: dict[str, np.ndarray]) -> int:
         return VALUE_BYTES * sum(arr.size for arr in cols.values())
 
-    def run_node(node: PlanNode, variant: str, cards: tuple[float, ...],
-                 n_obs: int, decisions: tuple[str, ...],
+    def run_node(node: PlanNode, variant: str, cards: tuple[float, ...], n_obs: int,
                  kernel: Callable[[], object], kernel_name: str = CPU,
                  extra_bytes: int = 0,
                  out_bytes_of: Callable[[object], int] = lambda _: 0) -> object:
@@ -408,28 +399,21 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         trace.records.append(NodeRecord(
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
             executed_variant=variant, kernel=kernel_name, n_obs=n_obs,
-            decisions=decisions, charged_cost=charged, spilled=spilled))
+            charged_cost=charged, spilled=spilled))
         return out
-
-    def hook(node: PlanNode, n_obs: int) -> tuple[str, tuple[str, ...]]:
-        signals = observe(node, n_obs)
-        r_acc = None
-        if node.kind in thresholds.n_star:
-            r_acc = accelerator_risk(thresholds.n_star[node.kind], n_obs)
-        return decision_hook(node, signals, mode, thresholds, r_acc)
 
     def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
                    table: Table, cols: list[str]) -> tuple[dict[str, np.ndarray], bool]:
         """The branch's output, and whether it is the table's own columns."""
         nonlocal held
         n = table.row_count
-        out = run_node(scan_node, CPU, (float(n),), n, (),
+        out = run_node(scan_node, CPU, (float(n),), n,
                        kernel=lambda: {c: table.column(c) for c in cols},
                        out_bytes_of=bytes_of)
         if filter_node is None:
             return out, True
-        variant, decisions = hook(filter_node, n)
-        filtered = run_node(filter_node, variant, (float(n),), n, decisions,
+        variant = decision_hook(filter_node, n, mode, thresholds)
+        filtered = run_node(filter_node, variant, (float(n),), n,
                             kernel=lambda: _filter(out, filter_node.predicate),
                             out_bytes_of=bytes_of)
         held -= bytes_of(out)  # scan output consumed
@@ -443,7 +427,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
         probe_key, build_key = left[q.left_key], right[q.right_key]
         n_probe, n_build = int(probe_key.size), int(build_key.size)
-        variant, decisions = hook(plan.join, n_probe)
+        variant = decision_hook(plan.join, n_probe, mode, thresholds)
         kernel_name = join_kernel(variant, n_probe * n_build, config.nl_pair_cap)
 
         carried = {agg_col: left[agg_col]} if agg_side == "left" else {}
@@ -456,7 +440,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                                          BATCH_SIZE)
             build = None
             if store is not None and right_is_table:
-                build = _shared(memo.tables[q.right_table], ("build",), (build_key,),
+                build = _shared(store, ("build",), (build_key,),
                                 lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, build_carried, build)
 
@@ -472,12 +456,12 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         # carried column per output row
         row_bytes = VALUE_BYTES * (len(carried) + len(build_carried))
         n_join, join_weights = run_node(
-            plan.join, variant, (float(n_probe), float(n_build)), n_probe, decisions,
+            plan.join, variant, (float(n_probe), float(n_build)), n_probe,
             kernel=join_work, kernel_name=kernel_name, extra_bytes=extra,
             out_bytes_of=lambda out: out[0] * row_bytes)
         held -= bytes_of(left) + bytes_of(right)
 
-        variant, decisions = hook(plan.aggregate, n_join)
+        variant = decision_hook(plan.aggregate, n_join, mode, thresholds)
 
         def run_agg() -> int:
             if q.aggregate.op == "count":
@@ -485,8 +469,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             col = (carried or build_carried)[agg_col]
             return _output_sum(col, join_weights[agg_col])
 
-        value = run_node(plan.aggregate, variant, (float(n_join),), n_join, decisions,
-                         kernel=run_agg)
+        value = run_node(plan.aggregate, variant, (float(n_join),), n_join, kernel=run_agg)
         held -= n_join * row_bytes
     except MemoryBudgetExceeded as exc:
         trace.failed = True

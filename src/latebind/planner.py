@@ -1,11 +1,11 @@
 """Cost-based planning with late-bind annotations.
 
 The plan shape is fixed (scan -> optional filter per side -> join ->
-aggregate); planning only selects strategy variants.  The join node and the
-offloadable primitives (filter, aggregate) are annotated as late-bind
-candidates carrying their full variant sets, with the modeled-cost argmin
-bound as the default choice.  Ties break lexicographically on variant name
-so plans are deterministic.
+aggregate); planning only selects strategy variants.  A node's kind fixes
+whether it is a late-bind candidate and which variants it has (VARIANTS):
+the join and the offloadable primitives (filter, aggregate) are, with the
+modeled-cost argmin bound as the default choice.  Ties break
+lexicographically on variant name so plans are deterministic.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ ACCELERATOR = "accelerator"
 HASH_JOIN = "hash_join"
 NESTED_LOOP = "nested_loop"
 
-JOIN_VARIANTS = (HASH_JOIN, NESTED_LOOP)
-DEVICE_VARIANTS = (ACCELERATOR, CPU)
 OFFLOADABLE_KINDS = (FILTER, AGGREGATE)
+# the variants of each late-bind kind; a scan has the one way to run
+VARIANTS = {FILTER: (ACCELERATOR, CPU), JOIN: (HASH_JOIN, NESTED_LOOP),
+            AGGREGATE: (ACCELERATOR, CPU)}
 
 
 @dataclass(frozen=True)
@@ -165,19 +166,16 @@ class PlanNode:
     kind: str
     chosen: str
     est_input: float               # probe-side input for joins
-    est_output: float
-    late_bind: bool = False
-    variants: tuple[str, ...] = ()
     est_build: Optional[float] = None     # joins only
-    table: Optional[str] = None           # scans only
     predicate: Optional[Predicate] = None  # filters only
 
-    def __post_init__(self):
-        if self.late_bind:
-            if len(self.variants) < 2:
-                raise ValidationError(f"{self.node_id}: late-bind nodes need >= 2 variants")
-            if self.chosen not in self.variants:
-                raise ValidationError(f"{self.node_id}: chosen {self.chosen!r} not in variants")
+    @property
+    def late_bind(self) -> bool:
+        return self.kind in VARIANTS
+
+    @property
+    def variants(self) -> tuple[str, ...]:
+        return VARIANTS.get(self.kind, ())
 
 
 @dataclass
@@ -204,11 +202,10 @@ class AnnotatedPlan:
         return order
 
 
-def _argmin_variant(kind: str, variants: tuple[str, ...],
-                    cards: tuple[float, ...], model: CostModel) -> str:
+def _argmin_variant(kind: str, cards: tuple[float, ...], model: CostModel) -> str:
     best = None
     best_cost = None
-    for v in sorted(variants):  # lexicographic tie-break
+    for v in sorted(VARIANTS[kind]):  # lexicographic tie-break
         c = cost(kind, v, cards, model)
         if best_cost is None or c < best_cost:
             best, best_cost = v, c
@@ -226,15 +223,13 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
     def branch(side: str, tstats: TableStats, flt: Optional[Predicate],
                ) -> tuple[PlanNode, Optional[PlanNode], float]:
         scan_est = float(tstats.row_count)
-        scan = PlanNode(node_id=f"scan_{side}", kind=SCAN, chosen=CPU,
-                        est_input=scan_est, est_output=scan_est, table=tstats.table)
+        scan = PlanNode(node_id=f"scan_{side}", kind=SCAN, chosen=CPU, est_input=scan_est)
         if flt is None:
             return scan, None, scan_est
         out_est = scan_est * estimate_selectivity(tstats.column(flt.column), flt)
-        chosen = _argmin_variant(FILTER, DEVICE_VARIANTS, (scan_est,), model)
-        fnode = PlanNode(node_id=f"filter_{side}", kind=FILTER, chosen=chosen,
-                         est_input=scan_est, est_output=out_est,
-                         late_bind=True, variants=DEVICE_VARIANTS, predicate=flt)
+        fnode = PlanNode(node_id=f"filter_{side}", kind=FILTER,
+                         chosen=_argmin_variant(FILTER, (scan_est,), model),
+                         est_input=scan_est, predicate=flt)
         return scan, fnode, out_est
 
     left_scan, left_filter, left_est = branch("left", left_stats, query.left_filter)
@@ -243,15 +238,12 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
     ndv_left = left_stats.column(query.left_key).ndv
     ndv_right = right_stats.column(query.right_key).ndv
     join_out = left_est * right_est / max(ndv_left, ndv_right, 1)
-    join_chosen = _argmin_variant(JOIN, JOIN_VARIANTS, (left_est, right_est), model)
-    join_node = PlanNode(node_id="join", kind=JOIN, chosen=join_chosen,
-                         est_input=left_est, est_output=join_out,
-                         late_bind=True, variants=JOIN_VARIANTS, est_build=right_est)
-
-    agg_chosen = _argmin_variant(AGGREGATE, DEVICE_VARIANTS, (join_out,), model)
-    agg_node = PlanNode(node_id="aggregate", kind=AGGREGATE, chosen=agg_chosen,
-                        est_input=join_out, est_output=1.0,
-                        late_bind=True, variants=DEVICE_VARIANTS)
+    join_node = PlanNode(node_id="join", kind=JOIN,
+                         chosen=_argmin_variant(JOIN, (left_est, right_est), model),
+                         est_input=left_est, est_build=right_est)
+    agg_node = PlanNode(node_id="aggregate", kind=AGGREGATE,
+                        chosen=_argmin_variant(AGGREGATE, (join_out,), model),
+                        est_input=join_out)
 
     return AnnotatedPlan(query=query, cost_model=model,
                          left_scan=left_scan, right_scan=right_scan,

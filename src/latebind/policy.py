@@ -1,10 +1,12 @@
 """Unified risk signal and the runtime decision rules.
 
-The risk vector stays componentwise: executor-side runtime signals and
-accelerator amortization risk (none for joins) are carried as separate
-components and consulted by an ordered rule table.  Nothing here folds them
-into one scalar; the components exist at different points in time and a
-scalar blend would erase exactly the information the runtime decision needs.
+The risk vector stays componentwise: the executor-side runtime signals
+(the observed input and its ratio to the estimate) and accelerator
+amortization risk (none for joins) are carried as separate components,
+built once per late-bind boundary by ``engine.observe``, and consulted by
+an ordered rule table.  Nothing here folds them into one scalar; the
+components exist at different points in time and a scalar blend would
+erase exactly the information the runtime decision needs.
 Unlike the paper's signal, the vector has no optimizer-risk component: the
 optimizer enters through its estimates, which the estimate ratio divides by.
 Nor does the executor's resource state feed a decision: a memory backoff
@@ -23,15 +25,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, TYPE_CHECKING, Optional
+from typing import IO, Optional
 
 from .accel import BreakEven
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError, json_fields
 from .planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, JOIN, NESTED_LOOP,
                       OFFLOADABLE_KINDS, PlanNode, model_break_even)
-
-if TYPE_CHECKING:  # runtime signals are produced by the engine
-    from .engine import RuntimeSignals
 
 BASELINE = "baseline"
 INDEPENDENT_GATES = "independent_gates"
@@ -52,7 +51,8 @@ class RiskVector:
     Deliberately exposes no scalar fold of its components.
     """
 
-    r_exec: RuntimeSignals
+    observed_input_cardinality: int
+    estimate_ratio: float
     r_acc: Optional[float] = None
 
 
@@ -61,7 +61,9 @@ class Thresholds:
     rho_join: float = 10.0        # estimate-ratio trigger for join re-selection
     offload_margin: float = 1.1   # safety multiplier on the break-even size
     n_star: dict[str, float] = field(default_factory=dict)  # kind -> N*
-    source: str = UNCALIBRATED    # uncalibrated | calibrated | static | manual
+    # calibrated (calibrate), static (static_thresholds), or, from a
+    # thresholds file, any name; only uncalibrated leaves them uncalibrated
+    source: str = UNCALIBRATED
 
     def __post_init__(self):
         if not (self.rho_join > 1):
@@ -74,36 +76,21 @@ class Thresholds:
         return self.source != UNCALIBRATED
 
 
-def decide(urs: RiskVector, node: PlanNode, thresholds: Thresholds, mode: str) -> str:
+def decide(urs: RiskVector, node: PlanNode, thresholds: Thresholds) -> str:
     """The variant to run: the first matching rule's target, else node.chosen."""
-    if mode == BASELINE:
-        raise ConfigurationError("baseline mode never consults the decision rules")
-    if mode not in MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    if mode == ORCHESTRATED and not thresholds.calibrated:
-        raise ConfigurationError("orchestrated mode requires calibrated thresholds")
-
-    signals = urs.r_exec
-
-    def switch_to(target: str) -> str:
-        if target not in node.variants:
-            raise ValidationError(
-                f"switch target {target!r} not among node variants {node.variants}")
-        return target
-
     # join_blowup: join inputs far above estimate while on the quadratic strategy
     if (node.kind == JOIN and node.chosen == NESTED_LOOP
-            and signals.estimate_ratio >= thresholds.rho_join):
-        return switch_to(HASH_JOIN)
+            and urs.estimate_ratio >= thresholds.rho_join):
+        return HASH_JOIN
 
     if node.kind in OFFLOADABLE_KINDS:
         offload_at = thresholds.offload_margin * thresholds.n_star.get(node.kind, math.inf)
         # offload: input large enough that up-front costs amortize with margin
-        if node.chosen == CPU and signals.observed_input_cardinality >= offload_at:
-            return switch_to(ACCELERATOR)
+        if node.chosen == CPU and urs.observed_input_cardinality >= offload_at:
+            return ACCELERATOR
         # return_cpu: bound to the accelerator but the input will not amortize it
         if node.chosen == ACCELERATOR and urs.r_acc is not None and urs.r_acc > 1.0:
-            return switch_to(CPU)
+            return CPU
 
     return node.chosen
 
@@ -154,10 +141,4 @@ def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
 
 
 def load_thresholds(fh: IO[str]) -> Thresholds:
-    doc = json.load(fh)
-    known = {"rho_join", "offload_margin", "n_star", "source"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationError(f"unknown threshold keys: {sorted(unknown)}")
-    doc["n_star"] = {k: float(v) for k, v in doc.get("n_star", {}).items()}
-    return Thresholds(**doc)
+    return Thresholds(**json_fields(Thresholds, json.load(fh), "threshold"))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latebind import bench
+from latebind import bench, datagen
 from latebind.cli import (EXIT_OK, EXIT_VALIDATION, RunConfig, _base_thresholds,
                           build_parser, main)
 from latebind.clock import SimulatedClock
@@ -327,6 +327,7 @@ def test_bad_sigma_exits_1_without_traceback(tmp_path, capsys, command, sigma):
     ({"modes": 5}, "config key 'modes' takes tuple[str, ...], not 5"),
     # JSON true is no integer, though Python's bool is an int
     ({"queries": True}, "config key 'queries' takes int, not True"),
+    (["seed"], "a config document must be a JSON object, not ['seed']"),
 ])
 def test_config_value_of_another_type_exits_1_without_traceback(tmp_path, capsys, doc,
                                                                 message):
@@ -336,6 +337,56 @@ def test_config_value_of_another_type_exits_1_without_traceback(tmp_path, capsys
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "input_scale_shift").exists()
+
+
+def column_spec(**overrides) -> dict:
+    return {"name": "t", "row_count": 5,
+            "columns": [{"name": "a", "low": 0, "high": 9, **overrides}]}
+
+
+THRESHOLDS_RUN = ("run", "--scenario", "stale_stats", "--queries", "2", "--thresholds")
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (THRESHOLDS_RUN, {"rho_join": "a"}, "threshold key 'rho_join' takes float, not 'a'"),
+    (THRESHOLDS_RUN, {"n_star": {"filter": "x"}},
+     "threshold key 'n_star' takes dict[str, float], not 'x'"),
+    (THRESHOLDS_RUN, [1, 2], "a threshold document must be a JSON object, not [1, 2]"),
+    (("gen", "--spec"), column_spec(low="x"), "column spec key 'low' takes int, not 'x'"),
+    (("gen", "--spec"), column_spec(distribution="zipf", skew="q"),
+     "column spec key 'skew' takes float, not 'q'"),
+    (("gen", "--spec"), {"row_count": 5, "columns": column_spec()["columns"]},
+     "table spec lacks keys ['name']"),
+    # a number written as a string is no number
+    (("gen", "--spec"), {**column_spec(), "row_count": "5"},
+     "table spec key 'row_count' takes int, not '5'"),
+])
+def test_malformed_json_file_exits_1_without_traceback(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = ("--out", str(tmp_path)) if argv[0] == "run" else ()
+    assert run_cli(*argv, str(path), *out) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.out
+
+
+def test_table_above_size_limit_exits_1_before_any_column_is_drawn(tmp_path, capsys,
+                                                                   monkeypatch):
+    # 3e12 fact rows would ask numpy for terabytes; a draw this large must
+    # never start, so the guard fails the test before one could
+    real_sample = datagen._sample_column
+
+    def guarded(col, rows, stream):
+        assert rows <= 10**6, f"drawing {rows} rows of {col.name}"
+        return real_sample(col, rows, stream)
+
+    monkeypatch.setattr(datagen, "_sample_column", guarded)
+    assert run_cli("run", "--fact-rows", "3000000000000", "--out", str(tmp_path)) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: table fact: 3000000000000 rows of 2 columns exceed ")
+    assert "Traceback" not in err
 
 
 def test_non_integer_sizes_flag_exits_2_with_usage(tmp_path, capsys):

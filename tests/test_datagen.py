@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from latebind import datagen
-from latebind.datagen import (MAX_ZIPF_DOMAIN, ZIPF, ColumnSpec, DistributionChange,
-                              DriftSpec, TableSpec, _zipf_cdf, apply_drift, column_dtype,
-                              dump_table_csv, generate_table, table_spec_from_json)
+from latebind.datagen import (MAX_TABLE_BYTES, MAX_ZIPF_DOMAIN, ZIPF, ColumnSpec,
+                              DistributionChange, DriftSpec, TableSpec, _zipf_cdf,
+                              apply_drift, column_dtype, dump_table_csv, generate_table,
+                              table_spec_from_json)
 from latebind.errors import ValidationError
 from latebind.rng import SIGNED_BOUNDS
 
@@ -122,6 +123,16 @@ def test_zipf_generation_bounds():
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValidationError):
         generate_table(bad, seed=1)
+
+
+def test_table_size_limit_checked_by_the_validator():
+    # rows x columns x 8 bytes, at int64 width whatever the columns' type;
+    # only validate() runs, so no table of this size is ever drawn
+    two = (ColumnSpec("a", 0, 9), ColumnSpec("b", 0, 9))
+    TableSpec("t", MAX_TABLE_BYTES // 16, two).validate()
+    for rows in (MAX_TABLE_BYTES // 16 + 1, 3_000_000_000_000):
+        with pytest.raises(ValidationError, match="bytes at int64 width"):
+            TableSpec("t", rows, two).validate()
 
 
 def test_drift_to_zipf_beyond_cdf_rejected():

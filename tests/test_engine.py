@@ -9,7 +9,7 @@ import pytest
 from latebind.clock import SimulatedClock, WallClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
 from latebind import engine
-from latebind.engine import (EngineConfig, RuntimeSignals, _hash_build, _hash_join,
+from latebind.engine import (EngineConfig, _hash_build, _hash_join,
                              _nested_loop_join, _output_sum, execute, join_kernel,
                              observe)
 from latebind.errors import ConfigurationError, ValidationError
@@ -106,17 +106,16 @@ def test_simulated_clock_keeps_interleaved_seeds_apart(monkeypatch):
     assert noise(clock, 1, 0) != noise(clock, 2, 0)
 
 
-def test_observe_ratio_examples(small_plan):
+def test_observe_ratio_examples(small_plan, default_model):
+    thr = static_thresholds(default_model)
     node = dataclasses.replace(small_plan.join, est_input=1000.0)
-    s1 = observe(node, 1000)
+    s1 = observe(node, 1000, thr)
     assert s1.estimate_ratio == pytest.approx(1.0)
-    s2 = observe(node, 12000)
-    assert s2.estimate_ratio == pytest.approx(12.0)
-
-
-def test_runtime_signals_validation():
-    with pytest.raises(ValidationError):
-        RuntimeSignals(observed_input_cardinality=-1, estimate_ratio=1.0)
+    assert s1.r_acc is None  # a join has no N*
+    s2 = observe(node, 12000, thr)
+    assert (s2.observed_input_cardinality, s2.estimate_ratio) == (12000, pytest.approx(12.0))
+    aggregate = observe(small_plan.aggregate, 5000, thr)
+    assert aggregate.r_acc == pytest.approx(thr.n_star["aggregate"] / 5000)
 
 
 def test_baseline_rigidity_under_drift(drift_setup):

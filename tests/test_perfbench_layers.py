@@ -49,3 +49,6 @@ def test_traced_run_yields_every_per_layer_metric(monkeypatch, tmp_path):
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     missing = {m["name"] for m in declared} - {"tracing_overhead_s"} - set(metrics)
     assert not missing
+    # the decision path calls every wrapped name, so none of them reads 0
+    for name in ("policy.decide.calls", "engine.decision_hook.s", "engine.observe.s"):
+        assert metrics[name][0] > 0, name

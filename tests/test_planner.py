@@ -187,17 +187,6 @@ def test_join_output_estimate_formula(default_model):
     right = table_from_arrays("dim", pk=np.arange(500))
     stats = {"fact": capture_statistics(left), "dim": capture_statistics(right)}
     p = plan(default_query(), stats, default_model)
-    # ndv(fk)=1000, ndv(pk)=500: |join| = 1000*500/max(1000,500)
-    assert p.join.est_output == pytest.approx(1000 * 500 / 1000)
-
-
-def test_late_bind_invariants_enforced():
-    from latebind.planner import PlanNode
-    with pytest.raises(ValidationError):
-        PlanNode(node_id="x", kind=JOIN, chosen=HASH_JOIN,
-                 est_input=1.0, est_output=1.0,
-                 late_bind=True, variants=(HASH_JOIN,))
-    with pytest.raises(ValidationError):
-        PlanNode(node_id="x", kind=JOIN, chosen="merge_join",
-                 est_input=1.0, est_output=1.0,
-                 late_bind=True, variants=(HASH_JOIN, NESTED_LOOP))
+    # ndv(fk)=1000, ndv(pk)=500: |join| = 1000*500/max(1000,500), the
+    # aggregate's input
+    assert p.aggregate.est_input == pytest.approx(1000 * 500 / 1000)

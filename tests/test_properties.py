@@ -1,4 +1,13 @@
-"""Property: a scenario run gives the rows of executing every query alone.
+"""Properties over drawn inputs: the join kernels and statistics capture
+equal plain-Python references, and a scenario run gives the rows of
+executing every query alone.
+
+The join kernels' build-side counts, their sparse key table and the sorted
+path of capture_statistics run in no scenario at its defaults, so these
+properties are their guard.  The kernel inputs cover every integer type a
+column is stored in, keys at the type's limits (where the dense key
+table's int64 offsets wrap), dense and sparse build keys, every block size
+of the literal nested loop and carried columns on both sides.
 
 run_scenario executes group by group and shares kernel outputs through a
 memo; the reference below executes every query under every mode with no
@@ -12,17 +21,104 @@ of modes in any order.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latebind import bench
 from latebind.bench import SampleRow, build_report, run_scenario
 from latebind.clock import SimulatedClock
+from latebind.datagen import ColumnSpec, Table, TableSpec
 from latebind.engine import EngineConfig, execute
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.policy import MODES
+from latebind.rng import SIGNED_BOUNDS
+from latebind.stats import capture_statistics
+from test_engine import check_join_kernels
 
 KIB = 1024
+DTYPES = tuple(SIGNED_BOUNDS)
+
+
+@st.composite
+def column_values(draw, dtype: np.dtype, max_size: int) -> np.ndarray:
+    """Values of one integer type: a run of consecutive values (a dense
+    domain) or values anywhere in the type, both often at its limits."""
+    lo, hi = SIGNED_BOUNDS[dtype]
+    anywhere = st.one_of(st.sampled_from((lo, lo + 1, -1, 0, 1, hi - 1, hi)),
+                         st.integers(lo, hi))
+    if draw(st.booleans()):
+        start = min(draw(anywhere), hi - 7)
+        pool = list(range(start, start + 8))
+    else:
+        pool = draw(st.lists(anywhere, min_size=1, max_size=8))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=max_size)), dtype=dtype)
+
+
+@st.composite
+def join_inputs(draw) -> dict:
+    """Join inputs whose sides may be stored in different integer types."""
+    probe_type, build_type = draw(st.sampled_from(DTYPES)), draw(st.sampled_from(DTYPES))
+    build_key = draw(column_values(build_type, 40))
+    # probe keys among the build's keys, at the type's limits and anywhere
+    lo, hi = SIGNED_BOUNDS[probe_type]
+    shared = [key for key in build_key.tolist() if lo <= key <= hi]
+    probe_key = np.array(draw(st.lists(st.one_of(st.sampled_from([*shared, lo, hi]),
+                                                 st.integers(lo, hi)), max_size=40)),
+                         dtype=probe_type)
+
+    def carried(name: str, key: np.ndarray) -> dict[str, np.ndarray]:
+        if not draw(st.booleans()):
+            return {}
+        values = st.integers(*SIGNED_BOUNDS[key.dtype])
+        return {name: np.array(draw(st.lists(values, min_size=key.size, max_size=key.size)),
+                               dtype=key.dtype)}
+
+    return {"probe_key": probe_key, "build_key": build_key,
+            "carried": carried("v", probe_key), "build_carried": carried("w", build_key),
+            "block": draw(st.one_of(st.integers(1, 8), st.integers(1, 255)))}
+
+
+def test_join_kernels_equal_brute_force_pairs():
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(inputs=join_inputs())
+    def prop(inputs):
+        # a pair cap above every input keeps the nested loop literal
+        check_join_kernels(pair_cap=10**9, **inputs)
+
+    prop()
+
+
+def reference_column_stats(values: list[int], buckets: int) -> tuple:
+    """(ndv, min, max, bucket counts) in plain Python: bucket i holds the
+    values from inner edge i to inner edge i + 1, compared exactly (Python
+    compares an int with a float exactly); the outer edges stand for min
+    and max + 1."""
+    lo, hi = min(values), max(values)
+    inner = np.linspace(lo, hi + 1, buckets + 1)[1:-1].tolist()
+    bounds = [None, *inner, None]
+    counts = tuple(sum((start is None or v >= start) and (end is None or v < end)
+                       for v in values) for start, end in zip(bounds, bounds[1:]))
+    return len(set(values)), lo, hi, counts
+
+
+def test_capture_statistics_equals_python_reference():
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from(DTYPES), buckets=st.integers(1, 40))
+    def prop(data, dtype, buckets):
+        values = data.draw(column_values(dtype, 60))
+        lo, hi = SIGNED_BOUNDS[dtype]
+        table = Table(spec=TableSpec("t", values.size, (ColumnSpec("a", lo, hi),)),
+                      generation=0, columns={"a": values})
+        got = capture_statistics(table, buckets=buckets).column("a")
+        assert got.row_count == values.size
+        if not values.size:
+            assert (got.ndv, got.bucket_counts) == (0, ())
+            return
+        assert (got.ndv, got.min_value, got.max_value, got.bucket_counts) == \
+            reference_column_stats(values.tolist(), buckets)
+
+    prop()
 
 
 @st.composite
