@@ -25,9 +25,10 @@ variants).  A scenario with size variants plans each fact table from its own
 statistics; any other plans every variant from the base fact table's and the
 dim table's, after their round trip through the JSON file form.  Statistics
 describe exactly the columns plans read: the join keys (for ndv) and the
-filter columns (for histograms).  Joins of unfiltered tables and hash
-builds of table columns live as long as their fact table, so the dim
-table's hash build is made once per fact table.
+filter columns (for histograms).  A kernel output computed from table
+columns alone (a join of unfiltered tables, a hash build of a table column)
+lives as long as its fact table, so the dim table's hash build is made
+once per fact table.
 Reports carry sorted latency samples, nearest-rank percentiles, CDF points,
 and failure counts, and serialize byte-identically for identical inputs.
 """
@@ -61,6 +62,10 @@ SCENARIO_NAMES = (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN)
 BASE_VARIANT = "base"
 
 SAMPLES_HEADER = "mode,query_id,latency,failed"
+
+# queries per scenario; a builder checks it before it draws a schedule or
+# makes a case, since both grow with the count (100,000 cases hold ~16 MiB)
+MAX_QUERIES = 100_000
 
 # every scenario joins fact.fk to dim.pk and sums fact.v
 LEFT_KEY = "fk"
@@ -162,6 +167,11 @@ def build_report(scenario: str, mode: str, seed: int, clock_mode: str,
 # ── scenario construction ──────────────────────────────────────────────────
 
 
+def _check_query_count(query_count: int) -> None:
+    if not 1 <= query_count <= MAX_QUERIES:
+        raise ValidationError(f"query count must be in 1..{MAX_QUERIES}, got {query_count}")
+
+
 def scenario_input_scale_shift(seed: int = 1, query_count: int = 200,
                                fact_rows: int = 2000, dim_rows: int = 2000,
                                drift_fraction: float = 0.2,
@@ -170,6 +180,7 @@ def scenario_input_scale_shift(seed: int = 1, query_count: int = 200,
     """Selection-free scan-join-aggregate; a drifted fraction of queries see
     a scale-multiplied fact table the planner knows nothing about.  A
     drift_fraction of 0 is the zero-drift control configuration."""
+    _check_query_count(query_count)
     if not (0.0 <= drift_fraction <= 1.0):
         raise ValidationError("drift_fraction must be in [0, 1]")
     fact = TableSpec("fact", fact_rows, (
@@ -195,6 +206,7 @@ def scenario_stale_stats(seed: int = 1, query_count: int = 200,
     shifts the filter column's domain up by 100 and replaces its uniform
     distribution with zipf(1.1), so predicates a >= c, c in [60, 140],
     whose estimates round to nothing select nearly the whole table."""
+    _check_query_count(query_count)
     key_domain = dim_rows // 2
     fact = TableSpec("fact", fact_rows, (
         ColumnSpec("a", 0, 99), ColumnSpec("fk", 0, key_domain - 1),
@@ -203,10 +215,9 @@ def scenario_stale_stats(seed: int = 1, query_count: int = 200,
     drift = DriftSpec(scale_factor=1.0, domain_shift=100,
                       skew_change=DistributionChange("zipf", 1.1))
     # one draw: constant i sits at stream position i, and tolist() gives
-    # Python ints, whose text names each query's group; a count below 1
-    # leaves no case, which Scenario rejects
+    # Python ints, whose text names each query's group
     constants = Stream(derive_seed(seed, "schedule/stale_stats")).integers(
-        60, 140, max(query_count, 0)).tolist()
+        60, 140, query_count).tolist()
     cases = [QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
                        predicate=Predicate("a", ">=", c)) for i, c in enumerate(constants)]
     return Scenario(
@@ -221,6 +232,7 @@ def scenario_break_even(seed: int = 1, query_count: int = 200,
     the device crossover.  The planner prices the accelerator from a model
     whose setup cost is off by miscal_factor, so its static device bindings
     are wrong around the true crossover; statistics are fresh per size."""
+    _check_query_count(query_count)
     if miscal_factor <= 0:
         raise ValidationError("miscal_factor must be > 0")
     fact = TableSpec("fact", 1000, (
@@ -297,7 +309,7 @@ class PreparedQuery:
 @dataclass(frozen=True)
 class QueryGroup:
     """The queries that share one plan and one set of tables, each with its
-    position in query order.  ``store`` is the kernel store of the table set
+    position in query order.  ``store`` is the table set's kernel store
     (``KernelMemo.table_set``), handed to every group over the same tables."""
 
     queries: list[tuple[int, PreparedQuery]]
@@ -305,18 +317,19 @@ class QueryGroup:
 
 
 def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
-    """Prepare the scenario's queries group by group, in order of first
-    appearance; a group is the cases that share a fact table variant and a
-    predicate, and its plan is made when the group starts.
+    """Prepare the scenario's queries group by group: per fact table
+    variant, then per predicate, each in order of first appearance.  A group
+    is the cases that share a variant and a predicate, and its plan is made
+    when the group starts.
 
     A variant's table, with its own statistics under size variants, is
-    made at the variant's first group and dropped after its last, when its
-    table set's store is emptied too.  The dim table lives for the whole
-    run, and so does the base fact table of a scenario without size
-    variants, whose plans read the round-tripped base and dim statistics.
-    Statistics are captured when their table is made, of the columns plans
-    read only; a capture on first read would keep the tables alive, since
-    the plans outlive them.
+    made before its first group and dropped after its last, when its table
+    set's store is emptied too.  The dim table lives for the whole run, and
+    so does the base fact table of a scenario without size variants, whose
+    plans read the round-tripped base and dim statistics.  Statistics are
+    captured when their table is made, of the columns plans read only; a
+    capture on first read would keep the tables alive, since the plans
+    outlive them.
     """
     seed = scenario.seed
     fresh = bool(scenario.size_variants)
@@ -331,33 +344,29 @@ def scenario_groups(scenario: Scenario) -> Iterator[QueryGroup]:
         base_stats = _roundtrip(capture_statistics(base, columns=fact_columns))
         dim_stats = _roundtrip(dim_stats)
 
-    # (fact variant, predicate text) -> query positions
-    groups: dict[tuple[str, str], list[int]] = {}
+    # fact variant -> predicate text -> query positions
+    groups: dict[str, dict[str, list[int]]] = {}
     for i, case in enumerate(scenario.cases):
-        groups.setdefault((case.fact_variant, str(case.predicate)), []).append(i)
-    last_group = {label: g for g, (label, _) in enumerate(groups)}
+        groups.setdefault(case.fact_variant, {}).setdefault(str(case.predicate), []).append(i)
 
-    live: dict[str, tuple[Table, Optional[TableStats], dict]] = {}  # table, stats, store
-    for g, ((label, _), members) in enumerate(groups.items()):
-        if label not in live:
-            table = base if label == BASE_VARIANT else _fact_table(scenario, label, base)
-            stats = capture_statistics(table, columns=fact_columns) if fresh else base_stats
-            live[label] = (table, stats, {})
-        table, fact_stats, store = live[label]
-        query = Query(
-            left_table=scenario.fact_spec.name, right_table=scenario.dim_spec.name,
-            left_key=LEFT_KEY, right_key=RIGHT_KEY, aggregate=AGGREGATE,
-            left_filter=scenario.cases[members[0]].predicate)
-        plan = build_plan(query, {fact_stats.table: fact_stats, dim_stats.table: dim_stats},
-                          scenario.planner_model)
-        yield QueryGroup(queries=[(i, PreparedQuery(
-            case=scenario.cases[i], plan=plan,
-            tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
-            seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store)
-        if last_group[label] == g:
-            # empty the store now, whoever still holds it, so that its
-            # kernel outputs are freed before the next table is made
-            live.pop(label)[2].clear()
+    for label, by_predicate in groups.items():
+        table = base if label == BASE_VARIANT else _fact_table(scenario, label, base)
+        fact_stats = capture_statistics(table, columns=fact_columns) if fresh else base_stats
+        store: dict = {}
+        for members in by_predicate.values():
+            query = Query(
+                left_table=scenario.fact_spec.name, right_table=scenario.dim_spec.name,
+                left_key=LEFT_KEY, right_key=RIGHT_KEY, aggregate=AGGREGATE,
+                left_filter=scenario.cases[members[0]].predicate)
+            plan = build_plan(query, {fact_stats.table: fact_stats, dim_stats.table: dim_stats},
+                              scenario.planner_model)
+            yield QueryGroup(queries=[(i, PreparedQuery(
+                case=scenario.cases[i], plan=plan,
+                tables={scenario.fact_spec.name: table, scenario.dim_spec.name: dim},
+                seed=derive_seed(seed, f"query/{i}"))) for i in members], store=store)
+        # empty the store now, whoever still holds it, so that its kernel
+        # outputs are freed before the next table is made
+        store.clear()
 
 
 def scenario_queries(scenario: Scenario) -> list[PreparedQuery]:
@@ -378,12 +387,12 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
 
     Queries run group by group as scenario_groups prepares them, so a fact
     table lives only from its first group to its last; rows still come out
-    in query order.  On the simulated clock kernel outputs are shared with
-    two lifetimes: each group has a memo, dropped before the next group
-    starts, and each table set has a store for table-column joins and hash
-    builds, which lives as long as the set's fact table.  Result values are
-    cross-checked per query over all modes that completed; any mismatch is a
-    hard failure of the whole run.
+    in query order.  On the simulated clock the executions share kernel
+    outputs through a KernelMemo: the group's store, dropped before the next
+    group starts, and the table set's, which lives as long as the set's fact
+    table; engine.execute picks the store from each output's inputs.
+    Result values are cross-checked per query over all modes that
+    completed; any mismatch is a hard failure of the whole run.
     """
     per_mode_thresholds = thresholds or scenario_thresholds(scenario)
     config = engine_config or EngineConfig()
@@ -392,7 +401,7 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
                                         for mode in scenario.modes}
     for group in scenario_groups(scenario):
         # the wall clock times every run, so it shares nothing
-        memo = KernelMemo(table_set=group.store) if clock.mode == SIMULATED else None
+        memo = KernelMemo(table_set=group.store, group={}) if clock.mode == SIMULATED else None
         for i, prepared in group.queries:
             values: dict[str, int] = {}
             for mode in scenario.modes:

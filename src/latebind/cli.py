@@ -42,12 +42,21 @@ EXIT_RESULT_MISMATCH = 2
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    scenario: str = bench.INPUT_SCALE_SHIFT
+class CommonConfig:
+    """The settings that both calibrate and run take."""
+
     seed: int = 1
-    clock: str = "simulated"
     sigma: float = 0.05
     out: str = "out"
+    # decision thresholds
+    rho_join: float = Thresholds.rho_join
+    offload_margin: float = Thresholds.offload_margin
+
+
+@dataclass(frozen=True)
+class RunConfig(CommonConfig):
+    scenario: str = bench.INPUT_SCALE_SHIFT
+    clock: str = "simulated"
     queries: int = 200
     modes: tuple[str, ...] = MODES
     drift_fraction: Optional[float] = None   # None = scenario default
@@ -55,10 +64,10 @@ class RunConfig:
     fact_rows: Optional[int] = None
     dim_rows: Optional[int] = None
     thresholds_file: str = ""
-    # decision thresholds
-    rho_join: float = Thresholds.rho_join
-    offload_margin: float = Thresholds.offload_margin
-    # calibrate-only knobs
+
+
+@dataclass(frozen=True)
+class CalibrateConfig(CommonConfig):
     cpu_per_item: float = 1.0
     accel_setup: float = 8000.0
     accel_per_item: float = 0.2
@@ -66,25 +75,23 @@ class RunConfig:
     sizes: tuple[int, ...] = ()   # empty = grid centered on the model crossover
 
 
-_CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
-
-
-def _load_config(path: Optional[str], command: str) -> RunConfig:
-    """The config file's settings, each of its field's type; the "command"
-    key that _write_config adds must name the running subcommand."""
+def _load_config(path: Optional[str], command: str, kind: type[CommonConfig]) -> CommonConfig:
+    """The config file's settings, each of its field's type in the command's
+    config type `kind`; the "command" key that _write_config adds must name
+    the running subcommand."""
     if not path:
-        return RunConfig()
+        return kind()
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     written_by = doc.pop("command", command) if isinstance(doc, dict) else command
     if written_by != command:
         raise ValidationError(f"config file {path} is for {written_by!r}, not {command!r}")
-    return RunConfig(**json_fields(RunConfig, doc, "config"))
+    return kind(**json_fields(kind, doc, "config"))
 
 
-def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+def _apply_flags(cfg: CommonConfig, args: argparse.Namespace) -> CommonConfig:
     updates = {}
-    for name in _CONFIG_FIELDS:
+    for name in cfg.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
@@ -99,18 +106,18 @@ def _comma_separated(item: type) -> Callable[[str], tuple]:
     return parse
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config(getattr(args, "config", None), args.command)
+def _resolve(args: argparse.Namespace, kind: type[CommonConfig]) -> CommonConfig:
+    cfg = _load_config(getattr(args, "config", None), args.command, kind)
     if getattr(args, "out", None) is None and os.environ.get(ENV_OUT_DIR) and cfg.out == "out":
         cfg = replace(cfg, out=os.environ[ENV_OUT_DIR])
     return _apply_flags(cfg, args)
 
 
-def _banner(cfg: RunConfig, command: str) -> str:
+def _banner(cfg: CommonConfig, command: str) -> str:
     return "config: " + json.dumps({**asdict(cfg), "command": command}, sort_keys=True)
 
 
-def _write_config(cfg: RunConfig, command: str, target: Path) -> None:
+def _write_config(cfg: CommonConfig, command: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8", newline="\n") as fh:
         json.dump({**asdict(cfg), "command": command}, fh, indent=2, sort_keys=True)
@@ -125,11 +132,11 @@ def _clock(cfg: RunConfig) -> SimulatedClock | WallClock:
     raise ValidationError(f"unknown clock mode {cfg.clock!r}")
 
 
-def _base_thresholds(cfg: RunConfig) -> Thresholds:
+def _base_thresholds(cfg: CommonConfig) -> Thresholds:
     return Thresholds(rho_join=cfg.rho_join, offload_margin=cfg.offload_margin)
 
 
-def _calibration_model(cfg: RunConfig) -> CostModel:
+def _calibration_model(cfg: CalibrateConfig) -> CostModel:
     base = CostModel.default()
     cpu = {kind: (LinearCost(cfg.cpu_per_item, 0.0) if kind in base.accel else line)
            for kind, line in base.cpu.items()}
@@ -141,7 +148,7 @@ def _calibration_model(cfg: RunConfig) -> CostModel:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, CalibrateConfig)
     print(_banner(cfg, "calibrate"))
     model = _calibration_model(cfg)
     clock = SimulatedClock(sigma=cfg.sigma)
@@ -208,7 +215,7 @@ def _build_scenario(cfg: RunConfig) -> bench.Scenario:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, RunConfig)
     print(_banner(cfg, "run"))
     scenario = _build_scenario(cfg)
     clock = _clock(cfg)

@@ -40,21 +40,18 @@ per build row only when a build column is carried.
 
 Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
-or aggregate, since the accelerator is a cost-model device.  On the
-simulated clock kernel outputs are shared with two lifetimes, while every
-execution still charges its own cost:
-
-* per group, the executions that run one plan on one set of tables (every
-  mode of every query in such a group): a kernel runs once per node and
-  path of kernels that leads to it;
-* per table set, every group over the same table objects: a join whose
-  inputs are all table columns runs once per kernel and input arrays, and
-  the hash build of a table-column build key is made once.  The filter
-  kernel gathers the rows its mask keeps by index, one take per column, but
-  a mask that keeps every row returns its input dict itself, so such joins
-  recur across groups with different predicates.
-
-The wall clock bypasses both, since it times every run.
+or aggregate, since the accelerator is a cost-model device.  Every
+execution charges its own cost, but on the simulated clock executions share
+kernel outputs by one rule: a filter, hash build, join or aggregate output
+is keyed by its kernel and the identity of its input arrays (_shared), so
+it is computed once per distinct input.  Where it lives follows from those
+inputs: a hash build or join whose inputs are all the tables' own column
+arrays lives as long as the table set, every other output as long as the
+group (the executions of one plan on one set of tables).  The filter kernel
+gathers the rows its mask keeps by index, one take per column, but a mask
+that keeps every row returns its input dict itself, so the joins of such
+filters recur across groups with different predicates.  The wall clock
+times every run, so it has no store and shares nothing.
 """
 
 from __future__ import annotations
@@ -130,17 +127,17 @@ class QueryResult:
 
 @dataclass
 class KernelMemo:
-    """Kernel outputs that execute calls share, by lifetime.
+    """The stores of kernel outputs that execute calls share, one per
+    lifetime; None is no store, so every output is computed.
 
-    ``group`` serves calls that share plan and tables, keyed by the path of
-    (node, kernel) pairs.  ``table_set`` serves every call over the same
-    table objects and holds only outputs computed purely from table
-    columns (table-column joins and hash builds), each with the arrays that
-    key it by identity.
+    ``group`` serves calls that share plan and tables.  ``table_set`` serves
+    every call over the same table objects and holds only the outputs whose
+    inputs are all table columns (hash builds and joins).  Either keys an
+    output by its kernel and the identity of its input arrays (_shared).
     """
 
-    table_set: dict
-    group: dict = field(default_factory=dict)
+    table_set: Optional[dict] = None
+    group: Optional[dict] = None
 
 
 def observe(node: PlanNode, n_obs: int, thresholds: Thresholds) -> RiskVector:
@@ -290,14 +287,18 @@ def _output_sum(col: np.ndarray, weights: np.ndarray) -> int:
     return int(np.dot(col.astype(np.int64, copy=False), weights))
 
 
-def _shared(store: dict, tag: tuple, arrays: tuple[np.ndarray, ...],
+def _shared(store: Optional[dict], tag: tuple, arrays: tuple[np.ndarray, ...],
             compute: Callable[[], object]) -> object:
-    """compute(), once per tag and identity of `arrays` in the store; the
-    entry keeps the arrays alive, so their ids stay theirs while it exists."""
-    key = (*tag, *map(id, arrays))
-    if key not in store:
-        store[key] = (arrays, compute())
-    return store[key][1]
+    """compute(), once per tag and identity of `arrays` in the store, or
+    every time without one; the entry keeps the arrays alive, so their ids
+    stay theirs while it exists."""
+    if store is None:
+        return compute()
+    key = (tag, *map(id, arrays))
+    entry = store.get(key)
+    if entry is None:
+        entry = store[key] = (arrays, compute())
+    return entry[1]
 
 
 # ── execution ──────────────────────────────────────────────────────────────
@@ -335,18 +336,16 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     """Run one annotated plan; returns (result, trace), result None on failure.
 
     Calls that share a memo's ``group`` must share plan and tables, whatever
-    their mode or query seed: each kernel then runs once per node and path of
-    kernels (so an aggregate never reuses another join kernel's output).
-    Calls that share its ``table_set`` must share the table objects: a join
-    over unfiltered table columns then runs once per kernel and input arrays,
-    and a table-column hash build once per build key.  Later calls get the
-    same output objects.
+    their mode or query seed; calls that share its ``table_set`` must share
+    the table objects.  Each kernel output is then computed once per kernel
+    and input arrays, and later calls get the same output objects.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode != BASELINE and not thresholds.calibrated:
         raise ConfigurationError(f"{mode} mode requires calibrated thresholds")
     config = config or EngineConfig()
+    memo = memo or KernelMemo()
     q = plan.query
     for name in (q.left_table, q.right_table):
         if name not in tables:
@@ -373,19 +372,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                  out_bytes_of: Callable[[object], int] = lambda _: 0) -> object:
         nonlocal held, charged_total
         base = model_cost(node.kind, variant, cards, TRUE_COST_MODEL)
-        modeled_only = variant == ACCELERATOR
-        work = kernel
-        if memo is not None:
-            key = (*((r.node_id, r.kernel) for r in trace.records),
-                   (node.node_id, kernel_name))
-
-            def work() -> object:
-                if key not in memo.group:
-                    memo.group[key] = kernel()
-                return memo.group[key]
-
         out, charged = clock.charge(base, noise_seed, node_order[node.node_id],
-                                    work=work, modeled_only=modeled_only)
+                                    work=kernel, modeled_only=variant == ACCELERATOR)
         out_bytes = out_bytes_of(out)
         working = held + extra_bytes + out_bytes
         spilled = working > budget
@@ -403,27 +391,26 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         return out
 
     def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
-                   table: Table, cols: list[str]) -> tuple[dict[str, np.ndarray], bool]:
-        """The branch's output, and whether it is the table's own columns."""
+                   table: Table, cols: list[str]) -> dict[str, np.ndarray]:
         nonlocal held
         n = table.row_count
         out = run_node(scan_node, CPU, (float(n),), n,
                        kernel=lambda: {c: table.column(c) for c in cols},
                        out_bytes_of=bytes_of)
         if filter_node is None:
-            return out, True
+            return out
         variant = decision_hook(filter_node, n, mode, thresholds)
-        filtered = run_node(filter_node, variant, (float(n),), n,
-                            kernel=lambda: _filter(out, filter_node.predicate),
-                            out_bytes_of=bytes_of)
+        pred = filter_node.predicate
+        filtered = run_node(filter_node, variant, (float(n),), n, kernel=lambda: _shared(
+            memo.group, ("filter", pred, *out), tuple(out.values()), lambda: _filter(out, pred)),
+            out_bytes_of=bytes_of)
         held -= bytes_of(out)  # scan output consumed
-        return filtered, filtered is out
+        return filtered
 
     try:
-        left, left_is_table = run_branch(plan.left_scan, plan.left_filter,
-                                         tables[q.left_table], left_cols)
-        right, right_is_table = run_branch(plan.right_scan, plan.right_filter,
-                                           tables[q.right_table], right_cols)
+        fact, dim = tables[q.left_table], tables[q.right_table]
+        left = run_branch(plan.left_scan, plan.left_filter, fact, left_cols)
+        right = run_branch(plan.right_scan, plan.right_filter, dim, right_cols)
 
         probe_key, build_key = left[q.left_key], right[q.right_key]
         n_probe, n_build = int(probe_key.size), int(build_key.size)
@@ -432,24 +419,21 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
         carried = {agg_col: left[agg_col]} if agg_side == "left" else {}
         build_carried = {agg_col: right[agg_col]} if agg_side == "right" else {}
-        store = memo.table_set if memo is not None else None
+        # an output whose inputs are all table columns lives as long as the
+        # tables: the hash build's when the build side is, the join's when
+        # both sides are.  A side is its table's own arrays (a scan, or a
+        # filter that keeps every row) or gathered copies of all of them, so
+        # its key tells which
+        build_store = memo.table_set if build_key is dim.columns[q.right_key] else memo.group
+        join_store = build_store if probe_key is fact.columns[q.left_key] else memo.group
 
         def run_join() -> tuple[int, dict[str, np.ndarray]]:
             if kernel_name == NESTED_LOOP:
                 return _nested_loop_join(probe_key, build_key, carried, build_carried,
                                          BATCH_SIZE)
-            build = None
-            if store is not None and right_is_table:
-                build = _shared(store, ("build",), (build_key,),
-                                lambda: _hash_build(build_key))
+            build = _shared(build_store, ("build",), (build_key,),
+                            lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, build_carried, build)
-
-        def join_work() -> tuple[int, dict[str, np.ndarray]]:
-            if store is None or not (left_is_table and right_is_table):
-                return run_join()
-            return _shared(store, ("join", kernel_name, tuple(carried), tuple(build_carried)),
-                           (probe_key, build_key, *carried.values(), *build_carried.values()),
-                           run_join)
 
         extra = bytes_of(right) if variant == HASH_JOIN else 0
         # the join output is charged as if materialized: a row of every
@@ -457,7 +441,10 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         row_bytes = VALUE_BYTES * (len(carried) + len(build_carried))
         n_join, join_weights = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe,
-            kernel=join_work, kernel_name=kernel_name, extra_bytes=extra,
+            kernel=lambda: _shared(
+                join_store, ("join", kernel_name, tuple(carried), tuple(build_carried)),
+                (probe_key, build_key, *carried.values(), *build_carried.values()), run_join),
+            kernel_name=kernel_name, extra_bytes=extra,
             out_bytes_of=lambda out: out[0] * row_bytes)
         held -= bytes_of(left) + bytes_of(right)
 
@@ -466,11 +453,11 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         def run_agg() -> int:
             if q.aggregate.op == "count":
                 return n_join
-            col = (carried or build_carried)[agg_col]
-            return _output_sum(col, join_weights[agg_col])
+            col, weights = (carried or build_carried)[agg_col], join_weights[agg_col]
+            return _shared(memo.group, ("sum",), (col, weights),
+                           lambda: _output_sum(col, weights))
 
         value = run_node(plan.aggregate, variant, (float(n_join),), n_join, kernel=run_agg)
-        held -= n_join * row_bytes
     except MemoryBudgetExceeded as exc:
         trace.failed = True
         trace.failure = str(exc)

@@ -169,14 +169,6 @@ class PlanNode:
     est_build: Optional[float] = None     # joins only
     predicate: Optional[Predicate] = None  # filters only
 
-    @property
-    def late_bind(self) -> bool:
-        return self.kind in VARIANTS
-
-    @property
-    def variants(self) -> tuple[str, ...]:
-        return VARIANTS.get(self.kind, ())
-
 
 @dataclass
 class AnnotatedPlan:

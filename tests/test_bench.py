@@ -103,6 +103,17 @@ def test_scenario_builders_validate():
         scenario_input_scale_shift(query_count=0)
 
 
+@pytest.mark.parametrize("build", [scenario_input_scale_shift, scenario_stale_stats,
+                                   scenario_break_even],
+                         ids=[INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN])
+def test_query_count_limit_is_inclusive(monkeypatch, build):
+    monkeypatch.setattr(bench, "MAX_QUERIES", 5)
+    assert len(build(query_count=5).cases) == 5
+    for count in (0, 6):
+        with pytest.raises(ValidationError, match=r"query count must be in 1\.\.5, got "):
+            build(query_count=count)
+
+
 def test_single_query_scenario_degenerate_percentiles():
     for build in (scenario_input_scale_shift, scenario_stale_stats, scenario_break_even):
         reports = run_scenario(build(seed=9, query_count=1), SimulatedClock(sigma=0.0))
@@ -625,6 +636,37 @@ def test_dim_hash_build_made_once_per_table_set_on_simulated_clock(monkeypatch, 
     scenario = scenario_break_even(seed=1)
     run_scenario(scenario, clock)
     assert built == [scenario.dim_spec.row_count] * builds
+
+
+KERNELS = ("_filter", "_hash_build", "_hash_join", "_nested_loop_join", "_output_sum")
+
+
+@pytest.mark.parametrize("clock,queries,build,calls", [
+    # one kernel run per distinct input on the simulated clock
+    (SimulatedClock(sigma=0.05), 200, scenario_input_scale_shift, (0, 3, 3, 1, 4)),
+    (SimulatedClock(sigma=0.05), 200, scenario_stale_stats, (74, 1, 37, 0, 74)),
+    (SimulatedClock(sigma=0.05), 200, scenario_break_even, (0, 140, 140, 60, 200)),
+    # one per execution on the wall clock, which shares nothing
+    (WallClock(), 12, scenario_input_scale_shift, (0, 6, 6, 30, 36)),
+    (WallClock(), 12, scenario_stale_stats, (36, 36, 36, 0, 36)),
+    (WallClock(), 12, scenario_break_even, (0, 24, 24, 12, 36)),
+], ids=[f"{clock}-{name}" for clock in ("simulated", "wall")
+        for name in (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN)])
+def test_kernel_calls_at_seed1(monkeypatch, clock, queries, build, calls):
+    counts = Counter()
+
+    def counting(name):
+        kernel = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in KERNELS:
+        monkeypatch.setattr(engine, name, counting(name))
+    run_scenario(build(seed=1, query_count=queries), clock)
+    assert tuple(counts[name] for name in KERNELS) == calls
 
 
 def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from latebind import bench, datagen
-from latebind.cli import (EXIT_OK, EXIT_VALIDATION, RunConfig, _base_thresholds,
-                          build_parser, main)
+from latebind.cli import (EXIT_OK, EXIT_VALIDATION, CalibrateConfig, CommonConfig, RunConfig,
+                          _base_thresholds, build_parser, main)
 from latebind.clock import SimulatedClock
 from latebind.policy import ORCHESTRATED, Thresholds
 
@@ -98,14 +98,49 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 def test_every_flag_is_a_config_field():
-    # _apply_flags reads only RunConfig fields, so any other dest would be ignored
+    # _apply_flags reads only the command's config fields, so any other dest
+    # would be ignored; and every field of a command's config has its flag
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
-    for command in ("calibrate", "run"):
+    for command, kind in (("calibrate", CalibrateConfig), ("run", RunConfig)):
         dests = {action.dest for action in subparsers.choices[command]._actions
                  if action.dest not in ("help", "config")}
-        assert dests
-        assert dests <= set(RunConfig.__dataclass_fields__), (command, dests)
+        assert dests == set(kind.__dataclass_fields__), (command, dests)
+
+
+def test_each_command_config_holds_the_shared_and_its_own_fields():
+    shared = set(CommonConfig.__dataclass_fields__)
+    assert shared == {"seed", "sigma", "out", "rho_join", "offload_margin"}
+    run, calibrate = set(RunConfig.__dataclass_fields__), set(CalibrateConfig.__dataclass_fields__)
+    assert run & calibrate == shared
+    assert (len(run), len(calibrate)) == (14, 10)
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("run", {"accel_setup": 5, "repetitions": 9, "sizes": [1, 2]}),
+    ("calibrate", {"scenario": "break_even", "clock": "wall", "fact_rows": 5}),
+], ids=["run", "calibrate"])
+def test_other_commands_config_keys_rejected(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config keys: {sorted(doc)}\n"
+    assert list(tmp_path.iterdir()) == [cfg]   # nothing written
+
+
+@pytest.mark.parametrize("argv,kind,written", [
+    (("run", "--queries", "3"), RunConfig, ("input_scale_shift", "config.json")),
+    (("calibrate", "--sizes", "3000,10000,30000"), CalibrateConfig,
+     ("calibration", "config.json")),
+], ids=["run", "calibrate"])
+def test_config_json_holds_only_its_commands_keys(tmp_path, capsys, argv, kind, written):
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+    doc = json.loads(tmp_path.joinpath(*written).read_text())
+    assert set(doc) == {*kind.__dataclass_fields__, "command"}
+    banner = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("config: "))
+    assert banner == doc
 
 
 def test_threshold_flags_reach_thresholds_file(tmp_path, capsys):
@@ -387,6 +422,23 @@ def test_table_above_size_limit_exits_1_before_any_column_is_drawn(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: table fact: 3000000000000 rows of 2 columns exceed ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario", bench.SCENARIO_NAMES)
+def test_query_count_above_limit_exits_1_before_any_draw_or_case(tmp_path, capsys,
+                                                                 monkeypatch, scenario):
+    # 3e9 queries would draw 3e9 schedule values or make 3e9 cases; neither
+    # may start, so the guards fail the test before one could
+    def refuse(*args, **kwargs):
+        raise AssertionError("a schedule draw or a query case was started")
+
+    monkeypatch.setattr(bench, "Stream", refuse)
+    monkeypatch.setattr(bench, "QueryCase", refuse)
+    assert run_cli("run", "--scenario", scenario, "--queries", "3000000000",
+                   "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"error: query count must be in 1..{bench.MAX_QUERIES}, got 3000000000\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_non_integer_sizes_flag_exits_2_with_usage(tmp_path, capsys):

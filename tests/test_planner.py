@@ -9,7 +9,8 @@ from latebind.datagen import ColumnSpec, TableSpec, generate_table
 from latebind.errors import ValidationError
 from latebind.planner import (ACCELERATOR, AGGREGATE, AcceleratorCost, AggSpec, CPU,
                               CostModel, FILTER, HASH_JOIN, JOIN, JoinCost, LinearCost,
-                              NESTED_LOOP, Query, SCAN, cost, model_break_even, plan)
+                              NESTED_LOOP, PlanNode, Query, SCAN, VARIANTS, cost,
+                              model_break_even, plan)
 from latebind.rng import Stream
 from latebind.stats import Predicate, capture_statistics
 from conftest import table_from_arrays
@@ -20,6 +21,16 @@ def make_stats(left_rows=2000, right_rows=2000, seed=50):
         ColumnSpec("fk", 0, 1999), ColumnSpec("v", 0, 999), ColumnSpec("a", 0, 99))), seed)
     right = generate_table(TableSpec("dim", right_rows, (ColumnSpec("pk", 0, 1999),)), seed + 1)
     return {"fact": capture_statistics(left), "dim": capture_statistics(right)}
+
+
+def variants(node: PlanNode) -> tuple[str, ...]:
+    """The variants a node's kind has (planner.VARIANTS); none for a scan."""
+    return VARIANTS.get(node.kind, ())
+
+
+def late_bind(node: PlanNode) -> bool:
+    """Whether the node is a late-bind candidate: its kind has variants."""
+    return node.kind in VARIANTS
 
 
 def default_query(**kwargs) -> Query:
@@ -144,27 +155,27 @@ def test_plan_argmin_property_random_models():
             join=JoinCost(coeffs[0] * 0.01, 0.0, 1.0, 1.0, coeffs[1] * 10000))
         p = plan(default_query(left_filter=Predicate("a", ">=", 10)), stats, model)
         for node in p.nodes():
-            if not node.late_bind:
+            if not late_bind(node):
                 continue
             cards = ((node.est_input, node.est_build)
                      if node.kind == JOIN else (node.est_input,))
             chosen_cost = cost(node.kind, node.chosen, cards, model)
-            for variant in node.variants:
+            for variant in variants(node):
                 assert chosen_cost <= cost(node.kind, variant, cards, model) + 1e-12
 
 
 def test_annotation_completeness(default_model):
     stats = make_stats()
     p = plan(default_query(left_filter=Predicate("a", "<", 30)), stats, default_model)
-    late = {n.node_id: n for n in p.nodes() if n.late_bind}
+    late = {n.node_id: n for n in p.nodes() if late_bind(n)}
     assert set(late) == {"filter_left", "join", "aggregate"}
-    assert set(late["join"].variants) == {HASH_JOIN, NESTED_LOOP}
-    assert set(late["filter_left"].variants) == {CPU, ACCELERATOR}
-    assert set(late["aggregate"].variants) == {CPU, ACCELERATOR}
-    assert not p.left_scan.late_bind and not p.right_scan.late_bind
+    assert set(variants(late["join"])) == {HASH_JOIN, NESTED_LOOP}
+    assert set(variants(late["filter_left"])) == {CPU, ACCELERATOR}
+    assert set(variants(late["aggregate"])) == {CPU, ACCELERATOR}
+    assert not late_bind(p.left_scan) and not late_bind(p.right_scan)
     for node in late.values():
-        assert node.chosen in node.variants
-        assert len(node.variants) >= 2
+        assert node.chosen in variants(node)
+        assert len(variants(node)) >= 2
 
 
 def test_plan_deterministic(default_model):

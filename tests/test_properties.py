@@ -1,6 +1,6 @@
 """Properties over drawn inputs: the join kernels and statistics capture
-equal plain-Python references, and a scenario run gives the rows of
-executing every query alone.
+equal plain-Python references, a narrow integer draw equals the int64 draw,
+and a scenario run gives the rows of executing every query alone.
 
 The join kernels' build-side counts, their sparse key table and the sorted
 path of capture_statistics run in no scenario at its defaults, so these
@@ -32,7 +32,7 @@ from latebind.datagen import ColumnSpec, Table, TableSpec
 from latebind.engine import EngineConfig, execute
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.policy import MODES
-from latebind.rng import SIGNED_BOUNDS
+from latebind.rng import SIGNED_BOUNDS, Stream
 from latebind.stats import capture_statistics
 from test_engine import check_join_kernels
 
@@ -40,13 +40,18 @@ KIB = 1024
 DTYPES = tuple(SIGNED_BOUNDS)
 
 
+def in_type(dtype: np.dtype) -> st.SearchStrategy[int]:
+    """Values anywhere in one integer type, often at its limits."""
+    lo, hi = SIGNED_BOUNDS[dtype]
+    return st.one_of(st.sampled_from((lo, lo + 1, -1, 0, 1, hi - 1, hi)), st.integers(lo, hi))
+
+
 @st.composite
 def column_values(draw, dtype: np.dtype, max_size: int) -> np.ndarray:
     """Values of one integer type: a run of consecutive values (a dense
     domain) or values anywhere in the type, both often at its limits."""
-    lo, hi = SIGNED_BOUNDS[dtype]
-    anywhere = st.one_of(st.sampled_from((lo, lo + 1, -1, 0, 1, hi - 1, hi)),
-                         st.integers(lo, hi))
+    hi = SIGNED_BOUNDS[dtype][1]
+    anywhere = in_type(dtype)
     if draw(st.booleans()):
         start = min(draw(anywhere), hi - 7)
         pool = list(range(start, start + 8))
@@ -85,6 +90,22 @@ def test_join_kernels_equal_brute_force_pairs():
     def prop(inputs):
         # a pair cap above every input keeps the nested loop literal
         check_join_kernels(pair_cap=10**9, **inputs)
+
+    prop()
+
+
+def test_narrow_integers_equal_the_int64_draw():
+    # a narrow draw keeps the low bits of the int64 draw's remainder and adds
+    # low at its own width, so it must give the int64 draw's values
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**64 - 1), count=st.integers(0, 200),
+           dtype=st.sampled_from(DTYPES))
+    def prop(data, seed, count, dtype):
+        low, high = sorted((data.draw(in_type(dtype)), data.draw(in_type(dtype))))
+        narrow = Stream(seed).integers(low, high, count, dtype)
+        assert narrow.dtype == dtype
+        np.testing.assert_array_equal(narrow.astype(np.int64),
+                                      Stream(seed).integers(low, high, count))
 
     prop()
 
