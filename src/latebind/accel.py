@@ -51,6 +51,10 @@ class BreakEven:
 
 GRID_COUNT = 8    # sizes in the default measurement grid
 GRID_SPAN = 5.0   # which covers [hint / GRID_SPAN, hint * GRID_SPAN]
+MAX_SIZE = 2**53  # input rows of a measurement; a float holds every count up to it
+# measurements per microbenchmark, all held until calibration ends (a
+# Measurement takes ~170 bytes, so one microbenchmark holds at most ~16 MiB)
+MAX_MEASUREMENTS = 100_000
 
 
 def default_size_grid(n_star_hint: float) -> list[int]:
@@ -61,6 +65,9 @@ def default_size_grid(n_star_hint: float) -> list[int]:
     centering the grid on the expected crossover is what makes the fitted and
     observed break-even agree.
     """
+    if not 1 <= n_star_hint <= MAX_SIZE / GRID_SPAN:
+        raise ValidationError(f"break-even hint {n_star_hint} is outside "
+                              f"[1, {MAX_SIZE / GRID_SPAN:g}]")
     lo = math.log(n_star_hint / GRID_SPAN)
     hi = math.log(n_star_hint * GRID_SPAN)
     sizes = sorted({max(1, round(math.exp(lo + (hi - lo) * i / (GRID_COUNT - 1))))
@@ -78,10 +85,13 @@ def run_microbenchmark(op_kind: str, sizes: list[int], model: CostModel, device:
         raise ValidationError("microbenchmark needs at least one size")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError("sizes must be strictly increasing")
-    if sizes[0] <= 0:
-        raise ValidationError("sizes must be positive")
+    if not (0 < sizes[0] and sizes[-1] <= MAX_SIZE):
+        raise ValidationError(f"sizes must be in 1..{MAX_SIZE}")
     if repetitions < 1:
         raise ValidationError("repetitions must be >= 1")
+    if len(sizes) * repetitions > MAX_MEASUREMENTS:
+        raise ValidationError(f"{len(sizes)} sizes x {repetitions} repetitions exceed "
+                              f"{MAX_MEASUREMENTS} measurements")
     noise_seed = derive_seed(seed, f"micro/{device}/{op_kind}")
     out = []
     counter = 0
@@ -114,7 +124,9 @@ def fit_linear(measurements: list[Measurement]) -> LineFit:
     denom = n * sxx - sx * sx
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
-    rms = math.sqrt(sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / n)
+    # r * r overflows to inf, where r ** 2 raises
+    residuals = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
+    rms = math.sqrt(sum(r * r for r in residuals) / n)
     mean_cost = sy / n
     return LineFit(device=devices.pop(), op_kind=kinds.pop(), slope=slope,
                    intercept=intercept, residual_score=rms / mean_cost if mean_cost else 0.0)

@@ -29,10 +29,10 @@ from . import bench
 from .accel import calibrate_break_evens, fits_csv, measurements_csv
 from .clock import SimulatedClock, WallClock
 from .datagen import dump_table_csv, generate_table, load_table_spec
-from .errors import ConfigurationError, ResultMismatchError, ValidationError, json_fields
+from .errors import (ConfigurationError, ResultMismatchError, ValidationError, dump_json,
+                     json_fields, load_json)
 from .planner import AcceleratorCost, CostModel, LinearCost
-from .policy import (MODES, Thresholds, calibrate, calibration_report,
-                     dump_thresholds, load_thresholds)
+from .policy import MODES, Thresholds, calibrate, calibration_report
 
 ENV_OUT_DIR = "LATEBIND_OUT"
 
@@ -120,8 +120,7 @@ def _banner(cfg: CommonConfig, command: str) -> str:
 def _write_config(cfg: CommonConfig, command: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump({**asdict(cfg), "command": command}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        dump_json(cfg, fh, command=command)
 
 
 def _clock(cfg: RunConfig) -> SimulatedClock | WallClock:
@@ -160,7 +159,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out) / "calibration"
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "thresholds.json").open("w", encoding="utf-8", newline="\n") as fh:
-        dump_thresholds(thresholds, fh)
+        dump_json(thresholds, fh)
     with (out_dir / "measurements.csv").open("w", encoding="utf-8", newline="\n") as fh:
         measurements_csv(measurements, fh)
     with (out_dir / "fits.csv").open("w", encoding="utf-8", newline="\n") as fh:
@@ -222,7 +221,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     thresholds = bench.scenario_thresholds(scenario, _base_thresholds(cfg))
     if cfg.thresholds_file:
         with open(cfg.thresholds_file, encoding="utf-8") as fh:
-            thresholds[bench.ORCHESTRATED] = load_thresholds(fh)
+            thresholds[bench.ORCHESTRATED] = load_json(Thresholds, fh, "threshold")
     reports = bench.run_scenario(scenario, clock, thresholds=thresholds)
     out_dir = Path(cfg.out)
     for report in reports.values():
@@ -334,8 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResultMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESULT_MISMATCH
-    except (ValidationError, ConfigurationError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, ConfigurationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

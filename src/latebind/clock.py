@@ -24,13 +24,18 @@ T = TypeVar("T")
 SIMULATED = "simulated"
 WALL = "wall"
 
+# exp(sigma * z) overflows a float once sigma * |z| > 709.78, and a draw
+# reaches |z| = sqrt(-2 ln 2**-54) = 8.65, so no sigma above 82 is safe
+MAX_SIGMA = 82.0
+
 
 class SimulatedClock:
     mode = SIMULATED
 
     def __init__(self, sigma: float = 0.05):
-        if not 0 <= sigma < math.inf:
-            raise ValidationError(f"sigma must be >= 0 and finite, got {sigma}")
+        if not 0 <= sigma <= MAX_SIGMA:
+            raise ValidationError(f"sigma must be >= 0 and finite, at most {MAX_SIGMA}, "
+                                  f"got {sigma}")
         self.sigma = sigma
         # (seed, {counter: noise(seed, counter)}) of the last seed charged;
         # replaced whole, so threads sharing the clock never mix two seeds.

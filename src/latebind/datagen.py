@@ -16,13 +16,12 @@ follows.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Optional
 
 import numpy as np
 
-from .errors import ValidationError, json_fields
+from .errors import ValidationError, load_json
 from .rng import INT64_MAX, INT64_MIN, SIGNED_BOUNDS, Stream, derive_seed
 
 UNIFORM = "uniform"
@@ -199,17 +198,12 @@ def apply_drift(table: Table, drift: DriftSpec, seed: int) -> Table:
 # ── config / debug I/O ─────────────────────────────────────────────────────
 
 
-def table_spec_from_json(doc: object) -> TableSpec:
-    """Build a TableSpec from a parsed JSON document; unknown or missing keys
-    and values of another type than their field's are rejected."""
-    spec = TableSpec(**json_fields(TableSpec, doc, "table spec"))
+def load_table_spec(path: str) -> TableSpec:
+    """The TableSpec of a JSON file, type-checked and validated."""
+    with open(path, encoding="utf-8") as fh:
+        spec = load_json(TableSpec, fh, "table spec")
     spec.validate()
     return spec
-
-
-def load_table_spec(path: str) -> TableSpec:
-    with open(path, encoding="utf-8") as fh:
-        return table_spec_from_json(json.load(fh))
 
 
 def dump_table_csv(table: Table, out: IO[str]) -> None:

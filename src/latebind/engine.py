@@ -355,7 +355,6 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
     left_cols, right_cols, agg_col, agg_side = _needed_columns(plan, tables)
     noise_seed = derive_seed(seed, "clock")
-    node_order = {node.node_id: i for i, node in enumerate(plan.nodes())}
 
     trace = ExecutionTrace()
     budget = config.memory_budget_bytes
@@ -372,7 +371,9 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                  out_bytes_of: Callable[[object], int] = lambda _: 0) -> object:
         nonlocal held, charged_total
         base = model_cost(node.kind, variant, cards, TRUE_COST_MODEL)
-        out, charged = clock.charge(base, noise_seed, node_order[node.node_id],
+        # nodes run in plan order and a failure ends the run, so a node's
+        # noise counter is its position in the plan: the records before it
+        out, charged = clock.charge(base, noise_seed, len(trace.records),
                                     work=kernel, modeled_only=variant == ACCELERATOR)
         out_bytes = out_bytes_of(out)
         working = held + extra_bytes + out_bytes

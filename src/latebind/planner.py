@@ -10,6 +10,7 @@ lexicographically on variant name so plans are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,8 +62,8 @@ class LinearCost:
     b: float  # fixed
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValidationError("cost coefficients must be >= 0")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ValidationError("cost coefficients must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class AcceleratorCost:
     compute: float   # per item
 
     def __post_init__(self):
-        if min(self.setup, self.transfer, self.compute) < 0:
-            raise ValidationError("cost coefficients must be >= 0")
+        if not all(0 <= c < math.inf for c in (self.setup, self.transfer, self.compute)):
+            raise ValidationError("cost coefficients must be >= 0 and finite")
 
     @property
     def per_item(self) -> float:
@@ -181,17 +182,6 @@ class AnnotatedPlan:
     left_filter: Optional[PlanNode] = None
     right_filter: Optional[PlanNode] = None
     stats: dict[str, TableStats] = field(default_factory=dict)
-
-    def nodes(self) -> list[PlanNode]:
-        """Nodes in execution order (left branch, right branch, join, agg)."""
-        order = [self.left_scan]
-        if self.left_filter:
-            order.append(self.left_filter)
-        order.append(self.right_scan)
-        if self.right_filter:
-            order.append(self.right_filter)
-        order.extend([self.join, self.aggregate])
-        return order
 
 
 def _argmin_variant(kind: str, cards: tuple[float, ...], model: CostModel) -> str:

@@ -17,18 +17,18 @@ A kind offloads at an observed input of offload_margin x N*, its break-even
 size.  The orchestrated mode runs the rule table against calibrated N*; the
 independent-gates mode runs the same rules against N* derived statically
 from the planner's own cost model (its ablation contract: no measured
-calibration).
+calibration).  A thresholds file is the JSON form of Thresholds, written by
+errors.dump_json and read by errors.load_json.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Optional
+from typing import Optional
 
 from .accel import BreakEven
-from .errors import ValidationError, json_fields
+from .errors import ValidationError
 from .planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, JOIN, NESTED_LOOP,
                       OFFLOADABLE_KINDS, PlanNode, model_break_even)
 
@@ -128,17 +128,3 @@ def calibration_report(thresholds: Thresholds) -> str:
             lines.append(f"  offload[{kind}]  disabled (no break-even)")
     return "\n".join(lines) + "\n"
 
-
-def dump_thresholds(thresholds: Thresholds, out: IO[str]) -> None:
-    doc = {
-        "rho_join": thresholds.rho_join,
-        "offload_margin": thresholds.offload_margin,
-        "n_star": thresholds.n_star,
-        "source": thresholds.source,
-    }
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
-
-
-def load_thresholds(fh: IO[str]) -> Thresholds:
-    return Thresholds(**json_fields(Thresholds, json.load(fh), "threshold"))

@@ -5,14 +5,16 @@ distinct count, and an equi-width histogram.  A capture may name the columns
 to describe; the scenarios describe exactly the columns their plans read
 (join keys and filter columns).  Range estimates interpolate uniformly
 within buckets; equality estimates are 1/ndv inside the observed value range.
+A TableStats persists as the JSON form of its dataclass (errors.dump_json
+and errors.load_json), which holds every statistic exactly, so statistics
+captured before a drift survive it unchanged.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
-from typing import IO, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -183,31 +185,3 @@ def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> float:
         bounds = (c + 1.0, hi)
     return _range_fraction(stats, *bounds)
 
-
-# ── persistence (pre-drift stats survive a drift) ──────────────────────────
-
-
-def dump_stats(stats: TableStats, out: IO[str]) -> None:
-    doc = {
-        "table": stats.table,
-        "row_count": stats.row_count,
-        "captured_generation": stats.captured_generation,
-        "columns": {name: asdict(cs) for name, cs in sorted(stats.columns.items())},
-    }
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
-
-
-def load_stats(fh: IO[str]) -> TableStats:
-    doc = json.load(fh)
-    cols = {}
-    for name, cdoc in doc["columns"].items():
-        cols[name] = ColumnStats(
-            column=cdoc["column"], row_count=cdoc["row_count"], ndv=cdoc["ndv"],
-            min_value=cdoc["min_value"], max_value=cdoc["max_value"],
-            bucket_edges=tuple(cdoc["bucket_edges"]),
-            bucket_counts=tuple(cdoc["bucket_counts"]),
-            captured_generation=cdoc["captured_generation"],
-        )
-    return TableStats(table=doc["table"], row_count=doc["row_count"],
-                      captured_generation=doc["captured_generation"], columns=cols)

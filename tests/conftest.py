@@ -13,7 +13,8 @@ import pytest
 from latebind import bench
 from latebind.cli import main
 from latebind.datagen import ColumnSpec, Table, TableSpec, generate_table
-from latebind.planner import OFFLOADABLE_KINDS, AggSpec, CostModel, Query, plan
+from latebind.planner import (OFFLOADABLE_KINDS, AggSpec, AnnotatedPlan, CostModel, PlanNode,
+                              Query, plan)
 from latebind.policy import MODES, Thresholds
 from latebind.stats import capture_statistics
 
@@ -122,3 +123,10 @@ def disabled_thresholds() -> Thresholds:
     """All triggers unreachable: the hook never fires a change."""
     return Thresholds(rho_join=math.inf, n_star={k: math.inf for k in OFFLOADABLE_KINDS},
                       source="manual")
+
+
+def plan_nodes(p: AnnotatedPlan) -> list[PlanNode]:
+    """A plan's nodes in execution order (left branch, right branch, join,
+    aggregate), which is the order of an execution's trace records."""
+    return [node for node in (p.left_scan, p.left_filter, p.right_scan, p.right_filter,
+                              p.join, p.aggregate) if node is not None]

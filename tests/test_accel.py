@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from latebind.accel import (LineFit, Measurement, accelerator_risk, break_even,
-                            calibrate_break_evens, default_size_grid, fit_linear,
-                            run_microbenchmark)
-from latebind.clock import SimulatedClock
+from latebind import clock as clock_module
+from latebind.accel import (MAX_MEASUREMENTS, MAX_SIZE, LineFit, Measurement,
+                            accelerator_risk, break_even, calibrate_break_evens,
+                            default_size_grid, fit_linear, run_microbenchmark)
+from latebind.clock import MAX_SIGMA, SimulatedClock
 from latebind.errors import NoBreakEvenError, ValidationError
 from latebind.planner import ACCELERATOR, CPU, AcceleratorCost, CostModel, cost
 from latebind.rng import derive_seed
@@ -46,6 +47,50 @@ def test_microbenchmark_validation():
         run_microbenchmark("filter", [10, 5], MODEL, CPU, clock, 1, seed=1)
     with pytest.raises(ValidationError):
         run_microbenchmark("filter", [10], MODEL, CPU, clock, 0, seed=1)
+
+
+class Charged(Exception):
+    """The first charge of a microbenchmark: its checks have all passed."""
+
+
+class GuardClock(SimulatedClock):
+    def charge(self, *args, **kwargs):
+        raise Charged
+
+
+@pytest.mark.parametrize("sizes,repetitions", [
+    ([1000], MAX_MEASUREMENTS), ([1, 2], MAX_MEASUREMENTS // 2),
+    (list(range(1, MAX_MEASUREMENTS + 1)), 1)])
+def test_measurement_count_checked_before_the_first_charge(sizes, repetitions):
+    with pytest.raises(Charged):   # at the limit
+        run_microbenchmark("filter", sizes, MODEL, CPU, GuardClock(), repetitions, seed=1)
+    with pytest.raises(ValidationError, match=f"exceed {MAX_MEASUREMENTS} measurements"):
+        run_microbenchmark("filter", sizes, MODEL, CPU, GuardClock(), repetitions + 1, seed=1)
+
+
+def test_sizes_above_limit_rejected():
+    # a float holds every size up to MAX_SIZE, and the model prices sizes
+    # as floats
+    with pytest.raises(Charged):
+        run_microbenchmark("filter", [1, MAX_SIZE], MODEL, CPU, GuardClock(), 1, seed=1)
+    with pytest.raises(ValidationError, match="sizes must be in"):
+        run_microbenchmark("filter", [1, MAX_SIZE + 1], MODEL, CPU, GuardClock(), 1, seed=1)
+    with pytest.raises(ValidationError, match="break-even hint"):
+        default_size_grid(MAX_SIZE)
+    with pytest.raises(ValidationError, match="break-even hint"):
+        default_size_grid(math.nan)
+
+
+def test_noise_is_finite_at_the_sigma_limit(monkeypatch):
+    # every unit draw 0: u1 is 2**-54 and cos(2 pi u2) is 1, the largest z
+    monkeypatch.setattr(clock_module, "unit_at", lambda seed, counter: 0.0)
+    clock = SimulatedClock(sigma=MAX_SIGMA)
+    assert math.isfinite(clock.noise(1, 0))
+    clock.sigma = MAX_SIGMA + 0.1   # past the constructor's check
+    with pytest.raises(OverflowError):
+        clock.noise(1, 0)
+    with pytest.raises(ValidationError, match="at most"):
+        SimulatedClock(sigma=MAX_SIGMA + 0.1)
 
 
 def test_microbenchmark_deterministic_per_seed():

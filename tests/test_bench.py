@@ -20,6 +20,7 @@ from latebind.planner import ACCELERATOR, AGGREGATE, CPU, HASH_JOIN, JOIN, NESTE
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED
 from latebind.rng import Stream, derive_seed
 from latebind.stats import Predicate
+from conftest import plan_nodes
 
 
 def oracle_percentile(samples: list[float], p: float) -> float:
@@ -202,7 +203,7 @@ SCENARIO_BUILDERS = {BREAK_EVEN: scenario_break_even,
 
 def group_plans(scenario) -> list:
     """Each group's plan nodes and the statistics they were planned from."""
-    return [(group.queries[0][1].plan.nodes(), group.queries[0][1].plan.stats)
+    return [(plan_nodes(group.queries[0][1].plan), group.queries[0][1].plan.stats)
             for group in bench.scenario_groups(scenario)]
 
 

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from latebind import bench, datagen
+from latebind.accel import MAX_MEASUREMENTS
 from latebind.cli import (EXIT_OK, EXIT_VALIDATION, CalibrateConfig, CommonConfig, RunConfig,
                           _base_thresholds, build_parser, main)
-from latebind.clock import SimulatedClock
+from latebind.clock import MAX_SIGMA, SimulatedClock
 from latebind.policy import ORCHESTRATED, Thresholds
 
 
@@ -348,13 +349,47 @@ def test_scenario_key_in_config_file_on_other_scenario_rejected(tmp_path, capsys
     assert not (tmp_path / "stale_stats").exists()
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+# above MAX_SIGMA, exp(sigma * z) overflows at the largest draws of z
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "82.01", "1000", "1e300"])
 @pytest.mark.parametrize("command", ["run", "calibrate"])
 def test_bad_sigma_exits_1_without_traceback(tmp_path, capsys, command, sigma):
     assert run_cli(command, "--sigma", sigma, "--out", str(tmp_path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sigma must be >= 0 and finite" in err
     assert "Traceback" not in err
+
+
+def test_sigma_at_its_limit_runs(tmp_path, capsys):
+    limit = str(MAX_SIGMA)
+    assert run_cli("run", "--sigma", limit, "--queries", "3", "--out", str(tmp_path)) \
+        == EXIT_OK
+    # the noise is far too wide for a break-even, which calibrate reports
+    # with a warning, but it still writes every file
+    run_cli("calibrate", "--sigma", limit, "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert "error:" not in err and "Traceback" not in err
+    assert (tmp_path / "calibration" / "thresholds.json").exists()
+
+
+def test_unknown_mode_exits_1(tmp_path, capsys):
+    assert run_cli("run", "--modes", "bogus", "--queries", "3", "--out", str(tmp_path)) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: unknown mode 'bogus'\n"
+    assert not (tmp_path / "input_scale_shift").exists()
+
+
+def test_measurement_count_above_limit_exits_1_before_any_charge(tmp_path, capsys,
+                                                                 monkeypatch):
+    # 8 default sizes x 10**12 repetitions: no measurement may be charged
+    def guarded(*args, **kwargs):
+        raise AssertionError("a measurement was charged")
+
+    monkeypatch.setattr(SimulatedClock, "charge", guarded)
+    assert run_cli("calibrate", "--repetitions", str(10**12), "--out", str(tmp_path)) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: 8 sizes x {10**12} repetitions exceed "
+                                       f"{MAX_MEASUREMENTS} measurements\n")
+    assert not (tmp_path / "calibration").exists()
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -11,8 +11,8 @@ from latebind import datagen
 from latebind.datagen import (MAX_TABLE_BYTES, MAX_ZIPF_DOMAIN, ZIPF, ColumnSpec,
                               DistributionChange, DriftSpec, TableSpec, _zipf_cdf,
                               apply_drift, column_dtype, dump_table_csv, generate_table,
-                              table_spec_from_json)
-from latebind.errors import ValidationError
+                              load_table_spec)
+from latebind.errors import ValidationError, dump_json
 from latebind.rng import SIGNED_BOUNDS
 
 WIDTHS = tuple(SIGNED_BOUNDS)   # column types, narrowest first
@@ -151,23 +151,34 @@ def test_invalid_drift_rejected():
         apply_drift(t, DriftSpec(scale_factor=-2.0), seed=1)
 
 
-def test_spec_json_roundtrip():
+def spec_file(tmp_path, doc: dict) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_spec_json_roundtrip(tmp_path):
     doc = {"name": "demo", "row_count": 12, "columns": [
         {"name": "k", "low": 0, "high": 9},
         {"name": "z", "low": 1, "high": 100, "distribution": "zipf", "skew": 1.5},
     ]}
-    spec = table_spec_from_json(json.loads(json.dumps(doc)))
+    spec = load_table_spec(spec_file(tmp_path, doc))
     assert spec.name == "demo"
     assert spec.row_count == 12
     assert spec.columns[1].distribution == "zipf"
+    with open(tmp_path / "again.json", "w", encoding="utf-8") as fh:
+        dump_json(spec, fh)
+    assert load_table_spec(str(tmp_path / "again.json")) == spec
 
 
-def test_spec_json_unknown_keys_rejected():
+def test_spec_json_unknown_keys_rejected(tmp_path):
     with pytest.raises(ValidationError):
-        table_spec_from_json({"name": "x", "row_count": 1, "columns": [], "extra": 1})
+        load_table_spec(spec_file(tmp_path, {"name": "x", "row_count": 1, "columns": [],
+                                             "extra": 1}))
     with pytest.raises(ValidationError):
-        table_spec_from_json({"name": "x", "row_count": 1,
-                              "columns": [{"name": "a", "low": 0, "high": 1, "oops": 2}]})
+        load_table_spec(spec_file(tmp_path, {
+            "name": "x", "row_count": 1,
+            "columns": [{"name": "a", "low": 0, "high": 1, "oops": 2}]}))
 
 
 def reference_csv(table) -> str:

@@ -19,7 +19,7 @@ from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Threshol
                              static_thresholds)
 from latebind.rng import Stream, fnv1a64
 from latebind.stats import Predicate, capture_statistics
-from conftest import brute_force_join_count, disabled_thresholds
+from conftest import brute_force_join_count, disabled_thresholds, plan_nodes
 
 
 def forced(plan_, join=None, left_filter=None, aggregate=None):
@@ -177,7 +177,7 @@ def test_decisions_only_at_late_bind_nodes(small_plan, small_tables):
             assert record.decisions == ()
         else:
             assert len(record.decisions) >= 1
-    assert len(trace.records) == len(small_plan.nodes())
+    assert len(trace.records) == len(plan_nodes(small_plan))
 
 
 def test_spill_inflates_charged_cost(small_plan, small_tables, default_model):
@@ -525,7 +525,7 @@ def test_wall_clock_times_the_sum_in_the_aggregate(monkeypatch, small_plan, smal
     # aggregate, and an accelerator aggregate, charged its modeled cost
     # untimed, does not pay for it inside the join
     plan_ = forced(small_plan, join=join, aggregate=aggregate)
-    node_order = {node.node_id: i for i, node in enumerate(plan_.nodes())}
+    node_order = {node.node_id: i for i, node in enumerate(plan_nodes(plan_))}
     charging = []     # (counter, modeled_only) of the charge whose work runs
     summed_in = []
 

@@ -13,7 +13,7 @@ from latebind.planner import (ACCELERATOR, AGGREGATE, AcceleratorCost, AggSpec, 
                               model_break_even, plan)
 from latebind.rng import Stream
 from latebind.stats import Predicate, capture_statistics
-from conftest import table_from_arrays
+from conftest import plan_nodes, table_from_arrays
 
 
 def make_stats(left_rows=2000, right_rows=2000, seed=50):
@@ -154,7 +154,7 @@ def test_plan_argmin_property_random_models():
                    AGGREGATE: AcceleratorCost(coeffs[6] * 10000, coeffs[7], coeffs[7])},
             join=JoinCost(coeffs[0] * 0.01, 0.0, 1.0, 1.0, coeffs[1] * 10000))
         p = plan(default_query(left_filter=Predicate("a", ">=", 10)), stats, model)
-        for node in p.nodes():
+        for node in plan_nodes(p):
             if not late_bind(node):
                 continue
             cards = ((node.est_input, node.est_build)
@@ -167,7 +167,7 @@ def test_plan_argmin_property_random_models():
 def test_annotation_completeness(default_model):
     stats = make_stats()
     p = plan(default_query(left_filter=Predicate("a", "<", 30)), stats, default_model)
-    late = {n.node_id: n for n in p.nodes() if late_bind(n)}
+    late = {n.node_id: n for n in plan_nodes(p) if late_bind(n)}
     assert set(late) == {"filter_left", "join", "aggregate"}
     assert set(variants(late["join"])) == {HASH_JOIN, NESTED_LOOP}
     assert set(variants(late["filter_left"])) == {CPU, ACCELERATOR}

@@ -6,11 +6,11 @@ import math
 import pytest
 
 from latebind.accel import BreakEven
-from latebind.errors import ValidationError
+from latebind.errors import ValidationError, dump_json, load_json
 from latebind.planner import (ACCELERATOR, AGGREGATE, CPU, CostModel, FILTER,
                               HASH_JOIN, JOIN, NESTED_LOOP, PlanNode)
 from latebind.policy import (RiskVector, Thresholds, calibrate, calibration_report, decide,
-                             dump_thresholds, load_thresholds, static_thresholds)
+                             static_thresholds)
 from conftest import disabled_thresholds
 
 
@@ -150,15 +150,15 @@ def test_disabled_thresholds_never_fire():
 def test_thresholds_roundtrip_including_disabled():
     for thr in (calibrated(rho_join=7.5), disabled_thresholds()):
         buf = io.StringIO()
-        dump_thresholds(thr, buf)
+        dump_json(thr, buf)
         buf.seek(0)
-        assert load_thresholds(buf) == thr
+        assert load_json(Thresholds, buf, "threshold") == thr
 
 
 def test_thresholds_unknown_keys_rejected():
     buf = io.StringIO('{"rho_join": 5.0, "bogus": 1}')
     with pytest.raises(ValidationError):
-        load_thresholds(buf)
+        load_json(Thresholds, buf, "threshold")
 
 
 def test_calibration_report_mentions_kinds():

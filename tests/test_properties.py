@@ -1,6 +1,7 @@
 """Properties over drawn inputs: the join kernels and statistics capture
-equal plain-Python references, a narrow integer draw equals the int64 draw,
-and a scenario run gives the rows of executing every query alone.
+equal plain-Python references, captured statistics survive their JSON round
+trip, a narrow integer draw equals the int64 draw, and a scenario run gives
+the rows of executing every query alone.
 
 The join kernels' build-side counts, their sparse key table and the sorted
 path of capture_statistics run in no scenario at its defaults, so these
@@ -131,7 +132,10 @@ def test_capture_statistics_equals_python_reference():
         lo, hi = SIGNED_BOUNDS[dtype]
         table = Table(spec=TableSpec("t", values.size, (ColumnSpec("a", lo, hi),)),
                       generation=0, columns={"a": values})
-        got = capture_statistics(table, buckets=buckets).column("a")
+        stats = capture_statistics(table, buckets=buckets)
+        # the JSON file form holds every statistic exactly, at the type's limits too
+        assert bench._roundtrip(stats) == stats
+        got = stats.column("a")
         assert got.row_count == values.size
         if not values.size:
             assert (got.ndv, got.bucket_counts) == (0, ())

@@ -10,12 +10,12 @@ from latebind.clock import SimulatedClock
 from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                               apply_drift, generate_table)
 from latebind.engine import execute
-from latebind.errors import ValidationError
+from latebind.errors import ValidationError, dump_json, load_json
 from latebind.planner import AggSpec, CostModel, Query, plan
 from latebind.policy import BASELINE, Thresholds
 from latebind.rng import Stream, fnv1a64
-from latebind.stats import (ColumnStats, Predicate, capture_statistics, dump_stats,
-                            estimate_selectivity, load_stats)
+from latebind.stats import (ColumnStats, Predicate, TableStats, capture_statistics,
+                            estimate_selectivity)
 from conftest import table_from_arrays
 
 
@@ -273,7 +273,7 @@ def test_stats_serialization_roundtrip():
         ColumnSpec("a", 0, 99), ColumnSpec("b", -5, 5))), seed=44)
     stats = capture_statistics(t)
     buf = io.StringIO()
-    dump_stats(stats, buf)
+    dump_json(stats, buf)
     buf.seek(0)
-    loaded = load_stats(buf)
+    loaded = load_json(TableStats, buf, "statistics")
     assert loaded == stats
