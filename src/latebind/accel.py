@@ -2,11 +2,12 @@
 
 The accelerator is a calibrated cost-model device.  Microbenchmarks charge
 each device's modeled per-size cost, priced by ``planner.cost``, through the
-clock (so they inherit the clock's noise and determinism), ordinary least
-squares fits one affine cost line per device, and the fitted lines yield the
-estimated break-even size alongside the empirically interpolated one.  The
-ratio of break-even size to observed input size is the accelerator-side risk
-signal: above 1, offloading has not amortized.
+clock (so they inherit the clock's noise and determinism): n rows cost
+cpu * n on the CPU and setup + per_row * n on the accelerator.  Ordinary
+least squares fits one affine cost line per device, and the fitted lines
+yield the estimated break-even size alongside the empirically interpolated
+one.  The ratio of break-even size to observed input size is the
+accelerator-side risk signal: above 1, offloading has not amortized.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ from .accel import calibrate_break_evens, fits_csv, measurements_csv
 from .clock import SimulatedClock, WallClock
 from .datagen import dump_table_csv, generate_table, load_table_spec
 from .errors import (ConfigurationError, ResultMismatchError, ValidationError, dump_json,
-                     json_fields, load_json)
-from .planner import AcceleratorCost, CostModel, LinearCost
+                     json_fields, load_json, parse_json)
+from .planner import AcceleratorCost, CostModel
 from .policy import MODES, Thresholds, calibrate, calibration_report
 
 ENV_OUT_DIR = "LATEBIND_OUT"
@@ -82,7 +82,7 @@ def _load_config(path: Optional[str], command: str, kind: type[CommonConfig]) ->
     if not path:
         return kind()
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = parse_json(fh)
     written_by = doc.pop("command", command) if isinstance(doc, dict) else command
     if written_by != command:
         raise ValidationError(f"config file {path} is for {written_by!r}, not {command!r}")
@@ -137,13 +137,9 @@ def _base_thresholds(cfg: CommonConfig) -> Thresholds:
 
 def _calibration_model(cfg: CalibrateConfig) -> CostModel:
     base = CostModel.default()
-    cpu = {kind: (LinearCost(cfg.cpu_per_item, 0.0) if kind in base.accel else line)
-           for kind, line in base.cpu.items()}
-    accel = {kind: AcceleratorCost(setup=cfg.accel_setup,
-                                   transfer=cfg.accel_per_item / 2.0,
-                                   compute=cfg.accel_per_item / 2.0)
-             for kind in base.accel}
-    return CostModel(cpu=cpu, accel=accel, join=base.join)
+    return replace(base, cpu={**base.cpu, **dict.fromkeys(base.accel, cfg.cpu_per_item)},
+                   accel=dict.fromkeys(base.accel, AcceleratorCost(cfg.accel_setup,
+                                                                   cfg.accel_per_item)))
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -285,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--accel-setup", dest="accel_setup", type=float,
                      help="accelerator up-front cost (default 8000)")
     cal.add_argument("--accel-per-item", dest="accel_per_item", type=float,
-                     help="accelerator transfer+compute cost per row (default 0.2)")
+                     help="accelerator cost per row, transfer and compute together "
+                          "(default 0.2)")
     cal.add_argument("--repetitions", type=int, help="measurements per size (default 5)")
     cal.add_argument("--sizes", type=_comma_separated(int),
                      help="comma-separated measurement sizes")
@@ -333,7 +330,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResultMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESULT_MISMATCH
-    except (ValidationError, ConfigurationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

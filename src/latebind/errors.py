@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one JSON form of its
 documents: each is a dataclass, written by dump_json and read back by
-load_json, whose json_fields checks it against the dataclass's fields."""
+load_json, which parses it with parse_json and checks it against the
+dataclass's fields with json_fields."""
 
 from __future__ import annotations
 
@@ -84,6 +85,16 @@ def dump_json(obj: object, out: typing.IO[str], **extra: object) -> None:
     out.write("\n")
 
 
+def parse_json(fh: typing.IO[str]) -> object:
+    """The JSON document in `fh`.  Text that is no JSON, bytes that are no
+    UTF-8 and an integer of more digits than int() takes
+    (sys.get_int_max_str_digits()) are each a ValidationError."""
+    try:
+        return json.load(fh)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
 def load_json(cls: type[T], fh: typing.IO[str], what: str) -> T:
     """The `cls` that the JSON document in `fh` sets, checked by json_fields."""
-    return cls(**json_fields(cls, json.load(fh), what))
+    return cls(**json_fields(cls, parse_json(fh), what))

@@ -6,12 +6,16 @@ whether it is a late-bind candidate and which variants it has (VARIANTS):
 the join and the offloadable primitives (filter, aggregate) are, with the
 modeled-cost argmin bound as the default choice.  Ties break
 lexicographically on variant name so plans are deterministic.
+
+CostModel has one coefficient per cost term: a per-row CPU cost per kind,
+an accelerator setup and per-row cost per offloadable kind, and the join's
+costs per nested-loop pair, per hash build and probe row, and fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 from .errors import ValidationError
@@ -57,69 +61,47 @@ class Query:
 
 
 @dataclass(frozen=True)
-class LinearCost:
-    a: float  # per input row
-    b: float  # fixed
-
-    def __post_init__(self):
-        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
-            raise ValidationError("cost coefficients must be >= 0 and finite")
-
-
-@dataclass(frozen=True)
 class AcceleratorCost:
     setup: float
-    transfer: float  # per item
-    compute: float   # per item
-
-    def __post_init__(self):
-        if not all(0 <= c < math.inf for c in (self.setup, self.transfer, self.compute)):
-            raise ValidationError("cost coefficients must be >= 0 and finite")
-
-    @property
-    def per_item(self) -> float:
-        return self.transfer + self.compute
+    per_row: float  # transfer and compute of one row
 
 
 @dataclass(frozen=True)
 class JoinCost:
     nl_a: float       # per (outer x inner) pair
-    nl_b: float
     hash_build: float  # per build row
     hash_probe: float  # per probe row
-    hash_b: float
-
-    def __post_init__(self):
-        if min(self.nl_a, self.nl_b, self.hash_build, self.hash_probe, self.hash_b) < 0:
-            raise ValidationError("cost coefficients must be >= 0")
+    hash_b: float      # fixed
 
 
 @dataclass(frozen=True)
 class CostModel:
-    cpu: dict[str, LinearCost]                 # scan, filter, aggregate
+    cpu: dict[str, float]                      # per row: scan, filter, aggregate
     accel: dict[str, AcceleratorCost]          # filter, aggregate
     join: JoinCost
+
+    def __post_init__(self):
+        coefficients = [*self.cpu.values(), *astuple(self.join),
+                        *(c for acc in self.accel.values() for c in astuple(acc))]
+        if not all(0 <= c < math.inf for c in coefficients):
+            raise ValidationError("cost coefficients must be >= 0 and finite")
 
     @staticmethod
     def default() -> "CostModel":
         return CostModel(
-            cpu={
-                SCAN: LinearCost(0.5, 0.0),
-                FILTER: LinearCost(1.0, 0.0),
-                AGGREGATE: LinearCost(1.0, 0.0),
-            },
+            cpu={SCAN: 0.5, FILTER: 1.0, AGGREGATE: 1.0},
             accel={
-                FILTER: AcceleratorCost(setup=8000.0, transfer=0.1, compute=0.1),
-                AGGREGATE: AcceleratorCost(setup=8000.0, transfer=0.1, compute=0.1),
+                FILTER: AcceleratorCost(setup=8000.0, per_row=0.2),
+                AGGREGATE: AcceleratorCost(setup=8000.0, per_row=0.2),
             },
-            join=JoinCost(nl_a=0.002, nl_b=0.0, hash_build=1.0, hash_probe=1.0, hash_b=6000.0),
+            join=JoinCost(nl_a=0.002, hash_build=1.0, hash_probe=1.0, hash_b=6000.0),
         )
 
     def scaled_accel_setup(self, factor: float) -> "CostModel":
         """Copy with every accelerator setup cost multiplied by factor
         (the deliberate-miscalibration knob for the break-even scenario)."""
-        accel = {k: AcceleratorCost(v.setup * factor, v.transfer, v.compute)
-                 for k, v in self.accel.items()}
+        accel = {kind: AcceleratorCost(acc.setup * factor, acc.per_row)
+                 for kind, acc in self.accel.items()}
         return CostModel(cpu=dict(self.cpu), accel=accel, join=self.join)
 
 
@@ -134,19 +116,18 @@ def cost(kind: str, variant: str, cardinalities: tuple[float, ...], model: CostM
     if kind == JOIN:
         n_probe, n_build = cardinalities
         if variant == NESTED_LOOP:
-            return model.join.nl_a * n_probe * n_build + model.join.nl_b
+            return model.join.nl_a * n_probe * n_build
         if variant == HASH_JOIN:
             return model.join.hash_build * n_build + model.join.hash_probe * n_probe + model.join.hash_b
         raise ValidationError(f"unknown join variant {variant!r}")
     (n,) = cardinalities
     if variant == CPU:
-        c = model.cpu[kind]
-        return c.a * n + c.b
+        return model.cpu[kind] * n
     if variant == ACCELERATOR:
         if kind not in model.accel:
             raise ValidationError(f"{kind} is not offloadable")
         c = model.accel[kind]
-        return c.setup + c.per_item * n
+        return c.setup + c.per_row * n
     raise ValidationError(f"unknown variant {variant!r} for {kind}")
 
 
@@ -155,9 +136,9 @@ def model_break_even(model: CostModel, kind: str) -> Optional[float]:
     offloadable kind; None when the accelerator never amortizes."""
     cpu = model.cpu[kind]
     acc = model.accel[kind]
-    if cpu.a <= acc.per_item:
+    if cpu <= acc.per_row:
         return None
-    n_star = (acc.setup - cpu.b) / (cpu.a - acc.per_item)
+    n_star = acc.setup / (cpu - acc.per_row)
     return n_star if n_star > 0 else None
 
 

@@ -70,6 +70,13 @@ class Thresholds:
             raise ValidationError(f"rho_join must be > 1, got {self.rho_join}")
         if not (self.offload_margin >= 1):
             raise ValidationError(f"offload_margin must be >= 1, got {self.offload_margin}")
+        for kind, n_star in self.n_star.items():
+            if kind not in OFFLOADABLE_KINDS:
+                raise ValidationError(f"n_star key {kind!r} is no offloadable kind "
+                                      f"{OFFLOADABLE_KINDS}")
+            # inf is a kind that never amortizes; NaN fails here too
+            if not n_star > 0:
+                raise ValidationError(f"n_star[{kind!r}] must be > 0 or inf, got {n_star}")
 
     @property
     def calibrated(self) -> bool:

@@ -212,8 +212,8 @@ def test_calibrate_break_evens_covers_model_kinds(default_model):
 def test_calibrate_break_evens_flags_degenerate():
     model = CostModel(
         cpu=CostModel.default().cpu,
-        accel={"filter": AcceleratorCost(0.0, 0.5, 0.5),
-               "aggregate": AcceleratorCost(0.0, 0.5, 0.5)},
+        accel={"filter": AcceleratorCost(0.0, 1.0),
+               "aggregate": AcceleratorCost(0.0, 1.0)},
         join=CostModel.default().join)
     clock = SimulatedClock(sigma=0.0)
     break_evens, _, _ = calibrate_break_evens(model, clock, seed=5)

@@ -17,7 +17,7 @@ from latebind.clock import SimulatedClock, WallClock
 from latebind.engine import EngineConfig
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.planner import ACCELERATOR, AGGREGATE, CPU, HASH_JOIN, JOIN, NESTED_LOOP
-from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED
+from latebind.policy import BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED
 from latebind.rng import Stream, derive_seed
 from latebind.stats import Predicate
 from conftest import plan_nodes
@@ -420,6 +420,35 @@ def test_memory_outcomes_do_not_depend_on_column_width(monkeypatch, make_scenari
     assert narrow_outcomes == wide_outcomes
     assert sum(spilled for spilled, _ in narrow_outcomes) == spills
     assert sum(failed for _, failed in narrow_outcomes) == failures
+
+
+@pytest.mark.parametrize("build,budget_kib,counts", [
+    # a hash join holds its build side in its working set: without it, 47
+    # fewer joins would spill in each deciding mode,
+    (scenario_stale_stats, 256, {BASELINE: (773, 0), INDEPENDENT_GATES: (820, 0),
+                                 ORCHESTRATED: (820, 0)}),
+    # one fewer in each mode here,
+    (scenario_break_even, 768, {mode: (114, 0) for mode in MODES}),
+    # and here one query per mode would finish, with two nodes spilled
+    (scenario_break_even, 64, {mode: (196, 99) for mode in MODES}),
+], ids=["stale_stats_256KiB", "break_even_768KiB", "break_even_64KiB"])
+def test_seed1_spills_and_failures_per_mode(monkeypatch, build, budget_kib, counts):
+    """Per mode, the spilled nodes and the failed executions of a default
+    scenario at a budget where the hash build's bytes decide some of them."""
+    spills: Counter = Counter()
+    failures: Counter = Counter()
+    real_execute = bench.execute
+
+    def counting(plan, tables, mode, *args, **kwargs):
+        result, trace = real_execute(plan, tables, mode, *args, **kwargs)
+        spills[mode] += sum(record.spilled for record in trace.records)
+        failures[mode] += trace.failed
+        return result, trace
+
+    monkeypatch.setattr(bench, "execute", counting)
+    run_scenario(build(seed=1), SimulatedClock(),
+                 engine_config=EngineConfig(memory_budget_bytes=budget_kib * 1024))
+    assert {mode: (spills[mode], failures[mode]) for mode in MODES} == counts
 
 
 def count_join_kernels(monkeypatch) -> tuple[list, list]:

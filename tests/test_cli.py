@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -430,6 +431,14 @@ THRESHOLDS_RUN = ("run", "--scenario", "stale_stats", "--queries", "2", "--thres
     # a number written as a string is no number
     (("gen", "--spec"), {**column_spec(), "row_count": "5"},
      "table spec key 'row_count' takes int, not '5'"),
+    # a negative N* would offload every filter, a NaN one no aggregate
+    (("run", "--scenario", "break_even", "--queries", "2", "--thresholds"),
+     {"n_star": {"filter": -1, "aggregate": math.nan}, "source": "x"},
+     "n_star['filter'] must be > 0 or inf, got -1"),
+    (THRESHOLDS_RUN, {"n_star": {"aggregate": math.nan}, "source": "x"},
+     "n_star['aggregate'] must be > 0 or inf, got nan"),
+    (THRESHOLDS_RUN, {"n_star": {"join": 5.0}, "source": "x"},
+     "n_star key 'join' is no offloadable kind ('filter', 'aggregate')"),
 ])
 def test_malformed_json_file_exits_1_without_traceback(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "doc.json"
@@ -439,6 +448,17 @@ def test_malformed_json_file_exits_1_without_traceback(tmp_path, capsys, argv, d
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [("run", "--config"), ("calibrate", "--config"),
+                                  ("gen", "--spec"), THRESHOLDS_RUN])
+def test_integer_too_long_for_int_exits_1_without_traceback(tmp_path, capsys, argv):
+    # json.dumps cannot write it: int() takes at most 4300 digits
+    path = tmp_path / "doc.json"
+    path.write_text('{"seed": ' + "1" * 4400 + "}")
+    out = ("--out", str(tmp_path)) if argv[0] != "gen" else ()
+    assert run_cli(*argv, str(path), *out) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: Exceeds the limit (4300 digits) ")
 
 
 def test_table_above_size_limit_exits_1_before_any_column_is_drawn(tmp_path, capsys,

@@ -3,7 +3,11 @@ config documents of run and calibrate, thresholds files, gen --spec
 documents and numeric flag values.  Whatever the input, latebind exits 0,
 or exits 1 or 2 with an ``error:`` or ``usage:`` line on stderr (or, from
 calibrate, the ``warning:`` line of a kind without a break-even), and
-raises nothing.
+raises nothing.  Two kinds of input are drawn as raw bytes, because
+json.dumps cannot write them: an integer of more digits than int() takes,
+and text that is no JSON or no UTF-8.  A thresholds file must also exit 1
+exactly when one of its break-evens is no positive number or inf, or names
+no offloadable kind.
 
 Every example is cheap: a setting that sizes the work is drawn small (at
 most 3 queries, a few thousand table rows, 4 measurement sizes and 3
@@ -25,6 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latebind.bench import SCENARIO_NAMES
 from latebind.cli import CalibrateConfig, RunConfig, main
+from latebind.planner import OFFLOADABLE_KINDS
 from latebind.policy import MODES, Thresholds
 
 
@@ -121,8 +126,28 @@ FLAGS = {   # (command, flag): its values
 }
 
 
-def check_exit(argv: list[str]) -> None:
-    """latebind exits 0, or 1 or 2 with a message line; nothing escapes."""
+# documents json.dumps cannot write: integers of around int()'s 4300-digit
+# limit, text that is no JSON and bytes that are no UTF-8
+LONG_INTEGERS = st.integers(4295, 4305).map("9".__mul__)
+RAW = st.one_of(
+    st.builds(str.format, st.sampled_from((
+        "{}", "[-{}]", '{{"seed": {}}}', '{{"queries": {}}}', '{{"sigma": {}.5}}',
+        '{{"n_star": {{"filter": {}}}}}', '{{"name": "t", "row_count": {}, "columns": []}}')),
+        LONG_INTEGERS).map(str.encode),
+    st.text(max_size=8).map(str.encode),
+    st.binary(max_size=8))
+RAW_READERS = (("run", "--queries", "2", "--config"), ("calibrate", "--config"),
+               ("run", "--queries", "2", "--thresholds"), ("gen", "--spec"))
+# break-evens of every JSON number: negative, zero, NaN, +-Infinity, the
+# smallest and largest floats, integers
+N_STARS = st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                    st.sampled_from((0, -0.0, -1, math.nan, math.inf, -math.inf, 5e-324,
+                                     1.7e308, 10000.0)))
+
+
+def check_exit(argv: list[str]) -> int:
+    """latebind exits 0, or 1 or 2 with a message line; nothing escapes.
+    Returns the exit code."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         try:
@@ -134,6 +159,7 @@ def check_exit(argv: list[str]) -> None:
         assert code in (1, 2), (argv, code)
         assert any(line.startswith(("error:", "usage:", "warning:"))
                    for line in err.getvalue().splitlines()), (argv, err.getvalue())
+    return code
 
 
 def write(path, doc: object) -> str:
@@ -157,6 +183,32 @@ def test_thresholds_files_exit_cleanly(tmp_path):
     def check(doc, scenario):
         check_exit(["run", "--scenario", scenario, "--queries", "2", "--out", str(tmp_path),
                     "--thresholds", write(tmp_path / "thresholds.json", doc)])
+
+    check()
+
+
+def test_raw_documents_exit_cleanly(tmp_path):
+    @fuzz(20)
+    @given(raw=RAW, reader=st.sampled_from(RAW_READERS))
+    def check(raw, reader):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        out = ["--out-file", str(tmp_path / "table.csv")] if reader[0] == "gen" \
+            else ["--out", str(tmp_path)]
+        check_exit([*reader, str(path), *out])
+
+    check()
+
+
+def test_break_evens_in_thresholds_files_checked(tmp_path):
+    @fuzz(20)
+    @given(n_star=st.dictionaries(st.sampled_from((*OFFLOADABLE_KINDS, "join", "")), N_STARS,
+                                  max_size=2))
+    def check(n_star):
+        valid = all(kind in OFFLOADABLE_KINDS and value > 0 for kind, value in n_star.items())
+        path = write(tmp_path / "thresholds.json", {"n_star": n_star, "source": "file"})
+        assert check_exit(["run", "--scenario", "break_even", "--queries", "2", "--out",
+                           str(tmp_path), "--thresholds", path]) == (0 if valid else 1), n_star
 
     check()
 

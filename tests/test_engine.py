@@ -114,6 +114,9 @@ def test_observe_ratio_examples(small_plan, default_model):
     assert s1.r_acc is None  # a join has no N*
     s2 = observe(node, 12000, thr)
     assert (s2.observed_input_cardinality, s2.estimate_ratio) == (12000, pytest.approx(12.0))
+    # an estimate below one row counts as one
+    for est in (0.0, 0.5):
+        assert observe(dataclasses.replace(node, est_input=est), 12, thr).estimate_ratio == 12.0
     aggregate = observe(small_plan.aggregate, 5000, thr)
     assert aggregate.r_acc == pytest.approx(thr.n_star["aggregate"] / 5000)
 
@@ -218,6 +221,37 @@ def test_memory_charged_at_int64_width(small_plan, small_tables, budget, factor,
     trace = narrow[1]
     assert (trace.failed, any(r.spilled for r in trace.records)) == \
         (outcome == "fail", outcome == "spill")
+
+
+def hash_join_peak_bytes(small_plan, small_tables) -> int:
+    """The largest working set of the small plan under a hash join, at its
+    join: the left scan (k, v), the right scan (k), the hash build's copy
+    of the right side and the carried v of each output row."""
+    _, trace = execute(forced(small_plan, join=HASH_JOIN), small_tables, BASELINE,
+                       Thresholds(), SimulatedClock(sigma=0.0), seed=8)
+    n_join = trace.records[-1].n_obs   # the aggregate's input
+    return engine.VALUE_BYTES * (2 * 50 + 50 + 50 + n_join)
+
+
+@pytest.mark.parametrize("budget_offset,spilled", [(0, False), (-1, True)])
+def test_working_set_at_the_budget_does_not_spill(small_plan, small_tables, budget_offset,
+                                                  spilled):
+    peak = hash_join_peak_bytes(small_plan, small_tables)
+    config = EngineConfig(memory_budget_bytes=peak + budget_offset, hard_memory_factor=1000.0)
+    _, trace = execute(forced(small_plan, join=HASH_JOIN), small_tables, BASELINE,
+                       Thresholds(), SimulatedClock(sigma=0.0), seed=8, config=config)
+    assert [r.spilled for r in trace.records if r.kind == "join"] == [spilled]
+
+
+@pytest.mark.parametrize("cap_offset,failed", [(0, False), (-2, True)])
+def test_working_set_at_the_hard_cap_does_not_fail(small_plan, small_tables, cap_offset,
+                                                   failed):
+    peak = hash_join_peak_bytes(small_plan, small_tables)
+    # a budget of half the cap: the join spills either way
+    config = EngineConfig(memory_budget_bytes=(peak + cap_offset) // 2, hard_memory_factor=2.0)
+    _, trace = execute(forced(small_plan, join=HASH_JOIN), small_tables, BASELINE,
+                       Thresholds(), SimulatedClock(sigma=0.0), seed=8, config=config)
+    assert (trace.failed, trace.failure.startswith("join: ")) == (failed, failed)
 
 
 def test_concurrent_queries_match_sequential(small_plan, small_tables, default_model):

@@ -8,7 +8,7 @@ import pytest
 from latebind.datagen import ColumnSpec, TableSpec, generate_table
 from latebind.errors import ValidationError
 from latebind.planner import (ACCELERATOR, AGGREGATE, AcceleratorCost, AggSpec, CPU,
-                              CostModel, FILTER, HASH_JOIN, JOIN, JoinCost, LinearCost,
+                              CostModel, FILTER, HASH_JOIN, JOIN, JoinCost,
                               NESTED_LOOP, PlanNode, Query, SCAN, VARIANTS, cost,
                               model_break_even, plan)
 from latebind.rng import Stream
@@ -44,8 +44,7 @@ def default_query(**kwargs) -> Query:
 
 
 def test_cost_cpu_filter_linear(default_model):
-    model = dataclasses.replace(default_model, cpu={**default_model.cpu,
-                                                    FILTER: LinearCost(1.0, 0.0)})
+    model = dataclasses.replace(default_model, cpu={**default_model.cpu, FILTER: 1.0})
     assert cost(FILTER, CPU, (5000.0,), model) == 5000.0
 
 
@@ -57,18 +56,15 @@ def test_cost_accelerator_at_break_even(default_model):
 
 def test_cost_nested_loop_quadratic():
     model = CostModel(cpu=CostModel.default().cpu, accel=CostModel.default().accel,
-                      join=JoinCost(nl_a=0.01, nl_b=0.0, hash_build=1.0,
-                                    hash_probe=1.0, hash_b=0.0))
+                      join=JoinCost(nl_a=0.01, hash_build=1.0, hash_probe=1.0, hash_b=0.0))
     assert cost(JOIN, NESTED_LOOP, (100.0, 100.0), model) == pytest.approx(100.0)
 
 
 def test_cost_zero_input_zero_fixed_costs():
     model = CostModel(
-        cpu={SCAN: LinearCost(1.0, 0.0), FILTER: LinearCost(1.0, 0.0),
-             AGGREGATE: LinearCost(1.0, 0.0)},
-        accel={FILTER: AcceleratorCost(0.0, 0.1, 0.1),
-               AGGREGATE: AcceleratorCost(0.0, 0.1, 0.1)},
-        join=JoinCost(0.5, 0.0, 1.0, 1.0, 0.0))
+        cpu={SCAN: 1.0, FILTER: 1.0, AGGREGATE: 1.0},
+        accel={FILTER: AcceleratorCost(0.0, 0.2), AGGREGATE: AcceleratorCost(0.0, 0.2)},
+        join=JoinCost(0.5, 1.0, 1.0, 0.0))
     assert cost(FILTER, CPU, (0.0,), model) == 0.0
     assert cost(FILTER, ACCELERATOR, (0.0,), model) == 0.0
     assert cost(JOIN, NESTED_LOOP, (0.0, 0.0), model) == 0.0
@@ -80,20 +76,20 @@ def test_cost_negative_cardinality_rejected(default_model):
         cost(FILTER, CPU, (-1.0,), default_model)
 
 
-def test_negative_coefficients_rejected():
+def test_negative_coefficients_rejected(default_model):
     with pytest.raises(ValidationError):
-        LinearCost(-0.1, 0.0)
+        dataclasses.replace(default_model, cpu={**default_model.cpu, FILTER: -0.1})
     with pytest.raises(ValidationError):
-        AcceleratorCost(-1.0, 0.0, 0.0)
+        dataclasses.replace(default_model, accel={FILTER: AcceleratorCost(-1.0, 0.0)})
     with pytest.raises(ValidationError):
-        JoinCost(-0.1, 0, 0, 0, 0)
+        dataclasses.replace(default_model, join=JoinCost(-0.1, 0, 0, 0))
 
 
 def test_model_break_even_analytic(default_model):
     assert model_break_even(default_model, FILTER) == pytest.approx(10000.0)
     flat = dataclasses.replace(
-        default_model, accel={FILTER: AcceleratorCost(0.0, 0.5, 0.5),
-                              AGGREGATE: AcceleratorCost(0.0, 0.5, 0.5)})
+        default_model, accel={FILTER: AcceleratorCost(0.0, 1.0),
+                              AGGREGATE: AcceleratorCost(0.0, 1.0)})
     assert model_break_even(flat, FILTER) is None  # equal slopes never cross
 
 
@@ -132,8 +128,7 @@ def test_plan_tie_breaks_lexicographically():
     stats = make_stats(left_rows=100, right_rows=100)
     probe = stats["fact"].row_count
     build = stats["dim"].row_count
-    tie = JoinCost(nl_a=1.0, nl_b=0.0, hash_build=0.0, hash_probe=0.0,
-                   hash_b=float(probe * build))
+    tie = JoinCost(nl_a=1.0, hash_build=0.0, hash_probe=0.0, hash_b=float(probe * build))
     model = CostModel(cpu=CostModel.default().cpu, accel=CostModel.default().accel, join=tie)
     p = plan(default_query(), stats, model)
     assert cost(JOIN, NESTED_LOOP, (float(probe), float(build)), model) == \
@@ -147,12 +142,10 @@ def test_plan_argmin_property_random_models():
     for trial in range(25):
         coeffs = stream.unit(8)
         model = CostModel(
-            cpu={SCAN: LinearCost(coeffs[0], 0.0),
-                 FILTER: LinearCost(coeffs[1] * 2, coeffs[2] * 100),
-                 AGGREGATE: LinearCost(coeffs[3] * 2, 0.0)},
-            accel={FILTER: AcceleratorCost(coeffs[4] * 10000, coeffs[5], coeffs[5]),
-                   AGGREGATE: AcceleratorCost(coeffs[6] * 10000, coeffs[7], coeffs[7])},
-            join=JoinCost(coeffs[0] * 0.01, 0.0, 1.0, 1.0, coeffs[1] * 10000))
+            cpu={SCAN: coeffs[0], FILTER: coeffs[1] * 2, AGGREGATE: coeffs[3] * 2},
+            accel={FILTER: AcceleratorCost(coeffs[4] * 10000, coeffs[5] * 2),
+                   AGGREGATE: AcceleratorCost(coeffs[6] * 10000, coeffs[7] * 2)},
+            join=JoinCost(coeffs[0] * 0.01, 1.0, 1.0, coeffs[1] * 10000))
         p = plan(default_query(left_filter=Predicate("a", ">=", 10)), stats, model)
         for node in plan_nodes(p):
             if not late_bind(node):

@@ -67,6 +67,11 @@ def test_rule4_unamortized_returns_to_cpu():
     assert decide(urs, FILTER_ACC, calibrated()) == CPU
 
 
+def test_rule4_amortized_at_break_even_keeps_accelerator():
+    at_break_even = risk(n_obs=10000, r_acc=1.0)
+    assert decide(at_break_even, FILTER_ACC, calibrated()) == ACCELERATOR
+
+
 def test_rule4_sentinel_forces_cpu():
     urs = risk(n_obs=50000, r_acc=math.inf)
     assert decide(urs, FILTER_ACC, calibrated()) == CPU
@@ -138,6 +143,25 @@ def test_threshold_validation():
         Thresholds(rho_join=1.0)
     with pytest.raises(ValidationError):
         Thresholds(offload_margin=0.9)
+
+
+@pytest.mark.parametrize("n_star", [0, 0.0, -0.0, -1, -1e-300, -math.inf, math.nan])
+def test_break_even_neither_positive_nor_inf_rejected(n_star):
+    with pytest.raises(ValidationError, match=r"n_star\['filter'\] must be > 0 or inf"):
+        Thresholds(n_star={FILTER: n_star})
+
+
+@pytest.mark.parametrize("kind", [JOIN, "scan", ""])
+def test_break_even_of_no_offloadable_kind_rejected(kind):
+    with pytest.raises(ValidationError, match="is no offloadable kind"):
+        Thresholds(n_star={kind: 10000.0})
+
+
+def test_break_evens_that_calibrate_writes_accepted():
+    # the smallest float, an integer, and inf for a kind that never amortizes
+    thr = Thresholds(n_star={FILTER: 5e-324, AGGREGATE: math.inf})
+    assert Thresholds(n_star={FILTER: 1}).n_star == {FILTER: 1}
+    assert thr.n_star[AGGREGATE] == math.inf
 
 
 def test_disabled_thresholds_never_fire():
