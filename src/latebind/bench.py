@@ -51,7 +51,7 @@ from .errors import ResultMismatchError, ValidationError, dump_json, load_json
 from .planner import (AggSpec, AnnotatedPlan, CostModel, Query, plan as build_plan)
 from .policy import (BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED, Thresholds,
                      calibrate, static_thresholds)
-from .rng import Stream, derive_seed
+from .rng import derive_seed, stream_integers, stream_unit
 from .stats import Predicate, TableStats, capture_statistics
 
 INPUT_SCALE_SHIFT = "input_scale_shift"
@@ -183,11 +183,13 @@ def scenario_input_scale_shift(seed: int = 1, query_count: int = 200,
         ColumnSpec("fk", 0, dim_rows - 1), ColumnSpec("v", 0, 999)))
     dim = TableSpec("dim", dim_rows, (ColumnSpec("pk", 0, dim_rows - 1),))
     drifts = {f"x{s:g}": DriftSpec(scale_factor=s) for s in scales}
-    sched = Stream(derive_seed(seed, "schedule/input_scale_shift"))
+    sched = derive_seed(seed, "schedule/input_scale_shift")
     cases = []
     for i in range(query_count):
-        drifted = sched.unit(1)[0] < drift_fraction
-        pick = int(sched.integers(0, len(scales) - 1, 1)[0])  # drawn even when unused
+        # stream positions of query i's drift test and pick (drawn even when unused)
+        test_at, pick_at = 2 * i, 2 * i + 1
+        drifted = stream_unit(sched, test_at, 1)[0] < drift_fraction
+        pick = int(stream_integers(sched, pick_at, 1, 0, len(scales) - 1)[0])
         variant = f"x{scales[pick]:g}" if drifted else BASE_VARIANT
         cases.append(QueryCase(query_id=f"q{i:03d}", fact_variant=variant))
     return Scenario(
@@ -212,8 +214,8 @@ def scenario_stale_stats(seed: int = 1, query_count: int = 200,
                       skew_change=DistributionChange("zipf", 1.1))
     # one draw: constant i sits at stream position i, and tolist() gives
     # Python ints, whose text names each query's group
-    constants = Stream(derive_seed(seed, "schedule/stale_stats")).integers(
-        60, 140, query_count).tolist()
+    constants = stream_integers(derive_seed(seed, "schedule/stale_stats"), 0, query_count,
+                                60, 140).tolist()
     cases = [QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
                        predicate=Predicate("a", ">=", c)) for i, c in enumerate(constants)]
     return Scenario(

@@ -22,14 +22,14 @@ from typing import IO, Optional
 import numpy as np
 
 from .errors import ValidationError, load_json
-from .rng import INT64_MAX, INT64_MIN, SIGNED_BOUNDS, Stream, derive_seed
+from .rng import (INT64_MAX, INT64_MIN, SIGNED_BOUNDS, derive_seed, stream_integers,
+                  stream_unit)
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
 
-MAX_ZIPF_DOMAIN = 2**24  # values; a zipf CDF holds a float64 per value (128 MiB)
+MAX_ZIPF_DOMAIN = 2**24  # values; each draw's zipf CDF holds a float64 per value (128 MiB)
 MAX_TABLE_BYTES = 2**30  # a table's bytes at int64 width, 8 per value (1 GiB)
-_zipf_cdf_cache: dict[tuple[int, float], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -120,17 +120,13 @@ class DriftSpec:
 
 
 def _zipf_cdf(domain_size: int, skew: float) -> np.ndarray:
-    key = (domain_size, skew)
-    cached = _zipf_cdf_cache.get(key)
-    if cached is None:
-        ranks = np.arange(1, domain_size + 1, dtype=np.float64)
-        weights = ranks ** (-skew)
-        cached = np.cumsum(weights) / weights.sum()
-        # the rounded sum may end a step below 1, where a draw of u = 1 - 2**-53
-        # would land past the domain; every u is below 1, so no other draw moves
-        cached[-1] = 1.0
-        _zipf_cdf_cache[key] = cached
-    return cached
+    ranks = np.arange(1, domain_size + 1, dtype=np.float64)
+    weights = ranks ** (-skew)
+    cdf = np.cumsum(weights) / weights.sum()
+    # the rounded sum may end a step below 1, where a draw of u = 1 - 2**-53
+    # would land past the domain; every u is below 1, so no other draw moves
+    cdf[-1] = 1.0
+    return cdf
 
 
 def column_dtype(col: ColumnSpec) -> np.dtype:
@@ -141,16 +137,17 @@ def column_dtype(col: ColumnSpec) -> np.dtype:
     raise ValidationError(f"column {col.name}: range [{col.low}, {col.high}] exceeds int64")
 
 
-def _sample_column(col: ColumnSpec, rows: int, stream: Stream) -> np.ndarray:
+def _sample_column(col: ColumnSpec, rows: int, seed: int) -> np.ndarray:
+    """The column's rows drawn from the stream of `seed`, from position 0."""
     dtype = column_dtype(col)
     if rows == 0:
         return np.empty(0, dtype=dtype)
     if col.distribution == UNIFORM:
-        return stream.integers(col.low, col.high, rows, dtype)
+        return stream_integers(seed, 0, rows, col.low, col.high, dtype)
     # zipf: rank 1 (most frequent) maps to the low end of the domain; ranks
     # are added to low at int64 width, where the domain's every value fits
     cdf = _zipf_cdf(col.high - col.low + 1, col.skew)
-    u = stream.unit(rows)
+    u = stream_unit(seed, 0, rows)
     ranks = np.searchsorted(cdf, u, side="right")
     return np.add(ranks, col.low, dtype=np.int64).astype(dtype, copy=False)
 
@@ -160,8 +157,8 @@ def generate_table(spec: TableSpec, seed: int) -> Table:
     spec.validate()
     columns: dict[str, np.ndarray] = {}
     for col in spec.columns:
-        stream = Stream(derive_seed(seed, f"col/{spec.name}/{col.name}"))
-        columns[col.name] = _sample_column(col, spec.row_count, stream)
+        columns[col.name] = _sample_column(
+            col, spec.row_count, derive_seed(seed, f"col/{spec.name}/{col.name}"))
     return Table(spec=spec, generation=0, columns=columns)
 
 
@@ -190,8 +187,8 @@ def apply_drift(table: Table, drift: DriftSpec, seed: int) -> Table:
     gen = table.generation + 1
     columns: dict[str, np.ndarray] = {}
     for col in new_spec.columns:
-        stream = Stream(derive_seed(seed, f"drift/{new_spec.name}/{col.name}/{gen}"))
-        columns[col.name] = _sample_column(col, new_rows, stream)
+        columns[col.name] = _sample_column(
+            col, new_rows, derive_seed(seed, f"drift/{new_spec.name}/{col.name}/{gen}"))
     return Table(spec=new_spec, generation=gen, columns=columns)
 
 

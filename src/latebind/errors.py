@@ -88,11 +88,13 @@ def dump_json(obj: object, out: typing.IO[str], **extra: object) -> None:
 def parse_json(fh: typing.IO[str]) -> object:
     """The JSON document in `fh`.  Text that is no JSON, bytes that are no
     UTF-8 and an integer of more digits than int() takes
-    (sys.get_int_max_str_digits()) are each a ValidationError."""
+    (sys.get_int_max_str_digits()) are each a ValidationError, whose message
+    starts with the path `fh` was opened from, if it was opened from one."""
     try:
         return json.load(fh)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        path = getattr(fh, "name", None)
+        raise ValidationError(f"{path}: {exc}" if isinstance(path, str) else str(exc)) from None
 
 
 def load_json(cls: type[T], fh: typing.IO[str], what: str) -> T:

@@ -1,9 +1,12 @@
 """Seeded, portable random streams (SplitMix64 in counter mode).
 
 Every random quantity in the project is derived from a 64-bit seed through
-SplitMix64, evaluated as a pure function of (seed, counter).  This keeps
-runs bitwise reproducible across machines and lets independent consumers
-(data generation, clock noise, drift schedules) draw from non-overlapping
+SplitMix64, evaluated as a pure function of (seed, counter).  A stream is
+that function and nothing more: it keeps no cursor, so every caller names
+the positions it draws (stream_u64, stream_unit, stream_integers and
+unit_at each take a seed and a start counter).  This keeps runs bitwise
+reproducible across machines and lets independent consumers (data
+generation, clock noise, drift schedules) draw from non-overlapping
 streams without shared mutable state.
 """
 
@@ -87,60 +90,39 @@ def unit_at(seed: int, counter: int) -> float:
     return (mix64(seed + (counter + 1) * _GOLDEN_INT) >> 11) * 2.0**-53
 
 
-class Stream:
-    """Stateful cursor over one SplitMix64 counter stream.
+def stream_integers(seed: int, start: int, count: int, low: int, high: int,
+                    dtype: np.dtype = np.dtype(np.int64)) -> np.ndarray:
+    """Uniform integers in [low, high] inclusive from counters
+    start..start+count-1, as `dtype`: a signed integer type (SIGNED_BOUNDS)
+    that holds both bounds, int64 by default.
 
-    The cursor only tracks how many values were consumed; the values
-    themselves are a pure function of (seed, position), so interleaving
-    consumers never perturb each other as long as they hold distinct seeds.
+    Uses modulo reduction; the bias is O(range / 2**64), irrelevant for
+    the integer domains used here.  A range of all 2**64 values takes
+    each draw as it is.  The remainder is taken as x - (x // m) * m,
+    which equals x % m for uint64 and runs faster in numpy.  A narrower
+    `dtype` keeps only the remainder's low bits, by one contiguous cast
+    (cheaper than writing the subtraction at that width through numpy's
+    casting buffers); adding `low` at that width wraps back into [low,
+    high], so the values equal the int64 draw's.
     """
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK
-        self._pos = 0
-
-    def u64(self, count: int) -> np.ndarray:
-        out = stream_u64(self.seed, self._pos, count)
-        self._pos += count
-        return out
-
-    def unit(self, count: int) -> np.ndarray:
-        out = stream_unit(self.seed, self._pos, count)
-        self._pos += count
-        return out
-
-    def integers(self, low: int, high: int, count: int,
-                 dtype: np.dtype = np.dtype(np.int64)) -> np.ndarray:
-        """Uniform integers in [low, high] inclusive, as `dtype`: a signed
-        integer type (SIGNED_BOUNDS) that holds both bounds, int64 by default.
-
-        Uses modulo reduction; the bias is O(range / 2**64), irrelevant for
-        the integer domains used here.  A range of all 2**64 values takes
-        each draw as it is.  The remainder is taken as x - (x // m) * m,
-        which equals x % m for uint64 and runs faster in numpy.  A narrower
-        `dtype` keeps only the remainder's low bits, by one contiguous cast
-        (cheaper than writing the subtraction at that width through numpy's
-        casting buffers); adding `low` at that width wraps back into [low,
-        high], so the values equal the int64 draw's.
-        """
-        dtype = np.dtype(dtype)
-        if high < low:
-            raise ValueError(f"empty range [{low}, {high}]")
-        if dtype not in SIGNED_BOUNDS:
-            raise ValueError(f"{dtype} is not a signed integer type")
-        type_low, type_high = SIGNED_BOUNDS[dtype]
-        if low < type_low or high > type_high:
-            raise ValueError(f"range [{low}, {high}] exceeds {dtype}")
-        vals = self.u64(count)
-        if high - low < _MASK:
-            m = np.uint64(high - low + 1)
-            with _wrap():
-                q = vals // m
-                q *= m
-                vals -= q
-        if dtype.itemsize < vals.itemsize:
-            vals = vals.astype(f"u{dtype.itemsize}")
-        # the view reads the bits as astype(dtype) would convert them
-        vals = vals.view(dtype)
-        vals += dtype.type(low)
-        return vals
+    dtype = np.dtype(dtype)
+    if high < low:
+        raise ValueError(f"empty range [{low}, {high}]")
+    if dtype not in SIGNED_BOUNDS:
+        raise ValueError(f"{dtype} is not a signed integer type")
+    type_low, type_high = SIGNED_BOUNDS[dtype]
+    if low < type_low or high > type_high:
+        raise ValueError(f"range [{low}, {high}] exceeds {dtype}")
+    vals = stream_u64(seed, start, count)
+    if high - low < _MASK:
+        m = np.uint64(high - low + 1)
+        with _wrap():
+            q = vals // m
+            q *= m
+            vals -= q
+    if dtype.itemsize < vals.itemsize:
+        vals = vals.astype(f"u{dtype.itemsize}")
+    # the view reads the bits as astype(dtype) would convert them
+    vals = vals.view(dtype)
+    vals += dtype.type(low)
+    return vals

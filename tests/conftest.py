@@ -25,42 +25,53 @@ DEFAULT_BUILDERS = {bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
 
 @dataclass(frozen=True)
 class DefaultRun:
-    """`latebind run --scenario <name> --seed 1`, every other setting at its
-    default: the exit code, the reports run_scenario returned, and each
-    mode's samples.csv bytes."""
+    """`latebind run --scenario <name> --seed <seed>`, every other setting at
+    its default: the exit code, the reports run_scenario returned, each
+    mode's samples.csv bytes, and the dtypes of the columns its executions
+    read."""
 
     exit_code: int
     reports: dict[str, bench.LatencyReport]
     samples: dict[str, bytes]
+    dtypes: frozenset[str]
 
 
 @pytest.fixture(scope="session")
-def default_run(tmp_path_factory) -> Callable[[str], DefaultRun]:
-    """The default run of a scenario at seed 1, made once per session through
-    the CLI; every call hands out a deep copy, so no test sees another's
-    changes.  Tests whose subject is a run of their own (reruns, memo or
-    width comparisons, monkeypatched or counted engine calls) make it
-    themselves."""
-    runs: dict[str, DefaultRun] = {}
+def default_run(tmp_path_factory) -> Callable[..., DefaultRun]:
+    """The default run of a scenario at a seed (1 unless named), made once
+    per session through the CLI; every call hands out a deep copy, so no
+    test sees another's changes.  Tests whose subject is a run of their own
+    (reruns, memo comparisons, monkeypatched or counted engine calls, runs
+    at another column width) make that run themselves."""
+    runs: dict[tuple[str, int], DefaultRun] = {}
 
-    def get(name: str) -> DefaultRun:
-        if name not in runs:
+    def get(name: str, seed: int = 1) -> DefaultRun:
+        if (name, seed) not in runs:
             out = tmp_path_factory.mktemp(name)
             returned = []
-            real = bench.run_scenario
+            dtypes: set[str] = set()
+            real_run, real_execute = bench.run_scenario, bench.execute
 
             def keeping(*args, **kwargs):
-                returned.append(real(*args, **kwargs))
+                returned.append(real_run(*args, **kwargs))
                 return returned[-1]
+
+            def reading(plan, tables, *args, **kwargs):
+                dtypes.update(str(col.dtype) for t in tables.values()
+                              for col in t.columns.values())
+                return real_execute(plan, tables, *args, **kwargs)
 
             with pytest.MonkeyPatch.context() as mp, \
                     contextlib.redirect_stdout(io.StringIO()):
                 mp.setattr(bench, "run_scenario", keeping)
-                code = main(["run", "--scenario", name, "--seed", "1", "--out", str(out)])
+                mp.setattr(bench, "execute", reading)
+                code = main(["run", "--scenario", name, "--seed", str(seed),
+                             "--out", str(out)])
             samples = {mode: (out / name / mode / "samples.csv").read_bytes()
                        for mode in MODES if (out / name / mode / "samples.csv").exists()}
-            runs[name] = DefaultRun(code, returned[0] if returned else {}, samples)
-        return copy.deepcopy(runs[name])
+            runs[name, seed] = DefaultRun(code, returned[0] if returned else {}, samples,
+                                          frozenset(dtypes))
+        return copy.deepcopy(runs[name, seed])
 
     return get
 

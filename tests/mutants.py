@@ -52,6 +52,14 @@ MUTATIONS = {
     "return_cpu_at_one": ("policy.py", "urs.r_acc > 1.0", "urs.r_acc >= 1.0"),
     "zero_n_star_allowed": ("policy.py", "if not n_star > 0:", "if not n_star >= 0:"),
     "no_cross_mode_check": ("bench.py", "if len(set(values.values())) > 1:", "if False:"),
+    "schedule_positions_swapped": ("bench.py", "test_at, pick_at = 2 * i, 2 * i + 1",
+                                   "test_at, pick_at = 2 * i + 1, 2 * i"),
+    "column_drawn_from_position_1": (
+        "datagen.py", "stream_integers(seed, 0, rows, col.low, col.high, dtype)",
+        "stream_integers(seed, 1, rows, col.low, col.high, dtype)"),
+    "zipf_cdf_end_not_forced": ("datagen.py", "cdf[-1] = 1.0", "pass"),
+    "dense_histogram_edge_floor": ("stats.py", "at = np.clip(np.ceil(edges)",
+                                   "at = np.clip(np.floor(edges)"),
 }
 
 

@@ -23,7 +23,7 @@ from latebind.errors import NoBreakEvenError
 from latebind.planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, NESTED_LOOP,
                               AggSpec, Query, plan)
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds
-from latebind.rng import Stream, derive_seed
+from latebind.rng import derive_seed, stream_integers, stream_u64
 from latebind.stats import Predicate, capture_statistics, estimate_selectivity
 from conftest import brute_force_join_count, disabled_thresholds
 
@@ -153,13 +153,14 @@ def test_criterion_6_result_equivalence(default_queries):
             assert len(values) == 1, f"{name}/{prepared.case.query_id}: {values}"
             checked += 1
 
-    stream = Stream(202)
     oracle_checked = 0
-    for rows_left, rows_right in ((200, 1000), (1000, 500), (750, 750)):
+    for j, (rows_left, rows_right) in enumerate(((200, 1000), (1000, 500), (750, 750))):
+        # pair j's two table seeds sit at stream positions 2j and 2j + 1
+        left_seed, right_seed = (int(v) % 2**32 for v in stream_u64(202, 2 * j, 2))
         left = generate_table(TableSpec("l", rows_left, (
-            ColumnSpec("k", 0, 49), ColumnSpec("v", 0, 99))), int(stream.u64(1)[0]) % 2**32)
+            ColumnSpec("k", 0, 49), ColumnSpec("v", 0, 99))), left_seed)
         right = generate_table(TableSpec("r", rows_right, (ColumnSpec("k", 0, 49),)),
-                               int(stream.u64(1)[0]) % 2**32)
+                               right_seed)
         stats = {"l": capture_statistics(left), "r": capture_statistics(right)}
         p = plan(Query("l", "r", "k", "k", AggSpec("count")), stats, CostModel.default())
         for jv in (HASH_JOIN, NESTED_LOOP):
@@ -201,8 +202,7 @@ def test_criterion_7_determinism_byte_identical(tmp_path):
 
 def test_criterion_8_unit_oracles():
     # percentile vs independent sort-and-index brute force
-    stream = Stream(808)
-    raw = [float(v) for v in stream.integers(0, 10**9, 1000)]
+    raw = [float(v) for v in stream_integers(808, 0, 1000, 0, 10**9)]
     ordered = sorted(raw)
     import math
     percentile_ok = all(
@@ -230,11 +230,10 @@ def test_criterion_8_unit_oracles():
     table = generate_table(TableSpec("t", 10000, (ColumnSpec("a", 0, 999),)), seed=55)
     cs = capture_statistics(table).column("a")
     width_fraction = (cs.bucket_edges[1] - cs.bucket_edges[0]) / (cs.max_value + 1 - cs.min_value)
-    sel_stream = Stream(56)
     sel_ok = True
     worst = 0.0
-    for comparison in ("<", "<=", ">=", ">"):
-        for c in sel_stream.integers(0, 999, 30):
+    for k, comparison in enumerate(("<", "<=", ">=", ">")):
+        for c in stream_integers(56, 30 * k, 30, 0, 999):
             pred = Predicate("a", comparison, int(c))
             est = estimate_selectivity(cs, pred)
             truth = float(pred.mask(table.column("a")).mean())

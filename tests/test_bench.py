@@ -18,7 +18,7 @@ from latebind.engine import EngineConfig
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.planner import ACCELERATOR, AGGREGATE, CPU, HASH_JOIN, JOIN, NESTED_LOOP
 from latebind.policy import BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED
-from latebind.rng import Stream, derive_seed
+from latebind.rng import derive_seed, stream_integers, stream_unit
 from latebind.stats import Predicate
 from conftest import plan_nodes
 
@@ -44,8 +44,7 @@ def test_percentile_singleton():
 
 
 def test_percentile_matches_oracle_on_random_input():
-    stream = Stream(314)
-    raw = [float(v) for v in stream.integers(0, 10**6, 1000)]
+    raw = [float(v) for v in stream_integers(314, 0, 1000, 0, 10**6)]
     ordered = sorted(raw)
     for p in (1, 25, 50, 75, 90, 95, 99, 99.9, 100):
         assert percentile(ordered, p) == oracle_percentile(raw, p)
@@ -80,7 +79,7 @@ def test_build_report_degenerate_single_query():
 
 def test_build_report_orders_invariant():
     rows = [SampleRow(f"q{i:03d}", float(v), False)
-            for i, v in enumerate(Stream(8).integers(1, 10**6, 400))]
+            for i, v in enumerate(stream_integers(8, 0, 400, 1, 10**6))]
     report = build_report("stale_stats", BASELINE, 1, "simulated", "manual", rows)
     assert report.p50 <= report.p95 <= report.p99
     assert report.samples == sorted(report.samples)
@@ -133,9 +132,9 @@ def test_scenario_schedule_deterministic():
 def stale_stats_cases_drawn_one_by_one(seed: int, query_count: int) -> list[QueryCase]:
     """The stale_stats schedule as one draw per query: query i's constant is
     the value at stream position i."""
-    sched = Stream(derive_seed(seed, "schedule/stale_stats"))
-    return [QueryCase(query_id=f"q{i:03d}", fact_variant="drifted",
-                      predicate=Predicate("a", ">=", int(sched.integers(60, 140, 1)[0])))
+    sched = derive_seed(seed, "schedule/stale_stats")
+    return [QueryCase(query_id=f"q{i:03d}", fact_variant="drifted", predicate=Predicate(
+                "a", ">=", int(stream_integers(sched, i, 1, 60, 140)[0])))
             for i in range(query_count)]
 
 
@@ -146,6 +145,25 @@ def test_stale_stats_schedule_equals_one_draw_per_query(seed, query_count):
     assert cases == stale_stats_cases_drawn_one_by_one(seed, query_count)
     # Python ints, whose text names each query's group
     assert {type(case.predicate.constant) for case in cases} == {int}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 100001, 2**63 + 5])
+@pytest.mark.parametrize("query_count", [1, 2, 200])
+def test_input_scale_shift_schedule_reads_positions_2i_and_2i_plus_1(seed, query_count):
+    # query i's drift test is the unit at stream position 2i and its pick the
+    # integer at 2i + 1, read here from one draw over both
+    sched = derive_seed(seed, "schedule/input_scale_shift")
+    units = stream_unit(sched, 0, 2 * query_count)[0::2]
+    picks = stream_integers(sched, 0, 2 * query_count, 0, 2)[1::2]
+    scales = (5.0, 10.0, 20.0)
+    for drift_fraction in (0.0, 0.2, 1.0):
+        want = [QueryCase(query_id=f"q{i:03d}",
+                          fact_variant=f"x{scales[pick]:g}" if u < drift_fraction
+                          else bench.BASE_VARIANT)
+                for i, (u, pick) in enumerate(zip(units, picks))]
+        assert scenario_input_scale_shift(seed=seed, query_count=query_count,
+                                          drift_fraction=drift_fraction,
+                                          scales=scales).cases == want
 
 
 def test_run_scenario_deterministic_reports():
@@ -367,10 +385,10 @@ def test_kernel_memo_leaves_reports_unchanged(monkeypatch, build, config, reorde
         assert 0 < sum(spilled) < len(spilled)
 
 
-def run_at_both_widths(monkeypatch, make_scenario, config=None) -> list[tuple]:
-    """run_scenario with each column at its narrowest width, then with every
-    column forced to int64: per run, the reports, each execution's (spilled,
-    failed), and the dtypes of the columns the executions read."""
+def run_at_width(monkeypatch, scenario, config=None, int64=False) -> tuple:
+    """run_scenario with each column at its narrowest width, or with every
+    column forced to int64: the reports, each execution's (spilled, failed),
+    and the dtypes of the columns the executions read."""
     real_execute = bench.execute
     outcomes: list[tuple[bool, bool]] = []
     dtypes: set[str] = set()
@@ -381,27 +399,23 @@ def run_at_both_widths(monkeypatch, make_scenario, config=None) -> list[tuple]:
         outcomes.append((any(record.spilled for record in trace.records), trace.failed))
         return result, trace
 
-    monkeypatch.setattr(bench, "execute", recording_execute)
-    runs = []
-    for force_int64 in (False, True):
-        if force_int64:
-            monkeypatch.setattr(datagen, "column_dtype", lambda col: np.dtype(np.int64))
-        outcomes.clear()
-        dtypes.clear()
-        reports = run_scenario(make_scenario(), SimulatedClock(), engine_config=config)
-        runs.append((reports, list(outcomes), set(dtypes)))
-    return runs
+    with monkeypatch.context() as mp:
+        mp.setattr(bench, "execute", recording_execute)
+        if int64:
+            mp.setattr(datagen, "column_dtype", lambda col: np.dtype(np.int64))
+        reports = run_scenario(scenario, SimulatedClock(), engine_config=config)
+    return reports, outcomes, dtypes
 
 
 @pytest.mark.parametrize("seed", [1, 100001, 200001])
-@pytest.mark.parametrize("build", [scenario_input_scale_shift, scenario_stale_stats,
-                                   scenario_break_even],
-                         ids=[INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN])
-def test_narrow_columns_leave_reports_unchanged(monkeypatch, build, seed):
-    (narrow, _, narrow_dtypes), (wide, _, wide_dtypes) = \
-        run_at_both_widths(monkeypatch, lambda: build(seed=seed))
-    assert "int64" not in narrow_dtypes and wide_dtypes == {"int64"}
-    assert narrow == wide
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_narrow_columns_leave_reports_unchanged(monkeypatch, default_run, name, seed):
+    # the narrow run is the CLI's default run at the seed
+    narrow = default_run(name, seed)
+    wide, _, wide_dtypes = run_at_width(monkeypatch, SCENARIO_BUILDERS[name](seed=seed),
+                                        int64=True)
+    assert "int64" not in narrow.dtypes and wide_dtypes == {"int64"}
+    assert narrow.reports == wide
 
 
 @pytest.mark.parametrize("make_scenario,config,spills,failures", [
@@ -414,8 +428,8 @@ def test_narrow_columns_leave_reports_unchanged(monkeypatch, build, seed):
 ], ids=["stale_stats_spilling", "input_scale_shift_failing"])
 def test_memory_outcomes_do_not_depend_on_column_width(monkeypatch, make_scenario, config,
                                                        spills, failures):
-    (narrow, narrow_outcomes, _), (wide, wide_outcomes, _) = \
-        run_at_both_widths(monkeypatch, make_scenario, config)
+    narrow, narrow_outcomes, _ = run_at_width(monkeypatch, make_scenario(), config)
+    wide, wide_outcomes, _ = run_at_width(monkeypatch, make_scenario(), config, int64=True)
     assert narrow == wide
     assert narrow_outcomes == wide_outcomes
     assert sum(spilled for spilled, _ in narrow_outcomes) == spills

@@ -458,7 +458,22 @@ def test_integer_too_long_for_int_exits_1_without_traceback(tmp_path, capsys, ar
     path.write_text('{"seed": ' + "1" * 4400 + "}")
     out = ("--out", str(tmp_path)) if argv[0] != "gen" else ()
     assert run_cli(*argv, str(path), *out) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: Exceeds the limit (4300 digits) ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: Exceeds the limit (4300 digits) ")
+
+
+@pytest.mark.parametrize("argv", [("run", "--config"), THRESHOLDS_RUN, ("gen", "--spec")],
+                         ids=["config", "thresholds", "spec"])
+def test_json_syntax_error_names_the_file(tmp_path, capsys, argv):
+    # with --config and --thresholds both given, the line says which is bad
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text("{}")
+    bad.write_text('{"seed": ')
+    other = {"--config": ("--thresholds", str(good)), "--thresholds": ("--config", str(good)),
+             "--spec": ()}[argv[-1]]
+    out = ("--out", str(tmp_path)) if argv[0] == "run" else ()
+    assert run_cli(*argv, str(bad), *other, *out) == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"error: {bad}: Expecting value: line 1 column 10 (char 9)\n"
 
 
 def test_table_above_size_limit_exits_1_before_any_column_is_drawn(tmp_path, capsys,
@@ -467,9 +482,9 @@ def test_table_above_size_limit_exits_1_before_any_column_is_drawn(tmp_path, cap
     # never start, so the guard fails the test before one could
     real_sample = datagen._sample_column
 
-    def guarded(col, rows, stream):
+    def guarded(col, rows, seed):
         assert rows <= 10**6, f"drawing {rows} rows of {col.name}"
-        return real_sample(col, rows, stream)
+        return real_sample(col, rows, seed)
 
     monkeypatch.setattr(datagen, "_sample_column", guarded)
     assert run_cli("run", "--fact-rows", "3000000000000", "--out", str(tmp_path)) \
@@ -487,7 +502,8 @@ def test_query_count_above_limit_exits_1_before_any_draw_or_case(tmp_path, capsy
     def refuse(*args, **kwargs):
         raise AssertionError("a schedule draw or a query case was started")
 
-    monkeypatch.setattr(bench, "Stream", refuse)
+    for draw in ("stream_unit", "stream_integers"):
+        monkeypatch.setattr(bench, draw, refuse)
     monkeypatch.setattr(bench, "QueryCase", refuse)
     assert run_cli("run", "--scenario", scenario, "--queries", "3000000000",
                    "--out", str(tmp_path)) == EXIT_VALIDATION

@@ -17,7 +17,7 @@ from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
 from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds,
                              static_thresholds)
-from latebind.rng import Stream, fnv1a64
+from latebind.rng import fnv1a64, stream_integers
 from latebind.stats import Predicate, capture_statistics
 from conftest import brute_force_join_count, disabled_thresholds, plan_nodes
 
@@ -394,59 +394,66 @@ def check_join_kernels(probe_key, build_key, pair_cap, block=16, carried=None,
 def test_join_kernels_match_brute_force_pairs(n_probe, n_build, pair_cap):
     # keys repeat on both sides; probe keys 0..4 have no build match; 16
     # divides neither probe length
-    stream = Stream(17 + n_probe)
-    probe_key = stream.integers(0, 14, n_probe)
-    build_key = stream.integers(5, 19, n_build)
+    probe_key = stream_integers(17 + n_probe, 0, n_probe, 0, 14)
+    build_key = stream_integers(17 + n_probe, n_probe, n_build, 5, 19)
     check_join_kernels(probe_key, build_key, pair_cap)
 
 
-def straddling(stream: Stream, dtype) -> tuple[np.ndarray, np.ndarray]:
+def straddling(seed: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Probe and build keys drawn from both limits of dtype and one step past
     each, with -1 and 0: every key fits only the next wider type."""
     info = np.iinfo(dtype)
     keys = np.array([info.min - 1, info.min, -1, 0, info.max, info.max + 1], dtype=np.int64)
-    return keys[stream.integers(0, 5, 40)], keys[stream.integers(0, 5, 30)]
+    return keys[stream_integers(seed, 0, 40, 0, 5)], keys[stream_integers(seed, 40, 30, 0, 5)]
 
 
-# (probe keys, build keys) per case.  The hash kernel probes a dense build
-# key (span <= probe + build rows) by direct address, a sparse one by
-# searching the distinct probe keys; the nested loop compares the keys as
-# given.
+# (probe keys, build keys) per case, drawn from the stream of a seed: the
+# probe keys from position 0 and the build keys after them.  The hash kernel
+# probes a dense build key (span <= probe + build rows) by direct address, a
+# sparse one by searching the distinct probe keys; the nested loop compares
+# the keys as given.
 JOIN_KEY_CASES = {
-    "negative": lambda s: (s.integers(-30, -10, 70), s.integers(-25, -12, 40)),
-    "probe_outside_build": lambda s: (
-        np.concatenate([s.integers(-50, 200, 60), np.array([-2**63, 2**63 - 1, 9, 21])]),
-        s.integers(10, 20, 30)),
-    "single_key_build": lambda s: (s.integers(3, 7, 50), np.full(6, 5, dtype=np.int64)),
-    "single_row_build": lambda s: (s.integers(-2, 2, 50), np.array([-1], dtype=np.int64)),
-    "sparse_build": lambda s: (
-        np.concatenate([s.integers(0, 10**6, 40), np.array([0, 10**6, 77, 10**9])]),
+    "negative": lambda seed: (stream_integers(seed, 0, 70, -30, -10),
+                              stream_integers(seed, 70, 40, -25, -12)),
+    "probe_outside_build": lambda seed: (
+        np.concatenate([stream_integers(seed, 0, 60, -50, 200),
+                        np.array([-2**63, 2**63 - 1, 9, 21])]),
+        stream_integers(seed, 60, 30, 10, 20)),
+    "single_key_build": lambda seed: (stream_integers(seed, 0, 50, 3, 7),
+                                      np.full(6, 5, dtype=np.int64)),
+    "single_row_build": lambda seed: (stream_integers(seed, 0, 50, -2, 2),
+                                      np.array([-1], dtype=np.int64)),
+    "sparse_build": lambda seed: (
+        np.concatenate([stream_integers(seed, 0, 40, 0, 10**6),
+                        np.array([0, 10**6, 77, 10**9])]),
         np.array([10**6, 77, 0, 77, 5 * 10**5, 10**6, 0], dtype=np.int64)),
-    "dense_int8_limits": lambda s: (s.integers(-130, -126, 40), s.integers(-129, 127, 300)),
-    "uint8_limits": lambda s: (s.integers(250, 260, 40), s.integers(254, 257, 30)),
-    "int8_limits": lambda s: straddling(s, np.int8),
-    "int16_limits": lambda s: straddling(s, np.int16),
-    "int32_limits": lambda s: straddling(s, np.int32),
-    "int64_limits": lambda s: (
+    "dense_int8_limits": lambda seed: (stream_integers(seed, 0, 40, -130, -126),
+                                       stream_integers(seed, 40, 300, -129, 127)),
+    "uint8_limits": lambda seed: (stream_integers(seed, 0, 40, 250, 260),
+                                  stream_integers(seed, 40, 30, 254, 257)),
+    "int8_limits": lambda seed: straddling(seed, np.int8),
+    "int16_limits": lambda seed: straddling(seed, np.int16),
+    "int32_limits": lambda seed: straddling(seed, np.int32),
+    "int64_limits": lambda seed: (
         np.array([-2**63, -1, 0, 2**63 - 1, 2**62, -2**63, 2**63 - 1], dtype=np.int64),
         np.array([2**63 - 1, -2**63, 0, 2**62 + 1, -2**63], dtype=np.int64)),
     # dense build keys at either end of int64; the probe keys at the other
     # end wrap around when offset from the build key's minimum
-    "dense_int64_min": lambda s: (
-        np.concatenate([-2**63 + s.integers(0, 8, 40),
+    "dense_int64_min": lambda seed: (
+        np.concatenate([-2**63 + stream_integers(seed, 0, 40, 0, 8),
                         np.array([2**63 - 1, 2**63 - 6, -1, 0], dtype=np.int64)]),
-        -2**63 + s.integers(0, 5, 20)),
-    "dense_int64_max": lambda s: (
-        np.concatenate([2**63 - 1 - s.integers(0, 8, 40),
+        -2**63 + stream_integers(seed, 40, 20, 0, 5)),
+    "dense_int64_max": lambda seed: (
+        np.concatenate([2**63 - 1 - stream_integers(seed, 0, 40, 0, 8),
                         np.array([-2**63, -2**63 + 1, -2**63 + 7, 0], dtype=np.int64)]),
-        2**63 - 1 - s.integers(0, 5, 20)),
+        2**63 - 1 - stream_integers(seed, 40, 20, 0, 5)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(JOIN_KEY_CASES))
 @pytest.mark.parametrize("pair_cap", [10**9, 0], ids=["literal", "above_cap"])
 def test_join_kernels_match_brute_force_pairs_key_shapes(case, pair_cap):
-    probe_key, build_key = JOIN_KEY_CASES[case](Stream(fnv1a64(case)))
+    probe_key, build_key = JOIN_KEY_CASES[case](fnv1a64(case))
     check_join_kernels(probe_key, build_key, pair_cap, block=7)
 
 
@@ -455,11 +462,11 @@ def test_join_kernel_sums_wrap_like_int64(pair_cap):
     # values near +-2**62 matched several times each: the true sums leave the
     # int64 range, and the kernels must wrap them as an int64 sum of the
     # materialized output does
-    stream = Stream(4062)
-    probe_key, build_key = stream.integers(0, 3, 60), stream.integers(0, 3, 25)
-    carried = {"v": 2**62 + stream.integers(0, 1000, 60),
-               "neg": -(2**62) - stream.integers(0, 1000, 60)}
-    build_carried = {"w": 2**62 - 1 - stream.integers(0, 1000, 25)}
+    probe_key = stream_integers(4062, 0, 60, 0, 3)
+    build_key = stream_integers(4062, 60, 25, 0, 3)
+    carried = {"v": 2**62 + stream_integers(4062, 85, 60, 0, 1000),
+               "neg": -(2**62) - stream_integers(4062, 145, 60, 0, 1000)}
+    build_carried = {"w": 2**62 - 1 - stream_integers(4062, 205, 25, 0, 1000)}
     p_idx, b_idx = brute_force_join_pairs(probe_key, build_key)
     for col, idx in ((carried["v"], p_idx), (carried["neg"], p_idx),
                      (build_carried["w"], b_idx)):
@@ -476,14 +483,14 @@ def test_join_kernels_take_narrow_columns(dtype, build, pair_cap):
     # carried values at its maximum, so the sums do; a dense build key sits
     # at the type's maximum and the probe keys reach its minimum
     info = np.iinfo(dtype)
-    stream = Stream(fnv1a64(f"{np.dtype(dtype)}/{build}"))
+    seed = fnv1a64(f"{np.dtype(dtype)}/{build}")
     keys = np.array([info.min, info.min + 1, -1, 0, info.max - 1, info.max], dtype=dtype)
-    probe_key = keys[stream.integers(0, 5, 40)]
-    build_key = (stream.integers(info.max - 3, info.max, 30, dtype) if build == "dense"
-                 else keys[stream.integers(1, 5, 30)])
+    probe_key = keys[stream_integers(seed, 0, 40, 0, 5)]
+    build_key = (stream_integers(seed, 40, 30, info.max - 3, info.max, dtype) if build == "dense"
+                 else keys[stream_integers(seed, 40, 30, 1, 5)])
     carried = {"v": np.full(40, info.max, dtype=dtype),
-               "u": stream.integers(info.min, info.max, 40, dtype)}
-    build_carried = {"w": stream.integers(info.min, info.max, 30, dtype)}
+               "u": stream_integers(seed, 70, 40, info.min, info.max, dtype)}
+    build_carried = {"w": stream_integers(seed, 110, 30, info.min, info.max, dtype)}
     check_join_kernels(probe_key, build_key, pair_cap, block=7, carried=carried,
                        build_carried=build_carried)
 
@@ -505,10 +512,10 @@ def test_join_kernels_take_narrow_columns(dtype, build, pair_cap):
 @pytest.mark.parametrize("density", ["none", "partial", "all"])
 def test_filter_gathers_the_rows_a_boolean_mask_selects(dtype, density):
     info = np.iinfo(dtype)
-    stream = Stream(fnv1a64(f"filter/{np.dtype(dtype)}"))
-    a = stream.integers(int(info.min), int(info.max), 1000, dtype=np.dtype(dtype))
-    cols = {"a": a, "fk": stream.integers(0, 999, a.size, dtype=np.dtype(np.int16)),
-            "v": stream.integers(-2**40, 2**40, a.size)}
+    seed = fnv1a64(f"filter/{np.dtype(dtype)}")
+    a = stream_integers(seed, 0, 1000, int(info.min), int(info.max), dtype=np.dtype(dtype))
+    cols = {"a": a, "fk": stream_integers(seed, 1000, a.size, 0, 999, dtype=np.dtype(np.int16)),
+            "v": stream_integers(seed, 2000, a.size, -2**40, 2**40)}
     ordered = np.sort(a)
     pred = {"none": Predicate("a", ">", int(ordered[-1])),
             "partial": Predicate("a", ">=", int(ordered[a.size // 3])),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from latebind import bench
-from latebind.cli import EXIT_OK, main
+from latebind.cli import EXIT_OK
 from latebind.datagen import Table
 from latebind.policy import MODES
 
@@ -156,10 +156,11 @@ MORE_SEED_DIGESTS = {
 
 @pinned_platform
 @pytest.mark.parametrize("scenario,seed", sorted(MORE_SEED_DIGESTS))
-def test_samples_at_more_seeds_match_pinned_digests(scenario, seed, tmp_path):
-    assert main(["run", "--scenario", scenario, "--seed", str(seed),
-                 "--out", str(tmp_path)]) == EXIT_OK
+def test_samples_at_more_seeds_match_pinned_digests(scenario, seed, default_run):
+    # `latebind run --scenario <scenario> --seed <seed>`
+    run = default_run(scenario, seed)
+    assert run.exit_code == EXIT_OK
     h = hashlib.sha256()
     for mode in MODES:
-        h.update((tmp_path / scenario / mode / "samples.csv").read_bytes())
+        h.update(run.samples[mode])
     assert h.hexdigest() == MORE_SEED_DIGESTS[(scenario, seed)]

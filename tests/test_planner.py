@@ -11,7 +11,7 @@ from latebind.planner import (ACCELERATOR, AGGREGATE, AcceleratorCost, AggSpec, 
                               CostModel, FILTER, HASH_JOIN, JOIN, JoinCost,
                               NESTED_LOOP, PlanNode, Query, SCAN, VARIANTS, cost,
                               model_break_even, plan)
-from latebind.rng import Stream
+from latebind.rng import stream_unit
 from latebind.stats import Predicate, capture_statistics
 from conftest import plan_nodes, table_from_arrays
 
@@ -137,10 +137,9 @@ def test_plan_tie_breaks_lexicographically():
 
 
 def test_plan_argmin_property_random_models():
-    stream = Stream(77)
     stats = make_stats()
     for trial in range(25):
-        coeffs = stream.unit(8)
+        coeffs = stream_unit(77, 8 * trial, 8)
         model = CostModel(
             cpu={SCAN: coeffs[0], FILTER: coeffs[1] * 2, AGGREGATE: coeffs[3] * 2},
             accel={FILTER: AcceleratorCost(coeffs[4] * 10000, coeffs[5] * 2),

@@ -22,6 +22,8 @@ of modes in any order.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -33,7 +35,7 @@ from latebind.datagen import ColumnSpec, Table, TableSpec
 from latebind.engine import EngineConfig, execute
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.policy import MODES
-from latebind.rng import SIGNED_BOUNDS, Stream
+from latebind.rng import SIGNED_BOUNDS, stream_integers
 from latebind.stats import capture_statistics
 from test_engine import check_join_kernels
 
@@ -103,25 +105,26 @@ def test_narrow_integers_equal_the_int64_draw():
            dtype=st.sampled_from(DTYPES))
     def prop(data, seed, count, dtype):
         low, high = sorted((data.draw(in_type(dtype)), data.draw(in_type(dtype))))
-        narrow = Stream(seed).integers(low, high, count, dtype)
+        narrow = stream_integers(seed, 0, count, low, high, dtype)
         assert narrow.dtype == dtype
         np.testing.assert_array_equal(narrow.astype(np.int64),
-                                      Stream(seed).integers(low, high, count))
+                                      stream_integers(seed, 0, count, low, high))
 
     prop()
 
 
 def reference_column_stats(values: list[int], buckets: int) -> tuple:
     """(ndv, min, max, bucket counts) in plain Python: bucket i holds the
-    values from inner edge i to inner edge i + 1, compared exactly (Python
-    compares an int with a float exactly); the outer edges stand for min
-    and max + 1."""
-    lo, hi = min(values), max(values)
-    inner = np.linspace(lo, hi + 1, buckets + 1)[1:-1].tolist()
-    bounds = [None, *inner, None]
-    counts = tuple(sum((start is None or v >= start) and (end is None or v < end)
-                       for v in values) for start, end in zip(bounds, bounds[1:]))
-    return len(set(values)), lo, hi, counts
+    values from inner edge i to inner edge i + 1, that is those below edge
+    i + 1 less those below edge i, each found by bisecting the sorted
+    values, which compares an int with a float exactly; the outer edges
+    stand for min and max + 1, with no value below the first and all below
+    the last."""
+    ordered = sorted(values)
+    inner = np.linspace(ordered[0], ordered[-1] + 1, buckets + 1)[1:-1].tolist()
+    below = [0, *(bisect.bisect_left(ordered, edge) for edge in inner), len(ordered)]
+    counts = tuple(end - start for start, end in zip(below, below[1:]))
+    return len(set(values)), ordered[0], ordered[-1], counts
 
 
 def test_capture_statistics_equals_python_reference():

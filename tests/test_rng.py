@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from latebind.rng import (Stream, derive_seed, fnv1a64, mix64, stream_u64, stream_unit,
-                          unit_at)
+from latebind.rng import (derive_seed, fnv1a64, mix64, stream_integers, stream_u64,
+                          stream_unit, unit_at)
 
 
 def test_stream_matches_scalar_mix():
@@ -36,12 +36,12 @@ def test_stream_matches_scalar_mix_at_any_start(seed, start, count):
 def test_integers_match_reference_reduction(low, high):
     # the plain form: reduce the raw draws, convert, shift
     count = 257
-    u64 = Stream(31).u64(count)
+    u64 = stream_u64(31, 0, count)
     expected = (u64 % np.uint64(high - low + 1)).astype(np.int64) + np.int64(low)
-    got = Stream(31).integers(low, high, count)
+    got = stream_integers(31, 0, count, low, high)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
-    assert Stream(31).integers(low, high, 0).shape == (0,)
+    assert stream_integers(31, 0, 0, low, high).shape == (0,)
 
 
 @pytest.mark.parametrize("low,modulus", [
@@ -54,17 +54,15 @@ def test_integers_equal_remainder_reference(low, modulus, offset):
     # full-range path, which takes the draws as they are
     count = 257
     u64 = stream_u64(31, offset, count).tolist()
-    stream = Stream(31)
-    stream.u64(offset)   # moves the cursor to the offset
-    got = stream.integers(low, low + modulus - 1, count)
+    got = stream_integers(31, offset, count, low, low + modulus - 1)
     assert got.dtype == np.int64
     assert got.tolist() == [low + u % modulus for u in u64]
 
 
 def test_integers_whole_int64_range_takes_draws_as_they_are():
     count = 257
-    u64 = Stream(31).u64(count)
-    got = Stream(31).integers(-2**63, 2**63 - 1, count)
+    u64 = stream_u64(31, 0, count)
+    got = stream_integers(31, 0, count, -2**63, 2**63 - 1)
     assert got.dtype == np.int64
     assert got.tolist() == [u - 2**63 for u in u64.tolist()]
 
@@ -73,13 +71,22 @@ def test_integers_whole_int64_range_takes_draws_as_they_are():
                                       (-2**64, 2**64)])
 def test_integers_reject_bounds_outside_int64(low, high):
     with pytest.raises(ValueError, match="exceeds int64"):
-        Stream(31).integers(low, high, 4)
+        stream_integers(31, 0, 4, low, high)
 
 
 def test_stream_is_positional():
     whole = stream_u64(9, 0, 100)
     tail = stream_u64(9, 60, 40)
     assert np.array_equal(whole[60:], tail)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_integers_are_positional(dtype):
+    # a draw at a start position is the same slice of a draw from position 0,
+    # one value at a time too: no draw depends on the draws made before it
+    whole = stream_integers(9, 0, 100, -7, 90, dtype)
+    assert np.array_equal(stream_integers(9, 60, 40, -7, 90, dtype), whole[60:])
+    assert [stream_integers(9, i, 1, -7, 90, dtype)[0] for i in range(100)] == whole.tolist()
 
 
 def test_unit_range():
@@ -90,15 +97,14 @@ def test_unit_range():
 def test_unit_at_equals_stream_unit():
     # the scalar form must agree bit for bit with the vectorized reference
     seeds = [0, 1, 2**64 - 1, *(int(v) for v in stream_u64(77, 0, 20))]
-    counters = [0, 1, 2, 2**40, *(int(v) for v in Stream(78).integers(0, 2**40, 20))]
+    counters = [0, 1, 2, 2**40, *(int(v) for v in stream_integers(78, 0, 20, 0, 2**40))]
     for seed in seeds:
         for counter in counters:
             assert unit_at(seed, counter) == stream_unit(seed, counter, 1)[0], (seed, counter)
 
 
 def test_integers_inclusive_bounds():
-    s = Stream(5)
-    vals = s.integers(-3, 3, 20000)
+    vals = stream_integers(5, 0, 20000, -3, 3)
     assert vals.min() == -3 and vals.max() == 3
     assert set(np.unique(vals)) == set(range(-3, 4))
 
@@ -121,10 +127,10 @@ def test_narrow_integers_equal_int64_draws(dtype):
     info = np.iinfo(dtype)
     for low, high in ((info.min, info.max), (info.min, info.min), (info.max, info.max),
                       (info.min, 0), (0, info.max), (info.min + 1, info.max - 1), (-3, 3)):
-        got = Stream(31).integers(low, high, 257, dtype)
+        got = stream_integers(31, 0, 257, low, high, dtype)
         assert got.dtype == dtype
-        assert got.tolist() == Stream(31).integers(low, high, 257).tolist()
-        assert Stream(31).integers(low, high, 0, dtype).dtype == dtype
+        assert got.tolist() == stream_integers(31, 0, 257, low, high).tolist()
+        assert stream_integers(31, 0, 0, low, high, dtype).dtype == dtype
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
@@ -132,6 +138,6 @@ def test_integers_reject_bounds_outside_dtype(dtype):
     info = np.iinfo(dtype)
     for low, high in ((info.min - 1, 0), (0, info.max + 1)):
         with pytest.raises(ValueError, match=f"exceeds {np.dtype(dtype)}"):
-            Stream(1).integers(low, high, 1, dtype)
+            stream_integers(1, 0, 1, low, high, dtype)
     with pytest.raises(ValueError, match="uint8 is not a signed integer type"):
-        Stream(1).integers(0, 9, 1, np.uint8)
+        stream_integers(1, 0, 1, 0, 9, np.uint8)

@@ -13,7 +13,7 @@ from latebind.engine import execute
 from latebind.errors import ValidationError, dump_json, load_json
 from latebind.planner import AggSpec, CostModel, Query, plan
 from latebind.policy import BASELINE, Thresholds
-from latebind.rng import Stream, fnv1a64
+from latebind.rng import fnv1a64, stream_integers
 from latebind.stats import (ColumnStats, Predicate, TableStats, capture_statistics,
                             estimate_selectivity)
 from conftest import table_from_arrays
@@ -98,34 +98,37 @@ def sorted_column_stats(name: str, values: np.ndarray, buckets: int) -> ColumnSt
                        bucket_counts=tuple(int(c) for c in counts), captured_generation=0)
 
 
+# each column's draws read the stream of a seed from position 0 on
 DENSITY_COLUMNS = {
     # value span <= rows: counted per value
-    "negative_low": lambda s: s.integers(-70, -20, 400),
-    "straddles_zero": lambda s: s.integers(-13, 29, 43),
-    "single_value": lambda s: np.full(9, -4, dtype=np.int64),
-    "single_row": lambda s: np.array([123456789], dtype=np.int64),
-    "span_equals_rows": lambda s: np.concatenate([[-8, 91], s.integers(-8, 91, 98)]),
-    "large_magnitude": lambda s: s.integers(2**52, 2**52 + 40, 60),
+    "negative_low": lambda seed: stream_integers(seed, 0, 400, -70, -20),
+    "straddles_zero": lambda seed: stream_integers(seed, 0, 43, -13, 29),
+    "single_value": lambda seed: np.full(9, -4, dtype=np.int64),
+    "single_row": lambda seed: np.array([123456789], dtype=np.int64),
+    "span_equals_rows": lambda seed: np.concatenate(
+        [[-8, 91], stream_integers(seed, 0, 98, -8, 91)]),
+    "large_magnitude": lambda seed: stream_integers(seed, 0, 60, 2**52, 2**52 + 40),
     # dense, but past the integers float64 edges hold exactly: sorted
-    "beyond_float_exact": lambda s: s.integers(2**53 - 20, 2**53 + 20, 82),
-    "far_beyond_float_exact": lambda s: np.concatenate(
-        [[2**60 - 24, 2**60 + 25], s.integers(2**60 - 24, 2**60 + 25, 48)]),
+    "beyond_float_exact": lambda seed: stream_integers(seed, 0, 82, 2**53 - 20, 2**53 + 20),
+    "far_beyond_float_exact": lambda seed: np.concatenate(
+        [[2**60 - 24, 2**60 + 25], stream_integers(seed, 0, 48, 2**60 - 24, 2**60 + 25)]),
     # value span above rows: sorted
-    "span_one_above_rows": lambda s: np.concatenate([[-8, 92], s.integers(-8, 92, 98)]),
-    "sparse": lambda s: s.integers(-10**9, 10**9, 50),
+    "span_one_above_rows": lambda seed: np.concatenate(
+        [[-8, 92], stream_integers(seed, 0, 98, -8, 92)]),
+    "sparse": lambda seed: stream_integers(seed, 0, 50, -10**9, 10**9),
     # float64 rounds lo down to 2**60 and the upper inner edges past hi
-    "rounded_past_hi": lambda s: np.concatenate(
-        [[2**60 + 100, 2**60 + 200], s.integers(2**60 + 100, 2**60 + 200, 30)]),
-    "int64_extremes": lambda s: np.concatenate(
-        [[-2**63, 2**63 - 1], s.integers(-2**63, -2**63 + 9, 20),
-         s.integers(2**63 - 10, 2**63 - 1, 20)]),
+    "rounded_past_hi": lambda seed: np.concatenate(
+        [[2**60 + 100, 2**60 + 200], stream_integers(seed, 0, 30, 2**60 + 100, 2**60 + 200)]),
+    "int64_extremes": lambda seed: np.concatenate(
+        [[-2**63, 2**63 - 1], stream_integers(seed, 0, 20, -2**63, -2**63 + 9),
+         stream_integers(seed, 20, 20, 2**63 - 10, 2**63 - 1)]),
 }
 
 
 @pytest.mark.parametrize("buckets", [1, 7, 32])
 @pytest.mark.parametrize("case", sorted(DENSITY_COLUMNS))
 def test_capture_matches_sorted_reference(case, buckets):
-    values = DENSITY_COLUMNS[case](Stream(fnv1a64(case)))
+    values = DENSITY_COLUMNS[case](fnv1a64(case))
     span = int(values.max()) - int(values.min()) + 1
     assert (span <= values.size) == (
         case not in ("span_one_above_rows", "sparse", "rounded_past_hi", "int64_extremes"))
@@ -139,7 +142,7 @@ def test_capture_matches_sorted_reference(case, buckets):
 def test_int16_capture_equals_its_int64_copy(rows, buckets):
     # values - lo reaches 60,000, past int16: the dense path counts per value
     # at int64 width, and the sorted path searches at the column's own width
-    values = Stream(16).integers(-30000, 30000, rows, np.int16)
+    values = stream_integers(16, 0, rows, -30000, 30000, np.int16)
     values[:2] = (-30000, 30000)
     spec = TableSpec("t", rows, (ColumnSpec("a", -30000, 30000),))
     stats = [capture_statistics(Table(spec=spec, generation=0, columns={"a": col}),
@@ -218,25 +221,25 @@ def test_selectivity_wrong_column_rejected():
 
 
 def test_selectivity_bounds_property():
-    stream = Stream(99)
     t = generate_table(TableSpec("t", 3000, (ColumnSpec("a", -100, 400),)), seed=9)
     cs = capture_statistics(t).column("a")
-    for comparison in ("<", "<=", "=", ">=", ">"):
-        for c in stream.integers(-300, 700, 40):
+    for k, comparison in enumerate(("<", "<=", "=", ">=", ">")):
+        for c in stream_integers(99, 40 * k, 40, -300, 700):
             est = estimate_selectivity(cs, Predicate("a", comparison, int(c)))
             assert 0.0 <= est <= 1.0
 
 
 def test_range_estimates_close_to_brute_force():
     # oracle bound: within 1.5 bucket widths of the full-scan truth on uniform data
-    stream = Stream(123)
-    for rows, lo, hi, seed in [(10000, 0, 999, 31), (5000, -50, 49, 32), (2000, 0, 9999, 33)]:
+    # the 25 constants of table j and comparison k start at stream position 100j + 25k
+    for j, (rows, lo, hi, seed) in enumerate([(10000, 0, 999, 31), (5000, -50, 49, 32),
+                                              (2000, 0, 9999, 33)]):
         t = generate_table(TableSpec("t", rows, (ColumnSpec("a", lo, hi),)), seed=seed)
         cs = capture_statistics(t).column("a")
         width_fraction = (cs.bucket_edges[1] - cs.bucket_edges[0]) / (cs.max_value + 1 - cs.min_value)
         tolerance = 1.5 * width_fraction
-        for comparison in ("<", "<=", ">=", ">"):
-            for c in stream.integers(lo, hi, 25):
+        for k, comparison in enumerate(("<", "<=", ">=", ">")):
+            for c in stream_integers(123, 100 * j + 25 * k, 25, lo, hi):
                 pred = Predicate("a", comparison, int(c))
                 est = estimate_selectivity(cs, pred)
                 truth = brute_selectivity(t.column("a"), pred)
