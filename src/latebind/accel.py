@@ -6,8 +6,9 @@ clock (so they inherit the clock's noise and determinism): n rows cost
 cpu * n on the CPU and setup + per_row * n on the accelerator.  Ordinary
 least squares fits one affine cost line per device, and the fitted lines
 yield the estimated break-even size alongside the empirically interpolated
-one.  The ratio of break-even size to observed input size is the
-accelerator-side risk signal: above 1, offloading has not amortized.
+one, or None where the device lines do not cross.  The ratio of break-even
+size to observed input size is the accelerator-side risk signal: above 1,
+offloading has not amortized.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Optional
 
 from .clock import SimulatedClock
-from .errors import NoBreakEvenError, ValidationError
+from .errors import ValidationError
 from .planner import ACCELERATOR, CPU, CostModel, cost, model_break_even
 from .rng import derive_seed
 
@@ -134,20 +135,19 @@ def fit_linear(measurements: list[Measurement]) -> LineFit:
 
 
 def break_even(cpu_fit: LineFit, accel_fit: LineFit,
-               measurements: list[Measurement]) -> BreakEven:
+               measurements: list[Measurement]) -> Optional[BreakEven]:
     """Estimated (fitted-line crossover) and observed (interpolated
-    empirical crossover) break-even sizes for one op kind."""
+    empirical crossover) break-even sizes for one op kind; None when the
+    accelerator never amortizes: the fitted lines do not cross at a
+    positive size, or the measured costs do not cross inside the grid."""
     if cpu_fit.op_kind != accel_fit.op_kind:
         raise ValidationError("fits are for different op kinds")
     kind = cpu_fit.op_kind
     if cpu_fit.slope <= accel_fit.slope:
-        raise NoBreakEvenError(
-            f"{kind}: accelerator never amortizes "
-            f"(cpu slope {cpu_fit.slope:.4g} <= accelerator slope {accel_fit.slope:.4g})")
+        return None
     n_est = (accel_fit.intercept - cpu_fit.intercept) / (cpu_fit.slope - accel_fit.slope)
     if n_est <= 0:
-        raise NoBreakEvenError(
-            f"{kind}: fitted lines cross at non-positive size {n_est:.4g}")
+        return None
 
     per_size: dict[int, dict[str, list[float]]] = {}
     for m in measurements:
@@ -166,8 +166,7 @@ def break_even(cpu_fit: LineFit, accel_fit: LineFit,
         diffs.append(cpu_mean - acc_mean)
     cross = next((i for i in range(1, len(sizes)) if diffs[i - 1] < 0 <= diffs[i]), None)
     if cross is None:
-        raise NoBreakEvenError(
-            f"{kind}: no empirical crossover inside the measured size range")
+        return None
     n_lo, n_hi = sizes[cross - 1], sizes[cross]
     d_lo, d_hi = diffs[cross - 1], diffs[cross]
     n_obs = n_lo + (n_hi - n_lo) * (-d_lo) / (d_hi - d_lo)
@@ -206,10 +205,7 @@ def calibrate_break_evens(model: CostModel, clock: SimulatedClock, seed: int,
         cpu_fit = fit_linear(cpu_ms)
         acc_fit = fit_linear(acc_ms)
         fits.extend([cpu_fit, acc_fit])
-        try:
-            results[kind] = break_even(cpu_fit, acc_fit, cpu_ms + acc_ms)
-        except NoBreakEvenError:
-            results[kind] = None
+        results[kind] = break_even(cpu_fit, acc_fit, cpu_ms + acc_ms)
     return results, all_measurements, fits
 
 

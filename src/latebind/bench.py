@@ -29,8 +29,9 @@ filter columns (for histograms).  A kernel output computed from table
 columns alone (a join of unfiltered tables, a hash build of a table column)
 lives as long as its fact table, so the dim table's hash build is made
 once per fact table.
-Reports carry sorted latency samples, nearest-rank percentiles, CDF points,
-and failure counts, and serialize byte-identically for identical inputs.
+Reports carry sorted latency samples, nearest-rank percentiles (NaN when
+every query failed) and failure counts, and serialize byte-identically for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ class LatencyReport:
     p95: float
     p99: float
     mean: float
-    cdf: list[tuple[float, float]]
 
 
 # ── distribution arithmetic ────────────────────────────────────────────────
@@ -148,16 +148,17 @@ def cdf_points(samples: list[float]) -> list[tuple[float, float]]:
 
 def build_report(scenario: str, mode: str, seed: int, clock_mode: str,
                  thresholds_source: str, rows: list[SampleRow]) -> LatencyReport:
+    """One mode's report; with no successful query its statistics are the
+    one math.nan object, so two such reports compare equal."""
     ok = sorted(r.latency for r in rows if not r.failed)
-    failures = sum(1 for r in rows if r.failed)
-    if not ok:
-        raise ValidationError(f"{scenario}/{mode}: every query failed; nothing to report")
+    p50 = p95 = p99 = mean = math.nan
+    if ok:
+        p50, p95, p99 = (percentile(ok, p) for p in (50, 95, 99))
+        mean = sum(ok) / len(ok)
     return LatencyReport(
         scenario=scenario, mode=mode, seed=seed, clock_mode=clock_mode,
         thresholds_source=thresholds_source, rows=rows, samples=ok,
-        failures=failures,
-        p50=percentile(ok, 50), p95=percentile(ok, 95), p99=percentile(ok, 99),
-        mean=sum(ok) / len(ok), cdf=cdf_points(ok))
+        failures=len(rows) - len(ok), p50=p50, p95=p95, p99=p99, mean=mean)
 
 
 # ── scenario construction ──────────────────────────────────────────────────
@@ -427,8 +428,8 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
 
 
 def report_emit(report: LatencyReport, out_dir: Path) -> list[Path]:
-    """Write samples.csv, cdf.csv, and summary.txt under
-    <out>/<scenario>/<mode>/; emission is deterministic per report."""
+    """Write samples.csv, cdf.csv (of the successful queries) and summary.txt
+    under <out>/<scenario>/<mode>/; emission is deterministic per report."""
     target = out_dir / report.scenario / report.mode
     target.mkdir(parents=True, exist_ok=True)
     samples_path = target / "samples.csv"
@@ -439,7 +440,7 @@ def report_emit(report: LatencyReport, out_dir: Path) -> list[Path]:
     cdf_path = target / "cdf.csv"
     with cdf_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("latency,cumulative_fraction\n")
-        for value, fraction in report.cdf:
+        for value, fraction in cdf_points(report.samples):
             fh.write(f"{value!r},{fraction!r}\n")
     summary_path = target / "summary.txt"
     with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -465,10 +466,10 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
                 raise ValidationError(f"{path}: {row['query_id']} has latency "
                                       f"{row['latency']!r}, not a number") from None
             modes.add(row["mode"])
+    if not rows:
+        raise ValidationError(f"no rows in {path}")
     if len(modes) > 1:
         raise ValidationError(f"{path} mixes modes {sorted(modes)}")
-    if all(r.failed for r in rows):
-        raise ValidationError(f"no usable samples in {path}")
     return modes.pop(), rows
 
 

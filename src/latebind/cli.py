@@ -10,8 +10,8 @@ Subcommands:
 
 Configuration precedence: command-line flags > --config JSON file >
 built-in defaults.  Every command echoes its resolved configuration, and
-run/calibrate write it next to their outputs.  Exit codes: 0 success,
-1 validation/configuration error, 2 result-equivalence failure.
+run/calibrate write it next to their outputs.  Exit codes: 0 success, also
+when every query of a mode fails; 1 bad input; 2 result-equivalence failure.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from . import bench
 from .accel import calibrate_break_evens, fits_csv, measurements_csv
 from .clock import SimulatedClock, WallClock
 from .datagen import dump_table_csv, generate_table, load_table_spec
-from .errors import (ConfigurationError, ResultMismatchError, ValidationError, dump_json,
-                     json_fields, load_json, parse_json)
+from .errors import (ResultMismatchError, ValidationError, dump_json, json_fields, load_json,
+                     parse_json)
 from .planner import AcceleratorCost, CostModel
 from .policy import MODES, Thresholds, calibrate, calibration_report
 
@@ -330,7 +330,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResultMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESULT_MISMATCH
-    except (ValidationError, ConfigurationError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -65,7 +65,7 @@ from . import policy as policy_mod
 from .accel import accelerator_risk
 from .clock import SimulatedClock, WallClock
 from .datagen import Table
-from .errors import ConfigurationError, MemoryBudgetExceeded, ValidationError
+from .errors import MemoryBudgetExceeded, ValidationError
 # predicted_cost is not called here; perfbench/layers.py wraps engine.predicted_cost
 from .planner import (ACCELERATOR, AnnotatedPlan, CPU, CostModel, HASH_JOIN,
                       NESTED_LOOP, VARIANTS, PlanNode, cost as model_cost, predicted_cost)
@@ -341,9 +341,9 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     and input arrays, and later calls get the same output objects.
     """
     if mode not in MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}")
     if mode != BASELINE and not thresholds.calibrated:
-        raise ConfigurationError(f"{mode} mode requires calibrated thresholds")
+        raise ValidationError(f"{mode} mode requires calibrated thresholds")
     config = config or EngineConfig()
     memo = memo or KernelMemo()
     q = plan.query

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one JSON form of its
+"""Exception types shared across the package, one per way a caller handles
+it: bad input (ValidationError, exit 1), a working set over the hard memory
+cap (MemoryBudgetExceeded, one failed query) and results that diverge across
+modes (ResultMismatchError, exit 2).  Also the one JSON form of its
 documents: each is a dataclass, written by dump_json and read back by
 load_json, which parses it with parse_json and checks it against the
 dataclass's fields with json_fields."""
@@ -17,15 +20,7 @@ _type_hints = functools.cache(typing.get_type_hints)  # a dataclass's, resolved 
 
 
 class ValidationError(ValueError):
-    """Invalid spec, config, or argument values."""
-
-
-class ConfigurationError(ValueError):
-    """Runtime configuration unusable (e.g. uncalibrated thresholds)."""
-
-
-class NoBreakEvenError(RuntimeError):
-    """Device cost lines never cross: offloading can never amortize."""
+    """Invalid input: a spec, config, argument, file or mode."""
 
 
 class MemoryBudgetExceeded(RuntimeError):

@@ -139,15 +139,13 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
 def _range_fraction(stats: ColumnStats, lo: float, hi: float) -> float:
     """Estimated fraction of rows in [lo, hi) (uniform-within-bucket
     interpolation)."""
-    if stats.row_count == 0 or not stats.bucket_counts:
-        return 0.0
     total = float(stats.row_count)
     mass = 0.0
     edges = stats.bucket_edges
     for i, count in enumerate(stats.bucket_counts):
         b_lo, b_hi = edges[i], edges[i + 1]
         width = b_hi - b_lo
-        if width <= 0.0:  # degenerate single-value histogram
+        if width <= 0.0:  # past 2**53 neighbouring edges can round to one float
             covered = 1.0 if lo <= b_lo < hi else 0.0
         else:
             overlap = min(hi, b_hi) - max(lo, b_lo)
@@ -165,6 +163,9 @@ def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> float:
             f"predicate column {pred.column!r} does not match statistics for {stats.column!r}")
     if stats.row_count == 0:
         return 0.0
+    if stats.min_value == stats.max_value:
+        # every row or none: past 2**53, float edges cannot hold [v, v + 1)
+        return float(pred.mask(stats.min_value))
 
     c = float(pred.constant)
     lo = float(stats.min_value)

@@ -60,6 +60,9 @@ MUTATIONS = {
     "zipf_cdf_end_not_forced": ("datagen.py", "cdf[-1] = 1.0", "pass"),
     "dense_histogram_edge_floor": ("stats.py", "at = np.clip(np.ceil(edges)",
                                    "at = np.clip(np.floor(edges)"),
+    "all_failed_nan_not_shared": ("bench.py", "p50 = p95 = p99 = mean = math.nan",
+                                  "p50, p95, p99, mean = (float('nan') for _ in range(4))"),
+    "measured_crossover_assumed": ("accel.py", "if cross is None:", "if False:"),
 }
 
 

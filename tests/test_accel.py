@@ -10,7 +10,7 @@ from latebind.accel import (MAX_MEASUREMENTS, MAX_SIZE, LineFit, Measurement,
                             accelerator_risk, break_even, calibrate_break_evens,
                             default_size_grid, fit_linear, run_microbenchmark)
 from latebind.clock import MAX_SIGMA, SimulatedClock
-from latebind.errors import NoBreakEvenError, ValidationError
+from latebind.errors import ValidationError
 from latebind.planner import ACCELERATOR, CPU, AcceleratorCost, CostModel, cost
 from latebind.rng import derive_seed
 
@@ -165,15 +165,31 @@ def test_break_even_analytic_crossover():
 def test_break_even_identical_profiles_rejected():
     fit = LineFit(CPU, "filter", 1.0, 0.0, 0.0)
     same = LineFit(ACCELERATOR, "filter", 1.0, 0.0, 0.0)
-    with pytest.raises(NoBreakEvenError):
-        break_even(fit, same, [])
+    assert break_even(fit, same, []) is None
 
 
 def test_break_even_never_amortizing_rejected():
     cpu = LineFit(CPU, "filter", 0.2, 0.0, 0.0)
     acc = LineFit(ACCELERATOR, "filter", 1.0, 8000.0, 0.0)
-    with pytest.raises(NoBreakEvenError):
-        break_even(cpu, acc, [])
+    assert break_even(cpu, acc, []) is None
+
+
+def test_break_even_at_a_negative_size_is_none():
+    # the cpu line lies above the accelerator's at every size n >= 0
+    cpu = LineFit(CPU, "filter", 1.0, 100.0, 0.0)
+    acc = LineFit(ACCELERATOR, "filter", 0.2, 0.0, 0.0)
+    assert break_even(cpu, acc, []) is None
+
+
+def test_break_even_without_measured_crossover_is_none():
+    # the fitted lines cross at 10000, but every measured size lies above it,
+    # so the accelerator is cheaper at each one and no crossover is observed
+    clock = SimulatedClock(sigma=0.0)
+    cpu_ms = run_microbenchmark("filter", [20000, 40000], MODEL, CPU, clock, 1, seed=1)
+    acc_ms = run_microbenchmark("filter", [20000, 40000], MODEL, ACCELERATOR, clock, 1, seed=1)
+    cpu_fit, acc_fit = fit_linear(cpu_ms), fit_linear(acc_ms)
+    assert (acc_fit.intercept - cpu_fit.intercept) / (cpu_fit.slope - acc_fit.slope) > 0
+    assert break_even(cpu_fit, acc_fit, cpu_ms + acc_ms) is None
 
 
 def test_sign_property_around_crossover():

@@ -19,7 +19,6 @@ from latebind.bench import (BREAK_EVEN, INPUT_SCALE_SHIFT, STALE_STATS, percenti
 from latebind.clock import SimulatedClock
 from latebind.datagen import ColumnSpec, TableSpec, generate_table
 from latebind.engine import execute
-from latebind.errors import NoBreakEvenError
 from latebind.planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, NESTED_LOOP,
                               AggSpec, Query, plan)
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds
@@ -105,11 +104,8 @@ def test_criterion_5_break_even_fidelity():
                                     derive_seed(trial, "calib/filter/cpu"))
         acc_ms = run_microbenchmark("filter", grid, model, ACCELERATOR, noisy, 5,
                                     derive_seed(trial, "calib/filter/accel"))
-        try:
-            be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
-        except NoBreakEvenError:
-            continue
-        if be.relative_error <= 0.05:
+        be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
+        if be is not None and be.relative_error <= 0.05:
             within += 1
     exact_clock = SimulatedClock(sigma=0.0)
     cpu_ms = run_microbenchmark("filter", grid, model, CPU, exact_clock, 5, seed=0)

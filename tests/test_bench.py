@@ -797,6 +797,28 @@ def test_memory_exhaustion_reaches_report_files(tmp_path):
         assert "failures    15\n" in (target / "summary.txt").read_text()
 
 
+def test_mode_whose_every_query_fails_is_reported(tmp_path):
+    # at 64 KiB the fact table's scan alone is over the hard cap, so every
+    # query fails in every mode, and each mode is still reported
+    scenario = scenario_stale_stats(seed=1)
+    reports = run_scenario(scenario, SimulatedClock(),
+                           engine_config=EngineConfig(memory_budget_bytes=64 * 1024))
+    assert list(reports) == list(MODES)
+    for mode, report in reports.items():
+        assert report.failures == len(report.rows) == 200
+        assert report.samples == []
+        assert report.p50 is report.p95 is report.p99 is report.mean is math.nan
+        report_emit(report, tmp_path)
+        target = tmp_path / scenario.name / mode
+        assert (target / "cdf.csv").read_text() == "latency,cumulative_fraction\n"
+        assert "failures    200\nmean        nan\np50         nan\n" \
+            in (target / "summary.txt").read_text()
+    assert f"{'nan':>14}" * 4 + "   200\n" in compare_reports(reports)
+    # the one NaN object makes equal runs' reports equal
+    assert reports == run_scenario(scenario, SimulatedClock(),
+                                   engine_config=EngineConfig(memory_budget_bytes=64 * 1024))
+
+
 def test_summarize_and_compare_output():
     report = build_report("stale_stats", BASELINE, 1, "simulated", "manual",
                           [SampleRow("q000", 10.0, False), SampleRow("q001", 20.0, False)])

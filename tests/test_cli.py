@@ -14,6 +14,7 @@ from latebind.accel import MAX_MEASUREMENTS
 from latebind.cli import (EXIT_OK, EXIT_VALIDATION, CalibrateConfig, CommonConfig, RunConfig,
                           _base_thresholds, build_parser, main)
 from latebind.clock import MAX_SIGMA, SimulatedClock
+from latebind.engine import EngineConfig
 from latebind.policy import ORCHESTRATED, Thresholds
 
 
@@ -250,13 +251,40 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     ("baseline,q000,5.0,0\n", "does not start with the header"),
     ("mode,query_id,latency,failed\nbaseline,q000,fast,0\n", "'fast', not a number"),
-], ids=["no_header", "latency_not_a_number"])
+    ("mode,query_id,latency,failed\n", "no rows in"),
+], ids=["no_header", "latency_not_a_number", "no_rows"])
 def test_report_malformed_samples_exits_1(tmp_path, capsys, text, message):
     path = tmp_path / "samples.csv"
     path.write_text(text)
     assert run_cli("report", str(path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and message in err
+
+
+def test_report_of_a_mode_whose_every_query_failed(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("mode,query_id,latency,failed\n"
+                    "baseline,q000,812.5,1\n"
+                    "baseline,q001,0.0,1\n")
+    assert run_cli("report", str(path)) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"{'baseline':<20}" + f"{'nan':>14}" * 4 + "     2"
+    assert out[3].startswith("baseline            p50      nan")
+
+
+def test_run_whose_every_query_fails_exits_0(tmp_path, capsys, monkeypatch):
+    # a 64 KiB budget puts every scan of the fact table over the hard cap
+    monkeypatch.setattr(bench, "EngineConfig",
+                        lambda: EngineConfig(memory_budget_bytes=64 * 1024))
+    code = run_cli("run", "--scenario", "stale_stats", "--queries", "3",
+                   "--out", str(tmp_path))
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count(f"{'nan':>14}" * 4 + "     3\n") == 3
+    for mode in ("baseline", "independent_gates", "orchestrated"):
+        target = tmp_path / "stale_stats" / mode
+        assert (target / "cdf.csv").read_text() == "latency,cumulative_fraction\n"
+        assert "failures    3\n" in (target / "summary.txt").read_text()
 
 
 def test_report_mixed_mode_file_names_path_and_modes(tmp_path, capsys):

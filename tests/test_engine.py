@@ -12,7 +12,7 @@ from latebind import engine
 from latebind.engine import (EngineConfig, _hash_build, _hash_join,
                              _nested_loop_join, _output_sum, execute, join_kernel,
                              observe)
-from latebind.errors import ConfigurationError, ValidationError
+from latebind.errors import ValidationError
 from latebind.planner import (ACCELERATOR, CPU, HASH_JOIN, NESTED_LOOP, AggSpec,
                               CostModel, Query, plan)
 from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds,
@@ -293,11 +293,16 @@ def test_disabled_thresholds_match_baseline_exactly(drift_setup):
         [r.executed_variant for r in t_off.records]
 
 
+def test_unknown_mode_rejected(small_plan, small_tables):
+    with pytest.raises(ValidationError, match="unknown mode 'bogus'"):
+        execute(small_plan, small_tables, "bogus", Thresholds(), SimulatedClock(), seed=1)
+
+
 def test_uncalibrated_thresholds_rejected_for_hooked_modes(small_plan, small_tables):
     clock = SimulatedClock(sigma=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="requires calibrated thresholds"):
         execute(small_plan, small_tables, ORCHESTRATED, Thresholds(), clock, seed=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError, match="requires calibrated thresholds"):
         execute(small_plan, small_tables, INDEPENDENT_GATES, Thresholds(), clock, seed=1)
 
 

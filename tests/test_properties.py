@@ -18,6 +18,9 @@ tests pin at a few points: every scenario, any seed, 1-30 queries, empty
 fact tables, budgets from 64 KiB (where queries spill and fail, in some
 examples every query of a mode), noise-free and noisy clocks, and any subset
 of modes in any order.
+
+Each property draws its examples from the fixed seed 1 (``@seed``), so they
+change when its strategies change, not when its body does.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ import bisect
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from latebind import bench
 from latebind.bench import SampleRow, build_report, run_scenario
 from latebind.clock import SimulatedClock
 from latebind.datagen import ColumnSpec, Table, TableSpec
 from latebind.engine import EngineConfig, execute
-from latebind.errors import ResultMismatchError, ValidationError
+from latebind.errors import ResultMismatchError
 from latebind.policy import MODES
 from latebind.rng import SIGNED_BOUNDS, stream_integers
 from latebind.stats import capture_statistics
@@ -88,7 +91,8 @@ def join_inputs(draw) -> dict:
 
 
 def test_join_kernels_equal_brute_force_pairs():
-    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @seed(1)
+    @settings(database=None, max_examples=250, deadline=None)
     @given(inputs=join_inputs())
     def prop(inputs):
         # a pair cap above every input keeps the nested loop literal
@@ -100,7 +104,8 @@ def test_join_kernels_equal_brute_force_pairs():
 def test_narrow_integers_equal_the_int64_draw():
     # a narrow draw keeps the low bits of the int64 draw's remainder and adds
     # low at its own width, so it must give the int64 draw's values
-    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @seed(1)
+    @settings(database=None, max_examples=120, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**64 - 1), count=st.integers(0, 200),
            dtype=st.sampled_from(DTYPES))
     def prop(data, seed, count, dtype):
@@ -128,7 +133,8 @@ def reference_column_stats(values: list[int], buckets: int) -> tuple:
 
 
 def test_capture_statistics_equals_python_reference():
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @seed(1)
+    @settings(database=None, max_examples=200, deadline=None)
     @given(data=st.data(), dtype=st.sampled_from(DTYPES), buckets=st.integers(1, 40))
     def prop(data, dtype, buckets):
         values = data.draw(column_values(dtype, 60))
@@ -169,15 +175,12 @@ def scenarios(draw, name: str) -> bench.Scenario:
 
 
 def outcome(run) -> tuple[str, object]:
-    """("reports", the reports), or the error that ends a run, by type: a
-    result mismatch, or a mode in which every query failed."""
+    """("reports", the reports), or ("mismatch", None) for a run that a
+    result mismatch ends."""
     try:
         return "reports", run()
     except ResultMismatchError:
         return "mismatch", None
-    except ValidationError as exc:
-        assert "every query failed" in str(exc)
-        return "all failed", str(exc)
 
 
 def reference_reports(scenario: bench.Scenario, clock: SimulatedClock,
@@ -211,7 +214,8 @@ def check_run_scenario(scenario: bench.Scenario, budget: int, hard_factor: float
 
 @pytest.mark.parametrize("name", bench.SCENARIO_NAMES)
 def test_run_scenario_equals_executing_every_query_alone(name):
-    @settings(derandomize=True, database=None, max_examples=25, deadline=None,
+    @seed(1)
+    @settings(database=None, max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(scenario=scenarios(name),
            budget=st.one_of(st.sampled_from((64 * KIB, 256 * KIB, 64 * 1024 * KIB)),
@@ -226,7 +230,7 @@ def test_run_scenario_equals_executing_every_query_alone(name):
 
 
 @pytest.mark.parametrize("make_scenario,hard_factor,sigma", [
-    # every query fails at the fact table's scan, so no mode has a row to report
+    # every query fails at the fact table's scan, so every mode reports NaN statistics
     (lambda: bench.scenario_stale_stats(seed=1, query_count=3, fact_rows=4000, dim_rows=100),
      1.0, 0.0),
     # some queries spill and some fail in every mode

@@ -213,6 +213,17 @@ def test_equality_outside_domain_is_zero():
     assert estimate_selectivity(cs, Predicate("a", "=", 1000)) == 0.0
 
 
+@pytest.mark.parametrize("value", [2**40, 2**60])
+def test_selectivity_of_a_single_valued_column_is_exact(value):
+    # past 2**53 float64 edges cannot hold [value, value + 1)
+    values = np.full(50, value, dtype=np.int64)
+    cs = capture_statistics(table_from_arrays("t", a=values)).column("a")
+    for comparison in ("<", "<=", "=", ">=", ">"):
+        for constant in (value - 1, value, value + 1):
+            pred = Predicate("a", comparison, constant)
+            assert estimate_selectivity(cs, pred) == brute_selectivity(values, pred), str(pred)
+
+
 def test_selectivity_wrong_column_rejected():
     t = table_from_arrays("t", a=np.arange(10))
     cs = capture_statistics(t).column("a")
