@@ -8,11 +8,16 @@ risk vector once (the observed input and its ratio to the estimate as
 executor-side runtime signals, and accelerator amortization risk from the
 mode's thresholds) and the policy makes the one decision.  A record's
 decision label follows from its planned and executed variants.  Memory is
-accounted, not decided on: a working set above the budget is charged the
-spill multiplier, and one above the hard cap fails the query.  Memory is
-part of the simulated cost model, so it is charged at int64 width,
-VALUE_BYTES per value, whatever integer type a column is stored in; spills
-and failures do not depend on how narrow the tables are.
+accounted, not decided on: a node whose working set is above the budget is
+charged the spill multiplier, and one above the hard cap fails the query.
+With c columns on a side, a scan of n rows holds the earlier branch's
+output plus n*c values; a filter that keeps k rows, that plus k*c; the
+join, both branch outputs, the build side once more under hash_join, and
+one value per carried column per output row; the aggregate, the join
+output alone.  Memory is part of the simulated cost model, so every value
+is VALUE_BYTES (int64) whatever integer type its column is stored in;
+spills and failures do not depend on how narrow the tables are.  A trace's
+latency is the sum of its records' charges; a failing node has no record.
 
 Costs are charged through the pluggable clock from the one true cost model,
 TRUE_COST_MODEL, at observed cardinalities, whatever model the plan was
@@ -359,32 +364,22 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     trace = ExecutionTrace()
     budget = config.memory_budget_bytes
     hard_cap = budget * config.hard_memory_factor
-    held = 0
-    charged_total = 0.0
-
-    def bytes_of(cols: dict[str, np.ndarray]) -> int:
-        return VALUE_BYTES * sum(arr.size for arr in cols.values())
 
     def run_node(node: PlanNode, variant: str, cards: tuple[float, ...], n_obs: int,
-                 kernel: Callable[[], object], kernel_name: str = CPU,
-                 extra_bytes: int = 0,
-                 out_bytes_of: Callable[[object], int] = lambda _: 0) -> object:
-        nonlocal held, charged_total
+                 kernel: Callable[[], object], working_set: Callable[[object], int],
+                 kernel_name: str = CPU) -> object:
         base = model_cost(node.kind, variant, cards, TRUE_COST_MODEL)
         # nodes run in plan order and a failure ends the run, so a node's
         # noise counter is its position in the plan: the records before it
         out, charged = clock.charge(base, noise_seed, len(trace.records),
                                     work=kernel, modeled_only=variant == ACCELERATOR)
-        out_bytes = out_bytes_of(out)
-        working = held + extra_bytes + out_bytes
+        working = working_set(out)
         spilled = working > budget
         if working > hard_cap:
             raise MemoryBudgetExceeded(
                 f"{node.node_id}: working set {working} exceeds hard cap {hard_cap:.0f}")
         if spilled:
             charged *= SPILL_MULTIPLIER
-        held += out_bytes
-        charged_total += charged
         trace.records.append(NodeRecord(
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
             executed_variant=variant, kernel=kernel_name, n_obs=n_obs,
@@ -392,26 +387,26 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         return out
 
     def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
-                   table: Table, cols: list[str]) -> dict[str, np.ndarray]:
-        nonlocal held
-        n = table.row_count
+                   table: Table, cols: list[str], earlier: int) -> dict[str, np.ndarray]:
+        # earlier: the bytes of the other branch's output, held meanwhile
+        n, per_row = table.row_count, VALUE_BYTES * len(cols)
         out = run_node(scan_node, CPU, (float(n),), n,
                        kernel=lambda: {c: table.column(c) for c in cols},
-                       out_bytes_of=bytes_of)
+                       working_set=lambda _: earlier + n * per_row)
         if filter_node is None:
             return out
         variant = decision_hook(filter_node, n, mode, thresholds)
         pred = filter_node.predicate
-        filtered = run_node(filter_node, variant, (float(n),), n, kernel=lambda: _shared(
+        return run_node(filter_node, variant, (float(n),), n, kernel=lambda: _shared(
             memo.group, ("filter", pred, *out), tuple(out.values()), lambda: _filter(out, pred)),
-            out_bytes_of=bytes_of)
-        held -= bytes_of(out)  # scan output consumed
-        return filtered
+            working_set=lambda kept: earlier + (n + kept[pred.column].size) * per_row)
 
+    result = None
     try:
         fact, dim = tables[q.left_table], tables[q.right_table]
-        left = run_branch(plan.left_scan, plan.left_filter, fact, left_cols)
-        right = run_branch(plan.right_scan, plan.right_filter, dim, right_cols)
+        left = run_branch(plan.left_scan, plan.left_filter, fact, left_cols, 0)
+        left_bytes = VALUE_BYTES * left[q.left_key].size * len(left_cols)
+        right = run_branch(plan.right_scan, plan.right_filter, dim, right_cols, left_bytes)
 
         probe_key, build_key = left[q.left_key], right[q.right_key]
         n_probe, n_build = int(probe_key.size), int(build_key.size)
@@ -436,18 +431,17 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                             lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, build_carried, build)
 
-        extra = bytes_of(right) if variant == HASH_JOIN else 0
-        # the join output is charged as if materialized: a row of every
-        # carried column per output row
+        right_bytes = VALUE_BYTES * n_build * len(right_cols)
+        build_bytes = right_bytes if variant == HASH_JOIN else 0
+        # the output is charged as if materialized: a row of every carried column
         row_bytes = VALUE_BYTES * (len(carried) + len(build_carried))
         n_join, join_weights = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe,
             kernel=lambda: _shared(
                 join_store, ("join", kernel_name, tuple(carried), tuple(build_carried)),
                 (probe_key, build_key, *carried.values(), *build_carried.values()), run_join),
-            kernel_name=kernel_name, extra_bytes=extra,
-            out_bytes_of=lambda out: out[0] * row_bytes)
-        held -= bytes_of(left) + bytes_of(right)
+            working_set=lambda out: left_bytes + right_bytes + build_bytes + out[0] * row_bytes,
+            kernel_name=kernel_name)
 
         variant = decision_hook(plan.aggregate, n_join, mode, thresholds)
 
@@ -458,12 +452,11 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             return _shared(memo.group, ("sum",), (col, weights),
                            lambda: _output_sum(col, weights))
 
-        value = run_node(plan.aggregate, variant, (float(n_join),), n_join, kernel=run_agg)
+        value = run_node(plan.aggregate, variant, (float(n_join),), n_join, kernel=run_agg,
+                         working_set=lambda _: n_join * row_bytes)
+        result = QueryResult(value=int(value))
     except MemoryBudgetExceeded as exc:
-        trace.failed = True
-        trace.failure = str(exc)
-        trace.total_latency = charged_total
-        return None, trace
+        trace.failed, trace.failure = True, str(exc)
 
-    trace.total_latency = charged_total
-    return QueryResult(value=int(value)), trace
+    trace.total_latency = sum((record.charged_cost for record in trace.records), 0.0)
+    return result, trace

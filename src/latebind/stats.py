@@ -136,12 +136,14 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
                       captured_generation=table.generation, columns=cols)
 
 
-def _range_fraction(stats: ColumnStats, lo: float, hi: float) -> float:
+def _range_fraction(stats: ColumnStats, lo: int, hi: int) -> float:
     """Estimated fraction of rows in [lo, hi) (uniform-within-bucket
-    interpolation)."""
+    interpolation).  The bounds and outer edges are ints, which compare
+    exactly with the float inner edges, so past 2**53 a bound still tells
+    the column's min from its max + 1."""
     total = float(stats.row_count)
     mass = 0.0
-    edges = stats.bucket_edges
+    edges = (stats.min_value, *stats.bucket_edges[1:-1], stats.max_value + 1)
     for i, count in enumerate(stats.bucket_counts):
         b_lo, b_hi = edges[i], edges[i + 1]
         width = b_hi - b_lo
@@ -163,26 +165,23 @@ def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> float:
             f"predicate column {pred.column!r} does not match statistics for {stats.column!r}")
     if stats.row_count == 0:
         return 0.0
-    if stats.min_value == stats.max_value:
-        # every row or none: past 2**53, float edges cannot hold [v, v + 1)
-        return float(pred.mask(stats.min_value))
 
-    c = float(pred.constant)
-    lo = float(stats.min_value)
+    c = pred.constant
+    lo = stats.min_value
     # +1 on the upper edge so integer max is inside the last half-open interval
-    hi = float(stats.max_value) + 1.0
+    hi = stats.max_value + 1
 
     if pred.comparison == "=":
-        inside = stats.min_value <= pred.constant <= stats.max_value
+        inside = lo <= c <= stats.max_value
         return (1.0 / stats.ndv) if (inside and stats.ndv > 0) else 0.0
 
     if pred.comparison == "<":
         bounds = (lo, c)
     elif pred.comparison == "<=":
-        bounds = (lo, c + 1.0)
+        bounds = (lo, c + 1)
     elif pred.comparison == ">=":
         bounds = (c, hi)
     else:  # ">"
-        bounds = (c + 1.0, hi)
+        bounds = (c + 1, hi)
     return _range_fraction(stats, *bounds)
 

@@ -6,7 +6,9 @@ once.  It is applied to a temporary copy of what the tests read (COPIED;
 pytest's ``pythonpath`` setting puts the copy's ``src`` first), and the
 copy's tests run until their first failure.  The unmutated copy runs first
 and must pass, so that a test the copy breaks cannot catch every mutation.
-pytest does not collect this file: it is no ``test_*.py``.
+pytest does not collect this file: it is no ``test_*.py``.  Tier-1's
+``tests/test_mutants.py`` checks that every mutation's line occurs once;
+the copy leaves it out, since every mutated copy fails it.
 
     python tests/mutants.py                    # every mutation
     python tests/mutants.py spill_at_budget    # the named ones
@@ -34,13 +36,25 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json")
 # name: (module under src/latebind, line as it stands, line as mutated)
 MUTATIONS = {
     "no_hash_build_bytes": (
-        "engine.py", "extra = bytes_of(right) if variant == HASH_JOIN else 0",
-        "extra = 0"),
+        "engine.py", "build_bytes = right_bytes if variant == HASH_JOIN else 0",
+        "build_bytes = 0"),
     "spill_at_budget": ("engine.py", "spilled = working > budget",
                         "spilled = working >= budget"),
     "fail_at_hard_cap": ("engine.py", "if working > hard_cap:", "if working >= hard_cap:"),
-    "scan_output_kept": ("engine.py", "held -= bytes_of(out)  # scan output consumed",
-                         "held -= 0"),
+    "scan_output_kept": (
+        "engine.py", "left_bytes = VALUE_BYTES * left[q.left_key].size * len(left_cols)",
+        "left_bytes = VALUE_BYTES * (left[q.left_key].size + fact.row_count) * len(left_cols)"),
+    "right_branch_without_left": (
+        "engine.py", "dim, right_cols, left_bytes)", "dim, right_cols, 0)"),
+    "filter_without_scan_bytes": (
+        "engine.py", "earlier + (n + kept[pred.column].size) * per_row",
+        "earlier + kept[pred.column].size * per_row"),
+    "join_output_free": ("engine.py", "build_bytes + out[0] * row_bytes,", "build_bytes,"),
+    "aggregate_holds_nothing": ("engine.py", "working_set=lambda _: n_join * row_bytes",
+                                "working_set=lambda _: 0"),
+    "empty_latency_sum_int": (
+        "engine.py", "sum((record.charged_cost for record in trace.records), 0.0)",
+        "sum(record.charged_cost for record in trace.records)"),
     "nested_loop_cap_exclusive": ("engine.py", "and pairs <= pair_cap:",
                                   "and pairs < pair_cap:"),
     "estimate_floor_half": ("engine.py", "n_obs / max(1.0, node.est_input)",
@@ -66,13 +80,20 @@ MUTATIONS = {
 }
 
 
-def mutate(copy: Path, name: str) -> None:
-    module, line, mutated = MUTATIONS[name]
-    path = copy / "src" / "latebind" / module
+def mutated(root: Path, name: str) -> tuple[Path, str]:
+    """The module under root that a mutation changes, and its mutated text;
+    LookupError when the mutation's line does not occur exactly once."""
+    module, line, mutated_line = MUTATIONS[name]
+    path = root / "src" / "latebind" / module
     text = path.read_text(encoding="utf-8")
     if text.count(line) != 1:
         raise LookupError(f"{name}: {line!r} occurs {text.count(line)} times in {module}")
-    path.write_text(text.replace(line, mutated), encoding="utf-8")
+    return path, text.replace(line, mutated_line)
+
+
+def mutate(copy: Path, name: str) -> None:
+    path, text = mutated(copy, name)
+    path.write_text(text, encoding="utf-8")
 
 
 def run(name: str | None) -> tuple[str, float]:
@@ -83,8 +104,8 @@ def run(name: str | None) -> tuple[str, float]:
         for item in COPIED:
             source = ROOT / item
             if source.is_dir():
-                shutil.copytree(source, copy / item,
-                                ignore=shutil.ignore_patterns("__pycache__", "mutants.py"))
+                shutil.copytree(source, copy / item, ignore=shutil.ignore_patterns(
+                    "__pycache__", "mutants.py", "test_mutants.py"))
             else:
                 shutil.copy2(source, copy / item)
         try:

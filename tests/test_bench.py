@@ -810,6 +810,9 @@ def test_mode_whose_every_query_fails_is_reported(tmp_path):
         assert report.p50 is report.p95 is report.p99 is report.mean is math.nan
         report_emit(report, tmp_path)
         target = tmp_path / scenario.name / mode
+        # no node ran to a record, so each latency is the float 0.0, never the int 0
+        assert (target / "samples.csv").read_text().splitlines()[1:] == [
+            f"{mode},q{i:03d},0.0,1" for i in range(200)]
         assert (target / "cdf.csv").read_text() == "latency,cumulative_fraction\n"
         assert "failures    200\nmean        nan\np50         nan\n" \
             in (target / "summary.txt").read_text()

@@ -224,6 +224,24 @@ def test_selectivity_of_a_single_valued_column_is_exact(value):
             assert estimate_selectivity(cs, pred) == brute_selectivity(values, pred), str(pred)
 
 
+@pytest.mark.parametrize("column", [[2**60, 2**60, 2**60 + 1, 2**60 + 1], [2**63 - 2, 2**63 - 1]],
+                         ids=["2**60", "int64_max"])
+def test_range_estimates_of_a_two_valued_column_past_2_53(column):
+    # float64 edges collapse to one value here; the bounds and outer edges
+    # must still tell min from max + 1
+    values = np.array(column, dtype=np.int64)
+    cs = capture_statistics(table_from_arrays("t", a=values)).column("a")
+    low, high = column[0], column[-1]
+    exact = {("<=", high): 1.0, (">=", low): 1.0, ("<", low): 0.0, (">", high): 0.0}
+    for (comparison, constant), truth in exact.items():
+        assert estimate_selectivity(cs, Predicate("a", comparison, constant)) == truth
+    for comparison in ("<", "<=", "=", ">=", ">"):
+        for constant in (low, high):
+            pred = Predicate("a", comparison, constant)
+            assert abs(estimate_selectivity(cs, pred) - brute_selectivity(values, pred)) <= 0.5, \
+                str(pred)
+
+
 def test_selectivity_wrong_column_rejected():
     t = table_from_arrays("t", a=np.arange(10))
     cs = capture_statistics(t).column("a")
