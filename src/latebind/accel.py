@@ -100,7 +100,7 @@ def run_microbenchmark(op_kind: str, sizes: list[int], model: CostModel, device:
     for n in sizes:
         model_cost = cost(op_kind, device, (n,), model)
         for _ in range(repetitions):
-            _, charged = clock.charge(model_cost, noise_seed, counter, modeled_only=True)
+            charged = clock.charge(model_cost, noise_seed, counter)
             counter += 1
             out.append(Measurement(op_kind=op_kind, device=device, n=n, cost=charged))
     return out

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .accel import calibrate_break_evens
-from .clock import SIMULATED, SimulatedClock, WallClock
+from .clock import SimulatedClock
 from .datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                       apply_drift, generate_table)
 from .engine import TRUE_COST_MODEL, EngineConfig, KernelMemo, execute
@@ -114,7 +114,6 @@ class LatencyReport:
     scenario: str
     mode: str
     seed: int
-    clock_mode: str
     thresholds_source: str
     rows: list[SampleRow]               # query order
     samples: list[float]                # sorted, failures excluded
@@ -146,8 +145,8 @@ def cdf_points(samples: list[float]) -> list[tuple[float, float]]:
     return [(v, (i + 1) / n) for i, v in enumerate(samples)]
 
 
-def build_report(scenario: str, mode: str, seed: int, clock_mode: str,
-                 thresholds_source: str, rows: list[SampleRow]) -> LatencyReport:
+def build_report(scenario: str, mode: str, seed: int, thresholds_source: str,
+                 rows: list[SampleRow]) -> LatencyReport:
     """One mode's report; with no successful query its statistics are the
     one math.nan object, so two such reports compare equal."""
     ok = sorted(r.latency for r in rows if not r.failed)
@@ -156,7 +155,7 @@ def build_report(scenario: str, mode: str, seed: int, clock_mode: str,
         p50, p95, p99 = (percentile(ok, p) for p in (50, 95, 99))
         mean = sum(ok) / len(ok)
     return LatencyReport(
-        scenario=scenario, mode=mode, seed=seed, clock_mode=clock_mode,
+        scenario=scenario, mode=mode, seed=seed,
         thresholds_source=thresholds_source, rows=rows, samples=ok,
         failures=len(rows) - len(ok), p50=p50, p95=p95, p99=p99, mean=mean)
 
@@ -378,7 +377,7 @@ def scenario_queries(scenario: Scenario) -> list[PreparedQuery]:
     return prepared
 
 
-def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
+def run_scenario(scenario: Scenario, clock: SimulatedClock,
                  engine_config: Optional[EngineConfig] = None,
                  thresholds: Optional[dict[str, Thresholds]] = None,
                  ) -> dict[str, LatencyReport]:
@@ -386,10 +385,10 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
 
     Queries run group by group as scenario_groups prepares them, so a fact
     table lives only from its first group to its last; rows still come out
-    in query order.  On the simulated clock the executions share kernel
-    outputs through a KernelMemo: the group's store, dropped before the next
-    group starts, and the table set's, which lives as long as the set's fact
-    table; engine.execute picks the store from each output's inputs.
+    in query order.  The executions share kernel outputs through a
+    KernelMemo: the group's store, dropped before the next group starts,
+    and the table set's, which lives as long as the set's fact table;
+    engine.execute picks the store from each output's inputs.
     Result values are cross-checked per query over all modes that
     completed; any mismatch is a hard failure of the whole run.
     """
@@ -399,8 +398,7 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
     rows: dict[str, list[SampleRow]] = {mode: [None] * len(scenario.cases)
                                         for mode in scenario.modes}
     for group in scenario_groups(scenario):
-        # the wall clock times every run, so it shares nothing
-        memo = KernelMemo(table_set=group.store, group={}) if clock.mode == SIMULATED else None
+        memo = KernelMemo(table_set=group.store, group={})
         for i, prepared in group.queries:
             values: dict[str, int] = {}
             for mode in scenario.modes:
@@ -419,7 +417,7 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock | WallClock,
         # free the group's kernel outputs before the next table is made
         del memo
 
-    return {mode: build_report(scenario.name, mode, scenario.seed, clock.mode,
+    return {mode: build_report(scenario.name, mode, scenario.seed,
                                per_mode_thresholds[mode].source, rows[mode])
             for mode in scenario.modes}
 
@@ -459,12 +457,18 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
         if reader.fieldnames != SAMPLES_HEADER.split(","):
             raise ValidationError(f"{path} does not start with the header {SAMPLES_HEADER}")
         for row in reader:
+            query_id, latency, failed = row["query_id"], row["latency"], row["failed"]
             try:
-                rows.append(SampleRow(query_id=row["query_id"], latency=float(row["latency"]),
-                                      failed=row["failed"] not in ("0", "")))
+                value = float(latency)
             except (TypeError, ValueError):
-                raise ValidationError(f"{path}: {row['query_id']} has latency "
-                                      f"{row['latency']!r}, not a number") from None
+                raise ValidationError(f"{path}: {query_id} has latency {latency!r}, "
+                                      f"not a number") from None
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{path}: {query_id} has latency {latency!r}, "
+                                      f"not a finite number >= 0")
+            if failed not in ("0", "1"):
+                raise ValidationError(f"{path}: {query_id} has failed {failed!r}, not 0 or 1")
+            rows.append(SampleRow(query_id=query_id, latency=value, failed=failed == "1"))
             modes.add(row["mode"])
     if not rows:
         raise ValidationError(f"no rows in {path}")
@@ -478,7 +482,6 @@ def summarize(report: LatencyReport) -> str:
         f"scenario    {report.scenario}",
         f"mode        {report.mode}",
         f"seed        {report.seed}",
-        f"clock       {report.clock_mode}",
         f"thresholds  {report.thresholds_source}",
         f"queries     {len(report.rows)}",
         f"failures    {report.failures}",

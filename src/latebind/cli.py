@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from . import bench
 from .accel import calibrate_break_evens, fits_csv, measurements_csv
-from .clock import SimulatedClock, WallClock
+from .clock import SimulatedClock
 from .datagen import dump_table_csv, generate_table, load_table_spec
 from .errors import (ResultMismatchError, ValidationError, dump_json, json_fields, load_json,
                      parse_json)
@@ -56,7 +56,6 @@ class CommonConfig:
 @dataclass(frozen=True)
 class RunConfig(CommonConfig):
     scenario: str = bench.INPUT_SCALE_SHIFT
-    clock: str = "simulated"
     queries: int = 200
     modes: tuple[str, ...] = MODES
     drift_fraction: Optional[float] = None   # None = scenario default
@@ -121,14 +120,6 @@ def _write_config(cfg: CommonConfig, command: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8", newline="\n") as fh:
         dump_json(cfg, fh, command=command)
-
-
-def _clock(cfg: RunConfig) -> SimulatedClock | WallClock:
-    if cfg.clock == "simulated":
-        return SimulatedClock(sigma=cfg.sigma)
-    if cfg.clock == "wall":
-        return WallClock()
-    raise ValidationError(f"unknown clock mode {cfg.clock!r}")
 
 
 def _base_thresholds(cfg: CommonConfig) -> Thresholds:
@@ -213,7 +204,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve(args, RunConfig)
     print(_banner(cfg, "run"))
     scenario = _build_scenario(cfg)
-    clock = _clock(cfg)
+    clock = SimulatedClock(sigma=cfg.sigma)
     thresholds = bench.scenario_thresholds(scenario, _base_thresholds(cfg))
     if cfg.thresholds_file:
         with open(cfg.thresholds_file, encoding="utf-8") as fh:
@@ -236,8 +227,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if mode in paths:
             raise ValidationError(f"{paths[mode]} and {raw} both hold mode {mode!r}")
         paths[mode] = raw
-        # samples.csv records no scenario, seed, clock or thresholds source
-        reports[mode] = bench.build_report("", mode, 0, "", "", rows)
+        # samples.csv records no scenario, seed or thresholds source
+        reports[mode] = bench.build_report("", mode, 0, "", rows)
     print(bench.compare_reports(reports), end="")
     return EXIT_OK
 
@@ -292,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(run)
     run.add_argument("--scenario", choices=bench.SCENARIO_NAMES,
                      help="scenario name (default input_scale_shift)")
-    run.add_argument("--clock", choices=("simulated", "wall"),
-                     help="clock mode (default simulated)")
     run.add_argument("--queries", type=int, help="queries per scenario (default 200)")
     run.add_argument("--modes", type=_comma_separated(str),
                      help="comma-separated execution modes (default all)")

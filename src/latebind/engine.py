@@ -19,7 +19,7 @@ is VALUE_BYTES (int64) whatever integer type its column is stored in;
 spills and failures do not depend on how narrow the tables are.  A trace's
 latency is the sum of its records' charges; a failing node has no record.
 
-Costs are charged through the pluggable clock from the one true cost model,
+Costs are charged through the simulated clock from the one true cost model,
 TRUE_COST_MODEL, at observed cardinalities, whatever model the plan was
 priced from; which formula applies is exactly the executed variant's, which
 is how an inappropriate early binding shows up as latency.
@@ -35,7 +35,7 @@ Lazy Aggregation", VLDB 1995): a join yields its output row count and, per
 carried column, how many output rows each of that column's rows is in.
 The aggregate above it takes the int64 sum weighted by those counts, which
 equals the sum over the built rows, so the aggregate's own kernel still
-does the reduction and the wall clock times it there.  The output is
+does the reduction.  The output is
 charged as if materialized, a row of every carried column per output row,
 so spills and hard-cap failures are those of an engine that builds the
 rows.  The literal nested loop compares a block of build rows with every
@@ -46,7 +46,7 @@ per build row only when a build column is carried.
 Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
 or aggregate, since the accelerator is a cost-model device.  Every
-execution charges its own cost, but on the simulated clock executions share
+execution charges its own cost, but executions share
 kernel outputs by one rule: a filter, hash build, join or aggregate output
 is keyed by its kernel and the identity of its input arrays (_shared), so
 it is computed once per distinct input.  Where it lives follows from those
@@ -55,8 +55,7 @@ arrays lives as long as the table set, every other output as long as the
 group (the executions of one plan on one set of tables).  The filter kernel
 gathers the rows its mask keeps by index, one take per column, but a mask
 that keeps every row returns its input dict itself, so the joins of such
-filters recur across groups with different predicates.  The wall clock
-times every run, so it has no store and shares nothing.
+filters recur across groups with different predicates.
 """
 
 from __future__ import annotations
@@ -68,17 +67,15 @@ import numpy as np
 
 from . import policy as policy_mod
 from .accel import accelerator_risk
-from .clock import SimulatedClock, WallClock
+from .clock import SimulatedClock
 from .datagen import Table
 from .errors import MemoryBudgetExceeded, ValidationError
 # predicted_cost is not called here; perfbench/layers.py wraps engine.predicted_cost
-from .planner import (ACCELERATOR, AnnotatedPlan, CPU, CostModel, HASH_JOIN,
+from .planner import (AnnotatedPlan, CPU, CostModel, HASH_JOIN,
                       NESTED_LOOP, VARIANTS, PlanNode, cost as model_cost, predicted_cost)
 from .policy import BASELINE, KEEP, MODES, SWITCH, RiskVector, Thresholds
 from .rng import derive_seed
 from .stats import Predicate
-
-Clock = SimulatedClock | WallClock
 
 SPILL_MULTIPLIER = 3.0   # charged-cost inflation of a node whose working set spills
 VALUE_BYTES = 8          # bytes charged per column value: int64, whatever the dtype
@@ -335,7 +332,7 @@ def _needed_columns(plan: AnnotatedPlan, tables: dict[str, Table],
 
 
 def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
-            thresholds: Thresholds, clock: Clock, seed: int,
+            thresholds: Thresholds, clock: SimulatedClock, seed: int,
             config: Optional[EngineConfig] = None, memo: Optional[KernelMemo] = None,
             ) -> tuple[Optional[QueryResult], ExecutionTrace]:
     """Run one annotated plan; returns (result, trace), result None on failure.
@@ -369,10 +366,10 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
                  kernel: Callable[[], object], working_set: Callable[[object], int],
                  kernel_name: str = CPU) -> object:
         base = model_cost(node.kind, variant, cards, TRUE_COST_MODEL)
+        out = kernel()
         # nodes run in plan order and a failure ends the run, so a node's
         # noise counter is its position in the plan: the records before it
-        out, charged = clock.charge(base, noise_seed, len(trace.records),
-                                    work=kernel, modeled_only=variant == ACCELERATOR)
+        charged = clock.charge(base, noise_seed, len(trace.records))
         working = working_set(out)
         spilled = working > budget
         if working > hard_cap:

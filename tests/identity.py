@@ -1,0 +1,82 @@
+"""Print one sha256 per output of the program, so that two checkouts can be
+compared with one diff.
+
+The outputs are every file and the stdout of ``latebind run`` for the three
+scenarios at seeds 1, 100001 and 200001; the ``repr`` of ``run_scenario``'s
+rows and failures per mode for the three scenarios at seed 1 under memory
+budgets of 768, 256 and 64 KiB; and every file and the stdout of
+``latebind calibrate`` at its defaults and at a second cost model.  The
+output directory is masked as ``<out>`` wherever it is written.  ROOT
+(default: this file's checkout) is the checkout whose ``src`` is imported,
+so a checkout without this file can be hashed too.  pytest does not collect
+this file: it is no ``test_*.py``.
+
+    python tests/identity.py > change.txt
+    python tests/identity.py /path/to/parent > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 100001, 200001)
+BUDGETS_KIB = (768, 256, 64)
+CALIBRATIONS = ((), ("--cpu-per-item", "0.7", "--accel-setup", "5000",
+                     "--accel-per-item", "0.3"))
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cli_outputs(cli, argv: list[str], label: str) -> list[str]:
+    """The hashed stdout (with the exit code) and files of one cli.main call."""
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([*argv, "--out", tmp])
+        printed = f"exit {code}\n" + stdout.getvalue().replace(tmp, "<out>")
+        lines = [f"{sha(printed)}  {label} stdout"]
+        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
+            text = path.read_text(encoding="utf-8").replace(tmp, "<out>")
+            lines.append(f"{sha(text)}  {label} {path.relative_to(tmp)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "src"))
+    from latebind import bench, cli
+    from latebind.clock import SimulatedClock
+    from latebind.engine import EngineConfig
+
+    lines = []
+    for name in bench.SCENARIO_NAMES:
+        for seed in SEEDS:
+            lines += cli_outputs(cli, ["run", "--scenario", name, "--seed", str(seed)],
+                                 f"run {name} seed {seed}")
+    for name in bench.SCENARIO_NAMES:
+        for kib in BUDGETS_KIB:
+            scenario = getattr(bench, f"scenario_{name}")(seed=1)
+            reports = bench.run_scenario(
+                scenario, SimulatedClock(sigma=0.05),
+                engine_config=EngineConfig(memory_budget_bytes=kib * 1024))
+            rows = {mode: (report.rows, report.failures) for mode, report in reports.items()}
+            failures = "/".join(str(report.failures) for report in reports.values())
+            lines.append(f"{sha(repr(rows))}  budget {name} {kib} KiB "
+                         f"(failures per mode {failures})")
+    for flags in CALIBRATIONS:
+        lines += cli_outputs(cli, ["calibrate", *flags],
+                             "calibrate " + (" ".join(flags) or "defaults"))
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -77,6 +77,20 @@ MUTATIONS = {
     "all_failed_nan_not_shared": ("bench.py", "p50 = p95 = p99 = mean = math.nan",
                                   "p50, p95, p99, mean = (float('nan') for _ in range(4))"),
     "measured_crossover_assumed": ("accel.py", "if cross is None:", "if False:"),
+    "offload_margin_one_rejected": ("policy.py", "if not (self.offload_margin >= 1):",
+                                    "if not (self.offload_margin > 1):"),
+    "infinite_coefficient_allowed": ("planner.py", "all(0 <= c < math.inf for c",
+                                     "all(0 <= c <= math.inf for c"),
+    "zero_break_even_kept": ("planner.py", "return n_star if n_star > 0 else None",
+                             "return n_star if n_star >= 0 else None"),
+    "grid_hint_one_rejected": ("accel.py", "if not 1 <= n_star_hint <=",
+                               "if not 1 < n_star_hint <="),
+    "grid_hint_max_rejected": ("accel.py", "n_star_hint <= MAX_SIZE / GRID_SPAN:",
+                               "n_star_hint < MAX_SIZE / GRID_SPAN:"),
+    "size_zero_allowed": ("accel.py", "if not (0 < sizes[0] and", "if not (0 <= sizes[0] and"),
+    "fit_crossing_at_zero_kept": ("accel.py", "if n_est <= 0:", "if n_est < 0:"),
+    "run_scenario_without_memo": (
+        "bench.py", "memo = KernelMemo(table_set=group.store, group={})", "memo = None"),
 }
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from latebind import clock as clock_module
-from latebind.accel import (MAX_MEASUREMENTS, MAX_SIZE, LineFit, Measurement,
+from latebind.accel import (GRID_COUNT, GRID_SPAN, MAX_MEASUREMENTS, MAX_SIZE, LineFit,
+                            Measurement,
                             accelerator_risk, break_even, calibrate_break_evens,
                             default_size_grid, fit_linear, run_microbenchmark)
 from latebind.clock import MAX_SIGMA, SimulatedClock
@@ -79,6 +80,21 @@ def test_sizes_above_limit_rejected():
         default_size_grid(MAX_SIZE)
     with pytest.raises(ValidationError, match="break-even hint"):
         default_size_grid(math.nan)
+
+
+def test_sizes_from_zero_rejected():
+    with pytest.raises(ValidationError, match="sizes must be in"):
+        run_microbenchmark("filter", [0, 10], MODEL, CPU, GuardClock(), 1, seed=1)
+
+
+def test_size_grid_hint_of_one_passes_the_range_check():
+    # in range, but its grid rounds to fewer than GRID_COUNT distinct sizes
+    with pytest.raises(ValidationError, match="size grid collapsed"):
+        default_size_grid(1)
+
+
+def test_size_grid_hint_at_its_limit_accepted():
+    assert len(default_size_grid(MAX_SIZE / GRID_SPAN)) == GRID_COUNT
 
 
 def test_noise_is_finite_at_the_sigma_limit(monkeypatch):
@@ -179,6 +195,15 @@ def test_break_even_at_a_negative_size_is_none():
     cpu = LineFit(CPU, "filter", 1.0, 100.0, 0.0)
     acc = LineFit(ACCELERATOR, "filter", 0.2, 0.0, 0.0)
     assert break_even(cpu, acc, []) is None
+
+
+def test_break_even_at_size_zero_is_none():
+    # the fitted lines meet at n = 0, though the measured costs cross
+    cpu = LineFit(CPU, "filter", 1.0, 0.0, 0.0)
+    acc = LineFit(ACCELERATOR, "filter", 0.2, 0.0, 0.0)
+    measured = [Measurement("filter", CPU, 1, 1.0), Measurement("filter", ACCELERATOR, 1, 2.0),
+                Measurement("filter", CPU, 2, 4.0), Measurement("filter", ACCELERATOR, 2, 2.0)]
+    assert break_even(cpu, acc, measured) is None
 
 
 def test_break_even_without_measured_crossover_is_none():

@@ -13,7 +13,7 @@ from latebind.bench import (BREAK_EVEN, INPUT_SCALE_SHIFT, STALE_STATS, LatencyR
                             QueryCase, SampleRow, build_report, cdf_points, compare_reports,
                             percentile, report_emit, run_scenario, scenario_break_even,
                             scenario_input_scale_shift, scenario_stale_stats, summarize)
-from latebind.clock import SimulatedClock, WallClock
+from latebind.clock import SimulatedClock
 from latebind.engine import EngineConfig
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.planner import ACCELERATOR, AGGREGATE, CPU, HASH_JOIN, JOIN, NESTED_LOOP
@@ -71,7 +71,7 @@ def test_cdf_monotone_and_complete():
 
 
 def test_build_report_degenerate_single_query():
-    report = build_report("input_scale_shift", BASELINE, 1, "simulated", "manual",
+    report = build_report("input_scale_shift", BASELINE, 1, "manual",
                           [SampleRow("q000", 42.0, False)])
     assert report.p50 == report.p95 == report.p99 == 42.0
     assert report.failures == 0
@@ -80,7 +80,7 @@ def test_build_report_degenerate_single_query():
 def test_build_report_orders_invariant():
     rows = [SampleRow(f"q{i:03d}", float(v), False)
             for i, v in enumerate(stream_integers(8, 0, 400, 1, 10**6))]
-    report = build_report("stale_stats", BASELINE, 1, "simulated", "manual", rows)
+    report = build_report("stale_stats", BASELINE, 1, "manual", rows)
     assert report.p50 <= report.p95 <= report.p99
     assert report.samples == sorted(report.samples)
     assert report.mean == pytest.approx(statistics.mean(report.samples))
@@ -89,7 +89,7 @@ def test_build_report_orders_invariant():
 def test_build_report_counts_failures():
     rows = [SampleRow("q000", 5.0, False), SampleRow("q001", 0.0, True),
             SampleRow("q002", 7.0, False)]
-    report = build_report("stale_stats", BASELINE, 1, "simulated", "manual", rows)
+    report = build_report("stale_stats", BASELINE, 1, "manual", rows)
     assert report.failures == 1
     assert len(report.samples) == 2
 
@@ -317,17 +317,6 @@ def test_break_even_scenario_orders_modes():
     assert reports[INDEPENDENT_GATES].mean <= reports[BASELINE].mean + 1e-9
 
 
-def test_wall_clock_scenario_runs_sane():
-    from latebind.clock import WallClock
-
-    scenario = scenario_input_scale_shift(seed=4, query_count=6)
-    reports = run_scenario(scenario, WallClock())
-    for report in reports.values():
-        assert report.clock_mode == "wall"
-        assert report.failures == 0
-        assert all(s > 0 for s in report.samples)
-
-
 def test_cross_mode_mismatch_aborts(monkeypatch):
     scenario = scenario_input_scale_shift(seed=3, query_count=4)
     from latebind import engine as engine_mod
@@ -501,8 +490,7 @@ def count_join_kernels(monkeypatch) -> tuple[list, list]:
     return executions, calls
 
 
-@pytest.mark.parametrize("clock", [SimulatedClock(sigma=0.05), WallClock()],
-                         ids=["simulated", "wall"])
+@pytest.mark.parametrize("clock", [SimulatedClock(sigma=0.05)], ids=["simulated"])
 def test_nested_loop_runs_once_per_group_only_on_simulated_clock(monkeypatch, clock):
     scenario = scenario_input_scale_shift(seed=3, query_count=12)
     executions, calls = count_join_kernels(monkeypatch)
@@ -513,10 +501,7 @@ def test_nested_loop_runs_once_per_group_only_on_simulated_clock(monkeypatch, cl
     groups = {group for group, _ in nl_runs}
     # several queries share each group, so once per group is less than once per query
     assert len({seed for _, seed in nl_runs}) > len(groups)
-    if clock.mode == "simulated":
-        assert Counter(group for group, _ in nl_calls) == Counter(groups)  # once each
-    else:
-        assert Counter(nl_calls) == Counter(nl_runs)                       # once per mode
+    assert Counter(group for group, _ in nl_calls) == Counter(groups)  # once each
     assert max(Counter(nl_runs).values()) == len(scenario.modes)
 
 
@@ -661,14 +646,11 @@ def test_join_outputs_freed_before_next_table_is_made(monkeypatch):
     assert alive_at_generate == [0] * 13   # the dim table and 12 fact tables
 
 
-@pytest.mark.parametrize("clock,builds",
-                         [(SimulatedClock(sigma=0.05), 140), (WallClock(), 420)],
-                         ids=["simulated", "wall"])
-def test_dim_hash_build_made_once_per_table_set_on_simulated_clock(monkeypatch, clock, builds):
+@pytest.mark.parametrize("clock", [SimulatedClock(sigma=0.05)], ids=["simulated"])
+def test_dim_hash_build_made_once_per_table_set_on_simulated_clock(monkeypatch, clock):
     # every fact variant is its own table set, whose store keeps the hash
     # build of the dim key as long as the fact table lives: 140 of the 200
-    # sets run a hash join in some mode.  The wall clock times every hash
-    # join, so each of the 420 makes its own build
+    # sets run a hash join in some mode, 420 hash joins in all
     built = []
     real_build = engine._hash_build
 
@@ -679,24 +661,19 @@ def test_dim_hash_build_made_once_per_table_set_on_simulated_clock(monkeypatch, 
     monkeypatch.setattr(engine, "_hash_build", counting_build)
     scenario = scenario_break_even(seed=1)
     run_scenario(scenario, clock)
-    assert built == [scenario.dim_spec.row_count] * builds
+    assert built == [scenario.dim_spec.row_count] * 140
 
 
 KERNELS = ("_filter", "_hash_build", "_hash_join", "_nested_loop_join", "_output_sum")
 
 
-@pytest.mark.parametrize("clock,queries,build,calls", [
-    # one kernel run per distinct input on the simulated clock
-    (SimulatedClock(sigma=0.05), 200, scenario_input_scale_shift, (0, 3, 3, 1, 4)),
-    (SimulatedClock(sigma=0.05), 200, scenario_stale_stats, (74, 1, 37, 0, 74)),
-    (SimulatedClock(sigma=0.05), 200, scenario_break_even, (0, 140, 140, 60, 200)),
-    # one per execution on the wall clock, which shares nothing
-    (WallClock(), 12, scenario_input_scale_shift, (0, 6, 6, 30, 36)),
-    (WallClock(), 12, scenario_stale_stats, (36, 36, 36, 0, 36)),
-    (WallClock(), 12, scenario_break_even, (0, 24, 24, 12, 36)),
-], ids=[f"{clock}-{name}" for clock in ("simulated", "wall")
-        for name in (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN)])
-def test_kernel_calls_at_seed1(monkeypatch, clock, queries, build, calls):
+# one kernel run per distinct input
+@pytest.mark.parametrize("build,calls", [
+    (scenario_input_scale_shift, (0, 3, 3, 1, 4)),
+    (scenario_stale_stats, (74, 1, 37, 0, 74)),
+    (scenario_break_even, (0, 140, 140, 60, 200)),
+], ids=[f"simulated-{name}" for name in (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN)])
+def test_kernel_calls_at_seed1(monkeypatch, build, calls):
     counts = Counter()
 
     def counting(name):
@@ -709,7 +686,7 @@ def test_kernel_calls_at_seed1(monkeypatch, clock, queries, build, calls):
 
     for name in KERNELS:
         monkeypatch.setattr(engine, name, counting(name))
-    run_scenario(build(seed=1, query_count=queries), clock)
+    run_scenario(build(seed=1), SimulatedClock(sigma=0.05))
     assert tuple(counts[name] for name in KERNELS) == calls
 
 
@@ -767,7 +744,7 @@ def test_report_emit_files_and_determinism(tmp_path):
 
 
 def test_report_emit_marks_failed_rows(tmp_path):
-    report = build_report("stale_stats", BASELINE, 1, "simulated", "manual",
+    report = build_report("stale_stats", BASELINE, 1, "manual",
                           [SampleRow("q000", 5.0, False), SampleRow("q001", 3.0, True),
                            SampleRow("q002", 7.0, False)])
     report_emit(report, tmp_path)
@@ -823,9 +800,9 @@ def test_mode_whose_every_query_fails_is_reported(tmp_path):
 
 
 def test_summarize_and_compare_output():
-    report = build_report("stale_stats", BASELINE, 1, "simulated", "manual",
+    report = build_report("stale_stats", BASELINE, 1, "manual",
                           [SampleRow("q000", 10.0, False), SampleRow("q001", 20.0, False)])
-    other = build_report("stale_stats", ORCHESTRATED, 1, "simulated", "calibrated",
+    other = build_report("stale_stats", ORCHESTRATED, 1, "calibrated",
                          [SampleRow("q000", 1.0, False), SampleRow("q001", 2.0, False)])
     text = compare_reports({BASELINE: report, ORCHESTRATED: other})
     assert "p99" in text and "ratios vs baseline" in text

@@ -91,8 +91,8 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # mem_high was a config field; a file that still has it is rejected too
-    for key in ("nonsense", "mem_high"):
+    # mem_high and clock were config fields; a file that still has one is rejected too
+    for key in ("nonsense", "mem_high", "clock"):
         cfg.write_text(json.dumps({key: 1}))
         code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path))
         assert code == EXIT_VALIDATION
@@ -116,7 +116,7 @@ def test_each_command_config_holds_the_shared_and_its_own_fields():
     assert shared == {"seed", "sigma", "out", "rho_join", "offload_margin"}
     run, calibrate = set(RunConfig.__dataclass_fields__), set(CalibrateConfig.__dataclass_fields__)
     assert run & calibrate == shared
-    assert (len(run), len(calibrate)) == (14, 10)
+    assert (len(run), len(calibrate)) == (13, 10)
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -252,7 +252,12 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
     ("baseline,q000,5.0,0\n", "does not start with the header"),
     ("mode,query_id,latency,failed\nbaseline,q000,fast,0\n", "'fast', not a number"),
     ("mode,query_id,latency,failed\n", "no rows in"),
-], ids=["no_header", "latency_not_a_number", "no_rows"])
+    ("mode,query_id,latency,failed\nbaseline,q000,nan,0\n", "q000 has latency 'nan'"),
+    ("mode,query_id,latency,failed\nbaseline,q000,-3,0\n", "q000 has latency '-3'"),
+    ("mode,query_id,latency,failed\nbaseline,q000,5.0\n", "q000 has failed None"),
+    ("mode,query_id,latency,failed\nbaseline,q000,5.0,yes\n", "q000 has failed 'yes'"),
+], ids=["no_header", "latency_not_a_number", "no_rows", "latency_nan", "latency_negative",
+        "no_failed_cell", "failed_not_0_or_1"])
 def test_report_malformed_samples_exits_1(tmp_path, capsys, text, message):
     path = tmp_path / "samples.csv"
     path.write_text(text)
@@ -333,7 +338,7 @@ def test_report_reprints_run_comparison(tmp_path, capsys):
     rows = list(orch.rows)
     rows[3] = replace(rows[3], failed=True)
     reports[ORCHESTRATED] = bench.build_report(
-        orch.scenario, orch.mode, orch.seed, orch.clock_mode, orch.thresholds_source, rows)
+        orch.scenario, orch.mode, orch.seed, orch.thresholds_source, rows)
     paths = [str(path) for report in reports.values()
              for path in bench.report_emit(report, tmp_path) if path.name == "samples.csv"]
     assert run_cli("report", *paths) == EXIT_OK
@@ -692,14 +697,6 @@ def test_modes_flag_writes_only_those_modes(tmp_path):
                    "--out", str(tmp_path)) == EXIT_OK
     written = {p.name for p in (tmp_path / "input_scale_shift").iterdir() if p.is_dir()}
     assert written == {"baseline", "orchestrated"}
-
-
-def test_wall_clock_flag_reaches_summary(tmp_path):
-    assert run_cli("run", "--queries", "3", "--fact-rows", "300", "--dim-rows", "300",
-                   "--clock", "wall", "--out", str(tmp_path)) == EXIT_OK
-    for mode in ("baseline", "independent_gates", "orchestrated"):
-        summary = (tmp_path / "input_scale_shift" / mode / "summary.txt").read_text()
-        assert "clock       wall\n" in summary
 
 
 def test_calibrate_sizes_and_repetitions_set_measurements(tmp_path):

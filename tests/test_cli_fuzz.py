@@ -64,7 +64,6 @@ SIZES = st.lists(st.one_of(st.integers(-2, 10**6), HUGE), max_size=4, unique=Tru
 # values that pass a field's type check more often than ANY's
 NAMED = {
     "scenario": st.sampled_from(SCENARIO_NAMES),
-    "clock": st.sampled_from(("simulated", "wall")),
     "modes": st.lists(st.sampled_from((*MODES, "bogus")), max_size=4),
     "sizes": SIZES,
     "thresholds_file": st.sampled_from(("", "missing.json", ".")),   # "." is a directory

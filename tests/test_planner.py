@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -85,12 +86,24 @@ def test_negative_coefficients_rejected(default_model):
         dataclasses.replace(default_model, join=JoinCost(-0.1, 0, 0, 0))
 
 
+def test_infinite_coefficient_rejected(default_model):
+    with pytest.raises(ValidationError, match="finite"):
+        dataclasses.replace(default_model, cpu={**default_model.cpu, FILTER: math.inf})
+
+
 def test_model_break_even_analytic(default_model):
     assert model_break_even(default_model, FILTER) == pytest.approx(10000.0)
     flat = dataclasses.replace(
         default_model, accel={FILTER: AcceleratorCost(0.0, 1.0),
                               AGGREGATE: AcceleratorCost(0.0, 1.0)})
     assert model_break_even(flat, FILTER) is None  # equal slopes never cross
+
+
+def test_model_break_even_without_setup_cost_is_none(default_model):
+    # the lines meet at n = 0, and a threshold takes no N* of 0
+    free = dataclasses.replace(
+        default_model, accel={**default_model.accel, FILTER: AcceleratorCost(0.0, 0.2)})
+    assert model_break_even(free, FILTER) is None
 
 
 # ── plan() ─────────────────────────────────────────────────────────────────

@@ -145,6 +145,11 @@ def test_threshold_validation():
         Thresholds(offload_margin=0.9)
 
 
+def test_offload_margin_of_exactly_one_accepted():
+    # a margin of 1 offloads at the break-even size itself
+    assert Thresholds(offload_margin=1.0).offload_margin == 1.0
+
+
 @pytest.mark.parametrize("n_star", [0, 0.0, -0.0, -1, -1e-300, -math.inf, math.nan])
 def test_break_even_neither_positive_nor_inf_rejected(n_star):
     with pytest.raises(ValidationError, match=r"n_star\['filter'\] must be > 0 or inf"):

@@ -199,7 +199,7 @@ def reference_reports(scenario: bench.Scenario, clock: SimulatedClock,
                 values.add(result.value)
         if len(values) > 1:
             raise ResultMismatchError(f"{prepared.case.query_id}: {values}")
-    return {mode: build_report(scenario.name, mode, scenario.seed, clock.mode,
+    return {mode: build_report(scenario.name, mode, scenario.seed,
                                thresholds[mode].source, rows[mode])
             for mode in scenario.modes}
 
