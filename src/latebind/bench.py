@@ -451,13 +451,17 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
     if not path.exists():
         raise FileNotFoundError(f"samples file not found: {path}")
     modes: set[str] = set()
-    rows: list[SampleRow] = []
+    rows: dict[str, SampleRow] = {}
     with path.open(encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != SAMPLES_HEADER.split(","):
             raise ValidationError(f"{path} does not start with the header {SAMPLES_HEADER}")
         for row in reader:
             query_id, latency, failed = row["query_id"], row["latency"], row["failed"]
+            if None in row:   # DictReader's key for the cells past the header's
+                raise ValidationError(f"{path}: {query_id} has more cells than the header")
+            if query_id in rows:
+                raise ValidationError(f"{path}: {query_id} appears more than once")
             try:
                 value = float(latency)
             except (TypeError, ValueError):
@@ -468,13 +472,13 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
                                       f"not a finite number >= 0")
             if failed not in ("0", "1"):
                 raise ValidationError(f"{path}: {query_id} has failed {failed!r}, not 0 or 1")
-            rows.append(SampleRow(query_id=query_id, latency=value, failed=failed == "1"))
+            rows[query_id] = SampleRow(query_id=query_id, latency=value, failed=failed == "1")
             modes.add(row["mode"])
     if not rows:
         raise ValidationError(f"no rows in {path}")
     if len(modes) > 1:
         raise ValidationError(f"{path} mixes modes {sorted(modes)}")
-    return modes.pop(), rows
+    return modes.pop(), list(rows.values())
 
 
 def summarize(report: LatencyReport) -> str:

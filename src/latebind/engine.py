@@ -30,18 +30,21 @@ alone.
 A switch decision discards no work: variants start from the same
 materialized input, whose cost was charged once.
 
-The join kernels aggregate eagerly (Yan & Larson, "Eager Aggregation and
-Lazy Aggregation", VLDB 1995): a join yields its output row count and, per
-carried column, how many output rows each of that column's rows is in.
-The aggregate above it takes the int64 sum weighted by those counts, which
+Every plan has one shape: the fact table scanned and optionally filtered,
+the dim table scanned for its key, their join, and a count of its rows or a
+sum over a fact column.  The join kernels aggregate eagerly (Yan & Larson,
+"Eager Aggregation and Lazy Aggregation", VLDB 1995): a join yields its
+output row count and, per carried column, how many output rows each of that
+column's rows is in; execute carries the summed fact column alone.  The
+aggregate above it takes the int64 sum weighted by those counts, which
 equals the sum over the built rows, so the aggregate's own kernel still
-does the reduction.  The output is
-charged as if materialized, a row of every carried column per output row,
-so spills and hard-cap failures are those of an engine that builds the
-rows.  The literal nested loop compares a block of build rows with every
-probe row at once and adds the block's matches per probe row as uint8 (a
-block has at most 255 rows, so the count cannot wrap); it counts matches
-per build row only when a build column is carried.
+does the reduction.  The output is charged as if materialized, a row of
+every carried column per output row, so spills and hard-cap failures are
+those of an engine that builds the rows.  The literal nested loop compares
+a block of build rows with every probe row at once and adds the block's
+matches per probe row as uint8 (a block has at most 255 rows, so the count
+cannot wrap); both kernels count matches per build row only for carried
+build columns, which execute never passes.
 
 Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
@@ -71,8 +74,8 @@ from .clock import SimulatedClock
 from .datagen import Table
 from .errors import MemoryBudgetExceeded, ValidationError
 # predicted_cost is not called here; perfbench/layers.py wraps engine.predicted_cost
-from .planner import (AnnotatedPlan, CPU, CostModel, HASH_JOIN,
-                      NESTED_LOOP, VARIANTS, PlanNode, cost as model_cost, predicted_cost)
+from .planner import (AnnotatedPlan, CPU, CostModel, HASH_JOIN, NESTED_LOOP, VARIANTS,
+                      PlanNode, Query, cost as model_cost, predicted_cost)
 from .policy import BASELINE, KEEP, MODES, SWITCH, RiskVector, Thresholds
 from .rng import derive_seed
 from .stats import Predicate
@@ -306,29 +309,18 @@ def _shared(store: Optional[dict], tag: tuple, arrays: tuple[np.ndarray, ...],
 # ── execution ──────────────────────────────────────────────────────────────
 
 
-def _needed_columns(plan: AnnotatedPlan, tables: dict[str, Table],
-                    ) -> tuple[list[str], list[str], Optional[str], str]:
-    """Columns to materialize per side, plus the aggregate column and its side
-    (found in the tables, since statistics need not describe it)."""
-    q = plan.query
-    left_cols = {q.left_key}
-    right_cols = {q.right_key}
+def _fact_columns(q: Query, fact: Table) -> list[str]:
+    """The fact columns a query reads: its key, its filter's column and the
+    summed column (found in the table, since statistics need not describe it)."""
+    cols = {q.left_key}
     if q.left_filter:
-        left_cols.add(q.left_filter.column)
-    if q.right_filter:
-        right_cols.add(q.right_filter.column)
-    agg_col = q.aggregate.column
-    agg_side = ""
+        cols.add(q.left_filter.column)
     if q.aggregate.op == "sum":
-        if agg_col in tables[q.left_table].columns:
-            left_cols.add(agg_col)
-            agg_side = "left"
-        elif agg_col in tables[q.right_table].columns:
-            right_cols.add(agg_col)
-            agg_side = "right"
-        else:
-            raise ValidationError(f"aggregate column {agg_col!r} not found on either side")
-    return sorted(left_cols), sorted(right_cols), agg_col, agg_side
+        if q.aggregate.column not in fact.columns:
+            raise ValidationError(f"aggregate column {q.aggregate.column!r} is not a column "
+                                  f"of fact table {q.left_table!r}")
+        cols.add(q.aggregate.column)
+    return sorted(cols)
 
 
 def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
@@ -355,7 +347,8 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         if tables[name].generation < plan.stats[name].captured_generation:
             raise ValidationError(f"table {name!r} regressed below its statistics generation")
 
-    left_cols, right_cols, agg_col, agg_side = _needed_columns(plan, tables)
+    fact, dim = tables[q.left_table], tables[q.right_table]
+    left_cols = _fact_columns(q, fact)
     noise_seed = derive_seed(seed, "clock")
 
     trace = ExecutionTrace()
@@ -400,18 +393,17 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
     result = None
     try:
-        fact, dim = tables[q.left_table], tables[q.right_table]
         left = run_branch(plan.left_scan, plan.left_filter, fact, left_cols, 0)
         left_bytes = VALUE_BYTES * left[q.left_key].size * len(left_cols)
-        right = run_branch(plan.right_scan, plan.right_filter, dim, right_cols, left_bytes)
+        right = run_branch(plan.right_scan, None, dim, [q.right_key], left_bytes)
 
         probe_key, build_key = left[q.left_key], right[q.right_key]
         n_probe, n_build = int(probe_key.size), int(build_key.size)
         variant = decision_hook(plan.join, n_probe, mode, thresholds)
         kernel_name = join_kernel(variant, n_probe * n_build, config.nl_pair_cap)
 
-        carried = {agg_col: left[agg_col]} if agg_side == "left" else {}
-        build_carried = {agg_col: right[agg_col]} if agg_side == "right" else {}
+        agg_col = q.aggregate.column
+        carried = {agg_col: left[agg_col]} if q.aggregate.op == "sum" else {}
         # an output whose inputs are all table columns lives as long as the
         # tables: the hash build's when the build side is, the join's when
         # both sides are.  A side is its table's own arrays (a scan, or a
@@ -422,21 +414,20 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
 
         def run_join() -> tuple[int, dict[str, np.ndarray]]:
             if kernel_name == NESTED_LOOP:
-                return _nested_loop_join(probe_key, build_key, carried, build_carried,
-                                         BATCH_SIZE)
+                return _nested_loop_join(probe_key, build_key, carried, {}, BATCH_SIZE)
             build = _shared(build_store, ("build",), (build_key,),
                             lambda: _hash_build(build_key))
-            return _hash_join(probe_key, build_key, carried, build_carried, build)
+            return _hash_join(probe_key, build_key, carried, {}, build)
 
-        right_bytes = VALUE_BYTES * n_build * len(right_cols)
+        right_bytes = VALUE_BYTES * n_build
         build_bytes = right_bytes if variant == HASH_JOIN else 0
         # the output is charged as if materialized: a row of every carried column
-        row_bytes = VALUE_BYTES * (len(carried) + len(build_carried))
+        row_bytes = VALUE_BYTES * len(carried)
         n_join, join_weights = run_node(
             plan.join, variant, (float(n_probe), float(n_build)), n_probe,
             kernel=lambda: _shared(
-                join_store, ("join", kernel_name, tuple(carried), tuple(build_carried)),
-                (probe_key, build_key, *carried.values(), *build_carried.values()), run_join),
+                join_store, ("join", kernel_name, tuple(carried)),
+                (probe_key, build_key, *carried.values()), run_join),
             working_set=lambda out: left_bytes + right_bytes + build_bytes + out[0] * row_bytes,
             kernel_name=kernel_name)
 
@@ -445,7 +436,7 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         def run_agg() -> int:
             if q.aggregate.op == "count":
                 return n_join
-            col, weights = (carried or build_carried)[agg_col], join_weights[agg_col]
+            col, weights = carried[agg_col], join_weights[agg_col]
             return _shared(memo.group, ("sum",), (col, weights),
                            lambda: _output_sum(col, weights))
 

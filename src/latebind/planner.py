@@ -1,10 +1,11 @@
 """Cost-based planning with late-bind annotations.
 
-The plan shape is fixed (scan -> optional filter per side -> join ->
-aggregate); planning only selects strategy variants.  A node's kind fixes
-whether it is a late-bind candidate and which variants it has (VARIANTS):
-the join and the offloadable primitives (filter, aggregate) are, with the
-modeled-cost argmin bound as the default choice.  Ties break
+The plan shape is fixed: a scan of the fact (left) table with an optional
+filter, a scan of the dim (right) table, their join, and a count or a sum
+of a fact column; planning only selects strategy variants.  A node's kind
+fixes whether it is a late-bind candidate and which variants it has
+(VARIANTS): the join and the offloadable primitives (filter, aggregate)
+are, with the modeled-cost argmin bound as the default choice.  Ties break
 lexicographically on variant name so plans are deterministic.
 
 CostModel has one coefficient per cost term: a per-row CPU cost per kind,
@@ -57,7 +58,11 @@ class Query:
     right_key: str
     aggregate: AggSpec
     left_filter: Optional[Predicate] = None
-    right_filter: Optional[Predicate] = None
+    right_filter: Optional[Predicate] = None   # read by perfbench/oracle.py; always None
+
+    def __post_init__(self):
+        if self.right_filter is not None:
+            raise ValidationError("only the fact (left) side of a query takes a filter")
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,6 @@ class AnnotatedPlan:
     join: PlanNode
     aggregate: PlanNode
     left_filter: Optional[PlanNode] = None
-    right_filter: Optional[PlanNode] = None
     stats: dict[str, TableStats] = field(default_factory=dict)
 
 
@@ -183,20 +187,15 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
     left_stats = stats[query.left_table]
     right_stats = stats[query.right_table]
 
-    def branch(side: str, tstats: TableStats, flt: Optional[Predicate],
-               ) -> tuple[PlanNode, Optional[PlanNode], float]:
-        scan_est = float(tstats.row_count)
-        scan = PlanNode(node_id=f"scan_{side}", kind=SCAN, chosen=CPU, est_input=scan_est)
-        if flt is None:
-            return scan, None, scan_est
-        out_est = scan_est * estimate_selectivity(tstats.column(flt.column), flt)
-        fnode = PlanNode(node_id=f"filter_{side}", kind=FILTER,
-                         chosen=_argmin_variant(FILTER, (scan_est,), model),
-                         est_input=scan_est, predicate=flt)
-        return scan, fnode, out_est
-
-    left_scan, left_filter, left_est = branch("left", left_stats, query.left_filter)
-    right_scan, right_filter, right_est = branch("right", right_stats, query.right_filter)
+    left_est, right_est = float(left_stats.row_count), float(right_stats.row_count)
+    left_scan = PlanNode(node_id="scan_left", kind=SCAN, chosen=CPU, est_input=left_est)
+    right_scan = PlanNode(node_id="scan_right", kind=SCAN, chosen=CPU, est_input=right_est)
+    left_filter, flt = None, query.left_filter
+    if flt is not None:
+        left_filter = PlanNode(node_id="filter_left", kind=FILTER,
+                               chosen=_argmin_variant(FILTER, (left_est,), model),
+                               est_input=left_est, predicate=flt)
+        left_est *= estimate_selectivity(left_stats.column(flt.column), flt)
 
     ndv_left = left_stats.column(query.left_key).ndv
     ndv_right = right_stats.column(query.right_key).ndv
@@ -211,7 +210,7 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
     return AnnotatedPlan(query=query, cost_model=model,
                          left_scan=left_scan, right_scan=right_scan,
                          join=join_node, aggregate=agg_node,
-                         left_filter=left_filter, right_filter=right_filter,
+                         left_filter=left_filter,
                          stats={left_stats.table: left_stats, right_stats.table: right_stats})
 
 

@@ -137,7 +137,7 @@ def disabled_thresholds() -> Thresholds:
 
 
 def plan_nodes(p: AnnotatedPlan) -> list[PlanNode]:
-    """A plan's nodes in execution order (left branch, right branch, join,
+    """A plan's nodes in execution order (left branch, right scan, join,
     aggregate), which is the order of an execution's trace records."""
-    return [node for node in (p.left_scan, p.left_filter, p.right_scan, p.right_filter,
-                              p.join, p.aggregate) if node is not None]
+    return [node for node in (p.left_scan, p.left_filter, p.right_scan, p.join, p.aggregate)
+            if node is not None]

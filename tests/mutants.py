@@ -45,7 +45,7 @@ MUTATIONS = {
         "engine.py", "left_bytes = VALUE_BYTES * left[q.left_key].size * len(left_cols)",
         "left_bytes = VALUE_BYTES * (left[q.left_key].size + fact.row_count) * len(left_cols)"),
     "right_branch_without_left": (
-        "engine.py", "dim, right_cols, left_bytes)", "dim, right_cols, 0)"),
+        "engine.py", "dim, [q.right_key], left_bytes)", "dim, [q.right_key], 0)"),
     "filter_without_scan_bytes": (
         "engine.py", "earlier + (n + kept[pred.column].size) * per_row",
         "earlier + kept[pred.column].size * per_row"),
@@ -91,6 +91,15 @@ MUTATIONS = {
     "fit_crossing_at_zero_kept": ("accel.py", "if n_est <= 0:", "if n_est < 0:"),
     "run_scenario_without_memo": (
         "bench.py", "memo = KernelMemo(table_set=group.store, group={})", "memo = None"),
+    "right_filter_accepted": ("planner.py", "if self.right_filter is not None:", "if False:"),
+    "dim_column_summed": ("engine.py", "if q.aggregate.column not in fact.columns:",
+                          "if False:"),
+    "drift_at_fraction": ("bench.py", "stream_unit(sched, test_at, 1)[0] < drift_fraction",
+                          "stream_unit(sched, test_at, 1)[0] <= drift_fraction"),
+    "crossover_from_equal_means": ("accel.py", "diffs[i - 1] < 0 <= diffs[i]",
+                                   "diffs[i - 1] <= 0 <= diffs[i]"),
+    "crossover_past_equal_means": ("accel.py", "diffs[i - 1] < 0 <= diffs[i]",
+                                   "diffs[i - 1] < 0 < diffs[i]"),
 }
 
 

@@ -217,6 +217,35 @@ def test_break_even_without_measured_crossover_is_none():
     assert break_even(cpu_fit, acc_fit, cpu_ms + acc_ms) is None
 
 
+def measured_differences(cpu_costs: list[list[float]]) -> list[Measurement]:
+    """Measurements at sizes 100, 200, ...: the given cpu costs at each size,
+    and an accelerator cost of 10 per measurement."""
+    out = []
+    for i, costs in enumerate(cpu_costs):
+        n = 100 * (i + 1)
+        out += [Measurement("filter", CPU, n, c) for c in costs]
+        out += [Measurement("filter", ACCELERATOR, n, 10.0) for _ in costs]
+    return out
+
+
+# fitted lines that cross at n = 10000, so only the measured crossover decides
+CROSSING_FITS = (LineFit(CPU, "filter", 1.0, 0.0, 0.0),
+                 LineFit(ACCELERATOR, "filter", 0.2, 8000.0, 0.0))
+
+
+def test_observed_crossover_at_a_size_of_equal_means():
+    # cpu minus accelerator means: -1 at 100, 0 at 200, +1 at 300; the
+    # measured costs cross at 200, where the means are equal
+    measured = measured_differences([[9.0, 9.0], [8.0, 12.0], [11.0, 11.0]])
+    assert break_even(*CROSSING_FITS, measured).n_star_observed == 200.0
+
+
+def test_equal_means_at_the_first_size_are_no_crossover():
+    # differences 0, +1, +2: the cpu never costs less, so nothing crosses
+    measured = measured_differences([[8.0, 12.0], [11.0, 11.0], [12.0, 12.0]])
+    assert break_even(*CROSSING_FITS, measured) is None
+
+
 def test_sign_property_around_crossover():
     n_star = 10000.0
     for n in np.linspace(100, 100000, 100):

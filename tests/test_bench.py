@@ -166,6 +166,18 @@ def test_input_scale_shift_schedule_reads_positions_2i_and_2i_plus_1(seed, query
                                           scales=scales).cases == want
 
 
+@pytest.mark.parametrize("drift_fraction", [0.0, 0.2])
+def test_drift_draw_equal_to_the_fraction_keeps_the_base_table(monkeypatch, drift_fraction):
+    # a case drifts when its unit draw is below drift_fraction, so a draw of
+    # exactly drift_fraction does not; at 0 every draw, 0.0 included, keeps
+    # the base table (the zero-drift control)
+    monkeypatch.setattr(bench, "stream_unit",
+                        lambda seed, start, count: np.full(count, drift_fraction))
+    cases = scenario_input_scale_shift(seed=1, query_count=5,
+                                       drift_fraction=drift_fraction).cases
+    assert [case.fact_variant for case in cases] == [bench.BASE_VARIANT] * 5
+
+
 def test_run_scenario_deterministic_reports():
     scenario = scenario_input_scale_shift(seed=3, query_count=24)
     clock = SimulatedClock(sigma=0.05)
@@ -490,11 +502,10 @@ def count_join_kernels(monkeypatch) -> tuple[list, list]:
     return executions, calls
 
 
-@pytest.mark.parametrize("clock", [SimulatedClock(sigma=0.05)], ids=["simulated"])
-def test_nested_loop_runs_once_per_group_only_on_simulated_clock(monkeypatch, clock):
+def test_nested_loop_runs_once_per_group(monkeypatch):
     scenario = scenario_input_scale_shift(seed=3, query_count=12)
     executions, calls = count_join_kernels(monkeypatch)
-    run_scenario(scenario, clock)
+    run_scenario(scenario, SimulatedClock(sigma=0.05))
     nl_runs = [(group, seed) for group, seed, _, _, kernel in executions
                if kernel == NESTED_LOOP]
     nl_calls = [(group, seed) for group, seed, name, _ in calls if name == NESTED_LOOP]
@@ -646,8 +657,7 @@ def test_join_outputs_freed_before_next_table_is_made(monkeypatch):
     assert alive_at_generate == [0] * 13   # the dim table and 12 fact tables
 
 
-@pytest.mark.parametrize("clock", [SimulatedClock(sigma=0.05)], ids=["simulated"])
-def test_dim_hash_build_made_once_per_table_set_on_simulated_clock(monkeypatch, clock):
+def test_dim_hash_build_made_once_per_table_set(monkeypatch):
     # every fact variant is its own table set, whose store keeps the hash
     # build of the dim key as long as the fact table lives: 140 of the 200
     # sets run a hash join in some mode, 420 hash joins in all
@@ -660,7 +670,7 @@ def test_dim_hash_build_made_once_per_table_set_on_simulated_clock(monkeypatch, 
 
     monkeypatch.setattr(engine, "_hash_build", counting_build)
     scenario = scenario_break_even(seed=1)
-    run_scenario(scenario, clock)
+    run_scenario(scenario, SimulatedClock(sigma=0.05))
     assert built == [scenario.dim_spec.row_count] * 140
 
 
@@ -672,7 +682,7 @@ KERNELS = ("_filter", "_hash_build", "_hash_join", "_nested_loop_join", "_output
     (scenario_input_scale_shift, (0, 3, 3, 1, 4)),
     (scenario_stale_stats, (74, 1, 37, 0, 74)),
     (scenario_break_even, (0, 140, 140, 60, 200)),
-], ids=[f"simulated-{name}" for name in (INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN)])
+], ids=[INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN])
 def test_kernel_calls_at_seed1(monkeypatch, build, calls):
     counts = Counter()
 

@@ -256,8 +256,12 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
     ("mode,query_id,latency,failed\nbaseline,q000,-3,0\n", "q000 has latency '-3'"),
     ("mode,query_id,latency,failed\nbaseline,q000,5.0\n", "q000 has failed None"),
     ("mode,query_id,latency,failed\nbaseline,q000,5.0,yes\n", "q000 has failed 'yes'"),
+    ("mode,query_id,latency,failed\nbaseline,q000,5.0,0,extra\n",
+     "q000 has more cells than the header"),
+    ("mode,query_id,latency,failed\nbaseline,q000,5.0,0\nbaseline,q000,6.0,0\n",
+     "q000 appears more than once"),
 ], ids=["no_header", "latency_not_a_number", "no_rows", "latency_nan", "latency_negative",
-        "no_failed_cell", "failed_not_0_or_1"])
+        "no_failed_cell", "failed_not_0_or_1", "extra_cell", "repeated_query_id"])
 def test_report_malformed_samples_exits_1(tmp_path, capsys, text, message):
     path = tmp_path / "samples.csv"
     path.write_text(text)

@@ -19,7 +19,8 @@ from latebind.policy import (BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Threshol
                              static_thresholds)
 from latebind.rng import fnv1a64, stream_integers
 from latebind.stats import Predicate, capture_statistics
-from conftest import brute_force_join_count, disabled_thresholds, plan_nodes
+from conftest import (brute_force_join_count, disabled_thresholds, plan_nodes,
+                      table_from_arrays)
 
 
 def forced(plan_, join=None, left_filter=None, aggregate=None):
@@ -310,6 +311,17 @@ def test_missing_table_rejected(small_plan, small_tables):
     clock = SimulatedClock(sigma=0.0)
     with pytest.raises(ValidationError):
         execute(small_plan, {"l": small_tables["l"]}, BASELINE, Thresholds(), clock, seed=1)
+
+
+@pytest.mark.parametrize("column", ["w", "z"], ids=["dim_only", "neither"])
+def test_sum_over_a_column_the_fact_table_lacks_rejected(default_model, column):
+    # a sum reads a fact (left) column; the dim side is read for its key alone
+    tables = {"l": table_from_arrays("l", k=np.arange(4)),
+              "r": table_from_arrays("r", k=np.arange(4), w=np.arange(4) * 10)}
+    stats = {name: capture_statistics(t) for name, t in tables.items()}
+    p = plan(Query("l", "r", "k", "k", AggSpec("sum", column)), stats, default_model)
+    with pytest.raises(ValidationError, match=f"{column!r} is not a column of fact table 'l'"):
+        execute(p, tables, BASELINE, Thresholds(), SimulatedClock(sigma=0.0), seed=1)
 
 
 def test_nested_loop_kernel_matches_hash_kernel_bits(default_model):

@@ -109,6 +109,12 @@ def test_model_break_even_without_setup_cost_is_none(default_model):
 # ── plan() ─────────────────────────────────────────────────────────────────
 
 
+def test_query_with_a_right_filter_rejected():
+    # the dim (right) table is scanned whole; only the fact side takes a filter
+    with pytest.raises(ValidationError, match="only the fact"):
+        default_query(right_filter=Predicate("pk", "<", 10))
+
+
 def test_plan_chooses_argmin_join(default_model):
     stats = make_stats()
     p = plan(default_query(), stats, default_model)
