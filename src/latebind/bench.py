@@ -457,6 +457,9 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
         if reader.fieldnames != SAMPLES_HEADER.split(","):
             raise ValidationError(f"{path} does not start with the header {SAMPLES_HEADER}")
         for row in reader:
+            for key in ("mode", "query_id"):
+                if not row[key]:
+                    raise ValidationError(f"{path}: line {reader.line_num} has no {key}")
             query_id, latency, failed = row["query_id"], row["latency"], row["failed"]
             if None in row:   # DictReader's key for the cells past the header's
                 raise ValidationError(f"{path}: {query_id} has more cells than the header")

@@ -145,11 +145,14 @@ def _sample_column(col: ColumnSpec, rows: int, seed: int) -> np.ndarray:
     if col.distribution == UNIFORM:
         return stream_integers(seed, 0, rows, col.low, col.high, dtype)
     # zipf: rank 1 (most frequent) maps to the low end of the domain; ranks
-    # are added to low at int64 width, where the domain's every value fits
+    # are added to low at int64 width, where the domain's every value fits,
+    # straight into the column, allocated before the draw's temporaries
+    out = np.empty(rows, dtype=dtype)
     cdf = _zipf_cdf(col.high - col.low + 1, col.skew)
     u = stream_unit(seed, 0, rows)
     ranks = np.searchsorted(cdf, u, side="right")
-    return np.add(ranks, col.low, dtype=np.int64).astype(dtype, copy=False)
+    np.add(ranks, col.low, out=out, dtype=np.int64, casting="unsafe")
+    return out
 
 
 def generate_table(spec: TableSpec, seed: int) -> Table:

@@ -99,11 +99,13 @@ def stream_integers(seed: int, start: int, count: int, low: int, high: int,
     Uses modulo reduction; the bias is O(range / 2**64), irrelevant for
     the integer domains used here.  A range of all 2**64 values takes
     each draw as it is.  The remainder is taken as x - (x // m) * m,
-    which equals x % m for uint64 and runs faster in numpy.  A narrower
-    `dtype` keeps only the remainder's low bits, by one contiguous cast
-    (cheaper than writing the subtraction at that width through numpy's
-    casting buffers); adding `low` at that width wraps back into [low,
-    high], so the values equal the int64 draw's.
+    which equals x % m for uint64 and runs faster in numpy.  The draw
+    writes into its column, which is allocated in `dtype` before the
+    draw's uint64 temporaries, so the columns a caller keeps pack together
+    instead of each landing above the hole its temporaries leave.  The
+    column keeps only the remainder's low bits, by one contiguous cast;
+    adding `low` at that width wraps back into [low, high], so the values
+    equal the int64 draw's.
     """
     dtype = np.dtype(dtype)
     if high < low:
@@ -113,6 +115,7 @@ def stream_integers(seed: int, start: int, count: int, low: int, high: int,
     type_low, type_high = SIGNED_BOUNDS[dtype]
     if low < type_low or high > type_high:
         raise ValueError(f"range [{low}, {high}] exceeds {dtype}")
+    out = np.empty(count, dtype=dtype)
     vals = stream_u64(seed, start, count)
     if high - low < _MASK:
         m = np.uint64(high - low + 1)
@@ -120,9 +123,8 @@ def stream_integers(seed: int, start: int, count: int, low: int, high: int,
             q = vals // m
             q *= m
             vals -= q
-    if dtype.itemsize < vals.itemsize:
-        vals = vals.astype(f"u{dtype.itemsize}")
-    # the view reads the bits as astype(dtype) would convert them
-    vals = vals.view(dtype)
-    vals += dtype.type(low)
-    return vals
+    # the unsigned view takes the remainder's low bits, read as `dtype`
+    # the way astype(dtype) would convert them
+    np.copyto(out.view(f"u{dtype.itemsize}"), vals, casting="unsafe")
+    out += dtype.type(low)
+    return out

@@ -233,6 +233,28 @@ CROSSING_FITS = (LineFit(CPU, "filter", 1.0, 0.0, 0.0),
                  LineFit(ACCELERATOR, "filter", 0.2, 8000.0, 0.0))
 
 
+def test_break_even_of_fits_for_different_kinds_rejected():
+    cpu = LineFit(CPU, "filter", 1.0, 0.0, 0.0)
+    acc = LineFit(ACCELERATOR, "aggregate", 0.2, 8000.0, 0.0)
+    with pytest.raises(ValidationError, match="^fits are for different op kinds$"):
+        break_even(cpu, acc, [])
+
+
+def test_observed_crossover_reads_only_its_kinds_measurements():
+    # differences -1 at 100 and +1 at 200 cross at 150; the aggregate's cpu
+    # costs, counted as the filter's, would leave the cpu dearer at both sizes
+    measured = measured_differences([[9.0], [11.0]])
+    other = [Measurement("aggregate", CPU, n, 1000.0) for n in (100, 200)]
+    assert break_even(*CROSSING_FITS, measured + other).n_star_observed == 150.0
+
+
+def test_observed_crossover_needs_two_sizes_measured_on_both_devices():
+    measured = measured_differences([[9.0]]) + [Measurement("filter", CPU, 200, 11.0)]
+    with pytest.raises(ValidationError, match="^observed crossover needs both devices "
+                                              "measured on >= 2 shared sizes$"):
+        break_even(*CROSSING_FITS, measured)
+
+
 def test_observed_crossover_at_a_size_of_equal_means():
     # cpu minus accelerator means: -1 at 100, 0 at 200, +1 at 300; the
     # measured costs cross at 200, where the means are equal

@@ -260,8 +260,12 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
      "q000 has more cells than the header"),
     ("mode,query_id,latency,failed\nbaseline,q000,5.0,0\nbaseline,q000,6.0,0\n",
      "q000 appears more than once"),
+    ("mode,query_id,latency,failed\n,,5.0,0\n", "line 2 has no mode"),
+    ("mode,query_id,latency,failed\nbaseline,q000,5.0,0\nbaseline,,6.0,0\n",
+     "line 3 has no query_id"),
 ], ids=["no_header", "latency_not_a_number", "no_rows", "latency_nan", "latency_negative",
-        "no_failed_cell", "failed_not_0_or_1", "extra_cell", "repeated_query_id"])
+        "no_failed_cell", "failed_not_0_or_1", "extra_cell", "repeated_query_id",
+        "empty_mode", "empty_query_id"])
 def test_report_malformed_samples_exits_1(tmp_path, capsys, text, message):
     path = tmp_path / "samples.csv"
     path.write_text(text)
@@ -375,6 +379,15 @@ def test_scenario_flag_on_other_scenario_rejected(tmp_path, capsys, flag, value,
         assert code == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
         assert not (tmp_path / scenario).exists()
+
+
+def test_unknown_scenario_in_config_file_rejected(tmp_path, capsys):
+    # --scenario takes only known names, so only a config file reaches this check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "nope"}))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: unknown scenario 'nope'\n"
+    assert not (tmp_path / "nope").exists()
 
 
 def test_scenario_key_in_config_file_on_other_scenario_rejected(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -108,21 +109,39 @@ def test_zipf_generation_bounds():
     assert int(t.column("a").max()) <= 109
 
 
+# (spec, the start of its error message)
 @pytest.mark.parametrize("bad", [
-    TableSpec("t", -1, (ColumnSpec("a", 0, 9),)),
-    TableSpec("t", 10, (ColumnSpec("a", 5, 4),)),
-    TableSpec("t", 10, (ColumnSpec("a", 0, 9, distribution="zipf", skew=0.0),)),
-    TableSpec("t", 10, ()),
-    TableSpec("t", 10, (ColumnSpec("a", 0, 9), ColumnSpec("a", 0, 9))),
-    TableSpec("t", 10, (ColumnSpec("a", 0, MAX_ZIPF_DOMAIN, "zipf"),)),
-    TableSpec("t", 10, (ColumnSpec("a", -2**62, 2**62, "zipf"),)),  # np.arange comes back empty
-    TableSpec("t", 10, (ColumnSpec("a", 0, 2**63),)),
-    TableSpec("t", 10, (ColumnSpec("a", -2**63 - 1, 0),)),
-    TableSpec("t", 10, (ColumnSpec("a", 0, 2**64),)),
+    (TableSpec("t", -1, (ColumnSpec("a", 0, 9),)), "table t: row_count must be >= 0, got -1"),
+    (TableSpec("t", 10, (ColumnSpec("a", 5, 4),)), "column a: empty range [5, 4]"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, 9, distribution="zipf", skew=0.0),)),
+     "column a: zipf skew must be > 0, got 0.0"),
+    (TableSpec("t", 10, ()), "table t: at least one column required"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, 9), ColumnSpec("a", 0, 9))),
+     "table t: duplicate column names"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, MAX_ZIPF_DOMAIN, "zipf"),)),
+     "column a: zipf domain exceeds"),
+    # np.arange would come back empty
+    (TableSpec("t", 10, (ColumnSpec("a", -2**62, 2**62, "zipf"),)),
+     "column a: zipf domain exceeds"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, 2**63),)), f"column a: range [0, {2**63}] exceeds int64"),
+    (TableSpec("t", 10, (ColumnSpec("a", -2**63 - 1, 0),)),
+     f"column a: range [{-2**63 - 1}, 0] exceeds int64"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, 2**64),)), f"column a: range [0, {2**64}] exceeds int64"),
+    (TableSpec("t", 10, (ColumnSpec("", 0, 9),)), "column name must be non-empty"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, 9, distribution="normal"),)),
+     "column a: unknown distribution 'normal'"),
+    (TableSpec("", 10, (ColumnSpec("a", 0, 9),)), "table name must be non-empty"),
 ])
 def test_invalid_specs_rejected(bad):
-    with pytest.raises(ValidationError):
-        generate_table(bad, seed=1)
+    spec, message = bad
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        generate_table(spec, seed=1)
+
+
+def test_unknown_column_rejected():
+    t = generate_table(uniform_spec(3), seed=1)
+    with pytest.raises(ValidationError, match="^table t: no column 'b'$"):
+        t.column("b")
 
 
 def test_table_size_limit_checked_by_the_validator():

@@ -77,6 +77,25 @@ def test_cost_negative_cardinality_rejected(default_model):
         cost(FILTER, CPU, (-1.0,), default_model)
 
 
+@pytest.mark.parametrize("kind,variant,cards,message", [
+    (JOIN, "merge", (1.0, 1.0), "unknown join variant 'merge'"),
+    (SCAN, ACCELERATOR, (1.0,), "scan is not offloadable"),
+    (FILTER, "gpu", (1.0,), "unknown variant 'gpu' for filter"),
+])
+def test_cost_of_an_unknown_variant_rejected(default_model, kind, variant, cards, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        cost(kind, variant, cards, default_model)
+
+
+@pytest.mark.parametrize("op,column,message", [
+    ("max", "v", "unknown aggregate 'max'"),
+    ("sum", None, "sum aggregate requires a column"),
+])
+def test_invalid_aggregate_rejected(op, column, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        AggSpec(op, column)
+
+
 def test_negative_coefficients_rejected(default_model):
     with pytest.raises(ValidationError):
         dataclasses.replace(default_model, cpu={**default_model.cpu, FILTER: -0.1})

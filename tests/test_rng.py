@@ -74,6 +74,16 @@ def test_integers_reject_bounds_outside_int64(low, high):
         stream_integers(31, 0, 4, low, high)
 
 
+def test_negative_count_rejected():
+    with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+        stream_u64(31, 0, -1)
+
+
+def test_integers_reject_an_empty_range():
+    with pytest.raises(ValueError, match=r"^empty range \[5, 4\]$"):
+        stream_integers(31, 0, 4, 5, 4)
+
+
 def test_stream_is_positional():
     whole = stream_u64(9, 0, 100)
     tail = stream_u64(9, 60, 40)

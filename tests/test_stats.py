@@ -249,6 +249,22 @@ def test_selectivity_wrong_column_rejected():
         estimate_selectivity(cs, Predicate("b", "<", 5))
 
 
+def test_unknown_comparison_rejected():
+    with pytest.raises(ValidationError, match="^unknown comparison '!='$"):
+        Predicate("a", "!=", 5)
+
+
+def test_statistics_of_an_uncaptured_column_rejected():
+    stats = capture_statistics(table_from_arrays("t", a=np.arange(10)))
+    with pytest.raises(ValidationError, match="^no statistics for column 'b' of table t$"):
+        stats.column("b")
+
+
+def test_zero_buckets_rejected():
+    with pytest.raises(ValidationError, match="^bucket count must be >= 1, got 0$"):
+        capture_statistics(table_from_arrays("t", a=np.arange(10)), buckets=0)
+
+
 def test_selectivity_bounds_property():
     t = generate_table(TableSpec("t", 3000, (ColumnSpec("a", -100, 400),)), seed=9)
     cs = capture_statistics(t).column("a")
