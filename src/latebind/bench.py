@@ -500,6 +500,13 @@ def summarize(report: LatencyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ratio(base: float, value: float) -> float:
+    """base / value, with a zero value giving inf, or nan over a zero or nan base."""
+    if value == 0:
+        return math.nan if base == 0 or math.isnan(base) else math.inf
+    return base / value
+
+
 def compare_reports(reports: dict[str, LatencyReport]) -> str:
     """Side-by-side percentile table with ratios against the baseline mode."""
     header = f"{'mode':<20}{'p50':>14}{'p95':>14}{'p99':>14}{'mean':>14}{'fail':>6}"
@@ -514,6 +521,6 @@ def compare_reports(reports: dict[str, LatencyReport]) -> str:
         for mode in sorted(reports):
             r = reports[mode]
             lines.append(
-                f"{mode:<20}p50 {base.p50 / r.p50:>8.2f}  "
-                f"p95 {base.p95 / r.p95:>8.2f}  p99 {base.p99 / r.p99:>8.2f}")
+                f"{mode:<20}p50 {_ratio(base.p50, r.p50):>8.2f}  "
+                f"p95 {_ratio(base.p95, r.p95):>8.2f}  p99 {_ratio(base.p99, r.p99):>8.2f}")
     return "\n".join(lines) + "\n"

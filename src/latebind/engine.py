@@ -53,9 +53,10 @@ execution charges its own cost, but executions share
 kernel outputs by one rule: a filter, hash build, join or aggregate output
 is keyed by its kernel and the identity of its input arrays (_shared), so
 it is computed once per distinct input.  Where it lives follows from those
-inputs: a hash build or join whose inputs are all the tables' own column
-arrays lives as long as the table set, every other output as long as the
-group (the executions of one plan on one set of tables).  The filter kernel
+inputs: the hash build of the dim key, always the dim table's own array,
+lives as long as the table set, and a join lives there exactly when its
+probe key is the fact table's own array; every other output lives as long
+as the group (the executions of one plan on one set of tables).  The filter kernel
 gathers the rows its mask keeps by index, one take per column, but a mask
 that keeps every row returns its input dict itself, so the joins of such
 filters recur across groups with different predicates.
@@ -355,15 +356,12 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
     budget = config.memory_budget_bytes
     hard_cap = budget * config.hard_memory_factor
 
-    def run_node(node: PlanNode, variant: str, cards: tuple[float, ...], n_obs: int,
-                 kernel: Callable[[], object], working_set: Callable[[object], int],
-                 kernel_name: str = CPU) -> object:
-        base = model_cost(node.kind, variant, cards, TRUE_COST_MODEL)
-        out = kernel()
+    def charge(node: PlanNode, variant: str, cards: tuple[float, ...], n_obs: int,
+               working: int, kernel: str = CPU) -> None:
         # nodes run in plan order and a failure ends the run, so a node's
         # noise counter is its position in the plan: the records before it
-        charged = clock.charge(base, noise_seed, len(trace.records))
-        working = working_set(out)
+        charged = clock.charge(model_cost(node.kind, variant, cards, TRUE_COST_MODEL),
+                               noise_seed, len(trace.records))
         spilled = working > budget
         if working > hard_cap:
             raise MemoryBudgetExceeded(
@@ -372,76 +370,61 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
             charged *= SPILL_MULTIPLIER
         trace.records.append(NodeRecord(
             node_id=node.node_id, kind=node.kind, planned_variant=node.chosen,
-            executed_variant=variant, kernel=kernel_name, n_obs=n_obs,
+            executed_variant=variant, kernel=kernel, n_obs=n_obs,
             charged_cost=charged, spilled=spilled))
-        return out
-
-    def run_branch(scan_node: PlanNode, filter_node: Optional[PlanNode],
-                   table: Table, cols: list[str], earlier: int) -> dict[str, np.ndarray]:
-        # earlier: the bytes of the other branch's output, held meanwhile
-        n, per_row = table.row_count, VALUE_BYTES * len(cols)
-        out = run_node(scan_node, CPU, (float(n),), n,
-                       kernel=lambda: {c: table.column(c) for c in cols},
-                       working_set=lambda _: earlier + n * per_row)
-        if filter_node is None:
-            return out
-        variant = decision_hook(filter_node, n, mode, thresholds)
-        pred = filter_node.predicate
-        return run_node(filter_node, variant, (float(n),), n, kernel=lambda: _shared(
-            memo.group, ("filter", pred, *out), tuple(out.values()), lambda: _filter(out, pred)),
-            working_set=lambda kept: earlier + (n + kept[pred.column].size) * per_row)
 
     result = None
     try:
-        left = run_branch(plan.left_scan, plan.left_filter, fact, left_cols, 0)
-        left_bytes = VALUE_BYTES * left[q.left_key].size * len(left_cols)
-        right = run_branch(plan.right_scan, None, dim, [q.right_key], left_bytes)
+        n_fact, per_row = fact.row_count, VALUE_BYTES * len(left_cols)
+        left = {c: fact.column(c) for c in left_cols}
+        charge(plan.left_scan, CPU, (float(n_fact),), n_fact, n_fact * per_row)
+        if plan.left_filter is not None:
+            variant = decision_hook(plan.left_filter, n_fact, mode, thresholds)
+            pred = plan.left_filter.predicate
+            left = _shared(memo.group, ("filter", pred, *left), tuple(left.values()),
+                           lambda: _filter(left, pred))
+            charge(plan.left_filter, variant, (float(n_fact),), n_fact,
+                   (n_fact + left[pred.column].size) * per_row)
+        probe_key = left[q.left_key]
+        n_probe = probe_key.size
+        left_bytes = n_probe * per_row
 
-        probe_key, build_key = left[q.left_key], right[q.right_key]
-        n_probe, n_build = int(probe_key.size), int(build_key.size)
+        # the fact side's output is held while the dim side is scanned for its key
+        build_key = dim.column(q.right_key)
+        n_build = dim.row_count
+        right_bytes = VALUE_BYTES * n_build
+        charge(plan.right_scan, CPU, (float(n_build),), n_build, left_bytes + right_bytes)
+
         variant = decision_hook(plan.join, n_probe, mode, thresholds)
-        kernel_name = join_kernel(variant, n_probe * n_build, config.nl_pair_cap)
-
+        kernel = join_kernel(variant, n_probe * n_build, config.nl_pair_cap)
         agg_col = q.aggregate.column
         carried = {agg_col: left[agg_col]} if q.aggregate.op == "sum" else {}
-        # an output whose inputs are all table columns lives as long as the
-        # tables: the hash build's when the build side is, the join's when
-        # both sides are.  A side is its table's own arrays (a scan, or a
-        # filter that keeps every row) or gathered copies of all of them, so
-        # its key tells which
-        build_store = memo.table_set if build_key is dim.columns[q.right_key] else memo.group
-        join_store = build_store if probe_key is fact.columns[q.left_key] else memo.group
+        # outputs of table columns alone live as long as the tables: the dim
+        # key's hash build, and the join when no filter gathered its probe key
+        join_store = memo.table_set if probe_key is fact.columns[q.left_key] else memo.group
 
-        def run_join() -> tuple[int, dict[str, np.ndarray]]:
-            if kernel_name == NESTED_LOOP:
+        def join() -> tuple[int, dict[str, np.ndarray]]:
+            if kernel == NESTED_LOOP:
                 return _nested_loop_join(probe_key, build_key, carried, {}, BATCH_SIZE)
-            build = _shared(build_store, ("build",), (build_key,),
+            build = _shared(memo.table_set, ("build",), (build_key,),
                             lambda: _hash_build(build_key))
             return _hash_join(probe_key, build_key, carried, {}, build)
 
-        right_bytes = VALUE_BYTES * n_build
+        n_join, join_weights = _shared(join_store, ("join", kernel, tuple(carried)),
+                                       (probe_key, build_key, *carried.values()), join)
         build_bytes = right_bytes if variant == HASH_JOIN else 0
         # the output is charged as if materialized: a row of every carried column
         row_bytes = VALUE_BYTES * len(carried)
-        n_join, join_weights = run_node(
-            plan.join, variant, (float(n_probe), float(n_build)), n_probe,
-            kernel=lambda: _shared(
-                join_store, ("join", kernel_name, tuple(carried)),
-                (probe_key, build_key, *carried.values()), run_join),
-            working_set=lambda out: left_bytes + right_bytes + build_bytes + out[0] * row_bytes,
-            kernel_name=kernel_name)
+        charge(plan.join, variant, (float(n_probe), float(n_build)), n_probe,
+               left_bytes + right_bytes + build_bytes + n_join * row_bytes, kernel)
 
         variant = decision_hook(plan.aggregate, n_join, mode, thresholds)
-
-        def run_agg() -> int:
-            if q.aggregate.op == "count":
-                return n_join
+        value = n_join
+        if carried:
             col, weights = carried[agg_col], join_weights[agg_col]
-            return _shared(memo.group, ("sum",), (col, weights),
-                           lambda: _output_sum(col, weights))
-
-        value = run_node(plan.aggregate, variant, (float(n_join),), n_join, kernel=run_agg,
-                         working_set=lambda _: n_join * row_bytes)
+            value = _shared(memo.group, ("sum",), (col, weights),
+                            lambda: _output_sum(col, weights))
+        charge(plan.aggregate, variant, (float(n_join),), n_join, n_join * row_bytes)
         result = QueryResult(value=int(value))
     except MemoryBudgetExceeded as exc:
         trace.failed, trace.failure = True, str(exc)

@@ -41,20 +41,26 @@ MUTATIONS = {
     "spill_at_budget": ("engine.py", "spilled = working > budget",
                         "spilled = working >= budget"),
     "fail_at_hard_cap": ("engine.py", "if working > hard_cap:", "if working >= hard_cap:"),
-    "scan_output_kept": (
-        "engine.py", "left_bytes = VALUE_BYTES * left[q.left_key].size * len(left_cols)",
-        "left_bytes = VALUE_BYTES * (left[q.left_key].size + fact.row_count) * len(left_cols)"),
-    "right_branch_without_left": (
-        "engine.py", "dim, [q.right_key], left_bytes)", "dim, [q.right_key], 0)"),
-    "filter_without_scan_bytes": (
-        "engine.py", "earlier + (n + kept[pred.column].size) * per_row",
-        "earlier + kept[pred.column].size * per_row"),
-    "join_output_free": ("engine.py", "build_bytes + out[0] * row_bytes,", "build_bytes,"),
-    "aggregate_holds_nothing": ("engine.py", "working_set=lambda _: n_join * row_bytes",
-                                "working_set=lambda _: 0"),
+    "scan_output_kept": ("engine.py", "left_bytes = n_probe * per_row",
+                         "left_bytes = (n_probe + n_fact) * per_row"),
+    "right_branch_without_left": ("engine.py", "n_build, left_bytes + right_bytes)",
+                                  "n_build, right_bytes)"),
+    "filter_without_scan_bytes": ("engine.py", "(n_fact + left[pred.column].size) * per_row",
+                                  "left[pred.column].size * per_row"),
+    "join_output_free": ("engine.py", "build_bytes + n_join * row_bytes, kernel)",
+                         "build_bytes, kernel)"),
+    "aggregate_holds_nothing": ("engine.py", "n_join, n_join * row_bytes)", "n_join, 0)"),
     "empty_latency_sum_int": (
         "engine.py", "sum((record.charged_cost for record in trace.records), 0.0)",
         "sum(record.charged_cost for record in trace.records)"),
+    "gathered_join_in_table_store": (
+        "engine.py",
+        "join_store = memo.table_set if probe_key is fact.columns[q.left_key] else memo.group",
+        "join_store = memo.table_set"),
+    "table_join_in_group_store": (
+        "engine.py",
+        "join_store = memo.table_set if probe_key is fact.columns[q.left_key] else memo.group",
+        "join_store = memo.group"),
     "nested_loop_cap_exclusive": ("engine.py", "and pairs <= pair_cap:",
                                   "and pairs < pair_cap:"),
     "estimate_floor_half": ("engine.py", "n_obs / max(1.0, node.est_input)",

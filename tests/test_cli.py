@@ -285,6 +285,20 @@ def test_report_of_a_mode_whose_every_query_failed(tmp_path, capsys):
     assert out[3].startswith("baseline            p50      nan")
 
 
+@pytest.mark.parametrize("base,latency,ratio", [
+    ("5.0", "0.0", "inf"), ("5.0", "-0.0", "inf"), ("0.0", "0.0", "nan"), ("-0.0", "0.0", "nan"),
+], ids=["zero", "negative_zero", "zero_over_zero", "negative_zero_over_zero"])
+def test_report_of_a_zero_percentile(tmp_path, capsys, base, latency, ratio):
+    # read_samples accepts a latency of 0, so a percentile can be 0
+    a, b = tmp_path / "baseline.csv", tmp_path / "orch.csv"
+    a.write_text(f"mode,query_id,latency,failed\nbaseline,q000,{base},0\n")
+    b.write_text(f"mode,query_id,latency,failed\norchestrated,q000,{latency},0\n")
+    assert run_cli("report", str(a), str(b)) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"{'orchestrated':<20}" + "  ".join(
+        f"{p} {ratio:>8}" for p in ("p50", "p95", "p99"))
+
+
 def test_run_whose_every_query_fails_exits_0(tmp_path, capsys, monkeypatch):
     # a 64 KiB budget puts every scan of the fact table over the hard cap
     monkeypatch.setattr(bench, "EngineConfig",

@@ -255,6 +255,39 @@ def test_working_set_at_the_hard_cap_does_not_fail(small_plan, small_tables, cap
     assert (trace.failed, trace.failure.startswith("join: ")) == (failed, failed)
 
 
+# Values held by each node that can fail first, in plan order, under a hash
+# join: 20 fact rows of 2 columns read (k, and v, filtered and summed), of
+# which the filter keeps 10; 50 dim rows, more than the 20 * 2 fact values,
+# so the dim scan holds more than the filter; 50 join rows.  Each working set
+# exceeds every earlier one.  The aggregate cannot fail first: it holds the
+# join's output alone, which the join held too, so its working set never
+# exceeds the join's.
+FIRST_FAILURES = {
+    "scan_left": 20 * 2,
+    "filter_left": (20 + 10) * 2,
+    "scan_right": 10 * 2 + 50,
+    "join": 10 * 2 + 50 + 50 + 50,   # both sides, the hash build and a v per output row
+}
+
+
+@pytest.mark.parametrize("node_id", list(FIRST_FAILURES))
+def test_hard_cap_below_a_node_fails_it_after_the_earlier_nodes(default_model, node_id):
+    fact = table_from_arrays("fact", k=np.arange(20) % 10, v=np.arange(20) % 10)
+    dim = table_from_arrays("dim", pk=np.arange(50) % 10)
+    stats = {"fact": capture_statistics(fact), "dim": capture_statistics(dim)}
+    p = forced(plan(Query("fact", "dim", "k", "pk", AggSpec("sum", "v"),
+                          left_filter=Predicate("v", ">=", 5)), stats, default_model),
+               join=HASH_JOIN)
+    working = engine.VALUE_BYTES * FIRST_FAILURES[node_id]
+    config = EngineConfig(memory_budget_bytes=working - 1, hard_memory_factor=1.0)
+    result, trace = execute(p, {"fact": fact, "dim": dim}, BASELINE, Thresholds(),
+                            SimulatedClock(sigma=0.0), seed=8, config=config)
+    order = [node.node_id for node in plan_nodes(p)]
+    assert result is None
+    assert trace.failure.startswith(f"{node_id}: working set {working} exceeds")
+    assert [r.node_id for r in trace.records] == order[:order.index(node_id)]
+
+
 def test_concurrent_queries_match_sequential(small_plan, small_tables, default_model):
     from concurrent.futures import ThreadPoolExecutor
 

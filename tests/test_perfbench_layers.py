@@ -45,10 +45,16 @@ def test_traced_run_yields_every_per_layer_metric(monkeypatch, tmp_path):
                          "--out", str(tmp_path)]) == cli.EXIT_OK
     finally:
         recorder.restore()
-    metrics = layers.layer_metrics(recorder.finish())
+    recorded = recorder.finish()
+    metrics = layers.layer_metrics(recorded)
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     missing = {m["name"] for m in declared} - {"tracing_overhead_s"} - set(metrics)
     assert not missing
     # the decision path calls every wrapped name, so none of them reads 0
     for name in ("policy.decide.calls", "engine.decision_hook.s", "engine.observe.s"):
         assert metrics[name][0] > 0, name
+    # layers.join_input_key and engine.join_repeat_* read the joins that
+    # execute itself calls: each join kernel's span must open inside it
+    joins = [s for s in recorded if s.name in (layers.HASH_JOIN, layers.NESTED_LOOP)]
+    assert joins
+    assert all(s.parent >= 0 and recorded[s.parent].name == layers.EXECUTE for s in joins)
