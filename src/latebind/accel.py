@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import Optional
 
 from .clock import SimulatedClock
 from .errors import ValidationError
@@ -207,15 +207,3 @@ def calibrate_break_evens(model: CostModel, clock: SimulatedClock, seed: int,
         fits.extend([cpu_fit, acc_fit])
         results[kind] = break_even(cpu_fit, acc_fit, cpu_ms + acc_ms)
     return results, all_measurements, fits
-
-
-def measurements_csv(measurements: list[Measurement], out: IO[str]) -> None:
-    out.write("op_kind,device,n,cost\n")
-    for m in measurements:
-        out.write(f"{m.op_kind},{m.device},{m.n},{m.cost!r}\n")
-
-
-def fits_csv(fits: list[LineFit], out: IO[str]) -> None:
-    out.write("device,op_kind,slope,intercept,residual\n")
-    for f in fits:
-        out.write(f"{f.device},{f.op_kind},{f.slope!r},{f.intercept!r},{f.residual_score!r}\n")

@@ -37,7 +37,7 @@ identical inputs.
 from __future__ import annotations
 
 import csv
-import io
+import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,7 +48,8 @@ from .clock import SimulatedClock
 from .datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                       apply_drift, generate_table)
 from .engine import TRUE_COST_MODEL, EngineConfig, KernelMemo, execute
-from .errors import ResultMismatchError, ValidationError, dump_json, load_json
+from .errors import (ResultMismatchError, ValidationError, csv_text, json_fields, json_text,
+                     write_file)
 from .planner import (AggSpec, AnnotatedPlan, CostModel, Query, plan as build_plan)
 from .policy import (BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED, Thresholds,
                      calibrate, static_thresholds)
@@ -268,10 +269,7 @@ def _fact_table(scenario: Scenario, label: str, base: Optional[Table]) -> Table:
 
 
 def _roundtrip(stats: TableStats) -> TableStats:
-    buf = io.StringIO()
-    dump_json(stats, buf)
-    buf.seek(0)
-    return load_json(TableStats, buf, "statistics")
+    return TableStats(**json_fields(TableStats, json.loads(json_text(stats)), "statistics"))
 
 
 def scenario_thresholds(scenario: Scenario,
@@ -429,21 +427,12 @@ def report_emit(report: LatencyReport, out_dir: Path) -> list[Path]:
     """Write samples.csv, cdf.csv (of the successful queries) and summary.txt
     under <out>/<scenario>/<mode>/; emission is deterministic per report."""
     target = out_dir / report.scenario / report.mode
-    target.mkdir(parents=True, exist_ok=True)
-    samples_path = target / "samples.csv"
-    with samples_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SAMPLES_HEADER + "\n")
-        for row in report.rows:
-            fh.write(f"{report.mode},{row.query_id},{row.latency!r},{int(row.failed)}\n")
-    cdf_path = target / "cdf.csv"
-    with cdf_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("latency,cumulative_fraction\n")
-        for value, fraction in cdf_points(report.samples):
-            fh.write(f"{value!r},{fraction!r}\n")
-    summary_path = target / "summary.txt"
-    with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summarize(report))
-    return [samples_path, cdf_path, summary_path]
+    paths = [target / "samples.csv", target / "cdf.csv", target / "summary.txt"]
+    write_file(paths[0], csv_text(SAMPLES_HEADER, (
+        (report.mode, row.query_id, row.latency, int(row.failed)) for row in report.rows)))
+    write_file(paths[1], csv_text("latency,cumulative_fraction", cdf_points(report.samples)))
+    write_file(paths[2], summarize(report))
+    return paths
 
 
 def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
@@ -475,7 +464,9 @@ def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
                                       f"not a finite number >= 0")
             if failed not in ("0", "1"):
                 raise ValidationError(f"{path}: {query_id} has failed {failed!r}, not 0 or 1")
-            rows[query_id] = SampleRow(query_id=query_id, latency=value, failed=failed == "1")
+            # + 0.0 turns -0.0, which 0 <= passes, into 0.0
+            rows[query_id] = SampleRow(query_id=query_id, latency=value + 0.0,
+                                       failed=failed == "1")
             modes.add(row["mode"])
     if not rows:
         raise ValidationError(f"no rows in {path}")

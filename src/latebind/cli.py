@@ -21,16 +21,16 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 from . import bench
-from .accel import calibrate_break_evens, fits_csv, measurements_csv
+from .accel import calibrate_break_evens
 from .clock import SimulatedClock
 from .datagen import dump_table_csv, generate_table, load_table_spec
-from .errors import (ResultMismatchError, ValidationError, dump_json, json_fields, load_json,
-                     parse_json)
+from .errors import (ResultMismatchError, ValidationError, csv_text, json_fields, json_text,
+                     load_json, parse_json, write_file)
 from .planner import AcceleratorCost, CostModel
 from .policy import MODES, Thresholds, calibrate, calibration_report
 
@@ -76,8 +76,8 @@ class CalibrateConfig(CommonConfig):
 
 def _load_config(path: Optional[str], command: str, kind: type[CommonConfig]) -> CommonConfig:
     """The config file's settings, each of its field's type in the command's
-    config type `kind`; the "command" key that _write_config adds must name
-    the running subcommand."""
+    config type `kind`; the "command" key that run and calibrate write into
+    their config.json must name the running subcommand."""
     if not path:
         return kind()
     with open(path, encoding="utf-8") as fh:
@@ -116,12 +116,6 @@ def _banner(cfg: CommonConfig, command: str) -> str:
     return "config: " + json.dumps({**asdict(cfg), "command": command}, sort_keys=True)
 
 
-def _write_config(cfg: CommonConfig, command: str, target: Path) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8", newline="\n") as fh:
-        dump_json(cfg, fh, command=command)
-
-
 def _base_thresholds(cfg: CommonConfig) -> Thresholds:
     return Thresholds(rho_join=cfg.rho_join, offload_margin=cfg.offload_margin)
 
@@ -144,22 +138,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     thresholds = calibrate(break_evens, _base_thresholds(cfg))
 
     out_dir = Path(cfg.out) / "calibration"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "thresholds.json").open("w", encoding="utf-8", newline="\n") as fh:
-        dump_json(thresholds, fh)
-    with (out_dir / "measurements.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        measurements_csv(measurements, fh)
-    with (out_dir / "fits.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fits_csv(fits, fh)
-    with (out_dir / "break_evens.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("op_kind,n_star_estimated,n_star_observed,relative_error\n")
-        for kind, be in sorted(break_evens.items()):
-            if be is None:
-                fh.write(f"{kind},,,\n")
-            else:
-                fh.write(f"{kind},{be.n_star_estimated!r},{be.n_star_observed!r},"
-                         f"{be.relative_error!r}\n")
-    _write_config(cfg, "calibrate", out_dir / "config.json")
+    write_file(out_dir / "thresholds.json", json_text(thresholds))
+    write_file(out_dir / "measurements.csv",
+               csv_text("op_kind,device,n,cost", map(astuple, measurements)))
+    write_file(out_dir / "fits.csv",
+               csv_text("device,op_kind,slope,intercept,residual", map(astuple, fits)))
+    write_file(out_dir / "break_evens.csv", csv_text(
+        "op_kind,n_star_estimated,n_star_observed,relative_error",
+        ((kind, None, None, None) if be is None else
+         (kind, be.n_star_estimated, be.n_star_observed, be.relative_error)
+         for kind, be in sorted(break_evens.items()))))
+    write_file(out_dir / "config.json", json_text(cfg, command="calibrate"))
 
     print(calibration_report(thresholds), end="")
     missing = [kind for kind, be in break_evens.items() if be is None]
@@ -213,7 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     for report in reports.values():
         bench.report_emit(report, out_dir)
-    _write_config(cfg, "run", out_dir / scenario.name / "config.json")
+    write_file(out_dir / scenario.name / "config.json", json_text(cfg, command="run"))
     print(bench.compare_reports(reports), end="")
     print(f"wrote {out_dir / scenario.name}")
     return EXIT_OK

@@ -2,9 +2,11 @@
 it: bad input (ValidationError, exit 1), a working set over the hard memory
 cap (MemoryBudgetExceeded, one failed query) and results that diverge across
 modes (ResultMismatchError, exit 2).  Also the one JSON form of its
-documents: each is a dataclass, written by dump_json and read back by
+documents: each is a dataclass, written as json_text and read back by
 load_json, which parses it with parse_json and checks it against the
-dataclass's fields with json_fields."""
+dataclass's fields with json_fields.  Every file the package writes, but
+gen's streamed table, goes through write_file, and every CSV through
+csv_text."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import json
 import re
 import sys
 import typing
+from pathlib import Path
 
 T = typing.TypeVar("T")
 _type_hints = functools.cache(typing.get_type_hints)  # a dataclass's, resolved once
@@ -73,11 +76,27 @@ def json_fields(cls: type, doc: object, what: str) -> dict[str, object]:
     return {name: held(name, value, hints[name]) for name, value in doc.items()}
 
 
-def dump_json(obj: object, out: typing.IO[str], **extra: object) -> None:
-    """Write dataclass `obj`, and the `extra` keys beside its fields, as a
-    JSON object: indented by 2, keys sorted, a newline at the end."""
-    json.dump({**dataclasses.asdict(obj), **extra}, out, indent=2, sort_keys=True)
-    out.write("\n")
+def json_text(obj: object, **extra: object) -> str:
+    """Dataclass `obj`, and the `extra` keys beside its fields, as a JSON
+    object: indented by 2, keys sorted, a newline at the end."""
+    return json.dumps({**dataclasses.asdict(obj), **extra}, indent=2, sort_keys=True) + "\n"
+
+
+def _cell(value: object) -> str:
+    return repr(value) if isinstance(value, float) else "" if value is None else str(value)
+
+
+def csv_text(header: str, rows: typing.Iterable[typing.Iterable[object]]) -> str:
+    """The CSV of `header` (its comma-joined names) and `rows`, one line
+    each: a float cell as its repr, None as empty, any other cell by str."""
+    return "".join([header, "\n", *(",".join(map(_cell, row)) + "\n" for row in rows)])
+
+
+def write_file(path: Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 with \\n line ends, making its parent
+    directories first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def parse_json(fh: typing.IO[str]) -> object:

@@ -17,8 +17,8 @@ A kind offloads at an observed input of offload_margin x N*, its break-even
 size.  The orchestrated mode runs the rule table against calibrated N*; the
 independent-gates mode runs the same rules against N* derived statically
 from the planner's own cost model (its ablation contract: no measured
-calibration).  A thresholds file is the JSON form of Thresholds, written by
-errors.dump_json and read by errors.load_json.
+calibration).  A thresholds file is the JSON form of Thresholds, written as
+errors.json_text and read by errors.load_json.
 """
 
 from __future__ import annotations

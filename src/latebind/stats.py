@@ -5,7 +5,7 @@ distinct count, and an equi-width histogram.  A capture may name the columns
 to describe; the scenarios describe exactly the columns their plans read
 (join keys and filter columns).  Range estimates interpolate uniformly
 within buckets; equality estimates are 1/ndv inside the observed value range.
-A TableStats persists as the JSON form of its dataclass (errors.dump_json
+A TableStats persists as the JSON form of its dataclass (errors.json_text
 and errors.load_json), which holds every statistic exactly, so statistics
 captured before a drift survive it unchanged.
 """
@@ -57,7 +57,6 @@ class ColumnStats:
     max_value: int
     bucket_edges: tuple[float, ...]   # len B+1, partitions [min, max+1); empty table -> ()
     bucket_counts: tuple[int, ...]    # len B; sums to row_count
-    captured_generation: int
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,7 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
         if n == 0:
             cols[name] = ColumnStats(
                 column=name, row_count=0, ndv=0, min_value=0, max_value=0,
-                bucket_edges=(), bucket_counts=(), captured_generation=table.generation,
-            )
+                bucket_edges=(), bucket_counts=())
             continue
         lo = int(values.min())
         hi = int(values.max())
@@ -129,9 +127,7 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
         cols[name] = ColumnStats(
             column=name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
             bucket_edges=tuple(edges.tolist()),
-            bucket_counts=tuple(counts.tolist()),
-            captured_generation=table.generation,
-        )
+            bucket_counts=tuple(counts.tolist()))
     return TableStats(table=table.spec.name, row_count=table.row_count,
                       captured_generation=table.generation, columns=cols)
 

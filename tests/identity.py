@@ -2,10 +2,11 @@
 compared with one diff.
 
 The outputs are every file and the stdout of ``latebind run`` for the three
-scenarios at seeds 1, 100001 and 200001; the ``repr`` of ``run_scenario``'s
+scenarios at seeds 1, 100001 and 200001; the stdout of ``latebind report``
+over each scenario's three seed-1 ``samples.csv`` files; the ``repr`` of ``run_scenario``'s
 rows and failures per mode for the three scenarios at seed 1 under memory
 budgets of 768, 256 and 64 KiB; and every file and the stdout of
-``latebind calibrate`` at its defaults and at a second cost model.  The
+``latebind calibrate`` at its defaults and at two other cost models.  The
 output directory is masked as ``<out>`` wherever it is written.  ROOT
 (default: this file's checkout) is the checkout whose ``src`` is imported,
 so a checkout without this file can be hashed too.  pytest does not collect
@@ -27,25 +28,35 @@ from pathlib import Path
 
 SEEDS = (1, 100001, 200001)
 BUDGETS_KIB = (768, 256, 64)
+# the third never amortizes, so break_evens.csv holds only empty cells
 CALIBRATIONS = ((), ("--cpu-per-item", "0.7", "--accel-setup", "5000",
-                     "--accel-per-item", "0.3"))
+                     "--accel-per-item", "0.3"), ("--accel-per-item", "2"))
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def cli_outputs(cli, argv: list[str], label: str) -> list[str]:
-    """The hashed stdout (with the exit code) and files of one cli.main call."""
+def printed(cli, argv: list[str], tmp: str) -> str:
+    """The hash of one cli.main call's stdout, with its exit code."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    return sha(f"exit {code}\n" + stdout.getvalue().replace(tmp, "<out>"))
+
+
+def cli_outputs(cli, argv: list[str], label: str, report: bool = False) -> list[str]:
+    """The hashed stdout and files of one cli.main call, and with `report`
+    the stdout of ``latebind report`` over the samples.csv files it wrote."""
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main([*argv, "--out", tmp])
-        printed = f"exit {code}\n" + stdout.getvalue().replace(tmp, "<out>")
-        lines = [f"{sha(printed)}  {label} stdout"]
-        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
+        lines = [f"{printed(cli, [*argv, '--out', tmp], tmp)}  {label} stdout"]
+        files = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
+        for path in files:
             text = path.read_text(encoding="utf-8").replace(tmp, "<out>")
             lines.append(f"{sha(text)}  {label} {path.relative_to(tmp)}")
+        if report:
+            samples = [str(p) for p in files if p.name == "samples.csv"]
+            lines.append(f"{printed(cli, ['report', *samples], tmp)}  {label} report")
     return lines
 
 
@@ -60,7 +71,7 @@ def main(argv: list[str]) -> int:
     for name in bench.SCENARIO_NAMES:
         for seed in SEEDS:
             lines += cli_outputs(cli, ["run", "--scenario", name, "--seed", str(seed)],
-                                 f"run {name} seed {seed}")
+                                 f"run {name} seed {seed}", report=seed == 1)
     for name in bench.SCENARIO_NAMES:
         for kib in BUDGETS_KIB:
             scenario = getattr(bench, f"scenario_{name}")(seed=1)

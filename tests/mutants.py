@@ -106,6 +106,9 @@ MUTATIONS = {
                                    "diffs[i - 1] <= 0 <= diffs[i]"),
     "crossover_past_equal_means": ("accel.py", "diffs[i - 1] < 0 <= diffs[i]",
                                    "diffs[i - 1] < 0 < diffs[i]"),
+    "negative_zero_latency_kept": ("bench.py", "latency=value + 0.0,", "latency=value,"),
+    "none_cell_as_text": ("errors.py", 'else "" if value is None else str(value)',
+                          "else str(value)"),
 }
 
 

@@ -287,9 +287,12 @@ def test_report_of_a_mode_whose_every_query_failed(tmp_path, capsys):
 
 @pytest.mark.parametrize("base,latency,ratio", [
     ("5.0", "0.0", "inf"), ("5.0", "-0.0", "inf"), ("0.0", "0.0", "nan"), ("-0.0", "0.0", "nan"),
-], ids=["zero", "negative_zero", "zero_over_zero", "negative_zero_over_zero"])
+    ("-0.0", "5.0", "0.00"),
+], ids=["zero", "negative_zero", "zero_over_zero", "negative_zero_over_zero",
+        "negative_zero_over_positive"])
 def test_report_of_a_zero_percentile(tmp_path, capsys, base, latency, ratio):
-    # read_samples accepts a latency of 0, so a percentile can be 0
+    # read_samples accepts a latency of 0, so a percentile can be 0; a -0.0
+    # is read as 0.0, so no sign reaches the table
     a, b = tmp_path / "baseline.csv", tmp_path / "orch.csv"
     a.write_text(f"mode,query_id,latency,failed\nbaseline,q000,{base},0\n")
     b.write_text(f"mode,query_id,latency,failed\norchestrated,q000,{latency},0\n")
@@ -297,6 +300,7 @@ def test_report_of_a_zero_percentile(tmp_path, capsys, base, latency, ratio):
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"{'orchestrated':<20}" + "  ".join(
         f"{p} {ratio:>8}" for p in ("p50", "p95", "p99"))
+    assert not any("-0.00" in line for line in out)
 
 
 def test_run_whose_every_query_fails_exits_0(tmp_path, capsys, monkeypatch):

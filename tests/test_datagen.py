@@ -13,7 +13,7 @@ from latebind.datagen import (MAX_TABLE_BYTES, MAX_ZIPF_DOMAIN, ZIPF, ColumnSpec
                               DistributionChange, DriftSpec, TableSpec, _zipf_cdf,
                               apply_drift, column_dtype, dump_table_csv, generate_table,
                               load_table_spec)
-from latebind.errors import ValidationError, dump_json
+from latebind.errors import ValidationError, json_text, write_file
 from latebind.rng import SIGNED_BOUNDS
 
 WIDTHS = tuple(SIGNED_BOUNDS)   # column types, narrowest first
@@ -185,8 +185,7 @@ def test_spec_json_roundtrip(tmp_path):
     assert spec.name == "demo"
     assert spec.row_count == 12
     assert spec.columns[1].distribution == "zipf"
-    with open(tmp_path / "again.json", "w", encoding="utf-8") as fh:
-        dump_json(spec, fh)
+    write_file(tmp_path / "again.json", json_text(spec))
     assert load_table_spec(str(tmp_path / "again.json")) == spec
 
 

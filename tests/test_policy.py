@@ -6,7 +6,7 @@ import math
 import pytest
 
 from latebind.accel import BreakEven
-from latebind.errors import ValidationError, dump_json, load_json
+from latebind.errors import ValidationError, json_text, load_json
 from latebind.planner import (ACCELERATOR, AGGREGATE, CPU, CostModel, FILTER,
                               HASH_JOIN, JOIN, NESTED_LOOP, PlanNode)
 from latebind.policy import (RiskVector, Thresholds, calibrate, calibration_report, decide,
@@ -178,10 +178,7 @@ def test_disabled_thresholds_never_fire():
 
 def test_thresholds_roundtrip_including_disabled():
     for thr in (calibrated(rho_join=7.5), disabled_thresholds()):
-        buf = io.StringIO()
-        dump_json(thr, buf)
-        buf.seek(0)
-        assert load_json(Thresholds, buf, "threshold") == thr
+        assert load_json(Thresholds, io.StringIO(json_text(thr)), "threshold") == thr
 
 
 def test_thresholds_unknown_keys_rejected():

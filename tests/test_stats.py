@@ -10,7 +10,7 @@ from latebind.clock import SimulatedClock
 from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                               apply_drift, generate_table)
 from latebind.engine import execute
-from latebind.errors import ValidationError, dump_json, load_json
+from latebind.errors import ValidationError, json_text, load_json
 from latebind.planner import AggSpec, CostModel, Query, plan
 from latebind.policy import BASELINE, Thresholds
 from latebind.rng import fnv1a64, stream_integers
@@ -95,7 +95,7 @@ def sorted_column_stats(name: str, values: np.ndarray, buckets: int) -> ColumnSt
                        ndv=1 + int(np.count_nonzero(ordered[1:] != ordered[:-1])),
                        min_value=lo, max_value=hi,
                        bucket_edges=tuple(float(e) for e in edges),
-                       bucket_counts=tuple(int(c) for c in counts), captured_generation=0)
+                       bucket_counts=tuple(int(c) for c in counts))
 
 
 # each column's draws read the stream of a seed from position 0 on
@@ -170,7 +170,7 @@ def test_captured_generation_tracks_drift():
     t = generate_table(TableSpec("t", 100, (ColumnSpec("a", 0, 9),)), seed=1)
     stats = capture_statistics(t)
     drifted = apply_drift(t, DriftSpec(scale_factor=1.0), seed=2)
-    assert drifted.generation - stats.column("a").captured_generation == 1
+    assert drifted.generation - stats.captured_generation == 1
 
 
 def test_histogram_edges_partition_domain():
@@ -320,8 +320,5 @@ def test_stats_serialization_roundtrip():
     t = generate_table(TableSpec("t", 500, (
         ColumnSpec("a", 0, 99), ColumnSpec("b", -5, 5))), seed=44)
     stats = capture_statistics(t)
-    buf = io.StringIO()
-    dump_json(stats, buf)
-    buf.seek(0)
-    loaded = load_json(TableStats, buf, "statistics")
+    loaded = load_json(TableStats, io.StringIO(json_text(stats)), "statistics")
     assert loaded == stats
