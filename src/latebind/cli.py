@@ -6,7 +6,6 @@ Subcommands:
   run        execute a benchmark scenario under the requested modes and
              emit per-mode report files
   report     print a percentile comparison from existing samples.csv files
-  gen        dump a generated table as CSV for debugging
 
 Configuration precedence: command-line flags > --config JSON file >
 built-in defaults.  Every command echoes its resolved configuration, and
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
@@ -28,13 +26,10 @@ from typing import Callable, Optional
 from . import bench
 from .accel import calibrate_break_evens
 from .clock import SimulatedClock
-from .datagen import dump_table_csv, generate_table, load_table_spec
 from .errors import (ResultMismatchError, ValidationError, csv_text, json_fields, json_text,
                      load_json, parse_json, write_file)
 from .planner import AcceleratorCost, CostModel
 from .policy import MODES, Thresholds, calibrate, calibration_report
-
-ENV_OUT_DIR = "LATEBIND_OUT"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,10 +101,7 @@ def _comma_separated(item: type) -> Callable[[str], tuple]:
 
 
 def _resolve(args: argparse.Namespace, kind: type[CommonConfig]) -> CommonConfig:
-    cfg = _load_config(getattr(args, "config", None), args.command, kind)
-    if getattr(args, "out", None) is None and os.environ.get(ENV_OUT_DIR) and cfg.out == "out":
-        cfg = replace(cfg, out=os.environ[ENV_OUT_DIR])
-    return _apply_flags(cfg, args)
+    return _apply_flags(_load_config(args.config, args.command, kind), args)
 
 
 def _banner(cfg: CommonConfig, command: str) -> str:
@@ -222,20 +214,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    spec = load_table_spec(args.spec)
-    if args.rows is not None:
-        spec = replace(spec, row_count=args.rows)
-    table = generate_table(spec, args.seed if args.seed is not None else 1)
-    if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8", newline="\n") as fh:
-            dump_table_csv(table, fh)
-        print(f"wrote {args.out_file}")
-    else:
-        dump_table_csv(table, sys.stdout)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latebind",
@@ -248,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (default 1)")
         p.add_argument("--sigma", type=float,
                        help="simulated-clock noise sigma (default 0.05)")
-        p.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./out)")
+        p.add_argument("--out", help="output directory (default ./out)")
         p.add_argument("--rho-join", dest="rho_join", type=float,
                        help="estimate-ratio trigger for join re-selection (default 10)")
         p.add_argument("--offload-margin", dest="offload_margin", type=float,
@@ -291,12 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("paths", nargs="+", help="samples.csv paths, one per mode")
     rep.set_defaults(func=cmd_report)
 
-    gen = sub.add_parser("gen", help="generate a table and dump it as CSV")
-    gen.add_argument("--spec", required=True, help="table spec JSON file")
-    gen.add_argument("--rows", type=int, help="row count override")
-    gen.add_argument("--seed", type=int, help="generation seed (default 1)")
-    gen.add_argument("--out-file", dest="out_file", help="CSV path (default stdout)")
-    gen.set_defaults(func=cmd_gen)
     return parser
 
 

@@ -15,15 +15,13 @@ follows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, load_json
-from .rng import (INT64_MAX, INT64_MIN, SIGNED_BOUNDS, derive_seed, stream_integers,
-                  stream_unit)
+from .errors import ValidationError
+from .rng import SIGNED_BOUNDS, derive_seed, stream_integers, stream_unit
 
 UNIFORM = "uniform"
 ZIPF = "zipf"
@@ -45,9 +43,7 @@ class ColumnSpec:
             raise ValidationError("column name must be non-empty")
         if self.low > self.high:
             raise ValidationError(f"column {self.name}: empty range [{self.low}, {self.high}]")
-        if self.low < INT64_MIN or self.high > INT64_MAX:
-            raise ValidationError(f"column {self.name}: range [{self.low}, {self.high}] "
-                                  f"exceeds int64")
+        column_dtype(self)   # raises when the range exceeds int64
         if self.distribution not in (UNIFORM, ZIPF):
             raise ValidationError(f"column {self.name}: unknown distribution {self.distribution!r}")
         if self.distribution == ZIPF and not self.skew > 0:
@@ -193,23 +189,3 @@ def apply_drift(table: Table, drift: DriftSpec, seed: int) -> Table:
         columns[col.name] = _sample_column(
             col, new_rows, derive_seed(seed, f"drift/{new_spec.name}/{col.name}/{gen}"))
     return Table(spec=new_spec, generation=gen, columns=columns)
-
-
-# ── config / debug I/O ─────────────────────────────────────────────────────
-
-
-def load_table_spec(path: str) -> TableSpec:
-    """The TableSpec of a JSON file, type-checked and validated."""
-    with open(path, encoding="utf-8") as fh:
-        spec = load_json(TableSpec, fh, "table spec")
-    spec.validate()
-    return spec
-
-
-def dump_table_csv(table: Table, out: IO[str]) -> None:
-    """Write the table as CSV, header row = column names."""
-    names = [c.name for c in table.spec.columns]
-    csv.writer(out, lineterminator="\n").writerow(names)
-    # integer cells need no quoting, so each row is its cells joined by commas
-    cols = [map(str, table.columns[n].tolist()) for n in names]
-    out.writelines(f"{line}\n" for line in map(",".join, zip(*cols)))

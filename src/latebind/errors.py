@@ -4,9 +4,8 @@ cap (MemoryBudgetExceeded, one failed query) and results that diverge across
 modes (ResultMismatchError, exit 2).  Also the one JSON form of its
 documents: each is a dataclass, written as json_text and read back by
 load_json, which parses it with parse_json and checks it against the
-dataclass's fields with json_fields.  Every file the package writes, but
-gen's streamed table, goes through write_file, and every CSV through
-csv_text."""
+dataclass's fields with json_fields.  Every file the package writes goes
+through write_file, and every CSV through csv_text."""
 
 from __future__ import annotations
 

@@ -199,11 +199,16 @@ def test_result_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     assert "diverge" in capsys.readouterr().err
 
 
-def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
+def test_out_dir_ignores_environment(tmp_path, monkeypatch):
+    # flags > --config > defaults, with no variable among them: a config
+    # whose out is the default's "out" still writes to ./out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "calibrate", "out": "out"}))
     monkeypatch.setenv("LATEBIND_OUT", str(tmp_path / "envout"))
-    code = run_cli("calibrate", "--sigma", "0")
-    assert code == EXIT_OK
-    assert (tmp_path / "envout" / "calibration" / "thresholds.json").exists()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("calibrate", "--sigma", "0", "--config", str(cfg)) == EXIT_OK
+    assert (tmp_path / "out" / "calibration" / "thresholds.json").exists()
+    assert not (tmp_path / "envout").exists()
 
 
 def _write_samples(path: Path, mode: str, latencies: list[float]) -> None:
@@ -254,6 +259,7 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
     ("mode,query_id,latency,failed\n", "no rows in"),
     ("mode,query_id,latency,failed\nbaseline,q000,nan,0\n", "q000 has latency 'nan'"),
     ("mode,query_id,latency,failed\nbaseline,q000,-3,0\n", "q000 has latency '-3'"),
+    ("mode,query_id,latency,failed\nbaseline,q000,inf,0\n", "q000 has latency 'inf'"),
     ("mode,query_id,latency,failed\nbaseline,q000,5.0\n", "q000 has failed None"),
     ("mode,query_id,latency,failed\nbaseline,q000,5.0,yes\n", "q000 has failed 'yes'"),
     ("mode,query_id,latency,failed\nbaseline,q000,5.0,0,extra\n",
@@ -264,7 +270,7 @@ def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
     ("mode,query_id,latency,failed\nbaseline,q000,5.0,0\nbaseline,,6.0,0\n",
      "line 3 has no query_id"),
 ], ids=["no_header", "latency_not_a_number", "no_rows", "latency_nan", "latency_negative",
-        "no_failed_cell", "failed_not_0_or_1", "extra_cell", "repeated_query_id",
+        "latency_inf", "no_failed_cell", "failed_not_0_or_1", "extra_cell", "repeated_query_id",
         "empty_mode", "empty_query_id"])
 def test_report_malformed_samples_exits_1(tmp_path, capsys, text, message):
     path = tmp_path / "samples.csv"
@@ -478,11 +484,6 @@ def test_config_value_of_another_type_exits_1_without_traceback(tmp_path, capsys
     assert not (tmp_path / "input_scale_shift").exists()
 
 
-def column_spec(**overrides) -> dict:
-    return {"name": "t", "row_count": 5,
-            "columns": [{"name": "a", "low": 0, "high": 9, **overrides}]}
-
-
 THRESHOLDS_RUN = ("run", "--scenario", "stale_stats", "--queries", "2", "--thresholds")
 
 
@@ -491,14 +492,6 @@ THRESHOLDS_RUN = ("run", "--scenario", "stale_stats", "--queries", "2", "--thres
     (THRESHOLDS_RUN, {"n_star": {"filter": "x"}},
      "threshold key 'n_star' takes dict[str, float], not 'x'"),
     (THRESHOLDS_RUN, [1, 2], "a threshold document must be a JSON object, not [1, 2]"),
-    (("gen", "--spec"), column_spec(low="x"), "column spec key 'low' takes int, not 'x'"),
-    (("gen", "--spec"), column_spec(distribution="zipf", skew="q"),
-     "column spec key 'skew' takes float, not 'q'"),
-    (("gen", "--spec"), {"row_count": 5, "columns": column_spec()["columns"]},
-     "table spec lacks keys ['name']"),
-    # a number written as a string is no number
-    (("gen", "--spec"), {**column_spec(), "row_count": "5"},
-     "table spec key 'row_count' takes int, not '5'"),
     # a negative N* would offload every filter, a NaN one no aggregate
     (("run", "--scenario", "break_even", "--queries", "2", "--thresholds"),
      {"n_star": {"filter": -1, "aggregate": math.nan}, "source": "x"},
@@ -511,35 +504,34 @@ THRESHOLDS_RUN = ("run", "--scenario", "stale_stats", "--queries", "2", "--thres
 def test_malformed_json_file_exits_1_without_traceback(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    out = ("--out", str(tmp_path)) if argv[0] == "run" else ()
-    assert run_cli(*argv, str(path), *out) == EXIT_VALIDATION
+    assert run_cli(*argv, str(path), "--out", str(tmp_path)) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.out
 
 
 @pytest.mark.parametrize("argv", [("run", "--config"), ("calibrate", "--config"),
-                                  ("gen", "--spec"), THRESHOLDS_RUN])
+                                  ("run", "--scenario", "break_even", "--queries", "2",
+                                   "--thresholds"),
+                                  THRESHOLDS_RUN])
 def test_integer_too_long_for_int_exits_1_without_traceback(tmp_path, capsys, argv):
     # json.dumps cannot write it: int() takes at most 4300 digits
     path = tmp_path / "doc.json"
     path.write_text('{"seed": ' + "1" * 4400 + "}")
-    out = ("--out", str(tmp_path)) if argv[0] != "gen" else ()
-    assert run_cli(*argv, str(path), *out) == EXIT_VALIDATION
+    assert run_cli(*argv, str(path), "--out", str(tmp_path)) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {path}: Exceeds the limit (4300 digits) ")
 
 
-@pytest.mark.parametrize("argv", [("run", "--config"), THRESHOLDS_RUN, ("gen", "--spec")],
-                         ids=["config", "thresholds", "spec"])
+@pytest.mark.parametrize("argv", [("run", "--config"), THRESHOLDS_RUN],
+                         ids=["config", "thresholds"])
 def test_json_syntax_error_names_the_file(tmp_path, capsys, argv):
     # with --config and --thresholds both given, the line says which is bad
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text("{}")
     bad.write_text('{"seed": ')
-    other = {"--config": ("--thresholds", str(good)), "--thresholds": ("--config", str(good)),
-             "--spec": ()}[argv[-1]]
-    out = ("--out", str(tmp_path)) if argv[0] == "run" else ()
-    assert run_cli(*argv, str(bad), *other, *out) == EXIT_VALIDATION
+    other = {"--config": ("--thresholds", str(good)),
+             "--thresholds": ("--config", str(good))}[argv[-1]]
+    assert run_cli(*argv, str(bad), *other, "--out", str(tmp_path)) == EXIT_VALIDATION
     assert capsys.readouterr().err == \
         f"error: {bad}: Expecting value: line 1 column 10 (char 9)\n"
 
@@ -592,39 +584,19 @@ def test_non_integer_sizes_flag_exits_2_with_usage(tmp_path, capsys):
     assert not (tmp_path / "calibration").exists()
 
 
+def test_gen_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("gen", "--spec", "spec.json")
+    assert exit_.value.code == 2
+    assert "invalid choice: 'gen'" in capsys.readouterr().err
+
+
 def test_calibrate_grid_collapse_exits_1(tmp_path, capsys):
     # a 1-unit setup puts the model break-even near one row, where the
     # default grid's sizes round onto each other
     assert run_cli("calibrate", "--accel-setup", "1", "--out", str(tmp_path)) \
         == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: size grid collapsed")
-
-
-def test_gen_writes_csv(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "name": "demo", "row_count": 6,
-        "columns": [{"name": "k", "low": 0, "high": 9},
-                    {"name": "z", "low": 0, "high": 99, "distribution": "zipf",
-                     "skew": 1.3}]}))
-    assert run_cli("gen", "--spec", str(spec), "--seed", "2") == EXIT_OK
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[0] == "k,z"
-    assert len(lines) == 7
-    # deterministic: a second run prints the same bytes
-    assert run_cli("gen", "--spec", str(spec), "--seed", "2") == EXIT_OK
-    assert capsys.readouterr().out == out
-
-
-def test_gen_rows_override(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"name": "demo", "row_count": 3,
-                                "columns": [{"name": "k", "low": 0, "high": 9}]}))
-    out_file = tmp_path / "table.csv"
-    assert run_cli("gen", "--spec", str(spec), "--rows", "9",
-                   "--out-file", str(out_file)) == EXIT_OK
-    assert len(out_file.read_text().strip().splitlines()) == 10
 
 
 REPORT_FILES = ("samples.csv", "cdf.csv", "summary.txt")
@@ -684,9 +656,9 @@ def test_config_json_of_another_command_rejected(tmp_path, capsys):
     assert "'run', not 'calibrate'" in capsys.readouterr().err
     assert not (tmp_path / "calibration").exists()
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "gen", "queries": 3}))
+    cfg.write_text(json.dumps({"command": "report", "queries": 3}))
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
-    assert "'gen', not 'run'" in capsys.readouterr().err
+    assert "'report', not 'run'" in capsys.readouterr().err
 
 
 def test_explicit_zero_fact_rows_reaches_builder(tmp_path):

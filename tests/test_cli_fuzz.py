@@ -1,13 +1,13 @@
-"""A fuzz of the command line over the four kinds of input it reads: the
-config documents of run and calibrate, thresholds files, gen --spec
-documents and numeric flag values.  Whatever the input, latebind exits 0,
-or exits 1 or 2 with an ``error:`` or ``usage:`` line on stderr (or, from
-calibrate, the ``warning:`` line of a kind without a break-even), and
-raises nothing.  Two kinds of input are drawn as raw bytes, because
-json.dumps cannot write them: an integer of more digits than int() takes,
-and text that is no JSON or no UTF-8.  A thresholds file must also exit 1
-exactly when one of its break-evens is no positive number or inf, or names
-no offloadable kind.
+"""A fuzz of the command line over the three kinds of input it reads: the
+config documents of run and calibrate, thresholds files and numeric flag
+values.  Whatever the input, latebind exits 0, or exits 1 or 2 with an
+``error:`` or ``usage:`` line on stderr (or, from calibrate, the
+``warning:`` line of a kind without a break-even), and raises nothing.
+Two kinds of input are drawn as raw bytes, because json.dumps cannot
+write them: an integer of more digits than int() takes, and text that is
+no JSON or no UTF-8.  A thresholds file must also exit 1 exactly when one
+of its break-evens is no positive number or inf, or names no offloadable
+kind.
 
 Every example is cheap: a setting that sizes the work is drawn small (at
 most 3 queries, a few thousand table rows, 4 measurement sizes and 3
@@ -67,7 +67,7 @@ NAMED = {
     "modes": st.lists(st.sampled_from((*MODES, "bogus")), max_size=4),
     "sizes": SIZES,
     "thresholds_file": st.sampled_from(("", "missing.json", ".")),   # "." is a directory
-    "command": st.sampled_from(("run", "calibrate", "gen")),
+    "command": st.sampled_from(("run", "calibrate")),
     "n_star": st.dictionaries(st.sampled_from(("filter", "aggregate", "join")) | TEXT,
                               FLOATS | ANY, max_size=3),
 }
@@ -79,35 +79,20 @@ def value_for(name: str) -> st.SearchStrategy[object]:
     return st.one_of(NAMED[name], ANY) if name in NAMED else ANY
 
 
-def with_unknown_keys(docs: st.SearchStrategy[dict]) -> st.SearchStrategy[dict]:
-    return st.builds(lambda doc, unknown: {**unknown, **doc},
-                     docs, st.dictionaries(TEXT, ANY, max_size=1))
-
-
 def documents(kind: type, *extra: str, required: tuple[str, ...] = ()) -> st.SearchStrategy:
     """JSON objects over some of `kind`'s fields, the `extra` keys and
     unknown keys; the `required` fields are always set."""
     names = [f.name for f in fields(kind)] + list(extra)
-    return with_unknown_keys(st.fixed_dictionaries(
+    known = st.fixed_dictionaries(
         {name: value_for(name) for name in required},
-        optional={name: value_for(name) for name in names if name not in required}))
+        optional={name: value_for(name) for name in names if name not in required})
+    return st.builds(lambda doc, unknown: {**unknown, **doc},
+                     known, st.dictionaries(TEXT, ANY, max_size=1))
 
 
 # a run config always sets its query count: the default is 200
 CONFIGS = {"run": documents(RunConfig, "command", required=("queries",)),
            "calibrate": documents(CalibrateConfig, "command")}
-
-EDGES = st.sampled_from((-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1, 2**63, -2**64))
-COLUMNS = st.lists(st.fixed_dictionaries({}, optional={
-    "name": TEXT | ANY,
-    "low": st.integers(-10, 10) | EDGES | ANY,
-    "high": st.integers(-10, 10) | EDGES | ANY,
-    "distribution": st.sampled_from(("uniform", "zipf")) | ANY,
-    "skew": FLOATS | ANY}), max_size=3)
-SPECS = st.one_of(with_unknown_keys(st.fixed_dictionaries({}, optional={
-    "name": TEXT | ANY,
-    "row_count": json_values(st.integers(-2, 3000)),
-    "columns": COLUMNS | ANY})), ANY)
 
 # numbers of every scale and sign, the float limits and text that is no number
 SCALES = st.integers(-330, 330).map("1e{}".format)
@@ -125,7 +110,6 @@ FLAGS = {   # (command, flag): its values
        for flag in ("--cpu-per-item", "--accel-setup", "--accel-per-item")},
     ("calibrate", "--repetitions"): WORK,
     ("calibrate", "--sizes"): SIZES.map(lambda sizes: ",".join(map(str, sizes))),
-    ("gen", "--seed"): NUMBERS, ("gen", "--rows"): WORK,
 }
 
 
@@ -135,12 +119,12 @@ LONG_INTEGERS = st.integers(4295, 4305).map("9".__mul__)
 RAW = st.one_of(
     st.builds(str.format, st.sampled_from((
         "{}", "[-{}]", '{{"seed": {}}}', '{{"queries": {}}}', '{{"sigma": {}.5}}',
-        '{{"n_star": {{"filter": {}}}}}', '{{"name": "t", "row_count": {}, "columns": []}}')),
+        '{{"n_star": {{"filter": {}}}}}')),
         LONG_INTEGERS).map(str.encode),
     st.text(max_size=8).map(str.encode),
     st.binary(max_size=8))
 RAW_READERS = (("run", "--queries", "2", "--config"), ("calibrate", "--config"),
-               ("run", "--queries", "2", "--thresholds"), ("gen", "--spec"))
+               ("run", "--queries", "2", "--thresholds"))
 # break-evens of every JSON number: negative, zero, NaN, +-Infinity, the
 # smallest and largest floats, integers
 N_STARS = st.one_of(st.floats(), st.integers(-10**6, 10**6),
@@ -196,9 +180,7 @@ def test_raw_documents_exit_cleanly(tmp_path):
     def check(raw, reader):
         path = tmp_path / "doc.json"
         path.write_bytes(raw)
-        out = ["--out-file", str(tmp_path / "table.csv")] if reader[0] == "gen" \
-            else ["--out", str(tmp_path)]
-        check_exit([*reader, str(path), *out])
+        check_exit([*reader, str(path), "--out", str(tmp_path)])
 
     check()
 
@@ -216,29 +198,12 @@ def test_break_evens_in_thresholds_files_checked(tmp_path):
     check()
 
 
-def test_gen_specs_exit_cleanly(tmp_path):
-    @fuzz(15)
-    @given(doc=SPECS)
-    def check(doc):
-        check_exit(["gen", "--spec", write(tmp_path / "spec.json", doc),
-                    "--out-file", str(tmp_path / "table.csv")])
-
-    check()
-
-
 def test_numeric_flags_exit_cleanly(tmp_path):
-    spec = write(tmp_path / "spec.json", {"name": "t", "row_count": 5, "columns": [
-        {"name": "a", "low": 0, "high": 9}]})
-
     @fuzz(80)
     @given(data=st.data(), case=st.sampled_from(sorted(FLAGS)))
     def check(data, case):
         command, flag = case
-        argv = [command, f"{flag}={data.draw(FLAGS[case])}"]
-        if command == "gen":
-            argv += ["--spec", spec, "--out-file", str(tmp_path / "table.csv")]
-        else:
-            argv += ["--out", str(tmp_path)]
+        argv = [command, f"{flag}={data.draw(FLAGS[case])}", "--out", str(tmp_path)]
         if command == "run" and flag != "--queries":
             argv += ["--queries", "2"]
         check_exit(argv)

@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import csv
-import io
-import json
 import re
 
 import numpy as np
@@ -11,9 +8,8 @@ import pytest
 from latebind import datagen
 from latebind.datagen import (MAX_TABLE_BYTES, MAX_ZIPF_DOMAIN, ZIPF, ColumnSpec,
                               DistributionChange, DriftSpec, TableSpec, _zipf_cdf,
-                              apply_drift, column_dtype, dump_table_csv, generate_table,
-                              load_table_spec)
-from latebind.errors import ValidationError, json_text, write_file
+                              apply_drift, column_dtype, generate_table)
+from latebind.errors import ValidationError
 from latebind.rng import SIGNED_BOUNDS
 
 WIDTHS = tuple(SIGNED_BOUNDS)   # column types, narrowest first
@@ -170,66 +166,13 @@ def test_invalid_drift_rejected():
         apply_drift(t, DriftSpec(scale_factor=-2.0), seed=1)
 
 
-def spec_file(tmp_path, doc: dict) -> str:
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def test_spec_json_roundtrip(tmp_path):
-    doc = {"name": "demo", "row_count": 12, "columns": [
-        {"name": "k", "low": 0, "high": 9},
-        {"name": "z", "low": 1, "high": 100, "distribution": "zipf", "skew": 1.5},
-    ]}
-    spec = load_table_spec(spec_file(tmp_path, doc))
-    assert spec.name == "demo"
-    assert spec.row_count == 12
-    assert spec.columns[1].distribution == "zipf"
-    write_file(tmp_path / "again.json", json_text(spec))
-    assert load_table_spec(str(tmp_path / "again.json")) == spec
-
-
-def test_spec_json_unknown_keys_rejected(tmp_path):
-    with pytest.raises(ValidationError):
-        load_table_spec(spec_file(tmp_path, {"name": "x", "row_count": 1, "columns": [],
-                                             "extra": 1}))
-    with pytest.raises(ValidationError):
-        load_table_spec(spec_file(tmp_path, {
-            "name": "x", "row_count": 1,
-            "columns": [{"name": "a", "low": 0, "high": 1, "oops": 2}]}))
-
-
-def reference_csv(table) -> str:
-    """The table written row by row through csv.writer."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([c.name for c in table.spec.columns])
-    for i in range(table.row_count):
-        writer.writerow([int(table.columns[c.name][i]) for c in table.spec.columns])
-    return buf.getvalue()
-
-
-def test_csv_dump_deterministic():
+def test_drawn_values_deterministic():
     spec = TableSpec("t", 4, (ColumnSpec("a", 0, 9), ColumnSpec("b", -9, 9),
                               ColumnSpec("c", -10**12, 10**12)))
     t = generate_table(spec, seed=2)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    dump_table_csv(t, buf1)
-    dump_table_csv(t, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    assert buf1.getvalue() == ("a,b,c\n6,7,-850816887678\n9,-4,-747055247412\n"
-                               "4,-4,-759926549192\n1,1,117067349360\n")
-
-
-@pytest.mark.parametrize("rows", [0, 1, 300])
-def test_csv_dump_matches_row_writer(rows):
-    spec = TableSpec("t", rows, (ColumnSpec("a", -5, 5), ColumnSpec("b", 0, 2**40),
-                                 ColumnSpec("c", -2**62, 2**62),
-                                 ColumnSpec("z", -20, 979, "zipf", 1.2)))
-    t = generate_table(spec, seed=rows)
-    buf = io.StringIO()
-    dump_table_csv(t, buf)
-    assert buf.getvalue() == reference_csv(t)
+    assert {name: values.tolist() for name, values in t.columns.items()} == {
+        "a": [6, 9, 4, 1], "b": [7, -4, -4, 1],
+        "c": [-850816887678, -747055247412, -759926549192, 117067349360]}
 
 
 @pytest.mark.parametrize("low,high", [(-2**63, 2**63 - 1), (-2**63, -2**63), (2**63 - 1, 2**63 - 1),

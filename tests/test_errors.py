@@ -1,9 +1,18 @@
 """The one writer and the one CSV cell rule that every report, calibration
-and config file goes through."""
+and config file goes through, and the checks of the one JSON reader."""
 
 from __future__ import annotations
 
-from latebind.errors import csv_text, write_file
+import io
+import json
+import re
+import sys
+
+import pytest
+
+from latebind.errors import ValidationError, csv_text, json_fields, load_json, write_file
+from latebind.policy import Thresholds
+from latebind.stats import TableStats
 
 
 def test_csv_text_cells_and_write_file_bytes(tmp_path):
@@ -21,3 +30,34 @@ def test_csv_text_cells_and_write_file_bytes(tmp_path):
     write_file(path, text)
     data = path.read_bytes()
     assert data == text.encode("utf-8") and b"\r" not in data
+
+
+def statistics_doc(**column: object) -> dict:
+    """A statistics document of one column, `column` overriding its keys."""
+    return {"table": "t", "row_count": 2, "captured_generation": 0, "columns": {"a": {
+        "column": "a", "row_count": 2, "ndv": 2, "min_value": 0, "max_value": 1,
+        "bucket_edges": [0.0, 1.0, 2.0], "bucket_counts": [1, 1], **column}}}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (statistics_doc(ndv="x"), "column stats key 'ndv' takes int, not 'x'"),
+    (statistics_doc(bucket_edges=[0.0, "q", 2.0]),
+     "column stats key 'bucket_edges' takes tuple[float, ...], not 'q'"),
+    ({key: value for key, value in statistics_doc().items() if key != "table"},
+     "statistics lacks keys ['table']"),
+    # a number written as a string is no number
+    ({**statistics_doc(), "row_count": "2"}, "statistics key 'row_count' takes int, not '2'"),
+    ({**statistics_doc(), "extra": 1}, "unknown statistics keys: ['extra']"),
+    (statistics_doc(oops=2), "unknown column stats keys: ['oops']"),
+], ids=["nested_int", "nested_tuple_item", "missing_key", "int_as_text", "unknown_key",
+        "unknown_nested_key"])
+def test_malformed_statistics_document_rejected(doc, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_json(TableStats, io.StringIO(json.dumps(doc)), "statistics")
+
+
+def test_integer_at_the_largest_float_passes_for_a_float():
+    largest = int(sys.float_info.max)
+    assert json_fields(Thresholds, {"rho_join": largest}, "threshold") == {"rho_join": largest}
+    with pytest.raises(ValidationError, match="^threshold key 'rho_join' takes float, not "):
+        json_fields(Thresholds, {"rho_join": largest + 1}, "threshold")
