@@ -7,10 +7,11 @@ Subcommands:
              emit per-mode report files
   report     print a percentile comparison from existing samples.csv files
 
-Configuration precedence: command-line flags > --config JSON file >
-built-in defaults.  Every command echoes its resolved configuration, and
-run/calibrate write it next to their outputs.  Exit codes: 0 success, also
-when every query of a mode fails; 1 bad input; 2 result-equivalence failure.
+Configuration precedence: command-line flags > built-in defaults.  Every
+command echoes its resolved configuration, and run/calibrate write it next
+to their outputs as config.json, the record of the run, which no command
+reads.  Exit codes: 0 success, also when every query of a mode fails; 1 bad
+input; 2 result-equivalence failure.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Callable, Optional
 from . import bench
 from .accel import calibrate_break_evens
 from .clock import SimulatedClock
-from .errors import (ResultMismatchError, ValidationError, csv_text, json_fields, json_text,
-                     load_json, parse_json, write_file)
+from .errors import (ResultMismatchError, ValidationError, csv_text, json_text, load_json,
+                     write_file)
 from .planner import AcceleratorCost, CostModel
 from .policy import MODES, Thresholds, calibrate, calibration_report
 
@@ -69,29 +70,6 @@ class CalibrateConfig(CommonConfig):
     sizes: tuple[int, ...] = ()   # empty = grid centered on the model crossover
 
 
-def _load_config(path: Optional[str], command: str, kind: type[CommonConfig]) -> CommonConfig:
-    """The config file's settings, each of its field's type in the command's
-    config type `kind`; the "command" key that run and calibrate write into
-    their config.json must name the running subcommand."""
-    if not path:
-        return kind()
-    with open(path, encoding="utf-8") as fh:
-        doc = parse_json(fh)
-    written_by = doc.pop("command", command) if isinstance(doc, dict) else command
-    if written_by != command:
-        raise ValidationError(f"config file {path} is for {written_by!r}, not {command!r}")
-    return kind(**json_fields(kind, doc, "config"))
-
-
-def _apply_flags(cfg: CommonConfig, args: argparse.Namespace) -> CommonConfig:
-    updates = {}
-    for name in cfg.__dataclass_fields__:
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    return replace(cfg, **updates)
-
-
 def _comma_separated(item: type) -> Callable[[str], tuple]:
     """An argparse type: a comma-separated list of `item`s, as a tuple."""
     def parse(text: str) -> tuple:
@@ -101,7 +79,9 @@ def _comma_separated(item: type) -> Callable[[str], tuple]:
 
 
 def _resolve(args: argparse.Namespace, kind: type[CommonConfig]) -> CommonConfig:
-    return _apply_flags(_load_config(args.config, args.command, kind), args)
+    """`kind` with each setting that a flag gives, and its default for the rest."""
+    given = {name: getattr(args, name) for name in kind.__dataclass_fields__}
+    return kind(**{name: value for name, value in given.items() if value is not None})
 
 
 def _banner(cfg: CommonConfig, command: str) -> str:
@@ -167,8 +147,6 @@ def _build_scenario(cfg: RunConfig) -> bench.Scenario:
         bench.STALE_STATS: bench.scenario_stale_stats,
         bench.BREAK_EVEN: bench.scenario_break_even,
     }
-    if cfg.scenario not in builders:
-        raise ValidationError(f"unknown scenario {cfg.scenario!r}")
     build = builders[cfg.scenario]
     extra = {name: getattr(cfg, name) for name in _SCENARIO_FIELDS
              if getattr(cfg, name) is not None}
@@ -222,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, help="master seed (default 1)")
         p.add_argument("--sigma", type=float,
                        help="simulated-clock noise sigma (default 0.05)")

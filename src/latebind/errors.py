@@ -2,10 +2,12 @@
 it: bad input (ValidationError, exit 1), a working set over the hard memory
 cap (MemoryBudgetExceeded, one failed query) and results that diverge across
 modes (ResultMismatchError, exit 2).  Also the one JSON form of its
-documents: each is a dataclass, written as json_text and read back by
-load_json, which parses it with parse_json and checks it against the
-dataclass's fields with json_fields.  Every file the package writes goes
-through write_file, and every CSV through csv_text."""
+documents: each is a dataclass, written as json_text.  A thresholds file
+and a statistics document are read back by load_json, which parses one
+with parse_json and checks it against the dataclass's fields with
+json_fields; a config.json is a record of its run and is not read back.
+Every file the package writes goes through write_file, and every CSV
+through csv_text."""
 
 from __future__ import annotations
 
@@ -55,8 +57,6 @@ def json_fields(cls: type, doc: object, what: str) -> dict[str, object]:
 
     def held(name: str, value: object, hint: object) -> object:
         args = typing.get_args(hint)
-        if type(None) in args:  # Optional[T]
-            return None if value is None else held(name, value, args[0])
         origin = typing.get_origin(hint)
         if origin is tuple and isinstance(value, list):  # tuple[T, ...]
             return tuple(held(name, item, args[0]) for item in value)

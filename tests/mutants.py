@@ -113,6 +113,8 @@ MUTATIONS = {
                               "if not 0 <= value <= math.inf:"),
     "largest_float_integer_rejected": ("errors.py", "abs(value) <= sys.float_info.max",
                                        "abs(value) < sys.float_info.max"),
+    "zero_flag_dropped": ("cli.py", "for name, value in given.items() if value is not None})",
+                          "for name, value in given.items() if value})"),
 }
 
 

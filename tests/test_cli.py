@@ -78,36 +78,14 @@ def test_run_with_thresholds_file(tmp_path):
     assert code == EXIT_OK
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"queries": 10, "scenario": "input_scale_shift"}))
-    code = run_cli("run", "--config", str(cfg), "--queries", "5", "--out", str(tmp_path))
-    assert code == EXIT_OK
-    banner = capsys.readouterr().out.splitlines()[0]
-    resolved = json.loads(banner.removeprefix("config: "))
-    assert resolved["queries"] == 5  # flag beats config file
-    assert resolved["scenario"] == "input_scale_shift"
-
-
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    # mem_high and clock were config fields; a file that still has one is rejected too
-    for key in ("nonsense", "mem_high", "clock"):
-        cfg.write_text(json.dumps({key: 1}))
-        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path))
-        assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "unknown config keys" in err and key in err
-
-
 def test_every_flag_is_a_config_field():
-    # _apply_flags reads only the command's config fields, so any other dest
+    # _resolve reads only the command's config fields, so any other dest
     # would be ignored; and every field of a command's config has its flag
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     for command, kind in (("calibrate", CalibrateConfig), ("run", RunConfig)):
         dests = {action.dest for action in subparsers.choices[command]._actions
-                 if action.dest not in ("help", "config")}
+                 if action.dest != "help"}
         assert dests == set(kind.__dataclass_fields__), (command, dests)
 
 
@@ -117,20 +95,6 @@ def test_each_command_config_holds_the_shared_and_its_own_fields():
     run, calibrate = set(RunConfig.__dataclass_fields__), set(CalibrateConfig.__dataclass_fields__)
     assert run & calibrate == shared
     assert (len(run), len(calibrate)) == (13, 10)
-
-
-@pytest.mark.parametrize("command,doc", [
-    ("run", {"accel_setup": 5, "repetitions": 9, "sizes": [1, 2]}),
-    ("calibrate", {"scenario": "break_even", "clock": "wall", "fact_rows": 5}),
-], ids=["run", "calibrate"])
-def test_other_commands_config_keys_rejected(tmp_path, capsys, command, doc):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: unknown config keys: {sorted(doc)}\n"
-    assert list(tmp_path.iterdir()) == [cfg]   # nothing written
 
 
 @pytest.mark.parametrize("argv,kind,written", [
@@ -200,13 +164,11 @@ def test_result_mismatch_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_out_dir_ignores_environment(tmp_path, monkeypatch):
-    # flags > --config > defaults, with no variable among them: a config
-    # whose out is the default's "out" still writes to ./out
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "calibrate", "out": "out"}))
+    # flags > defaults, with no variable among them: without --out, a run
+    # writes to ./out
     monkeypatch.setenv("LATEBIND_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
-    assert run_cli("calibrate", "--sigma", "0", "--config", str(cfg)) == EXIT_OK
+    assert run_cli("calibrate", "--sigma", "0") == EXIT_OK
     assert (tmp_path / "out" / "calibration" / "thresholds.json").exists()
     assert not (tmp_path / "envout").exists()
 
@@ -388,40 +350,24 @@ def test_break_even_rejects_fact_rows(tmp_path, capsys):
     assert not (tmp_path / "break_even").exists()
 
 
-@pytest.mark.parametrize("flag,value,scenarios", [
-    ("--drift-fraction", "0.9", ("stale_stats", "break_even")),
-    ("--miscal-factor", "7", ("input_scale_shift", "stale_stats")),
+@pytest.mark.parametrize("flag,value,scenarios,taker", [
+    ("--drift-fraction", "0.9", ("stale_stats", "break_even"), "input_scale_shift"),
+    ("--miscal-factor", "7", ("input_scale_shift", "stale_stats"), "break_even"),
     # the value input_scale_shift and break_even take by default
-    ("--drift-fraction", "0.2", ("stale_stats", "break_even")),
-    ("--miscal-factor", "2.0", ("input_scale_shift", "stale_stats")),
+    ("--drift-fraction", "0.2", ("stale_stats", "break_even"), "input_scale_shift"),
+    ("--miscal-factor", "2.0", ("input_scale_shift", "stale_stats"), "break_even"),
 ], ids=["drift_fraction", "miscal_factor", "drift_fraction_default",
         "miscal_factor_default"])
-def test_scenario_flag_on_other_scenario_rejected(tmp_path, capsys, flag, value, scenarios):
+def test_scenario_flag_on_other_scenario_rejected(tmp_path, capsys, flag, value, scenarios,
+                                                  taker):
+    name = flag.removeprefix("--").replace("-", "_")
     for scenario in scenarios:
         code = run_cli("run", "--scenario", scenario, "--queries", "3", flag, value,
                        "--out", str(tmp_path))
         assert code == EXIT_VALIDATION
-        assert flag in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {name} ({flag}) does not apply to "
+                                           f"{scenario}; it applies to {taker}\n")
         assert not (tmp_path / scenario).exists()
-
-
-def test_unknown_scenario_in_config_file_rejected(tmp_path, capsys):
-    # --scenario takes only known names, so only a config file reaches this check
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "nope"}))
-    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: unknown scenario 'nope'\n"
-    assert not (tmp_path / "nope").exists()
-
-
-def test_scenario_key_in_config_file_on_other_scenario_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "stale_stats", "drift_fraction": 0.2}))
-    code = run_cli("run", "--config", str(cfg), "--queries", "3", "--out", str(tmp_path))
-    assert code == EXIT_VALIDATION
-    assert "drift_fraction (--drift-fraction) does not apply to stale_stats; " \
-        "it applies to input_scale_shift" in capsys.readouterr().err
-    assert not (tmp_path / "stale_stats").exists()
 
 
 # above MAX_SIGMA, exp(sigma * z) overflows at the largest draws of z
@@ -467,23 +413,6 @@ def test_measurement_count_above_limit_exits_1_before_any_charge(tmp_path, capsy
     assert not (tmp_path / "calibration").exists()
 
 
-@pytest.mark.parametrize("doc,message", [
-    ({"queries": "a"}, "config key 'queries' takes int, not 'a'"),
-    ({"modes": 5}, "config key 'modes' takes tuple[str, ...], not 5"),
-    # JSON true is no integer, though Python's bool is an int
-    ({"queries": True}, "config key 'queries' takes int, not True"),
-    (["seed"], "a config document must be a JSON object, not ['seed']"),
-])
-def test_config_value_of_another_type_exits_1_without_traceback(tmp_path, capsys, doc,
-                                                                message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
-    assert not (tmp_path / "input_scale_shift").exists()
-
-
 THRESHOLDS_RUN = ("run", "--scenario", "stale_stats", "--queries", "2", "--thresholds")
 
 
@@ -510,10 +439,9 @@ def test_malformed_json_file_exits_1_without_traceback(tmp_path, capsys, argv, d
     assert "Traceback" not in captured.out
 
 
-@pytest.mark.parametrize("argv", [("run", "--config"), ("calibrate", "--config"),
-                                  ("run", "--scenario", "break_even", "--queries", "2",
-                                   "--thresholds"),
-                                  THRESHOLDS_RUN])
+@pytest.mark.parametrize("argv", [
+    ("run", "--scenario", "break_even", "--queries", "2", "--thresholds"), THRESHOLDS_RUN,
+], ids=["thresholds_break_even", "thresholds_stale_stats"])
 def test_integer_too_long_for_int_exits_1_without_traceback(tmp_path, capsys, argv):
     # json.dumps cannot write it: int() takes at most 4300 digits
     path = tmp_path / "doc.json"
@@ -522,16 +450,10 @@ def test_integer_too_long_for_int_exits_1_without_traceback(tmp_path, capsys, ar
     assert capsys.readouterr().err.startswith(f"error: {path}: Exceeds the limit (4300 digits) ")
 
 
-@pytest.mark.parametrize("argv", [("run", "--config"), THRESHOLDS_RUN],
-                         ids=["config", "thresholds"])
-def test_json_syntax_error_names_the_file(tmp_path, capsys, argv):
-    # with --config and --thresholds both given, the line says which is bad
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    good.write_text("{}")
+def test_json_syntax_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
     bad.write_text('{"seed": ')
-    other = {"--config": ("--thresholds", str(good)),
-             "--thresholds": ("--config", str(good))}[argv[-1]]
-    assert run_cli(*argv, str(bad), *other, "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert run_cli(*THRESHOLDS_RUN, str(bad), "--out", str(tmp_path)) == EXIT_VALIDATION
     assert capsys.readouterr().err == \
         f"error: {bad}: Expecting value: line 1 column 10 (char 9)\n"
 
@@ -584,6 +506,14 @@ def test_non_integer_sizes_flag_exits_2_with_usage(tmp_path, capsys):
     assert not (tmp_path / "calibration").exists()
 
 
+def test_config_flag_is_a_usage_error(capsys):
+    # every setting has its own flag; config.json is a record, not an input
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("run", "--config", "x.json")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
+
+
 def test_gen_is_no_command(capsys):
     with pytest.raises(SystemExit) as exit_:
         run_cli("gen", "--spec", "spec.json")
@@ -606,59 +536,6 @@ def mode_files(out: Path, scenario: str) -> dict[str, bytes]:
     return {f"{mode.name}/{name}": (mode / name).read_bytes()
             for mode in sorted(p for p in (out / scenario).iterdir() if p.is_dir())
             for name in REPORT_FILES}
-
-
-def test_run_config_json_feeds_back(tmp_path):
-    assert run_cli("run", "--scenario", "stale_stats", "--queries", "6", "--seed", "3",
-                   "--rho-join", "20", "--dim-rows", "4000",
-                   "--out", str(tmp_path / "a")) == EXIT_OK
-    written = tmp_path / "a" / "stale_stats" / "config.json"
-    assert json.loads(written.read_text())["command"] == "run"
-    assert run_cli("run", "--config", str(written), "--out", str(tmp_path / "b")) == EXIT_OK
-    first, second = mode_files(tmp_path / "a", "stale_stats"), mode_files(tmp_path / "b",
-                                                                          "stale_stats")
-    assert len(first) == 3 * len(REPORT_FILES)
-    assert first == second
-    again = json.loads((tmp_path / "b" / "stale_stats" / "config.json").read_text())
-    assert again == {**json.loads(written.read_text()), "out": str(tmp_path / "b")}
-
-
-def test_run_config_json_with_unset_scenario_settings_feeds_back(tmp_path):
-    assert run_cli("run", "--scenario", "break_even", "--queries", "4",
-                   "--out", str(tmp_path / "a")) == EXIT_OK
-    written = tmp_path / "a" / "break_even" / "config.json"
-    doc = json.loads(written.read_text())
-    assert [doc[name] for name in ("drift_fraction", "miscal_factor", "fact_rows",
-                                   "dim_rows")] == [None] * 4
-    assert run_cli("run", "--config", str(written), "--out", str(tmp_path / "b")) == EXIT_OK
-    assert mode_files(tmp_path / "a", "break_even") == mode_files(tmp_path / "b",
-                                                                  "break_even")
-
-
-def test_calibrate_config_json_feeds_back(tmp_path):
-    assert run_cli("calibrate", "--seed", "3", "--sizes", "3000,10000,30000",
-                   "--accel-setup", "6000", "--out", str(tmp_path / "a")) == EXIT_OK
-    written = tmp_path / "a" / "calibration" / "config.json"
-    assert json.loads(written.read_text())["command"] == "calibrate"
-    assert run_cli("calibrate", "--config", str(written),
-                   "--out", str(tmp_path / "b")) == EXIT_OK
-    for name in ("thresholds.json", "measurements.csv", "fits.csv", "break_evens.csv"):
-        assert ((tmp_path / "a" / "calibration" / name).read_bytes()
-                == (tmp_path / "b" / "calibration" / name).read_bytes()), name
-
-
-def test_config_json_of_another_command_rejected(tmp_path, capsys):
-    assert run_cli("run", "--queries", "3", "--out", str(tmp_path)) == EXIT_OK
-    written = tmp_path / "input_scale_shift" / "config.json"
-    capsys.readouterr()
-    assert run_cli("calibrate", "--config", str(written), "--out", str(tmp_path)) \
-        == EXIT_VALIDATION
-    assert "'run', not 'calibrate'" in capsys.readouterr().err
-    assert not (tmp_path / "calibration").exists()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "report", "queries": 3}))
-    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_VALIDATION
-    assert "'report', not 'run'" in capsys.readouterr().err
 
 
 def test_explicit_zero_fact_rows_reaches_builder(tmp_path):

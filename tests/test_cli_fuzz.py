@@ -1,20 +1,19 @@
-"""A fuzz of the command line over the three kinds of input it reads: the
-config documents of run and calibrate, thresholds files and numeric flag
-values.  Whatever the input, latebind exits 0, or exits 1 or 2 with an
-``error:`` or ``usage:`` line on stderr (or, from calibrate, the
-``warning:`` line of a kind without a break-even), and raises nothing.
-Two kinds of input are drawn as raw bytes, because json.dumps cannot
-write them: an integer of more digits than int() takes, and text that is
-no JSON or no UTF-8.  A thresholds file must also exit 1 exactly when one
-of its break-evens is no positive number or inf, or names no offloadable
-kind.
+"""A fuzz of the command line over the two kinds of input it reads:
+thresholds files and numeric flag values.  Whatever the input, latebind
+exits 0, or exits 1 or 2 with an ``error:`` or ``usage:`` line on stderr
+(or, from calibrate, the ``warning:`` line of a kind without a
+break-even), and raises nothing.  Two kinds of thresholds file are drawn
+as raw bytes, because json.dumps cannot write them: an integer of more
+digits than int() takes, and text that is no JSON or no UTF-8.  A
+thresholds file must also exit 1 exactly when one of its break-evens is no
+positive number or inf, or names no offloadable kind.
 
-Every example is cheap: a setting that sizes the work is drawn small (at
-most 3 queries, a few thousand table rows, 4 measurement sizes and 3
+Every example is cheap: a flag that sizes the work is drawn small (at most
+3 queries, a few thousand table rows, 4 measurement sizes and 3
 repetitions), so no example depends on a limit to stay small.  The limits
 on those settings (bench.MAX_QUERIES, datagen.MAX_TABLE_BYTES,
 accel.MAX_MEASUREMENTS) are tested through their validators alone.  Every
-output goes to a temporary directory, whatever the document says.
+output goes to a temporary directory.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from typing import Callable
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from latebind.bench import SCENARIO_NAMES
-from latebind.cli import CalibrateConfig, RunConfig, main
+from latebind.cli import main
 from latebind.planner import OFFLOADABLE_KINDS
-from latebind.policy import MODES, Thresholds
+from latebind.policy import Thresholds
 
 
 def fuzz(examples: int) -> Callable:
@@ -58,41 +57,19 @@ def json_values(ints: st.SearchStrategy[int]) -> st.SearchStrategy[object]:
 
 
 ANY = json_values(st.one_of(st.integers(), HUGE))
-# the settings that size the work, and the most of each an example asks for
-WORK_CAPS = {"queries": 3, "fact_rows": 3000, "dim_rows": 3000, "repetitions": 3}
 SIZES = st.lists(st.one_of(st.integers(-2, 10**6), HUGE), max_size=4, unique=True).map(sorted)
-# values that pass a field's type check more often than ANY's
-NAMED = {
-    "scenario": st.sampled_from(SCENARIO_NAMES),
-    "modes": st.lists(st.sampled_from((*MODES, "bogus")), max_size=4),
-    "sizes": SIZES,
-    "thresholds_file": st.sampled_from(("", "missing.json", ".")),   # "." is a directory
-    "command": st.sampled_from(("run", "calibrate")),
-    "n_star": st.dictionaries(st.sampled_from(("filter", "aggregate", "join")) | TEXT,
-                              FLOATS | ANY, max_size=3),
-}
+# break-evens that pass the field's type check more often than ANY's
+N_STAR_MAPS = st.dictionaries(st.sampled_from(("filter", "aggregate", "join")) | TEXT,
+                              FLOATS | ANY, max_size=3)
 
 
-def value_for(name: str) -> st.SearchStrategy[object]:
-    if name in WORK_CAPS:
-        return json_values(st.integers(-2, WORK_CAPS[name]))
-    return st.one_of(NAMED[name], ANY) if name in NAMED else ANY
-
-
-def documents(kind: type, *extra: str, required: tuple[str, ...] = ()) -> st.SearchStrategy:
-    """JSON objects over some of `kind`'s fields, the `extra` keys and
-    unknown keys; the `required` fields are always set."""
-    names = [f.name for f in fields(kind)] + list(extra)
-    known = st.fixed_dictionaries(
-        {name: value_for(name) for name in required},
-        optional={name: value_for(name) for name in names if name not in required})
+def documents(kind: type) -> st.SearchStrategy:
+    """JSON objects over some of `kind`'s fields and unknown keys."""
+    known = st.fixed_dictionaries({}, optional={
+        f.name: st.one_of(N_STAR_MAPS, ANY) if f.name == "n_star" else ANY
+        for f in fields(kind)})
     return st.builds(lambda doc, unknown: {**unknown, **doc},
                      known, st.dictionaries(TEXT, ANY, max_size=1))
-
-
-# a run config always sets its query count: the default is 200
-CONFIGS = {"run": documents(RunConfig, "command", required=("queries",)),
-           "calibrate": documents(CalibrateConfig, "command")}
 
 # numbers of every scale and sign, the float limits and text that is no number
 SCALES = st.integers(-330, 330).map("1e{}".format)
@@ -118,13 +95,11 @@ FLAGS = {   # (command, flag): its values
 LONG_INTEGERS = st.integers(4295, 4305).map("9".__mul__)
 RAW = st.one_of(
     st.builds(str.format, st.sampled_from((
-        "{}", "[-{}]", '{{"seed": {}}}', '{{"queries": {}}}', '{{"sigma": {}.5}}',
+        "{}", "[-{}]", '{{"rho_join": {}}}', '{{"offload_margin": {}.5}}',
         '{{"n_star": {{"filter": {}}}}}')),
         LONG_INTEGERS).map(str.encode),
     st.text(max_size=8).map(str.encode),
     st.binary(max_size=8))
-RAW_READERS = (("run", "--queries", "2", "--config"), ("calibrate", "--config"),
-               ("run", "--queries", "2", "--thresholds"))
 # break-evens of every JSON number: negative, zero, NaN, +-Infinity, the
 # smallest and largest floats, integers
 N_STARS = st.one_of(st.floats(), st.integers(-10**6, 10**6),
@@ -154,16 +129,6 @@ def write(path, doc: object) -> str:
     return str(path)
 
 
-def test_config_documents_exit_cleanly(tmp_path):
-    @fuzz(25)
-    @given(data=st.data(), command=st.sampled_from(sorted(CONFIGS)))
-    def check(data, command):
-        config = write(tmp_path / "config.json", data.draw(CONFIGS[command]))
-        check_exit([command, "--config", config, "--out", str(tmp_path)])
-
-    check()
-
-
 def test_thresholds_files_exit_cleanly(tmp_path):
     @fuzz(12)
     @given(doc=documents(Thresholds), scenario=st.sampled_from(SCENARIO_NAMES))
@@ -176,11 +141,11 @@ def test_thresholds_files_exit_cleanly(tmp_path):
 
 def test_raw_documents_exit_cleanly(tmp_path):
     @fuzz(20)
-    @given(raw=RAW, reader=st.sampled_from(RAW_READERS))
-    def check(raw, reader):
-        path = tmp_path / "doc.json"
+    @given(raw=RAW)
+    def check(raw):
+        path = tmp_path / "thresholds.json"
         path.write_bytes(raw)
-        check_exit([*reader, str(path), "--out", str(tmp_path)])
+        check_exit(["run", "--queries", "2", "--thresholds", str(path), "--out", str(tmp_path)])
 
     check()
 

@@ -1,5 +1,6 @@
 """The one writer and the one CSV cell rule that every report, calibration
-and config file goes through, and the checks of the one JSON reader."""
+and config.json file goes through, and the checks of the one JSON reader,
+which reads thresholds files and statistics documents."""
 
 from __future__ import annotations
 
@@ -49,8 +50,12 @@ def statistics_doc(**column: object) -> dict:
     ({**statistics_doc(), "row_count": "2"}, "statistics key 'row_count' takes int, not '2'"),
     ({**statistics_doc(), "extra": 1}, "unknown statistics keys: ['extra']"),
     (statistics_doc(oops=2), "unknown column stats keys: ['oops']"),
+    # JSON true is no integer, though Python's bool is an int
+    ({**statistics_doc(), "row_count": True}, "statistics key 'row_count' takes int, not True"),
+    (statistics_doc(bucket_edges=5),
+     "column stats key 'bucket_edges' takes tuple[float, ...], not 5"),
 ], ids=["nested_int", "nested_tuple_item", "missing_key", "int_as_text", "unknown_key",
-        "unknown_nested_key"])
+        "unknown_nested_key", "bool_as_int", "tuple_not_list"])
 def test_malformed_statistics_document_rejected(doc, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         load_json(TableStats, io.StringIO(json.dumps(doc)), "statistics")
