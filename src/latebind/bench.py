@@ -36,7 +36,6 @@ identical inputs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -435,46 +434,6 @@ def report_emit(report: LatencyReport, out_dir: Path) -> list[Path]:
     return paths
 
 
-def read_samples(path: Path) -> tuple[str, list[SampleRow]]:
-    """The mode and query rows of a samples.csv that report_emit wrote."""
-    if not path.exists():
-        raise FileNotFoundError(f"samples file not found: {path}")
-    modes: set[str] = set()
-    rows: dict[str, SampleRow] = {}
-    with path.open(encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SAMPLES_HEADER.split(","):
-            raise ValidationError(f"{path} does not start with the header {SAMPLES_HEADER}")
-        for row in reader:
-            for key in ("mode", "query_id"):
-                if not row[key]:
-                    raise ValidationError(f"{path}: line {reader.line_num} has no {key}")
-            query_id, latency, failed = row["query_id"], row["latency"], row["failed"]
-            if None in row:   # DictReader's key for the cells past the header's
-                raise ValidationError(f"{path}: {query_id} has more cells than the header")
-            if query_id in rows:
-                raise ValidationError(f"{path}: {query_id} appears more than once")
-            try:
-                value = float(latency)
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path}: {query_id} has latency {latency!r}, "
-                                      f"not a number") from None
-            if not 0 <= value < math.inf:
-                raise ValidationError(f"{path}: {query_id} has latency {latency!r}, "
-                                      f"not a finite number >= 0")
-            if failed not in ("0", "1"):
-                raise ValidationError(f"{path}: {query_id} has failed {failed!r}, not 0 or 1")
-            # + 0.0 turns -0.0, which 0 <= passes, into 0.0
-            rows[query_id] = SampleRow(query_id=query_id, latency=value + 0.0,
-                                       failed=failed == "1")
-            modes.add(row["mode"])
-    if not rows:
-        raise ValidationError(f"no rows in {path}")
-    if len(modes) > 1:
-        raise ValidationError(f"{path} mixes modes {sorted(modes)}")
-    return modes.pop(), list(rows.values())
-
-
 def summarize(report: LatencyReport) -> str:
     lines = [
         f"scenario    {report.scenario}",
@@ -491,13 +450,6 @@ def summarize(report: LatencyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ratio(base: float, value: float) -> float:
-    """base / value, with a zero value giving inf, or nan over a zero or nan base."""
-    if value == 0:
-        return math.nan if base == 0 or math.isnan(base) else math.inf
-    return base / value
-
-
 def compare_reports(reports: dict[str, LatencyReport]) -> str:
     """Side-by-side percentile table with ratios against the baseline mode."""
     header = f"{'mode':<20}{'p50':>14}{'p95':>14}{'p99':>14}{'mean':>14}{'fail':>6}"
@@ -512,6 +464,6 @@ def compare_reports(reports: dict[str, LatencyReport]) -> str:
         for mode in sorted(reports):
             r = reports[mode]
             lines.append(
-                f"{mode:<20}p50 {_ratio(base.p50, r.p50):>8.2f}  "
-                f"p95 {_ratio(base.p95, r.p95):>8.2f}  p99 {_ratio(base.p99, r.p99):>8.2f}")
+                f"{mode:<20}p50 {base.p50 / r.p50:>8.2f}  "
+                f"p95 {base.p95 / r.p95:>8.2f}  p99 {base.p99 / r.p99:>8.2f}")
     return "\n".join(lines) + "\n"

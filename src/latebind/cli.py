@@ -5,7 +5,6 @@ Subcommands:
              break-evens, and write a thresholds file
   run        execute a benchmark scenario under the requested modes and
              emit per-mode report files
-  report     print a percentile comparison from existing samples.csv files
 
 Configuration precedence: command-line flags > built-in defaults.  Every
 command echoes its resolved configuration, and run/calibrate write it next
@@ -178,20 +177,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    reports = {}
-    paths = {}
-    for raw in args.paths:
-        mode, rows = bench.read_samples(Path(raw))
-        if mode in paths:
-            raise ValidationError(f"{paths[mode]} and {raw} both hold mode {mode!r}")
-        paths[mode] = raw
-        # samples.csv records no scenario, seed or thresholds source
-        reports[mode] = bench.build_report("", mode, 0, "", rows)
-    print(bench.compare_reports(reports), end="")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latebind",
@@ -238,13 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fact-rows", dest="fact_rows", type=int, help="fact table rows")
     run.add_argument("--dim-rows", dest="dim_rows", type=int, help="dim table rows")
     run.add_argument("--thresholds", dest="thresholds_file",
-                     help="thresholds JSON for the orchestrated mode "
-                          "(default: calibrate internally, noise-free)")
+                     help="thresholds JSON for the orchestrated mode, replacing its "
+                          "thresholds whole, so that --rho-join and --offload-margin then "
+                          "reach independent_gates only (default: calibrate internally, "
+                          "noise-free)")
     run.set_defaults(func=cmd_run)
-
-    rep = sub.add_parser("report", help="compare existing samples.csv files")
-    rep.add_argument("paths", nargs="+", help="samples.csv paths, one per mode")
-    rep.set_defaults(func=cmd_report)
 
     return parser
 

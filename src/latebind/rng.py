@@ -19,7 +19,6 @@ _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
-INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 # the signed integer types a draw may be stored in, narrowest first, with
 # the least and greatest value of each
 SIGNED_BOUNDS = {np.dtype(t): (int(np.iinfo(t).min), int(np.iinfo(t).max))

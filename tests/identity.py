@@ -2,8 +2,7 @@
 compared with one diff.
 
 The outputs are every file and the stdout of ``latebind run`` for the three
-scenarios at seeds 1, 100001 and 200001; the stdout of ``latebind report``
-over each scenario's three seed-1 ``samples.csv`` files; the ``repr`` of ``run_scenario``'s
+scenarios at seeds 1, 100001 and 200001; the ``repr`` of ``run_scenario``'s
 rows and failures per mode for the three scenarios at seed 1 under memory
 budgets of 768, 256 and 64 KiB; and every file and the stdout of
 ``latebind calibrate`` at its defaults and at two other cost models.  The
@@ -45,18 +44,13 @@ def printed(cli, argv: list[str], tmp: str) -> str:
     return sha(f"exit {code}\n" + stdout.getvalue().replace(tmp, "<out>"))
 
 
-def cli_outputs(cli, argv: list[str], label: str, report: bool = False) -> list[str]:
-    """The hashed stdout and files of one cli.main call, and with `report`
-    the stdout of ``latebind report`` over the samples.csv files it wrote."""
+def cli_outputs(cli, argv: list[str], label: str) -> list[str]:
+    """The hashed stdout and files of one cli.main call."""
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         lines = [f"{printed(cli, [*argv, '--out', tmp], tmp)}  {label} stdout"]
-        files = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
-        for path in files:
+        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
             text = path.read_text(encoding="utf-8").replace(tmp, "<out>")
             lines.append(f"{sha(text)}  {label} {path.relative_to(tmp)}")
-        if report:
-            samples = [str(p) for p in files if p.name == "samples.csv"]
-            lines.append(f"{printed(cli, ['report', *samples], tmp)}  {label} report")
     return lines
 
 
@@ -71,7 +65,7 @@ def main(argv: list[str]) -> int:
     for name in bench.SCENARIO_NAMES:
         for seed in SEEDS:
             lines += cli_outputs(cli, ["run", "--scenario", name, "--seed", str(seed)],
-                                 f"run {name} seed {seed}", report=seed == 1)
+                                 f"run {name} seed {seed}")
     for name in bench.SCENARIO_NAMES:
         for kib in BUDGETS_KIB:
             scenario = getattr(bench, f"scenario_{name}")(seed=1)

@@ -106,11 +106,8 @@ MUTATIONS = {
                                    "diffs[i - 1] <= 0 <= diffs[i]"),
     "crossover_past_equal_means": ("accel.py", "diffs[i - 1] < 0 <= diffs[i]",
                                    "diffs[i - 1] < 0 < diffs[i]"),
-    "negative_zero_latency_kept": ("bench.py", "latency=value + 0.0,", "latency=value,"),
     "none_cell_as_text": ("errors.py", 'else "" if value is None else str(value)',
                           "else str(value)"),
-    "infinite_latency_read": ("bench.py", "if not 0 <= value < math.inf:",
-                              "if not 0 <= value <= math.inf:"),
     "largest_float_integer_rejected": ("errors.py", "abs(value) <= sys.float_info.max",
                                        "abs(value) < sys.float_info.max"),
     "zero_flag_dropped": ("cli.py", "for name, value in given.items() if value is not None})",

@@ -803,7 +803,12 @@ def test_mode_whose_every_query_fails_is_reported(tmp_path):
         assert (target / "cdf.csv").read_text() == "latency,cumulative_fraction\n"
         assert "failures    200\nmean        nan\np50         nan\n" \
             in (target / "summary.txt").read_text()
-    assert f"{'nan':>14}" * 4 + "   200\n" in compare_reports(reports)
+    table = compare_reports(reports)
+    assert f"{'nan':>14}" * 4 + "   200\n" in table
+    # a ratio of NaN percentiles is NaN, printed as such
+    for mode in MODES:
+        assert f"{mode:<20}" + "  ".join(f"{p} {'nan':>8}" for p in ("p50", "p95", "p99")) \
+            + "\n" in table
     # the one NaN object makes equal runs' reports equal
     assert reports == run_scenario(scenario, SimulatedClock(),
                                    engine_config=EngineConfig(memory_budget_bytes=64 * 1024))
@@ -817,4 +822,7 @@ def test_summarize_and_compare_output():
     text = compare_reports({BASELINE: report, ORCHESTRATED: other})
     assert "p99" in text and "ratios vs baseline" in text
     assert "10.00" in text  # baseline p99 / orchestrated p99
+    assert text.splitlines()[-2:] == [
+        f"{mode:<20}" + "  ".join(f"{p} {ratio:>8}" for p in ("p50", "p95", "p99"))
+        for mode, ratio in ((BASELINE, "1.00"), (ORCHESTRATED, "10.00"))]
     assert summarize(report).startswith("scenario")

@@ -4,7 +4,6 @@ import argparse
 import csv
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from latebind.cli import (EXIT_OK, EXIT_VALIDATION, CalibrateConfig, CommonConfi
                           _base_thresholds, build_parser, main)
 from latebind.clock import MAX_SIGMA, SimulatedClock
 from latebind.engine import EngineConfig
-from latebind.policy import ORCHESTRATED, Thresholds
+from latebind.policy import Thresholds
 
 
 def run_cli(*argv: str) -> int:
@@ -70,12 +69,38 @@ def test_run_emits_reports(tmp_path, capsys):
     assert "ratios vs baseline" in out
 
 
+def latencies(out: Path, scenario: str, mode: str) -> list[str]:
+    """The latency cells of one mode's samples.csv, in query order."""
+    path = out / scenario / mode / "samples.csv"
+    return [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+
+
 def test_run_with_thresholds_file(tmp_path):
-    assert run_cli("calibrate", "--out", str(tmp_path), "--sigma", "0") == EXIT_OK
-    code = run_cli("run", "--scenario", "stale_stats", "--queries", "6",
-                   "--out", str(tmp_path),
-                   "--thresholds", str(tmp_path / "calibration" / "thresholds.json"))
-    assert code == EXIT_OK
+    # a thresholds file replaces orchestrated's thresholds whole: its
+    # unreachable triggers reach orchestrated alone ...
+    unreachable = ("--rho-join", "1e12", "--offload-margin", "1e9")
+    assert run_cli("calibrate", "--out", str(tmp_path / "off"), "--sigma", "0",
+                   *unreachable) == EXIT_OK
+    assert run_cli("run", "--scenario", "stale_stats", "--queries", "6",
+                   "--out", str(tmp_path / "off"),
+                   "--thresholds", str(tmp_path / "off" / "calibration" / "thresholds.json")) \
+        == EXIT_OK
+    off = tmp_path / "off"
+    assert latencies(off, "stale_stats", "orchestrated") == \
+        latencies(off, "stale_stats", "baseline")
+    assert latencies(off, "stale_stats", "independent_gates") != \
+        latencies(off, "stale_stats", "baseline")
+    # ... and beside a file, the threshold flags reach independent_gates alone
+    assert run_cli("calibrate", "--out", str(tmp_path / "on"), "--sigma", "0") == EXIT_OK
+    assert run_cli("run", "--scenario", "stale_stats", "--queries", "6",
+                   "--out", str(tmp_path / "on"), *unreachable,
+                   "--thresholds", str(tmp_path / "on" / "calibration" / "thresholds.json")) \
+        == EXIT_OK
+    on = tmp_path / "on"
+    assert latencies(on, "stale_stats", "independent_gates") == \
+        latencies(on, "stale_stats", "baseline")
+    assert latencies(on, "stale_stats", "orchestrated") != \
+        latencies(on, "stale_stats", "baseline")
 
 
 def test_every_flag_is_a_config_field():
@@ -129,12 +154,8 @@ def test_threshold_flags_change_run_behavior(tmp_path):
                    "--out", str(tmp_path), "--rho-join", "1e12",
                    "--offload-margin", "1e9")
     assert code == EXIT_OK
-
-    def latencies(mode: str) -> list[str]:
-        path = tmp_path / "stale_stats" / mode / "samples.csv"
-        return [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
-
-    assert latencies("orchestrated") == latencies("baseline")
+    assert latencies(tmp_path, "stale_stats", "orchestrated") == \
+        latencies(tmp_path, "stale_stats", "baseline")
     # defaults, by contrast, leave the two modes far apart on this scenario
     code = run_cli("run", "--scenario", "stale_stats", "--queries", "12",
                    "--out", str(tmp_path / "defaults"))
@@ -173,104 +194,6 @@ def test_out_dir_ignores_environment(tmp_path, monkeypatch):
     assert not (tmp_path / "envout").exists()
 
 
-def _write_samples(path: Path, mode: str, latencies: list[float]) -> None:
-    lines = ["mode,query_id,latency,failed"]
-    lines += [f"{mode},q{i:03d},{v!r},0" for i, v in enumerate(latencies)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_report_identical_files_unit_ratio(tmp_path, capsys):
-    a = tmp_path / "baseline.csv"
-    b = tmp_path / "orch.csv"
-    _write_samples(a, "baseline", [float(i) for i in range(1, 101)])
-    _write_samples(b, "orchestrated", [float(i) for i in range(1, 101)])
-    assert run_cli("report", str(a), str(b)) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "p50     1.00  p95     1.00  p99     1.00" in out
-
-
-def test_report_tenfold_ratio(tmp_path, capsys):
-    a = tmp_path / "baseline.csv"
-    b = tmp_path / "orch.csv"
-    _write_samples(a, "baseline", [float(10 * i) for i in range(1, 101)])
-    _write_samples(b, "orchestrated", [float(i) for i in range(1, 101)])
-    assert run_cli("report", str(a), str(b)) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "p99    10.00" in out
-
-
-def test_report_missing_file_names_path(tmp_path, capsys):
-    missing = tmp_path / "nowhere" / "samples.csv"
-    assert run_cli("report", str(missing)) == EXIT_VALIDATION
-    assert str(missing) in capsys.readouterr().err
-
-
-def test_report_duplicate_mode_names_both_paths(tmp_path, capsys):
-    a = tmp_path / "first.csv"
-    b = tmp_path / "second.csv"
-    _write_samples(a, "baseline", [1.0, 2.0])
-    _write_samples(b, "baseline", [3.0, 4.0])
-    assert run_cli("report", str(a), str(b)) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert str(a) in err and str(b) in err
-
-
-@pytest.mark.parametrize("text,message", [
-    ("baseline,q000,5.0,0\n", "does not start with the header"),
-    ("mode,query_id,latency,failed\nbaseline,q000,fast,0\n", "'fast', not a number"),
-    ("mode,query_id,latency,failed\n", "no rows in"),
-    ("mode,query_id,latency,failed\nbaseline,q000,nan,0\n", "q000 has latency 'nan'"),
-    ("mode,query_id,latency,failed\nbaseline,q000,-3,0\n", "q000 has latency '-3'"),
-    ("mode,query_id,latency,failed\nbaseline,q000,inf,0\n", "q000 has latency 'inf'"),
-    ("mode,query_id,latency,failed\nbaseline,q000,5.0\n", "q000 has failed None"),
-    ("mode,query_id,latency,failed\nbaseline,q000,5.0,yes\n", "q000 has failed 'yes'"),
-    ("mode,query_id,latency,failed\nbaseline,q000,5.0,0,extra\n",
-     "q000 has more cells than the header"),
-    ("mode,query_id,latency,failed\nbaseline,q000,5.0,0\nbaseline,q000,6.0,0\n",
-     "q000 appears more than once"),
-    ("mode,query_id,latency,failed\n,,5.0,0\n", "line 2 has no mode"),
-    ("mode,query_id,latency,failed\nbaseline,q000,5.0,0\nbaseline,,6.0,0\n",
-     "line 3 has no query_id"),
-], ids=["no_header", "latency_not_a_number", "no_rows", "latency_nan", "latency_negative",
-        "latency_inf", "no_failed_cell", "failed_not_0_or_1", "extra_cell", "repeated_query_id",
-        "empty_mode", "empty_query_id"])
-def test_report_malformed_samples_exits_1(tmp_path, capsys, text, message):
-    path = tmp_path / "samples.csv"
-    path.write_text(text)
-    assert run_cli("report", str(path)) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err and message in err
-
-
-def test_report_of_a_mode_whose_every_query_failed(tmp_path, capsys):
-    path = tmp_path / "samples.csv"
-    path.write_text("mode,query_id,latency,failed\n"
-                    "baseline,q000,812.5,1\n"
-                    "baseline,q001,0.0,1\n")
-    assert run_cli("report", str(path)) == EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert out[1] == f"{'baseline':<20}" + f"{'nan':>14}" * 4 + "     2"
-    assert out[3].startswith("baseline            p50      nan")
-
-
-@pytest.mark.parametrize("base,latency,ratio", [
-    ("5.0", "0.0", "inf"), ("5.0", "-0.0", "inf"), ("0.0", "0.0", "nan"), ("-0.0", "0.0", "nan"),
-    ("-0.0", "5.0", "0.00"),
-], ids=["zero", "negative_zero", "zero_over_zero", "negative_zero_over_zero",
-        "negative_zero_over_positive"])
-def test_report_of_a_zero_percentile(tmp_path, capsys, base, latency, ratio):
-    # read_samples accepts a latency of 0, so a percentile can be 0; a -0.0
-    # is read as 0.0, so no sign reaches the table
-    a, b = tmp_path / "baseline.csv", tmp_path / "orch.csv"
-    a.write_text(f"mode,query_id,latency,failed\nbaseline,q000,{base},0\n")
-    b.write_text(f"mode,query_id,latency,failed\norchestrated,q000,{latency},0\n")
-    assert run_cli("report", str(a), str(b)) == EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert out[-1] == f"{'orchestrated':<20}" + "  ".join(
-        f"{p} {ratio:>8}" for p in ("p50", "p95", "p99"))
-    assert not any("-0.00" in line for line in out)
-
-
 def test_run_whose_every_query_fails_exits_0(tmp_path, capsys, monkeypatch):
     # a 64 KiB budget puts every scan of the fact table over the hard cap
     monkeypatch.setattr(bench, "EngineConfig",
@@ -286,16 +209,13 @@ def test_run_whose_every_query_fails_exits_0(tmp_path, capsys, monkeypatch):
         assert "failures    3\n" in (target / "summary.txt").read_text()
 
 
-def test_report_mixed_mode_file_names_path_and_modes(tmp_path, capsys):
-    mixed = tmp_path / "samples.csv"
-    mixed.write_text("mode,query_id,latency,failed\n"
-                     "baseline,q000,5.0,0\n"
-                     "orchestrated,q001,7.0,0\n")
-    assert run_cli("report", str(mixed)) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert str(mixed) in captured.err
-    assert "baseline" in captured.err and "orchestrated" in captured.err
-    assert captured.out == ""
+def test_missing_thresholds_file_names_path(tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "thresholds.json"
+    assert run_cli("run", "--queries", "2", "--thresholds", str(missing),
+                   "--out", str(tmp_path)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not (tmp_path / "input_scale_shift").exists()
 
 
 def test_thresholds_file_with_deleted_keys_rejected(tmp_path, capsys):
@@ -322,23 +242,6 @@ def test_uncalibrated_thresholds_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "requires calibrated thresholds" in err
-
-
-def test_report_reprints_run_comparison(tmp_path, capsys):
-    scenario = bench.scenario_stale_stats(seed=2, query_count=10)
-    reports = bench.run_scenario(scenario, SimulatedClock(sigma=0.05))
-    # one failed query, as a memory-exhausted execution leaves it
-    orch = reports[ORCHESTRATED]
-    rows = list(orch.rows)
-    rows[3] = replace(rows[3], failed=True)
-    reports[ORCHESTRATED] = bench.build_report(
-        orch.scenario, orch.mode, orch.seed, orch.thresholds_source, rows)
-    paths = [str(path) for report in reports.values()
-             for path in bench.report_emit(report, tmp_path) if path.name == "samples.csv"]
-    assert run_cli("report", *paths) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out == bench.compare_reports(reports)
-    assert "     1\n" in out  # the failed row is counted
 
 
 def test_break_even_rejects_fact_rows(tmp_path, capsys):
@@ -519,6 +422,14 @@ def test_gen_is_no_command(capsys):
         run_cli("gen", "--spec", "spec.json")
     assert exit_.value.code == 2
     assert "invalid choice: 'gen'" in capsys.readouterr().err
+
+
+def test_report_is_no_command(capsys):
+    # run prints the one comparison table; no command reads samples.csv back
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("report", "x.csv")
+    assert exit_.value.code == 2
+    assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 def test_calibrate_grid_collapse_exits_1(tmp_path, capsys):

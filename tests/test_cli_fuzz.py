@@ -6,7 +6,9 @@ break-even), and raises nothing.  Two kinds of thresholds file are drawn
 as raw bytes, because json.dumps cannot write them: an integer of more
 digits than int() takes, and text that is no JSON or no UTF-8.  A
 thresholds file must also exit 1 exactly when one of its break-evens is no
-positive number or inf, or names no offloadable kind.
+positive number or inf, or names no offloadable kind.  A usage error
+stops in argparse, before the program runs, so each fuzz also checks that
+at least one of its examples reached main's body.
 
 Every example is cheap: a flag that sizes the work is drawn small (at most
 3 queries, a few thousand table rows, 4 measurement sizes and 3
@@ -23,7 +25,7 @@ import io
 import json
 import math
 from dataclasses import fields
-from typing import Callable
+from typing import Callable, Optional
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
@@ -107,21 +109,29 @@ N_STARS = st.one_of(st.floats(), st.integers(-10**6, 10**6),
                                      1.7e308, 10000.0)))
 
 
-def check_exit(argv: list[str]) -> int:
+def check_exit(argv: list[str]) -> Optional[int]:
     """latebind exits 0, or 1 or 2 with a message line; nothing escapes.
-    Returns the exit code."""
+    Returns the code that main returned, or None for argparse's usage error
+    (exit 2 with a ``usage:`` line), which stops before main's body runs."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             code = main(argv)
-        except SystemExit as exc:   # argparse's usage errors
-            code = exc.code
+        except SystemExit as exc:
+            assert exc.code == 2 and err.getvalue().startswith("usage: latebind "), \
+                (argv, exc.code, err.getvalue())
+            return None
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert code in (1, 2), (argv, code)
-        assert any(line.startswith(("error:", "usage:", "warning:"))
+        assert any(line.startswith(("error:", "warning:"))
                    for line in err.getvalue().splitlines()), (argv, err.getvalue())
     return code
+
+
+def assert_main_reached(codes: list[Optional[int]]) -> None:
+    """A fuzz whose every example is a usage error never ran the program."""
+    assert any(code is not None for code in codes), codes
 
 
 def write(path, doc: object) -> str:
@@ -130,40 +140,54 @@ def write(path, doc: object) -> str:
 
 
 def test_thresholds_files_exit_cleanly(tmp_path):
+    codes: list[Optional[int]] = []
+
     @fuzz(12)
     @given(doc=documents(Thresholds), scenario=st.sampled_from(SCENARIO_NAMES))
     def check(doc, scenario):
-        check_exit(["run", "--scenario", scenario, "--queries", "2", "--out", str(tmp_path),
-                    "--thresholds", write(tmp_path / "thresholds.json", doc)])
+        codes.append(check_exit(["run", "--scenario", scenario, "--queries", "2",
+                                 "--out", str(tmp_path),
+                                 "--thresholds", write(tmp_path / "thresholds.json", doc)]))
 
     check()
+    assert_main_reached(codes)
 
 
 def test_raw_documents_exit_cleanly(tmp_path):
+    codes: list[Optional[int]] = []
+
     @fuzz(20)
     @given(raw=RAW)
     def check(raw):
         path = tmp_path / "thresholds.json"
         path.write_bytes(raw)
-        check_exit(["run", "--queries", "2", "--thresholds", str(path), "--out", str(tmp_path)])
+        codes.append(check_exit(["run", "--queries", "2", "--thresholds", str(path),
+                                 "--out", str(tmp_path)]))
 
     check()
+    assert_main_reached(codes)
 
 
 def test_break_evens_in_thresholds_files_checked(tmp_path):
+    codes: list[Optional[int]] = []
+
     @fuzz(20)
     @given(n_star=st.dictionaries(st.sampled_from((*OFFLOADABLE_KINDS, "join", "")), N_STARS,
                                   max_size=2))
     def check(n_star):
         valid = all(kind in OFFLOADABLE_KINDS and value > 0 for kind, value in n_star.items())
         path = write(tmp_path / "thresholds.json", {"n_star": n_star, "source": "file"})
-        assert check_exit(["run", "--scenario", "break_even", "--queries", "2", "--out",
-                           str(tmp_path), "--thresholds", path]) == (0 if valid else 1), n_star
+        codes.append(check_exit(["run", "--scenario", "break_even", "--queries", "2", "--out",
+                                 str(tmp_path), "--thresholds", path]))
+        assert codes[-1] == (0 if valid else 1), n_star
 
     check()
+    assert_main_reached(codes)
 
 
 def test_numeric_flags_exit_cleanly(tmp_path):
+    codes: list[Optional[int]] = []
+
     @fuzz(80)
     @given(data=st.data(), case=st.sampled_from(sorted(FLAGS)))
     def check(data, case):
@@ -171,6 +195,7 @@ def test_numeric_flags_exit_cleanly(tmp_path):
         argv = [command, f"{flag}={data.draw(FLAGS[case])}", "--out", str(tmp_path)]
         if command == "run" and flag != "--queries":
             argv += ["--queries", "2"]
-        check_exit(argv)
+        codes.append(check_exit(argv))
 
     check()
+    assert_main_reached(codes)
