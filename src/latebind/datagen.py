@@ -2,15 +2,15 @@
 
 Tables are columnar integer vectors generated from a seed via SplitMix64
 (see rng module), so identical (spec, seed) pairs are bitwise identical on
-any machine.  Each column is stored in the narrowest of int8, int16, int32
-and int64 that holds its spec's [low, high] (column_dtype): the width
-follows from the spec alone, never from the values drawn, and the values
-are those of an int64 draw.  Drift produces a *new* table one generation
-later whose columns are a fresh deterministic sample of the drifted
-distribution (scaled row count, shifted value domain, optionally replaced
-skew); the input table is never mutated.  Statistics captured before a
-drift therefore describe a distribution the drifted table no longer
-follows.
+any machine.  A column's [low, high] lies in the int32 range (VALUE_BOUNDS),
+and the column is stored in the narrowest of int8, int16 and int32 that
+holds it (column_dtype): the width follows from the spec alone, never from
+the values drawn, and the values are those of an int64 draw.  Drift
+produces a *new* table one generation later whose columns are a fresh
+deterministic sample of the drifted distribution (scaled row count,
+shifted value domain, optionally replaced skew); the input table is never
+mutated.  Statistics captured before a drift therefore describe a
+distribution the drifted table no longer follows.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ ZIPF = "zipf"
 
 MAX_ZIPF_DOMAIN = 2**24  # values; each draw's zipf CDF holds a float64 per value (128 MiB)
 MAX_TABLE_BYTES = 2**30  # a table's bytes at int64 width, 8 per value (1 GiB)
+# every column value's range: the scenarios' values stay below 2**27 + 100,
+# and float64 holds each one exactly
+VALUE_BOUNDS = SIGNED_BOUNDS[np.dtype(np.int32)]
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,9 @@ class ColumnSpec:
             raise ValidationError("column name must be non-empty")
         if self.low > self.high:
             raise ValidationError(f"column {self.name}: empty range [{self.low}, {self.high}]")
-        column_dtype(self)   # raises when the range exceeds int64
+        if self.low < VALUE_BOUNDS[0] or self.high > VALUE_BOUNDS[1]:
+            raise ValidationError(f"column {self.name}: range [{self.low}, {self.high}] "
+                                  "exceeds int32")
         if self.distribution not in (UNIFORM, ZIPF):
             raise ValidationError(f"column {self.name}: unknown distribution {self.distribution!r}")
         if self.distribution == ZIPF and not self.skew > 0:
@@ -127,10 +132,8 @@ def _zipf_cdf(domain_size: int, skew: float) -> np.ndarray:
 
 def column_dtype(col: ColumnSpec) -> np.dtype:
     """The narrowest signed integer type that holds col's [low, high]."""
-    for dtype, (low, high) in SIGNED_BOUNDS.items():
-        if low <= col.low and col.high <= high:
-            return dtype
-    raise ValidationError(f"column {col.name}: range [{col.low}, {col.high}] exceeds int64")
+    return next(dtype for dtype, (low, high) in SIGNED_BOUNDS.items()
+                if low <= col.low and col.high <= high)
 
 
 def _sample_column(col: ColumnSpec, rows: int, seed: int) -> np.ndarray:

@@ -96,8 +96,8 @@ def stream_integers(seed: int, start: int, count: int, low: int, high: int,
     that holds both bounds, int64 by default.
 
     Uses modulo reduction; the bias is O(range / 2**64), irrelevant for
-    the integer domains used here.  A range of all 2**64 values takes
-    each draw as it is.  The remainder is taken as x - (x // m) * m,
+    the integer domains used here.  The modulus is a uint64, so a range
+    of all 2**64 values is rejected.  The remainder is x - (x // m) * m,
     which equals x % m for uint64 and runs faster in numpy.  The draw
     writes into its column, which is allocated in `dtype` before the
     draw's uint64 temporaries, so the columns a caller keeps pack together
@@ -112,16 +112,15 @@ def stream_integers(seed: int, start: int, count: int, low: int, high: int,
     if dtype not in SIGNED_BOUNDS:
         raise ValueError(f"{dtype} is not a signed integer type")
     type_low, type_high = SIGNED_BOUNDS[dtype]
-    if low < type_low or high > type_high:
-        raise ValueError(f"range [{low}, {high}] exceeds {dtype}")
+    if low < type_low or high > type_high or high - low >= _MASK:
+        raise ValueError(f"range [{low}, {high}] exceeds {dtype} or 2**64 - 1 values")
     out = np.empty(count, dtype=dtype)
     vals = stream_u64(seed, start, count)
-    if high - low < _MASK:
-        m = np.uint64(high - low + 1)
-        with _wrap():
-            q = vals // m
-            q *= m
-            vals -= q
+    m = np.uint64(high - low + 1)
+    with _wrap():
+        q = vals // m
+        q *= m
+        vals -= q
     # the unsigned view takes the remainder's low bits, read as `dtype`
     # the way astype(dtype) would convert them
     np.copyto(out.view(f"u{dtype.itemsize}"), vals, casting="unsafe")

@@ -12,7 +12,6 @@ captured before a drift survive it unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -22,7 +21,6 @@ from .datagen import Table
 from .errors import ValidationError
 
 DEFAULT_BUCKETS = 32
-_FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 
 COMPARISONS = ("<", "<=", "=", ">=", ">")
 
@@ -102,7 +100,7 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
         # bucket i counts the values below edge i+1 less those below edge i
         edges = np.linspace(lo, hi + 1, buckets + 1)
         span = hi - lo + 1
-        if span <= n and -_FLOAT_EXACT <= lo and hi < _FLOAT_EXACT:
+        if span <= n:
             # dense domain: a count per value in place of a sort.  below[k]
             # counts the values under lo + k, and an integer is under an edge
             # exactly when it is under the edge's ceiling.  Offsets from lo
@@ -117,13 +115,10 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
         else:
             ordered = np.sort(values)
             ndv = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-            # edge ceilings as above, since float64 rounds values past 2**53;
-            # the outer edges stand for lo and hi + 1, so the counts sum to n
-            ceilings = [math.ceil(e) for e in edges[1:-1].tolist()]
-            inner = np.searchsorted(ordered, np.array([min(max(c, lo), hi) for c in ceilings],
-                                                      dtype=ordered.dtype))
-            inner[[c > hi for c in ceilings]] = n  # the clamp kept these in the column's type
-            counts = np.diff([0, *inner, n])
+            # float64 holds every column value (datagen.VALUE_BOUNDS) exactly,
+            # so the search counts the values below each inner edge; the outer
+            # edges stand for lo and hi + 1, so the counts sum to n
+            counts = np.diff([0, *np.searchsorted(ordered, edges[1:-1]), n])
         cols[name] = ColumnStats(
             column=name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
             bucket_edges=tuple(edges.tolist()),
@@ -134,20 +129,14 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
 
 def _range_fraction(stats: ColumnStats, lo: int, hi: int) -> float:
     """Estimated fraction of rows in [lo, hi) (uniform-within-bucket
-    interpolation).  The bounds and outer edges are ints, which compare
-    exactly with the float inner edges, so past 2**53 a bound still tells
-    the column's min from its max + 1."""
+    interpolation)."""
     total = float(stats.row_count)
     mass = 0.0
     edges = (stats.min_value, *stats.bucket_edges[1:-1], stats.max_value + 1)
     for i, count in enumerate(stats.bucket_counts):
         b_lo, b_hi = edges[i], edges[i + 1]
-        width = b_hi - b_lo
-        if width <= 0.0:  # past 2**53 neighbouring edges can round to one float
-            covered = 1.0 if lo <= b_lo < hi else 0.0
-        else:
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            covered = min(max(overlap / width, 0.0), 1.0)
+        overlap = min(hi, b_hi) - max(lo, b_lo)
+        covered = min(max(overlap / (b_hi - b_lo), 0.0), 1.0)
         if covered <= 0.0:
             continue
         mass += covered * count

@@ -78,6 +78,10 @@ MUTATIONS = {
         "datagen.py", "stream_integers(seed, 0, rows, col.low, col.high, dtype)",
         "stream_integers(seed, 1, rows, col.low, col.high, dtype)"),
     "zipf_cdf_end_not_forced": ("datagen.py", "cdf[-1] = 1.0", "pass"),
+    "value_bound_min_excluded": ("datagen.py", "self.low < VALUE_BOUNDS[0]",
+                                 "self.low <= VALUE_BOUNDS[0]"),
+    "value_bound_max_excluded": ("datagen.py", "self.high > VALUE_BOUNDS[1]",
+                                 "self.high >= VALUE_BOUNDS[1]"),
     "dense_histogram_edge_floor": ("stats.py", "at = np.clip(np.ceil(edges)",
                                    "at = np.clip(np.floor(edges)"),
     "all_failed_nan_not_shared": ("bench.py", "p50 = p95 = p99 = mean = math.nan",

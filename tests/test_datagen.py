@@ -5,14 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from latebind import datagen
+from latebind import bench, datagen
 from latebind.datagen import (MAX_TABLE_BYTES, MAX_ZIPF_DOMAIN, ZIPF, ColumnSpec,
                               DistributionChange, DriftSpec, TableSpec, _zipf_cdf,
                               apply_drift, column_dtype, generate_table)
 from latebind.errors import ValidationError
-from latebind.rng import SIGNED_BOUNDS
 
-WIDTHS = tuple(SIGNED_BOUNDS)   # column types, narrowest first
+WIDTHS = tuple(map(np.dtype, (np.int8, np.int16, np.int32)))   # column types, narrowest first
 
 
 def uniform_spec(rows: int, low: int = 0, high: int = 99, name: str = "t") -> TableSpec:
@@ -116,13 +115,13 @@ def test_zipf_generation_bounds():
      "table t: duplicate column names"),
     (TableSpec("t", 10, (ColumnSpec("a", 0, MAX_ZIPF_DOMAIN, "zipf"),)),
      "column a: zipf domain exceeds"),
-    # np.arange would come back empty
-    (TableSpec("t", 10, (ColumnSpec("a", -2**62, 2**62, "zipf"),)),
+    # the widest domain the value bound admits
+    (TableSpec("t", 10, (ColumnSpec("a", -2**31, 2**31 - 1, "zipf"),)),
      "column a: zipf domain exceeds"),
-    (TableSpec("t", 10, (ColumnSpec("a", 0, 2**63),)), f"column a: range [0, {2**63}] exceeds int64"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, 2**63),)), f"column a: range [0, {2**63}] exceeds int32"),
     (TableSpec("t", 10, (ColumnSpec("a", -2**63 - 1, 0),)),
-     f"column a: range [{-2**63 - 1}, 0] exceeds int64"),
-    (TableSpec("t", 10, (ColumnSpec("a", 0, 2**64),)), f"column a: range [0, {2**64}] exceeds int64"),
+     f"column a: range [{-2**63 - 1}, 0] exceeds int32"),
+    (TableSpec("t", 10, (ColumnSpec("a", 0, 2**64),)), f"column a: range [0, {2**64}] exceeds int32"),
     (TableSpec("t", 10, (ColumnSpec("", 0, 9),)), "column name must be non-empty"),
     (TableSpec("t", 10, (ColumnSpec("a", 0, 9, distribution="normal"),)),
      "column a: unknown distribution 'normal'"),
@@ -153,7 +152,7 @@ def test_table_size_limit_checked_by_the_validator():
 def test_drift_to_zipf_beyond_cdf_rejected():
     ColumnSpec("a", 0, MAX_ZIPF_DOMAIN - 1, "zipf").validate()  # the widest zipf domain
     # a uniform column needs no CDF, but drifting it to zipf builds one
-    wide = generate_table(TableSpec("t", 10, (ColumnSpec("a", -2**62, 2**62),)), seed=1)
+    wide = generate_table(TableSpec("t", 10, (ColumnSpec("a", -2**31, 2**31 - 1),)), seed=1)
     with pytest.raises(ValidationError, match="zipf domain"):
         apply_drift(wide, DriftSpec(skew_change=DistributionChange("zipf", 1.1)), seed=2)
 
@@ -168,28 +167,42 @@ def test_invalid_drift_rejected():
 
 def test_drawn_values_deterministic():
     spec = TableSpec("t", 4, (ColumnSpec("a", 0, 9), ColumnSpec("b", -9, 9),
-                              ColumnSpec("c", -10**12, 10**12)))
+                              ColumnSpec("c", -2**31, 2**31 - 1)))
     t = generate_table(spec, seed=2)
     assert {name: values.tolist() for name, values in t.columns.items()} == {
         "a": [6, 9, 4, 1], "b": [7, -4, -4, 1],
-        "c": [-850816887678, -747055247412, -759926549192, 117067349360]}
+        "c": [-1784454044, 1185224229, -2065221909, -584330429]}
 
 
-@pytest.mark.parametrize("low,high", [(-2**63, 2**63 - 1), (-2**63, -2**63), (2**63 - 1, 2**63 - 1),
-                                      (0, 2**63 - 1)])
-def test_int64_limit_ranges_generate(low, high):
-    # the whole int64 range is 2**64 values, one more than a uint64 modulus holds
-    t = generate_table(TableSpec("t", 500, (ColumnSpec("a", low, high),)), seed=21)
-    values = t.column("a")
-    assert values.dtype == np.int64
-    assert low <= int(values.min()) and int(values.max()) <= high
-    if high - low >= 2**63:
-        assert int(values.min()) < 0 < int(values.max())
+def test_value_bound_admits_every_scenario_column():
+    # each scenario at the most rows MAX_TABLE_BYTES admits: the dim table has
+    # one column, and the fact table two (three in stale_stats).  Only
+    # validate() runs, so no table of this size is ever drawn.  A drift's
+    # columns are validated with its shift and without its zipf change:
+    # MAX_ZIPF_DOMAIN rejects zipf keys this wide, and the bound reads only
+    # low and high
+    dim_rows = MAX_TABLE_BYTES // 8
+    scenarios = (
+        bench.scenario_input_scale_shift(fact_rows=MAX_TABLE_BYTES // 16, dim_rows=dim_rows),
+        bench.scenario_stale_stats(fact_rows=MAX_TABLE_BYTES // 24, dim_rows=dim_rows),
+        bench.scenario_break_even(dim_rows=dim_rows))
+    shifts = set()
+    for scenario in scenarios:
+        scenario.fact_spec.validate()
+        scenario.dim_spec.validate()
+        for drift in scenario.drifts.values():
+            shifts.add(drift.domain_shift)
+            for col in scenario.fact_spec.columns:
+                ColumnSpec(col.name, col.low + drift.domain_shift,
+                           col.high + drift.domain_shift).validate()
+    assert shifts == {0, 100}
 
 
 @pytest.mark.parametrize("dtype", WIDTHS)
 def test_width_rule_at_each_dtype_limit(dtype):
+    # past int32's limits the value bound (VALUE_BOUNDS) rejects the column
     info = np.iinfo(dtype)
+    ColumnSpec("a", info.min, info.max).validate()
     assert column_dtype(ColumnSpec("a", info.min, info.max)) == dtype
     wider = WIDTHS[WIDTHS.index(dtype) + 1:]
     for low, high in ((info.min - 1, info.max), (info.min, info.max + 1)):
@@ -197,28 +210,30 @@ def test_width_rule_at_each_dtype_limit(dtype):
         if wider:
             assert column_dtype(col) == wider[0]
         else:
-            with pytest.raises(ValidationError, match="exceeds int64"):
-                column_dtype(col)
+            with pytest.raises(ValidationError,
+                               match=rf"^column a: range \[{low}, {high}\] exceeds int32$"):
+                col.validate()
 
 
 # one column per width, uniform and zipf, at and near the types' limits
 NARROW_SPEC = TableSpec("t", 3000, (
     ColumnSpec("a", -128, 127), ColumnSpec("b", 0, 999),
     ColumnSpec("c", -100, 100, ZIPF, 1.1), ColumnSpec("d", 32767 - 40, 32767, ZIPF, 0.6),
-    ColumnSpec("e", -2**31, 2**31 - 1), ColumnSpec("f", 2**31 - 1, 2**31 + 5)))
+    ColumnSpec("e", -2**31 + 20, 2**31 - 1), ColumnSpec("f", 2**15, 2**15 + 5)))
 
 
 def test_narrow_columns_hold_the_int64_values(monkeypatch):
-    # a drift of -20 widens a, narrows f, and keeps the others' widths
+    # a drift of -20 widens a, narrows f, and keeps the others' widths; e's
+    # domain reaches int32's maximum before it and its minimum after
     drift = DriftSpec(scale_factor=0.5, domain_shift=-20)
     narrow = generate_table(NARROW_SPEC, seed=3)
     narrow_drifted = apply_drift(narrow, drift, seed=4)
     monkeypatch.setattr(datagen, "column_dtype", lambda col: np.dtype(np.int64))
     wide = generate_table(NARROW_SPEC, seed=3)
     wide_drifted = apply_drift(wide, drift, seed=4)
-    widths = {"t": dict(a="int8", b="int16", c="int8", d="int16", e="int32", f="int64"),
-              "drifted": dict(a="int16", b="int16", c="int8", d="int16", e="int64",
-                              f="int32")}
+    widths = {"t": dict(a="int8", b="int16", c="int8", d="int16", e="int32", f="int32"),
+              "drifted": dict(a="int16", b="int16", c="int8", d="int16", e="int32",
+                              f="int16")}
     for label, got, want in (("t", narrow, wide), ("drifted", narrow_drifted, wide_drifted)):
         assert {name: str(col.dtype) for name, col in got.columns.items()} == widths[label]
         assert all(col.dtype == np.int64 for col in want.columns.values())

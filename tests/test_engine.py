@@ -556,7 +556,9 @@ def test_join_kernels_take_narrow_columns(dtype, build, pair_cap):
 def test_filter_gathers_the_rows_a_boolean_mask_selects(dtype, density):
     info = np.iinfo(dtype)
     seed = fnv1a64(f"filter/{np.dtype(dtype)}")
-    a = stream_integers(seed, 0, 1000, int(info.min), int(info.max), dtype=np.dtype(dtype))
+    # below the type's maximum: all of int64 is one value more than a draw's
+    # uint64 modulus holds
+    a = stream_integers(seed, 0, 1000, int(info.min), int(info.max) - 1, dtype=np.dtype(dtype))
     cols = {"a": a, "fk": stream_integers(seed, 1000, a.size, 0, 999, dtype=np.dtype(np.int16)),
             "v": stream_integers(seed, 2000, a.size, -2**40, 2**40)}
     ordered = np.sort(a)
