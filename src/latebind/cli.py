@@ -141,17 +141,12 @@ _SCENARIO_FIELDS = ("drift_fraction", "miscal_factor", "fact_rows", "dim_rows")
 
 
 def _build_scenario(cfg: RunConfig) -> bench.Scenario:
-    builders = {
-        bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
-        bench.STALE_STATS: bench.scenario_stale_stats,
-        bench.BREAK_EVEN: bench.scenario_break_even,
-    }
-    build = builders[cfg.scenario]
+    build = bench.SCENARIOS[cfg.scenario]
     extra = {name: getattr(cfg, name) for name in _SCENARIO_FIELDS
              if getattr(cfg, name) is not None}
     for name in extra:
         if name not in inspect.signature(build).parameters:
-            takers = [scenario for scenario, other in builders.items()
+            takers = [scenario for scenario, other in bench.SCENARIOS.items()
                       if name in inspect.signature(other).parameters]
             raise ValidationError(f"{name} (--{name.replace('_', '-')}) does not apply to "
                                   f"{cfg.scenario}; it applies to {', '.join(takers)}")
@@ -210,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a benchmark scenario")
     common(run)
-    run.add_argument("--scenario", choices=bench.SCENARIO_NAMES,
+    run.add_argument("--scenario", choices=bench.SCENARIOS,
                      help="scenario name (default input_scale_shift)")
     run.add_argument("--queries", type=int, help="queries per scenario (default 200)")
     run.add_argument("--modes", type=_comma_separated(str),
@@ -225,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--thresholds", dest="thresholds_file",
                      help="thresholds JSON for the orchestrated mode, replacing its "
                           "thresholds whole, so that --rho-join and --offload-margin then "
-                          "reach independent_gates only (default: calibrate internally, "
-                          "noise-free)")
+                          "reach independent_gates only (default: the true device model's "
+                          "break-evens)")
     run.set_defaults(func=cmd_run)
 
     return parser

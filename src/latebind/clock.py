@@ -35,9 +35,8 @@ class SimulatedClock:
         self._drawn: tuple[Optional[int], dict[int, float]] = (None, {})
 
     def noise(self, seed: int, counter: int) -> float:
-        """Lognormal multiplier exp(sigma * z), z standard normal."""
-        if self.sigma == 0.0:
-            return 1.0
+        """Lognormal multiplier exp(sigma * z), z standard normal; exactly 1.0
+        at sigma 0, since z is finite."""
         u1 = min(unit_at(seed, 2 * counter) + 2.0**-54, 1.0)
         u2 = unit_at(seed, 2 * counter + 1)
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

@@ -14,11 +14,11 @@ from hash join to nested loop only ever raised tail latency under this cost
 model, so memory is cost accounting (spills, the hard cap) in the engine.
 
 A kind offloads at an observed input of offload_margin x N*, its break-even
-size.  The orchestrated mode runs the rule table against calibrated N*; the
-independent-gates mode runs the same rules against N* derived statically
-from the planner's own cost model (its ablation contract: no measured
-calibration).  A thresholds file is the JSON form of Thresholds, written as
-errors.json_text and read by errors.load_json.
+size.  The orchestrated mode runs the rule table against the true device
+model's N*, as a noise-free calibration measures them, or a calibrated file's;
+the independent-gates mode, against N* read off the planner's own cost model
+(no measured calibration).  A thresholds file is the JSON form of Thresholds,
+written as errors.json_text and read by errors.load_json.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class Thresholds:
     rho_join: float = 10.0        # estimate-ratio trigger for join re-selection
     offload_margin: float = 1.1   # safety multiplier on the break-even size
     n_star: dict[str, float] = field(default_factory=dict)  # kind -> N*
-    # calibrated (calibrate), static (static_thresholds), or, from a
-    # thresholds file, any name; only uncalibrated leaves them uncalibrated
+    # calibrated (calibrate, scenario_thresholds), static (static_thresholds),
+    # or, from a thresholds file, any name; only uncalibrated leaves them so
     source: str = UNCALIBRATED
 
     def __post_init__(self):

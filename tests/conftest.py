@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+import identity
 from latebind import bench
 from latebind.cli import main
 from latebind.datagen import ColumnSpec, Table, TableSpec, generate_table
@@ -18,22 +19,19 @@ from latebind.planner import (OFFLOADABLE_KINDS, AggSpec, AnnotatedPlan, CostMod
 from latebind.policy import MODES, Thresholds
 from latebind.stats import capture_statistics
 
-DEFAULT_BUILDERS = {bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
-                    bench.STALE_STATS: bench.scenario_stale_stats,
-                    bench.BREAK_EVEN: bench.scenario_break_even}
-
 
 @dataclass(frozen=True)
 class DefaultRun:
     """`latebind run --scenario <name> --seed <seed>`, every other setting at
     its default: the exit code, the reports run_scenario returned, each
-    mode's samples.csv bytes, and the dtypes of the columns its executions
-    read."""
+    mode's samples.csv bytes, the dtypes of the columns its executions
+    read, and tests/identity.py's lines of its stdout and files."""
 
     exit_code: int
     reports: dict[str, bench.LatencyReport]
     samples: dict[str, bytes]
     dtypes: frozenset[str]
+    outputs: list[str]
 
 
 @pytest.fixture(scope="session")
@@ -61,16 +59,18 @@ def default_run(tmp_path_factory) -> Callable[..., DefaultRun]:
                               for col in t.columns.values())
                 return real_execute(plan, tables, *args, **kwargs)
 
-            with pytest.MonkeyPatch.context() as mp, \
-                    contextlib.redirect_stdout(io.StringIO()):
+            stdout = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
                 mp.setattr(bench, "run_scenario", keeping)
                 mp.setattr(bench, "execute", reading)
                 code = main(["run", "--scenario", name, "--seed", str(seed),
                              "--out", str(out)])
             samples = {mode: (out / name / mode / "samples.csv").read_bytes()
                        for mode in MODES if (out / name / mode / "samples.csv").exists()}
+            outputs = identity.dir_outputs(identity.run_label(name, seed), code,
+                                           stdout.getvalue(), str(out))
             runs[name, seed] = DefaultRun(code, returned[0] if returned else {}, samples,
-                                          frozenset(dtypes))
+                                          frozenset(dtypes), outputs)
         return copy.deepcopy(runs[name, seed])
 
     return get
@@ -85,7 +85,7 @@ def default_queries() -> Callable[[str], list[bench.PreparedQuery]]:
 
     def get(name: str) -> list[bench.PreparedQuery]:
         if name not in made:
-            made[name] = bench.scenario_queries(DEFAULT_BUILDERS[name](seed=1))
+            made[name] = bench.scenario_queries(bench.SCENARIOS[name](seed=1))
             for query in made[name]:
                 for table in query.tables.values():
                     for col in table.columns.values():

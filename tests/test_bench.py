@@ -8,18 +8,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from latebind import bench, datagen, engine
+from latebind import bench, datagen, engine, policy
+from latebind.accel import calibrate_break_evens
 from latebind.bench import (BREAK_EVEN, INPUT_SCALE_SHIFT, STALE_STATS, LatencyReport,
                             QueryCase, SampleRow, build_report, cdf_points, compare_reports,
                             percentile, report_emit, run_scenario, scenario_break_even,
                             scenario_input_scale_shift, scenario_stale_stats, summarize)
 from latebind.clock import SimulatedClock
-from latebind.engine import EngineConfig
+from latebind.engine import TRUE_COST_MODEL, EngineConfig
 from latebind.errors import ResultMismatchError, ValidationError
 from latebind.planner import ACCELERATOR, AGGREGATE, CPU, HASH_JOIN, JOIN, NESTED_LOOP
-from latebind.policy import BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED
+from latebind.policy import BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED, Thresholds
 from latebind.rng import derive_seed, stream_integers, stream_unit
-from latebind.stats import Predicate
+from latebind.stats import Predicate, capture_statistics
 from conftest import plan_nodes
 
 
@@ -103,9 +104,7 @@ def test_scenario_builders_validate():
         scenario_input_scale_shift(query_count=0)
 
 
-@pytest.mark.parametrize("build", [scenario_input_scale_shift, scenario_stale_stats,
-                                   scenario_break_even],
-                         ids=[INPUT_SCALE_SHIFT, STALE_STATS, BREAK_EVEN])
+@pytest.mark.parametrize("build", bench.SCENARIOS.values(), ids=list(bench.SCENARIOS))
 def test_query_count_limit_is_inclusive(monkeypatch, build):
     monkeypatch.setattr(bench, "MAX_QUERIES", 5)
     assert len(build(query_count=5).cases) == 5
@@ -115,7 +114,7 @@ def test_query_count_limit_is_inclusive(monkeypatch, build):
 
 
 def test_single_query_scenario_degenerate_percentiles():
-    for build in (scenario_input_scale_shift, scenario_stale_stats, scenario_break_even):
+    for build in bench.SCENARIOS.values():
         reports = run_scenario(build(seed=9, query_count=1), SimulatedClock(sigma=0.0))
         for report in reports.values():
             assert report.p50 == report.p95 == report.p99 == report.samples[0]
@@ -220,15 +219,22 @@ def test_seed1_switch_counts(monkeypatch, name):
         return result, trace
 
     monkeypatch.setattr(bench, "execute", counting)
-    build = {BREAK_EVEN: scenario_break_even, INPUT_SCALE_SHIFT: scenario_input_scale_shift,
-             STALE_STATS: scenario_stale_stats}[name]
-    run_scenario(build(seed=1), SimulatedClock(sigma=0.05))
+    run_scenario(bench.SCENARIOS[name](seed=1), SimulatedClock(sigma=0.05))
     assert dict(switches) == SEED1_SWITCHES[name]
 
 
-SCENARIO_BUILDERS = {BREAK_EVEN: scenario_break_even,
-                     INPUT_SCALE_SHIFT: scenario_input_scale_shift,
-                     STALE_STATS: scenario_stale_stats}
+@pytest.mark.parametrize("base", [None, Thresholds(rho_join=3.0, offload_margin=2.5)],
+                         ids=["default", "manual"])
+@pytest.mark.parametrize("seed", [1, 7, 100001, 200001])
+@pytest.mark.parametrize("name", sorted(bench.SCENARIOS))
+def test_orchestrated_thresholds_equal_noise_free_calibration_of_true_model(name, seed,
+                                                                            base):
+    # orchestrated reads the true model's break-evens: exactly what the
+    # measured path, a sigma-0 microbenchmark of the true model, gives
+    measured, _, _ = calibrate_break_evens(TRUE_COST_MODEL, SimulatedClock(sigma=0.0),
+                                           derive_seed(seed, "calibration"))
+    thresholds = bench.scenario_thresholds(bench.SCENARIOS[name](seed=seed), base)
+    assert thresholds[ORCHESTRATED] == policy.calibrate(measured, base)
 
 
 def group_plans(scenario) -> list:
@@ -238,9 +244,9 @@ def group_plans(scenario) -> list:
 
 
 @pytest.mark.parametrize("seed", [1, 100001, 200001])
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+@pytest.mark.parametrize("name", sorted(bench.SCENARIOS))
 def test_statistics_of_read_columns_plan_as_full_statistics(monkeypatch, name, seed):
-    scenario = SCENARIO_BUILDERS[name](seed=seed)
+    scenario = bench.SCENARIOS[name](seed=seed)
     read = group_plans(scenario)
     full_capture = bench.capture_statistics
     monkeypatch.setattr(bench, "capture_statistics",
@@ -260,34 +266,32 @@ def test_statistics_of_read_columns_plan_as_full_statistics(monkeypatch, name, s
 
 
 @pytest.mark.parametrize("seed", [1, 100001, 200001])
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
-def test_stats_roundtrip_is_exact_where_plans_read_it(monkeypatch, name, seed):
-    # a scenario without size variants plans from the round-tripped base and
-    # dim statistics; the round trip must give back what was captured
-    trips = []
-    roundtrip = bench._roundtrip
+@pytest.mark.parametrize("name", sorted(bench.SCENARIOS))
+def test_plans_hold_statistics_as_captured(monkeypatch, name, seed):
+    # plans read the statistics capture_statistics returned, with no trip
+    # through their file form: of the base table before any drift in a
+    # scenario without size variants, of each variant's own table otherwise
+    def no_roundtrip(stats):
+        raise AssertionError("statistics sent through their JSON form")
 
-    def recording(stats):
-        back = roundtrip(stats)
-        trips.append((stats, back))
-        return back
-
-    monkeypatch.setattr(bench, "_roundtrip", recording)
-    scenario = SCENARIO_BUILDERS[name](seed=seed)
-    first = next(bench.scenario_groups(scenario)).queries[0][1].plan
-    if scenario.size_variants:
-        assert trips == []   # each variant is planned from its own fresh statistics
-        return
-    assert sorted(stats.table for stats, _ in trips) == ["dim", "fact"]
-    for stats, back in trips:
-        assert back == stats
-        assert first.stats[stats.table] is back
+    monkeypatch.setattr(bench, "_roundtrip", no_roundtrip)
+    scenario = bench.SCENARIOS[name](seed=seed)
+    first = next(bench.scenario_groups(scenario)).queries[0][1]
+    fact = (first.tables[scenario.fact_spec.name] if scenario.size_variants
+            else bench._fact_table(scenario, bench.BASE_VARIANT, None))
+    read = {bench.LEFT_KEY, *(case.predicate.column for case in scenario.cases
+                              if case.predicate)}
+    dim = first.tables[scenario.dim_spec.name]
+    assert first.plan.stats == {
+        scenario.fact_spec.name: capture_statistics(fact, columns=read),
+        scenario.dim_spec.name: capture_statistics(dim, columns=(bench.RIGHT_KEY,))}
 
 
 @pytest.mark.parametrize("name,nodes,calls", [
-    (BREAK_EVEN, 4, 960), (INPUT_SCALE_SHIFT, 4, 960), (STALE_STATS, 5, 1160)])
+    (BREAK_EVEN, 4, 800), (INPUT_SCALE_SHIFT, 4, 800), (STALE_STATS, 5, 1000)])
 def test_noise_drawn_once_per_query_and_node(monkeypatch, name, nodes, calls):
-    # noise never depends on the mode, so a query's modes share each draw
+    # noise never depends on the mode, so a query's modes share each draw;
+    # the thresholds are read off cost models, so they draw none
     drawn = []
     noise = SimulatedClock.noise
 
@@ -296,12 +300,11 @@ def test_noise_drawn_once_per_query_and_node(monkeypatch, name, nodes, calls):
         return noise(self, seed, counter)
 
     monkeypatch.setattr(SimulatedClock, "noise", counting)
-    scenario = SCENARIO_BUILDERS[name](seed=1)
-    thresholds = bench.scenario_thresholds(scenario)   # calibration draws its own
-    calibration = len(drawn)
+    scenario = bench.SCENARIOS[name](seed=1)
+    thresholds = bench.scenario_thresholds(scenario)
+    assert drawn == []
     run_scenario(scenario, SimulatedClock(sigma=0.05), thresholds=thresholds)
-    assert len(drawn) - calibration == len(scenario.cases) * nodes
-    assert len(set(drawn)) == len(drawn) == calls
+    assert len(set(drawn)) == len(drawn) == len(scenario.cases) * nodes == calls
 
 
 def test_zero_drift_control_modes_agree(small_tables):
@@ -409,11 +412,11 @@ def run_at_width(monkeypatch, scenario, config=None, int64=False) -> tuple:
 
 
 @pytest.mark.parametrize("seed", [1, 100001, 200001])
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+@pytest.mark.parametrize("name", sorted(bench.SCENARIOS))
 def test_narrow_columns_leave_reports_unchanged(monkeypatch, default_run, name, seed):
     # the narrow run is the CLI's default run at the seed
     narrow = default_run(name, seed)
-    wide, _, wide_dtypes = run_at_width(monkeypatch, SCENARIO_BUILDERS[name](seed=seed),
+    wide, _, wide_dtypes = run_at_width(monkeypatch, bench.SCENARIOS[name](seed=seed),
                                         int64=True)
     assert "int64" not in narrow.dtypes and wide_dtypes == {"int64"}
     assert narrow.reports == wide

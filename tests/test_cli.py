@@ -379,7 +379,7 @@ def test_table_above_size_limit_exits_1_before_any_column_is_drawn(tmp_path, cap
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("scenario", bench.SCENARIO_NAMES)
+@pytest.mark.parametrize("scenario", bench.SCENARIOS)
 def test_query_count_above_limit_exits_1_before_any_draw_or_case(tmp_path, capsys,
                                                                  monkeypatch, scenario):
     # 3e9 queries would draw 3e9 schedule values or make 3e9 cases; neither

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from latebind.bench import SCENARIO_NAMES
+from latebind.bench import SCENARIOS
 from latebind.cli import main
 from latebind.planner import OFFLOADABLE_KINDS
 from latebind.policy import Thresholds
@@ -143,7 +143,7 @@ def test_thresholds_files_exit_cleanly(tmp_path):
     codes: list[Optional[int]] = []
 
     @fuzz(12)
-    @given(doc=documents(Thresholds), scenario=st.sampled_from(SCENARIO_NAMES))
+    @given(doc=documents(Thresholds), scenario=st.sampled_from(tuple(SCENARIOS)))
     def check(doc, scenario):
         codes.append(check_exit(["run", "--scenario", scenario, "--queries", "2",
                                  "--out", str(tmp_path),

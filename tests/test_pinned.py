@@ -49,10 +49,6 @@ TABLE_DIGESTS = {
         "62118285a8189c1eb71868739825c23a439d8495f6662882482707d3fe18f78c"),
 }
 
-SCENARIOS = {bench.INPUT_SCALE_SHIFT: bench.scenario_input_scale_shift,
-             bench.STALE_STATS: bench.scenario_stale_stats,
-             bench.BREAK_EVEN: bench.scenario_break_even}
-
 
 def tables_digest(tables: list[Table]) -> str:
     """sha256 of the tables' values at int64 width, whatever width each column
@@ -68,7 +64,7 @@ def tables_digest(tables: list[Table]) -> str:
 def seed1_tables(scenario: str, default_queries) -> tuple[Table, Table, list[Table]]:
     """The seed-1 dim table, base fact table and every other fact variant
     (drift variants first, each in the order the scenario declares them)."""
-    s = SCENARIOS[scenario](seed=1)
+    s = bench.SCENARIOS[scenario](seed=1)
     # the tables the prepared queries carry, by fact variant
     queries = default_queries(scenario)
     facts = {query.case.fact_variant: query.tables[s.fact_spec.name] for query in queries}
@@ -81,7 +77,7 @@ def seed1_tables(scenario: str, default_queries) -> tuple[Table, Table, list[Tab
 
 
 @pinned_platform
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", sorted(bench.SCENARIOS))
 def test_generated_tables_match_pinned_digests(scenario, default_queries):
     dim, base, others = seed1_tables(scenario, default_queries)
     got = (tables_digest([dim]), tables_digest([base]), tables_digest(others))
@@ -105,7 +101,7 @@ def column_dtypes(table: Table) -> dict[str, str]:
     return {name: str(col.dtype) for name, col in table.columns.items()}
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", sorted(bench.SCENARIOS))
 def test_generated_tables_take_narrowest_dtypes(scenario, default_queries):
     dim, base, others = seed1_tables(scenario, default_queries)
     want_dim, want_base, want_other = TABLE_DTYPES[scenario]

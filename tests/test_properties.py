@@ -214,7 +214,7 @@ def check_run_scenario(scenario: bench.Scenario, budget: int, hard_factor: float
     assert got == outcome(lambda: reference_reports(scenario, clock, config))
 
 
-@pytest.mark.parametrize("name", bench.SCENARIO_NAMES)
+@pytest.mark.parametrize("name", bench.SCENARIOS)
 def test_run_scenario_equals_executing_every_query_alone(name):
     @seed(1)
     @settings(database=None, max_examples=25, deadline=None,
