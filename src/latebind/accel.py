@@ -5,10 +5,11 @@ each device's modeled per-size cost, priced by ``planner.cost``, through the
 clock (so they inherit the clock's noise and determinism): n rows cost
 cpu * n on the CPU and setup + per_row * n on the accelerator.  Ordinary
 least squares fits one affine cost line per device, and the fitted lines
-yield the estimated break-even size alongside the empirically interpolated
-one, or None where the device lines do not cross.  The ratio of break-even
-size to observed input size is the accelerator-side risk signal: above 1,
-offloading has not amortized.
+yield the estimated break-even size alongside the observed one, interpolated
+where the two devices' per-size mean costs, paired on their one size grid,
+cross; there is none where the lines or the means do not cross.  The ratio
+of break-even size to observed input size is the accelerator-side risk
+signal: above 1, offloading has not amortized.
 """
 
 from __future__ import annotations
@@ -110,10 +111,6 @@ def fit_linear(measurements: list[Measurement]) -> LineFit:
     """Ordinary least squares cost = slope * n + intercept for one device+op."""
     if not measurements:
         raise ValidationError("no measurements to fit")
-    devices = {m.device for m in measurements}
-    kinds = {m.op_kind for m in measurements}
-    if len(devices) != 1 or len(kinds) != 1:
-        raise ValidationError("fit expects measurements from a single device and op kind")
     xs = [float(m.n) for m in measurements]
     ys = [m.cost for m in measurements]
     n = len(xs)
@@ -130,47 +127,43 @@ def fit_linear(measurements: list[Measurement]) -> LineFit:
     residuals = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
     rms = math.sqrt(sum(r * r for r in residuals) / n)
     mean_cost = sy / n
-    return LineFit(device=devices.pop(), op_kind=kinds.pop(), slope=slope,
+    return LineFit(device=measurements[0].device, op_kind=measurements[0].op_kind, slope=slope,
                    intercept=intercept, residual_score=rms / mean_cost if mean_cost else 0.0)
 
 
-def break_even(cpu_fit: LineFit, accel_fit: LineFit,
-               measurements: list[Measurement]) -> Optional[BreakEven]:
+def mean_costs(measurements: list[Measurement]) -> dict[int, float]:
+    """Each size's mean cost in one microbenchmark's measurements, the sizes
+    in their measured (ascending) order."""
+    costs: dict[int, list[float]] = {}
+    for m in measurements:
+        costs.setdefault(m.n, []).append(m.cost)
+    return {n: sum(c) / len(c) for n, c in costs.items()}
+
+
+def break_even(cpu_fit: LineFit, accel_fit: LineFit, cpu_ms: list[Measurement],
+               accel_ms: list[Measurement]) -> Optional[BreakEven]:
     """Estimated (fitted-line crossover) and observed (interpolated
-    empirical crossover) break-even sizes for one op kind; None when the
-    accelerator never amortizes: the fitted lines do not cross at a
-    positive size, or the measured costs do not cross inside the grid."""
-    if cpu_fit.op_kind != accel_fit.op_kind:
-        raise ValidationError("fits are for different op kinds")
-    kind = cpu_fit.op_kind
+    empirical crossover) break-even sizes for one op kind, from the two
+    devices' run_microbenchmark lists on one size grid, whose per-size means
+    the observed crossover pairs in order; None when the accelerator never
+    amortizes: the fitted lines do not cross at a positive size, or the
+    measured costs do not cross inside the grid."""
     if cpu_fit.slope <= accel_fit.slope:
         return None
     n_est = (accel_fit.intercept - cpu_fit.intercept) / (cpu_fit.slope - accel_fit.slope)
     if n_est <= 0:
         return None
 
-    per_size: dict[int, dict[str, list[float]]] = {}
-    for m in measurements:
-        if m.op_kind != kind:
-            continue
-        per_size.setdefault(m.n, {}).setdefault(m.device, []).append(m.cost)
-    sizes = sorted(n for n, by_dev in per_size.items()
-                   if CPU in by_dev and ACCELERATOR in by_dev)
-    if len(sizes) < 2:
-        raise ValidationError("observed crossover needs both devices measured on >= 2 shared sizes")
-    diffs = []
-    for n in sizes:
-        by_dev = per_size[n]
-        cpu_mean = sum(by_dev[CPU]) / len(by_dev[CPU])
-        acc_mean = sum(by_dev[ACCELERATOR]) / len(by_dev[ACCELERATOR])
-        diffs.append(cpu_mean - acc_mean)
-    cross = next((i for i in range(1, len(sizes)) if diffs[i - 1] < 0 <= diffs[i]), None)
+    cpu_means = mean_costs(cpu_ms)
+    sizes = list(cpu_means)
+    diffs = [c - a for c, a in zip(cpu_means.values(), mean_costs(accel_ms).values())]
+    cross = next((i for i in range(1, len(diffs)) if diffs[i - 1] < 0 <= diffs[i]), None)
     if cross is None:
         return None
     n_lo, n_hi = sizes[cross - 1], sizes[cross]
     d_lo, d_hi = diffs[cross - 1], diffs[cross]
     n_obs = n_lo + (n_hi - n_lo) * (-d_lo) / (d_hi - d_lo)
-    return BreakEven(op_kind=kind, n_star_estimated=n_est, n_star_observed=n_obs)
+    return BreakEven(op_kind=cpu_fit.op_kind, n_star_estimated=n_est, n_star_observed=n_obs)
 
 
 def accelerator_risk(n_star: float, n_obs: int) -> float:
@@ -205,5 +198,5 @@ def calibrate_break_evens(model: CostModel, clock: SimulatedClock, seed: int,
         cpu_fit = fit_linear(cpu_ms)
         acc_fit = fit_linear(acc_ms)
         fits.extend([cpu_fit, acc_fit])
-        results[kind] = break_even(cpu_fit, acc_fit, cpu_ms + acc_ms)
+        results[kind] = break_even(cpu_fit, acc_fit, cpu_ms, acc_ms)
     return results, all_measurements, fits

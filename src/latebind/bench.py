@@ -99,9 +99,11 @@ class Scenario:
     planner_model: CostModel = field(default_factory=CostModel.default)
 
     def __post_init__(self):
-        for m in self.modes:
+        for i, m in enumerate(self.modes):
             if m not in MODES:
                 raise ValidationError(f"unknown mode {m!r}")
+            if m in self.modes[:i]:
+                raise ValidationError(f"mode {m!r} is given twice")
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,6 @@ def calibrate(break_evens: dict[str, Optional[BreakEven]],
     Kinds whose benchmark found no break-even get an unreachable threshold:
     offloading is disabled for them rather than guessed at.
     """
-    if not break_evens:
-        raise ValidationError("calibration requires at least one op kind's break-even result")
     n_star = {kind: math.inf if be is None else be.n_star_estimated
               for kind, be in sorted(break_evens.items())}
     return replace(base or Thresholds(), n_star=n_star, source="calibrated")

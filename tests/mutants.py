@@ -110,6 +110,9 @@ MUTATIONS = {
                                    "diffs[i - 1] <= 0 <= diffs[i]"),
     "crossover_past_equal_means": ("accel.py", "diffs[i - 1] < 0 <= diffs[i]",
                                    "diffs[i - 1] < 0 < diffs[i]"),
+    "means_paired_one_size_apart": (
+        "accel.py", "zip(cpu_means.values(), mean_costs(accel_ms).values())",
+        "zip(cpu_means.values(), list(mean_costs(accel_ms).values())[1:])"),
     "none_cell_as_text": ("errors.py", 'else "" if value is None else str(value)',
                           "else str(value)"),
     "largest_float_integer_rejected": ("errors.py", "abs(value) <= sys.float_info.max",

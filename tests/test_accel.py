@@ -9,7 +9,7 @@ from latebind import clock as clock_module
 from latebind.accel import (GRID_COUNT, GRID_SPAN, MAX_MEASUREMENTS, MAX_SIZE, LineFit,
                             Measurement,
                             accelerator_risk, break_even, calibrate_break_evens,
-                            default_size_grid, fit_linear, run_microbenchmark)
+                            default_size_grid, fit_linear, mean_costs, run_microbenchmark)
 from latebind.clock import MAX_SIGMA, SimulatedClock
 from latebind.errors import ValidationError
 from latebind.planner import ACCELERATOR, CPU, AcceleratorCost, CostModel, cost
@@ -145,11 +145,11 @@ def test_fit_rank_deficiency_rejected():
         fit_linear([])
 
 
-def test_fit_mixed_devices_rejected():
-    ms = [Measurement("filter", CPU, 500, 500.0),
-          Measurement("filter", ACCELERATOR, 1000, 8200.0)]
-    with pytest.raises(ValidationError):
-        fit_linear(ms)
+def test_fit_takes_device_and_kind_of_its_measurements():
+    ms = [Measurement("aggregate", ACCELERATOR, 1000, 8200.0),
+          Measurement("aggregate", ACCELERATOR, 10000, 10000.0)]
+    fit = fit_linear(ms)
+    assert (fit.device, fit.op_kind) == (ACCELERATOR, "aggregate")
 
 
 def test_fit_matches_independent_least_squares_oracle():
@@ -171,7 +171,7 @@ def test_break_even_analytic_crossover():
     sizes = default_size_grid(10000.0)
     cpu_ms = run_microbenchmark("filter", sizes, MODEL, CPU, clock, 1, seed=1)
     acc_ms = run_microbenchmark("filter", sizes, MODEL, ACCELERATOR, clock, 1, seed=1)
-    be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
+    be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms, acc_ms)
     # (8000 - 0) / (1.0 - 0.2) = 10000
     assert be.n_star_estimated == pytest.approx(10000.0, rel=1e-9)
     assert be.n_star_observed == pytest.approx(10000.0, rel=1e-9)
@@ -181,29 +181,30 @@ def test_break_even_analytic_crossover():
 def test_break_even_identical_profiles_rejected():
     fit = LineFit(CPU, "filter", 1.0, 0.0, 0.0)
     same = LineFit(ACCELERATOR, "filter", 1.0, 0.0, 0.0)
-    assert break_even(fit, same, []) is None
+    assert break_even(fit, same, [], []) is None
 
 
 def test_break_even_never_amortizing_rejected():
     cpu = LineFit(CPU, "filter", 0.2, 0.0, 0.0)
     acc = LineFit(ACCELERATOR, "filter", 1.0, 8000.0, 0.0)
-    assert break_even(cpu, acc, []) is None
+    assert break_even(cpu, acc, [], []) is None
 
 
 def test_break_even_at_a_negative_size_is_none():
     # the cpu line lies above the accelerator's at every size n >= 0
     cpu = LineFit(CPU, "filter", 1.0, 100.0, 0.0)
     acc = LineFit(ACCELERATOR, "filter", 0.2, 0.0, 0.0)
-    assert break_even(cpu, acc, []) is None
+    assert break_even(cpu, acc, [], []) is None
 
 
 def test_break_even_at_size_zero_is_none():
     # the fitted lines meet at n = 0, though the measured costs cross
     cpu = LineFit(CPU, "filter", 1.0, 0.0, 0.0)
     acc = LineFit(ACCELERATOR, "filter", 0.2, 0.0, 0.0)
-    measured = [Measurement("filter", CPU, 1, 1.0), Measurement("filter", ACCELERATOR, 1, 2.0),
-                Measurement("filter", CPU, 2, 4.0), Measurement("filter", ACCELERATOR, 2, 2.0)]
-    assert break_even(cpu, acc, measured) is None
+    cpu_ms = [Measurement("filter", CPU, 1, 1.0), Measurement("filter", CPU, 2, 4.0)]
+    acc_ms = [Measurement("filter", ACCELERATOR, 1, 2.0),
+              Measurement("filter", ACCELERATOR, 2, 2.0)]
+    assert break_even(cpu, acc, cpu_ms, acc_ms) is None
 
 
 def test_break_even_without_measured_crossover_is_none():
@@ -214,18 +215,19 @@ def test_break_even_without_measured_crossover_is_none():
     acc_ms = run_microbenchmark("filter", [20000, 40000], MODEL, ACCELERATOR, clock, 1, seed=1)
     cpu_fit, acc_fit = fit_linear(cpu_ms), fit_linear(acc_ms)
     assert (acc_fit.intercept - cpu_fit.intercept) / (cpu_fit.slope - acc_fit.slope) > 0
-    assert break_even(cpu_fit, acc_fit, cpu_ms + acc_ms) is None
+    assert break_even(cpu_fit, acc_fit, cpu_ms, acc_ms) is None
 
 
-def measured_differences(cpu_costs: list[list[float]]) -> list[Measurement]:
-    """Measurements at sizes 100, 200, ...: the given cpu costs at each size,
-    and an accelerator cost of 10 per measurement."""
-    out = []
+def measured_differences(cpu_costs: list[list[float]]
+                         ) -> tuple[list[Measurement], list[Measurement]]:
+    """CPU and accelerator measurements at sizes 100, 200, ...: the given cpu
+    costs at each size, and an accelerator cost of 10 per measurement."""
+    cpu_ms, acc_ms = [], []
     for i, costs in enumerate(cpu_costs):
         n = 100 * (i + 1)
-        out += [Measurement("filter", CPU, n, c) for c in costs]
-        out += [Measurement("filter", ACCELERATOR, n, 10.0) for _ in costs]
-    return out
+        cpu_ms += [Measurement("filter", CPU, n, c) for c in costs]
+        acc_ms += [Measurement("filter", ACCELERATOR, n, 10.0) for _ in costs]
+    return cpu_ms, acc_ms
 
 
 # fitted lines that cross at n = 10000, so only the measured crossover decides
@@ -233,39 +235,32 @@ CROSSING_FITS = (LineFit(CPU, "filter", 1.0, 0.0, 0.0),
                  LineFit(ACCELERATOR, "filter", 0.2, 8000.0, 0.0))
 
 
-def test_break_even_of_fits_for_different_kinds_rejected():
-    cpu = LineFit(CPU, "filter", 1.0, 0.0, 0.0)
-    acc = LineFit(ACCELERATOR, "aggregate", 0.2, 8000.0, 0.0)
-    with pytest.raises(ValidationError, match="^fits are for different op kinds$"):
-        break_even(cpu, acc, [])
-
-
-def test_observed_crossover_reads_only_its_kinds_measurements():
-    # differences -1 at 100 and +1 at 200 cross at 150; the aggregate's cpu
-    # costs, counted as the filter's, would leave the cpu dearer at both sizes
-    measured = measured_differences([[9.0], [11.0]])
-    other = [Measurement("aggregate", CPU, n, 1000.0) for n in (100, 200)]
-    assert break_even(*CROSSING_FITS, measured + other).n_star_observed == 150.0
-
-
-def test_observed_crossover_needs_two_sizes_measured_on_both_devices():
-    measured = measured_differences([[9.0]]) + [Measurement("filter", CPU, 200, 11.0)]
-    with pytest.raises(ValidationError, match="^observed crossover needs both devices "
-                                              "measured on >= 2 shared sizes$"):
-        break_even(*CROSSING_FITS, measured)
-
-
 def test_observed_crossover_at_a_size_of_equal_means():
     # cpu minus accelerator means: -1 at 100, 0 at 200, +1 at 300; the
     # measured costs cross at 200, where the means are equal
     measured = measured_differences([[9.0, 9.0], [8.0, 12.0], [11.0, 11.0]])
-    assert break_even(*CROSSING_FITS, measured).n_star_observed == 200.0
+    assert break_even(*CROSSING_FITS, *measured).n_star_observed == 200.0
+
+
+def test_mean_costs_average_each_size_in_measured_order():
+    ms = [Measurement("filter", CPU, 100, 9.0), Measurement("filter", CPU, 100, 11.0),
+          Measurement("filter", CPU, 300, 4.0), Measurement("filter", CPU, 300, 8.0)]
+    assert list(mean_costs(ms).items()) == [(100, 10.0), (300, 6.0)]
+
+
+def test_observed_crossover_pairs_the_devices_size_by_size():
+    # cpu minus accelerator means: -5 at 100, +5 at 200, crossing at 150;
+    # the cpu at 100 against the accelerator at 200 would read -10 and no crossing
+    cpu_ms = [Measurement("filter", CPU, 100, 5.0), Measurement("filter", CPU, 200, 20.0)]
+    acc_ms = [Measurement("filter", ACCELERATOR, 100, 10.0),
+              Measurement("filter", ACCELERATOR, 200, 15.0)]
+    assert break_even(*CROSSING_FITS, cpu_ms, acc_ms).n_star_observed == 150.0
 
 
 def test_equal_means_at_the_first_size_are_no_crossover():
     # differences 0, +1, +2: the cpu never costs less, so nothing crosses
     measured = measured_differences([[8.0, 12.0], [11.0, 11.0], [12.0, 12.0]])
-    assert break_even(*CROSSING_FITS, measured) is None
+    assert break_even(*CROSSING_FITS, *measured) is None
 
 
 def test_sign_property_around_crossover():
@@ -322,7 +317,7 @@ def test_noise_robustness_sampled():
                                     derive_seed(seed, "robust/cpu"))
         acc_ms = run_microbenchmark("filter", grid, MODEL, ACCELERATOR, clock, 5,
                                     derive_seed(seed, "robust/accel"))
-        be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
+        be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms, acc_ms)
         if be.relative_error <= 0.05:
             good += 1
     assert good >= 18

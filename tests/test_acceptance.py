@@ -104,13 +104,13 @@ def test_criterion_5_break_even_fidelity():
                                     derive_seed(trial, "calib/filter/cpu"))
         acc_ms = run_microbenchmark("filter", grid, model, ACCELERATOR, noisy, 5,
                                     derive_seed(trial, "calib/filter/accel"))
-        be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
+        be = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms, acc_ms)
         if be is not None and be.relative_error <= 0.05:
             within += 1
     exact_clock = SimulatedClock(sigma=0.0)
     cpu_ms = run_microbenchmark("filter", grid, model, CPU, exact_clock, 5, seed=0)
     acc_ms = run_microbenchmark("filter", grid, model, ACCELERATOR, exact_clock, 5, seed=0)
-    exact = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms + acc_ms)
+    exact = break_even(fit_linear(cpu_ms), fit_linear(acc_ms), cpu_ms, acc_ms)
     ok = within >= 95 and exact.relative_error <= 1e-9
     check("5 break-even fidelity", ok,
           f"{within}/100 noisy trials within 5% (need >= 95); "

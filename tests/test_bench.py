@@ -562,6 +562,17 @@ def test_stale_stats_runs_each_join_once_per_input_arrays(monkeypatch):
         Counter(nl_groups)
 
 
+def corrupt_nested_loop(monkeypatch) -> None:
+    """Make every nested-loop join return its output columns plus 1."""
+    real_nl = engine._nested_loop_join
+
+    def corrupted(*args, **kwargs):
+        total, out = real_nl(*args, **kwargs)
+        return total, {name: col + 1 for name, col in out.items()}
+
+    monkeypatch.setattr(engine, "_nested_loop_join", corrupted)
+
+
 def test_corrupted_nested_loop_served_across_groups_fails(monkeypatch):
     # every kept predicate keeps every drifted row, so the groups differ by
     # predicate but join the same table columns; only q007 (a >= 96)
@@ -576,13 +587,7 @@ def test_corrupted_nested_loop_served_across_groups_fails(monkeypatch):
     # one literal run serves every group; q007's hash join is the only other
     assert sorted(name for _, _, name, _ in calls) == [HASH_JOIN, NESTED_LOOP]
 
-    real_nl = engine._nested_loop_join
-
-    def corrupt_nested_loop(*args, **kwargs):
-        total, out = real_nl(*args, **kwargs)
-        return total, {name: col + 1 for name, col in out.items()}
-
-    monkeypatch.setattr(engine, "_nested_loop_join", corrupt_nested_loop)
+    corrupt_nested_loop(monkeypatch)
     with pytest.raises(ResultMismatchError, match="q007"):
         run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
 
@@ -725,13 +730,7 @@ def test_memo_runs_both_join_kernels_when_modes_differ(monkeypatch):
 
     # the aggregate of each join kernel runs on that kernel's own output,
     # so a wrong nested-loop output still fails the cross-mode check
-    real_nl = engine._nested_loop_join
-
-    def corrupt_nested_loop(*args, **kwargs):
-        total, out = real_nl(*args, **kwargs)
-        return total, {name: col + 1 for name, col in out.items()}
-
-    monkeypatch.setattr(engine, "_nested_loop_join", corrupt_nested_loop)
+    corrupt_nested_loop(monkeypatch)
     with pytest.raises(ResultMismatchError):
         run_scenario(scenario, SimulatedClock(sigma=0.0), engine_config=config)
 

@@ -302,6 +302,15 @@ def test_unknown_mode_exits_1(tmp_path, capsys):
     assert not (tmp_path / "input_scale_shift").exists()
 
 
+def test_repeated_mode_exits_1(tmp_path, capsys):
+    # run once per mode: a repeated one would run twice, the second run's
+    # rows overwriting the first's, and be recorded twice in config.json
+    assert run_cli("run", "--modes", "baseline,baseline", "--queries", "3",
+                   "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: mode 'baseline' is given twice\n"
+    assert not tmp_path.joinpath("input_scale_shift").exists()
+
+
 def test_measurement_count_above_limit_exits_1_before_any_charge(tmp_path, capsys,
                                                                  monkeypatch):
     # 8 default sizes x 10**12 repetitions: no measurement may be charged
@@ -332,7 +341,8 @@ THRESHOLDS_RUN = ("run", "--scenario", "stale_stats", "--queries", "2", "--thres
      "n_star['aggregate'] must be > 0 or inf, got nan"),
     (THRESHOLDS_RUN, {"n_star": {"join": 5.0}, "source": "x"},
      "n_star key 'join' is no offloadable kind ('filter', 'aggregate')"),
-])
+], ids=["rho_join_not_float", "n_star_not_dict", "document_not_object",
+        "negative_and_nan_n_star", "nan_n_star", "join_n_star"])
 def test_malformed_json_file_exits_1_without_traceback(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -125,9 +125,10 @@ def test_calibrate_distinct_kinds_distinct_thresholds():
     assert "offload[aggregate]  n*=4000.00  threshold=4400.00" in calibration_report(thr)
 
 
-def test_calibrate_requires_input():
-    with pytest.raises(ValidationError):
-        calibrate({})
+def test_calibrate_without_break_evens_never_offloads():
+    thr = calibrate({})
+    assert thr.n_star == {} and thr.calibrated
+    assert decide(risk(n_obs=10**9), FILTER_CPU, thr) == FILTER_CPU.chosen
 
 
 def test_static_thresholds_from_model():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import io
 import math
 
@@ -53,13 +54,19 @@ def test_bucket_conservation_many_shapes():
         assert sum(cs.bucket_counts) == rows
 
 
-def reference_column_stats(values: np.ndarray, buckets: int) -> tuple:
-    """Range, distinct count and histogram computed the plain way."""
-    lo, hi = int(values.min()), int(values.max())
-    edges = np.linspace(lo, hi + 1, buckets + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    return (lo, hi, int(np.unique(values).size), tuple(float(e) for e in edges),
-            tuple(int(c) for c in counts))
+def reference_column_stats(name: str, values: np.ndarray, buckets: int) -> ColumnStats:
+    """ColumnStats of a non-empty column in plain Python: bucket i holds the
+    values from inner edge i to inner edge i + 1, that is those below edge
+    i + 1 less those below edge i, each found by bisecting the sorted
+    values, which compares an int with a float exactly; the outer edges
+    stand for min and max + 1, with no value below the first and all below
+    the last."""
+    ordered = sorted(values.tolist())
+    edges = np.linspace(ordered[0], ordered[-1] + 1, buckets + 1).tolist()
+    below = [0, *(bisect.bisect_left(ordered, edge) for edge in edges[1:-1]), len(ordered)]
+    return ColumnStats(column=name, row_count=len(ordered), ndv=len(set(ordered)),
+                       min_value=ordered[0], max_value=ordered[-1], bucket_edges=tuple(edges),
+                       bucket_counts=tuple(end - start for start, end in zip(below, below[1:])))
 
 
 @pytest.mark.parametrize("buckets", [1, 7, 32])
@@ -75,27 +82,8 @@ def test_capture_matches_unique_and_histogram(buckets):
     for table in tables:
         stats = capture_statistics(table, buckets=buckets)
         for name, values in table.columns.items():
-            cs = stats.column(name)
-            got = (cs.min_value, cs.max_value, cs.ndv, cs.bucket_edges, cs.bucket_counts)
-            assert got == reference_column_stats(values, buckets), (table.spec.name, name)
-
-
-def sorted_column_stats(name: str, values: np.ndarray, buckets: int) -> ColumnStats:
-    """ColumnStats from one sort: distinct count from adjacent differences,
-    bucket counts by exact int-to-float comparison of each value with each
-    inner edge (Python compares them exactly, numpy as float64); the outer
-    edges stand for lo and hi + 1, so the counts sum to the row count."""
-    ordered = np.sort(values)
-    lo, hi = int(ordered[0]), int(ordered[-1])
-    edges = np.linspace(lo, hi + 1, buckets + 1)
-    ints = ordered.tolist()
-    below = [0, *(sum(v < e for v in ints) for e in edges[1:-1].tolist()), len(ints)]
-    counts = np.diff(below)
-    return ColumnStats(column=name, row_count=values.size,
-                       ndv=1 + int(np.count_nonzero(ordered[1:] != ordered[:-1])),
-                       min_value=lo, max_value=hi,
-                       bucket_edges=tuple(float(e) for e in edges),
-                       bucket_counts=tuple(int(c) for c in counts))
+            assert stats.column(name) == reference_column_stats(name, values, buckets), \
+                (table.spec.name, name)
 
 
 # each column's draws read the stream of a seed from position 0 on
@@ -127,7 +115,7 @@ def test_capture_matches_sorted_reference(case, buckets):
     assert (span <= values.size) == (
         case not in ("span_one_above_rows", "sparse", "int32_extremes"))
     got = capture_statistics(table_from_arrays("t", a=values), buckets=buckets).column("a")
-    assert got == sorted_column_stats("a", values, buckets)
+    assert got == reference_column_stats("a", values, buckets)
     assert sum(got.bucket_counts) == values.size
 
 
@@ -144,7 +132,7 @@ def test_int16_capture_equals_its_int64_copy(rows, buckets):
              for col in (values, values.astype(np.int64))]
     assert stats[0] == stats[1]
     assert (60_001 <= rows) == (rows == 70_000)
-    assert stats[0].column("a") == sorted_column_stats("a", values.astype(np.int64), buckets)
+    assert stats[0].column("a") == reference_column_stats("a", values.astype(np.int64), buckets)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
