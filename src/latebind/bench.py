@@ -3,7 +3,7 @@
 Three scenarios stress the three ways an early-bound plan goes stale:
 
 * input_scale_shift: a fraction of queries run against a row-count-scaled
-  fact table while the planner keeps generation-0 statistics ("large
+  fact table while the planner keeps pre-drift statistics ("large
   noselect": no filters, scan-join-aggregate).
 * stale_stats: a domain-shift plus skew-change drift inverts filter
   selectivities; statistics are frozen pre-drift, so tiny estimates meet
@@ -181,6 +181,8 @@ def scenario_input_scale_shift(seed: int = 1, query_count: int = 200,
     a scale-multiplied fact table the planner knows nothing about.  A
     drift_fraction of 0 is the zero-drift control configuration."""
     _check_query_count(query_count)
+    if dim_rows < 1:
+        raise ValidationError(f"dim_rows must be >= 1, got {dim_rows}")
     if not (0.0 <= drift_fraction <= 1.0):
         raise ValidationError("drift_fraction must be in [0, 1]")
     fact = TableSpec("fact", fact_rows, (
@@ -209,6 +211,8 @@ def scenario_stale_stats(seed: int = 1, query_count: int = 200,
     distribution with zipf(1.1), so predicates a >= c, c in [60, 140],
     whose estimates round to nothing select nearly the whole table."""
     _check_query_count(query_count)
+    if dim_rows < 2:  # the key domain is dim_rows // 2 values
+        raise ValidationError(f"dim_rows must be >= 2, got {dim_rows}")
     key_domain = dim_rows // 2
     fact = TableSpec("fact", fact_rows, (
         ColumnSpec("a", 0, 99), ColumnSpec("fk", 0, key_domain - 1),
@@ -237,6 +241,8 @@ def scenario_break_even(seed: int = 1, query_count: int = 200,
     _check_query_count(query_count)
     if miscal_factor <= 0:
         raise ValidationError("miscal_factor must be > 0")
+    if dim_rows < 1:
+        raise ValidationError(f"dim_rows must be >= 1, got {dim_rows}")
     fact = TableSpec("fact", 1000, (
         ColumnSpec("fk", 0, dim_rows - 1), ColumnSpec("v", 0, 999)))
     dim = TableSpec("dim", dim_rows, (ColumnSpec("pk", 0, dim_rows - 1),))

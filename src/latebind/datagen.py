@@ -6,11 +6,11 @@ any machine.  A column's [low, high] lies in the int32 range (VALUE_BOUNDS),
 and the column is stored in the narrowest of int8, int16 and int32 that
 holds it (column_dtype): the width follows from the spec alone, never from
 the values drawn, and the values are those of an int64 draw.  Drift
-produces a *new* table one generation later whose columns are a fresh
-deterministic sample of the drifted distribution (scaled row count,
-shifted value domain, optionally replaced skew); the input table is never
-mutated.  Statistics captured before a drift therefore describe a
-distribution the drifted table no longer follows.
+produces a *new* table whose columns are a fresh deterministic sample of
+the drifted distribution (scaled row count, shifted value domain,
+optionally replaced skew); the input table is never mutated.  Tables carry
+no version: statistics captured before a drift are stale by their timing
+alone, describing a distribution the drifted table no longer follows.
 """
 
 from __future__ import annotations
@@ -84,11 +84,10 @@ class TableSpec:
 
 @dataclass(frozen=True)
 class Table:
-    """One generation of a table: an array per column of the spec, in that
-    column's column_dtype, so readers must take any signed integer width."""
+    """A table as it is now, with no version: an array per column of the spec,
+    in that column's column_dtype, so readers must take any signed integer width."""
 
     spec: TableSpec
-    generation: int
     columns: dict[str, np.ndarray] = field(repr=False)
 
     @property
@@ -155,23 +154,23 @@ def _sample_column(col: ColumnSpec, rows: int, seed: int) -> np.ndarray:
 
 
 def generate_table(spec: TableSpec, seed: int) -> Table:
-    """Sample a fresh generation-0 table; identical (spec, seed) is bitwise stable."""
+    """Sample a fresh table; identical (spec, seed) is bitwise stable."""
     spec.validate()
     columns: dict[str, np.ndarray] = {}
     for col in spec.columns:
         columns[col.name] = _sample_column(
             col, spec.row_count, derive_seed(seed, f"col/{spec.name}/{col.name}"))
-    return Table(spec=spec, generation=0, columns=columns)
+    return Table(spec=spec, columns=columns)
 
 
 def apply_drift(table: Table, drift: DriftSpec, seed: int) -> Table:
-    """Produce the next-generation table under the given drift.
+    """Produce the table as it is after the given drift.
 
     The result is a deterministic fresh sample of the drifted distribution:
     row count scaled to round(old * scale_factor), every column's domain
     shifted by domain_shift, and the sampling distribution replaced when
-    skew_change is given.  The input table is untouched and its generation
-    counter only ever increases in the returned copy.
+    skew_change is given.  The input table is untouched, and the drifted
+    spec and the seed alone fix the result's bytes.
     """
     drift.validate()
     new_rows = int(round(table.spec.row_count * drift.scale_factor))
@@ -186,9 +185,8 @@ def apply_drift(table: Table, drift: DriftSpec, seed: int) -> Table:
         new_cols.append(changed)
     new_spec = TableSpec(name=table.spec.name, row_count=new_rows, columns=tuple(new_cols))
     new_spec.validate()
-    gen = table.generation + 1
     columns: dict[str, np.ndarray] = {}
     for col in new_spec.columns:
         columns[col.name] = _sample_column(
-            col, new_rows, derive_seed(seed, f"drift/{new_spec.name}/{col.name}/{gen}"))
-    return Table(spec=new_spec, generation=gen, columns=columns)
+            col, new_rows, derive_seed(seed, f"drift/{new_spec.name}/{col.name}/1"))
+    return Table(spec=new_spec, columns=columns)

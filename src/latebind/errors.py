@@ -24,7 +24,7 @@ _type_hints = functools.cache(typing.get_type_hints)  # a dataclass's, resolved 
 
 
 class ValidationError(ValueError):
-    """Invalid input: a spec, config, argument, file or mode."""
+    """Invalid input: a spec, argument, file or mode."""
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -63,7 +63,7 @@ def json_fields(cls: type, doc: object, what: str) -> dict[str, object]:
         if origin is dict and isinstance(value, dict):  # dict[str, T]
             return {key: held(name, item, args[1]) for key, item in value.items()}
         if dataclasses.is_dataclass(hint):
-            # ColumnSpec -> "column spec"
+            # ColumnStats, the one nested dataclass a document holds -> "column stats"
             return hint(**json_fields(hint, value, re.sub(
                 r"(?<!^)(?=[A-Z])", " ", hint.__name__).lower()))
         if type(value) is hint or (hint is float and type(value) is int

@@ -16,7 +16,7 @@ costs per nested-loop pair, per hash build and probe row, and fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 from .errors import ValidationError
@@ -166,7 +166,6 @@ class AnnotatedPlan:
     join: PlanNode
     aggregate: PlanNode
     left_filter: Optional[PlanNode] = None
-    stats: dict[str, TableStats] = field(default_factory=dict)
 
 
 def _argmin_variant(kind: str, cards: tuple[float, ...], model: CostModel) -> str:
@@ -210,8 +209,7 @@ def plan(query: Query, stats: dict[str, TableStats], model: CostModel) -> Annota
     return AnnotatedPlan(query=query, cost_model=model,
                          left_scan=left_scan, right_scan=right_scan,
                          join=join_node, aggregate=agg_node,
-                         left_filter=left_filter,
-                         stats={left_stats.table: left_stats, right_stats.table: right_stats})
+                         left_filter=left_filter)
 
 
 def predicted_cost(plan_: AnnotatedPlan, node: PlanNode) -> float:

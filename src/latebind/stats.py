@@ -1,6 +1,6 @@
 """Point-in-time column statistics and selectivity estimates.
 
-Statistics are captured from a concrete table generation: row count, exact
+Statistics are a table's state when they were captured: row count, exact
 distinct count, and an equi-width histogram.  A capture may name the columns
 to describe; the scenarios describe exactly the columns their plans read
 (join keys and filter columns).  Range estimates interpolate uniformly
@@ -59,11 +59,10 @@ class ColumnStats:
 
 @dataclass(frozen=True)
 class TableStats:
-    """All per-column stats captured from one table at one generation."""
+    """All per-column stats captured from one table as it was then."""
 
     table: str
     row_count: int
-    captured_generation: int
     columns: dict[str, ColumnStats]
 
     def column(self, name: str) -> ColumnStats:
@@ -74,8 +73,8 @@ class TableStats:
 
 def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
                        columns: Optional[Iterable[str]] = None) -> TableStats:
-    """Scan the table and freeze per-column statistics at its current
-    generation, for the named columns (every column by default)."""
+    """Scan the table and freeze per-column statistics of it as it is now,
+    for the named columns (every column by default)."""
     if buckets < 1:
         raise ValidationError(f"bucket count must be >= 1, got {buckets}")
     names = [spec.name for spec in table.spec.columns]
@@ -123,8 +122,7 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
             column=name, row_count=n, ndv=ndv, min_value=lo, max_value=hi,
             bucket_edges=tuple(edges.tolist()),
             bucket_counts=tuple(counts.tolist()))
-    return TableStats(table=table.spec.name, row_count=table.row_count,
-                      captured_generation=table.generation, columns=cols)
+    return TableStats(table=table.spec.name, row_count=table.row_count, columns=cols)
 
 
 def _range_fraction(stats: ColumnStats, lo: int, hi: int) -> float:
@@ -137,8 +135,6 @@ def _range_fraction(stats: ColumnStats, lo: int, hi: int) -> float:
         b_lo, b_hi = edges[i], edges[i + 1]
         overlap = min(hi, b_hi) - max(lo, b_lo)
         covered = min(max(overlap / (b_hi - b_lo), 0.0), 1.0)
-        if covered <= 0.0:
-            continue
         mass += covered * count
     return min(mass / total, 1.0)
 

@@ -121,8 +121,7 @@ def table_from_arrays(name: str, **cols: np.ndarray) -> Table:
         ColumnSpec(col, int(arr.min()) if arr.size else 0, int(arr.max()) if arr.size else 0)
         for col, arr in cols.items())
     spec = TableSpec(name, len(next(iter(cols.values()))), specs)
-    return Table(spec=spec, generation=0, columns={k: np.asarray(v, dtype=np.int64)
-                                                   for k, v in cols.items()})
+    return Table(spec=spec, columns={k: np.asarray(v, dtype=np.int64) for k, v in cols.items()})
 
 
 def brute_force_join_count(left_key: np.ndarray, right_key: np.ndarray) -> int:

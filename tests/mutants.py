@@ -104,6 +104,7 @@ MUTATIONS = {
     "right_filter_accepted": ("planner.py", "if self.right_filter is not None:", "if False:"),
     "dim_column_summed": ("engine.py", "if q.aggregate.column not in fact.columns:",
                           "if False:"),
+    "stale_one_dim_row_accepted": ("bench.py", "if dim_rows < 2:", "if dim_rows < 1:"),
     "drift_at_fraction": ("bench.py", "stream_unit(sched, test_at, 1)[0] < drift_fraction",
                           "stream_unit(sched, test_at, 1)[0] <= drift_fraction"),
     "crossover_from_equal_means": ("accel.py", "diffs[i - 1] < 0 <= diffs[i]",

@@ -237,21 +237,38 @@ def test_orchestrated_thresholds_equal_noise_free_calibration_of_true_model(name
     assert thresholds[ORCHESTRATED] == policy.calibrate(measured, base)
 
 
-def group_plans(scenario) -> list:
-    """Each group's plan nodes and the statistics they were planned from."""
-    return [(plan_nodes(group.queries[0][1].plan), group.queries[0][1].plan.stats)
-            for group in bench.scenario_groups(scenario)]
+def record_plan_statistics(monkeypatch) -> list[dict]:
+    """The statistics bench passes to each plan it builds, in build order;
+    the list grows as plans are built."""
+    planned_from = []
+    build = bench.build_plan
+
+    def recording(query, stats, model):
+        planned_from.append(stats)
+        return build(query, stats, model)
+
+    monkeypatch.setattr(bench, "build_plan", recording)
+    return planned_from
+
+
+def group_plans(scenario, planned_from: list[dict]) -> list:
+    """Each group's plan nodes and the statistics they were planned from;
+    `planned_from` is record_plan_statistics' list."""
+    start = len(planned_from)
+    nodes = [plan_nodes(group.queries[0][1].plan) for group in bench.scenario_groups(scenario)]
+    return list(zip(nodes, planned_from[start:], strict=True))
 
 
 @pytest.mark.parametrize("seed", [1, 100001, 200001])
 @pytest.mark.parametrize("name", sorted(bench.SCENARIOS))
 def test_statistics_of_read_columns_plan_as_full_statistics(monkeypatch, name, seed):
     scenario = bench.SCENARIOS[name](seed=seed)
-    read = group_plans(scenario)
+    planned_from = record_plan_statistics(monkeypatch)
+    read = group_plans(scenario, planned_from)
     full_capture = bench.capture_statistics
     monkeypatch.setattr(bench, "capture_statistics",
                         lambda table, columns=None: full_capture(table))
-    full = group_plans(scenario)
+    full = group_plans(scenario, planned_from)
     assert len(read) == len(full) > 0
     filtered = {case.predicate.column for case in scenario.cases if case.predicate}
     for (nodes, stats), (full_nodes, all_stats) in zip(read, full):
@@ -275,6 +292,7 @@ def test_plans_hold_statistics_as_captured(monkeypatch, name, seed):
         raise AssertionError("statistics sent through their JSON form")
 
     monkeypatch.setattr(bench, "_roundtrip", no_roundtrip)
+    planned_from = record_plan_statistics(monkeypatch)
     scenario = bench.SCENARIOS[name](seed=seed)
     first = next(bench.scenario_groups(scenario)).queries[0][1]
     fact = (first.tables[scenario.fact_spec.name] if scenario.size_variants
@@ -282,9 +300,9 @@ def test_plans_hold_statistics_as_captured(monkeypatch, name, seed):
     read = {bench.LEFT_KEY, *(case.predicate.column for case in scenario.cases
                               if case.predicate)}
     dim = first.tables[scenario.dim_spec.name]
-    assert first.plan.stats == {
+    assert planned_from == [{
         scenario.fact_spec.name: capture_statistics(fact, columns=read),
-        scenario.dim_spec.name: capture_statistics(dim, columns=(bench.RIGHT_KEY,))}
+        scenario.dim_spec.name: capture_statistics(dim, columns=(bench.RIGHT_KEY,))}]
 
 
 @pytest.mark.parametrize("name,nodes,calls", [

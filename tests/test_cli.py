@@ -488,6 +488,19 @@ def test_table_sizes_the_builder_rejects_exit_1(tmp_path, capsys, flag, value):
     assert not (tmp_path / "input_scale_shift").exists()
 
 
+@pytest.mark.parametrize("scenario,least", [
+    (bench.INPUT_SCALE_SHIFT, 1), (bench.STALE_STATS, 2), (bench.BREAK_EVEN, 1)])
+def test_dim_rows_below_the_least_exits_1(tmp_path, capsys, scenario, least):
+    # the dim table's keys span dim_rows values, stale_stats' dim_rows // 2;
+    # fewer rows leave a key column no value, which the builder names
+    below = str(least - 1)
+    assert run_cli("run", "--scenario", scenario, "--queries", "3", "--dim-rows", below,
+                   "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: dim_rows must be >= {least}, got {below}\n"
+    assert not any(tmp_path.iterdir())
+    assert bench.SCENARIOS[scenario](query_count=3, dim_rows=least).dim_spec.row_count == least
+
+
 def test_dim_rows_flag_changes_samples(tmp_path):
     for name, extra in (("default", ()), ("dim", ("--dim-rows", "500"))):
         assert run_cli("run", "--scenario", "break_even", "--queries", "4",

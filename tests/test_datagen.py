@@ -22,7 +22,6 @@ def test_zero_rows_empty_columns():
     t = generate_table(uniform_spec(0), seed=1)
     assert t.row_count == 0
     assert all(arr.size == 0 for arr in t.columns.values())
-    assert t.generation == 0
 
 
 def test_uniform_distinct_count():
@@ -46,7 +45,6 @@ def test_identity_drift():
     t = generate_table(uniform_spec(1000), seed=1)
     d = apply_drift(t, DriftSpec(scale_factor=1.0), seed=2)
     assert d.row_count == 1000
-    assert d.generation == t.generation + 1
 
 
 def test_scale_drift_rowcount():
@@ -76,16 +74,6 @@ def test_drift_is_pure():
     original = t.column("a").copy()
     apply_drift(t, DriftSpec(scale_factor=2.0, domain_shift=5), seed=10)
     assert np.array_equal(t.column("a"), original)
-    assert t.generation == 0
-
-
-def test_generation_strictly_increases():
-    t = generate_table(uniform_spec(100), seed=1)
-    gens = [t.generation]
-    for i in range(3):
-        t = apply_drift(t, DriftSpec(scale_factor=1.0), seed=i)
-        gens.append(t.generation)
-    assert gens == [0, 1, 2, 3]
 
 
 def test_skew_change_concentrates_low_values():

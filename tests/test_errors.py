@@ -35,7 +35,7 @@ def test_csv_text_cells_and_write_file_bytes(tmp_path):
 
 def statistics_doc(**column: object) -> dict:
     """A statistics document of one column, `column` overriding its keys."""
-    return {"table": "t", "row_count": 2, "captured_generation": 0, "columns": {"a": {
+    return {"table": "t", "row_count": 2, "columns": {"a": {
         "column": "a", "row_count": 2, "ndv": 2, "min_value": 0, "max_value": 1,
         "bucket_edges": [0.0, 1.0, 2.0], "bucket_counts": [1, 1], **column}}}
 

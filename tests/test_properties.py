@@ -127,7 +127,7 @@ def test_capture_statistics_equals_python_reference():
         values = data.draw(column_values(dtype, 60))
         lo, hi = SIGNED_BOUNDS[dtype]
         table = Table(spec=TableSpec("t", values.size, (ColumnSpec("a", lo, hi),)),
-                      generation=0, columns={"a": values})
+                      columns={"a": values})
         stats = capture_statistics(table, buckets=buckets)
         # the JSON file form holds every statistic exactly, at the type's limits too
         assert bench._roundtrip(stats) == stats

@@ -7,13 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from latebind.clock import SimulatedClock
 from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                               apply_drift, generate_table)
-from latebind.engine import execute
 from latebind.errors import ValidationError, json_text, load_json
-from latebind.planner import AggSpec, CostModel, Query, plan
-from latebind.policy import BASELINE, Thresholds
 from latebind.rng import fnv1a64, stream_integers
 from latebind.stats import (ColumnStats, Predicate, TableStats, capture_statistics,
                             estimate_selectivity)
@@ -127,7 +123,7 @@ def test_int16_capture_equals_its_int64_copy(rows, buckets):
     values = stream_integers(16, 0, rows, -30000, 30000, np.int16)
     values[:2] = (-30000, 30000)
     spec = TableSpec("t", rows, (ColumnSpec("a", -30000, 30000),))
-    stats = [capture_statistics(Table(spec=spec, generation=0, columns={"a": col}),
+    stats = [capture_statistics(Table(spec=spec, columns={"a": col}),
                                 buckets=buckets)
              for col in (values, values.astype(np.int64))]
     assert stats[0] == stats[1]
@@ -146,13 +142,6 @@ def test_predicate_masks_take_constants_beyond_the_column_type(dtype):
             pred = Predicate("a", comparison, constant)
             np.testing.assert_array_equal(pred.mask(values), pred.mask(wide),
                                           err_msg=str(pred))
-
-
-def test_captured_generation_tracks_drift():
-    t = generate_table(TableSpec("t", 100, (ColumnSpec("a", 0, 9),)), seed=1)
-    stats = capture_statistics(t)
-    drifted = apply_drift(t, DriftSpec(scale_factor=1.0), seed=2)
-    assert drifted.generation - stats.captured_generation == 1
 
 
 def test_histogram_edges_partition_domain():
@@ -255,17 +244,6 @@ def test_range_estimates_close_to_brute_force():
                 assert abs(est - truth) <= tolerance, (comparison, int(c))
 
 
-def test_optimizer_risk_generation_regression_rejected():
-    # staleness is never negative: execute refuses a table older than the
-    # statistics its plan was built from
-    t = table_from_arrays("t", a=np.arange(10))
-    drifted = apply_drift(t, DriftSpec(scale_factor=1.0), seed=1)
-    query = Query("t", "t", "a", "a", AggSpec("count"))
-    stale_plan = plan(query, {"t": capture_statistics(drifted)}, CostModel.default())
-    with pytest.raises(ValidationError, match="regressed below its statistics generation"):
-        execute(stale_plan, {"t": t}, BASELINE, Thresholds(), SimulatedClock(sigma=0.0), seed=1)
-
-
 def test_capture_of_named_columns_equals_full_capture():
     t = generate_table(TableSpec("t", 500, (
         ColumnSpec("a", 0, 99), ColumnSpec("b", -5, 5), ColumnSpec("c", 0, 10**9))), seed=45)
@@ -273,8 +251,7 @@ def test_capture_of_named_columns_equals_full_capture():
     named = capture_statistics(t, columns=("c", "a"))
     assert list(named.columns) == ["a", "c"]   # in table order
     assert named.columns == {name: full.columns[name] for name in ("a", "c")}
-    assert (named.table, named.row_count, named.captured_generation) == \
-        (full.table, full.row_count, full.captured_generation)
+    assert (named.table, named.row_count) == (full.table, full.row_count)
     assert capture_statistics(t, columns=()).columns == {}
     with pytest.raises(ValidationError, match="no columns"):
         capture_statistics(t, columns=("a", "z"))
