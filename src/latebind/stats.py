@@ -3,8 +3,9 @@
 Statistics are a table's state when they were captured: row count, exact
 distinct count, and an equi-width histogram.  A capture may name the columns
 to describe; the scenarios describe exactly the columns their plans read
-(join keys and filter columns).  Range estimates interpolate uniformly
-within buckets; equality estimates are 1/ndv inside the observed value range.
+(join keys and filter columns).  A filter has one form, ``column >=
+constant`` (``Predicate(column, constant)``), and its estimate interpolates
+uniformly within buckets.
 A TableStats persists as the JSON form of its dataclass (errors.json_text
 and errors.load_json), which holds every statistic exactly, so statistics
 captured before a drift survive it unchanged.
@@ -22,25 +23,18 @@ from .errors import ValidationError
 
 DEFAULT_BUCKETS = 32
 
-COMPARISONS = ("<", "<=", "=", ">=", ">")
-
 
 @dataclass(frozen=True)
 class Predicate:
-    column: str
-    comparison: str
-    constant: int
+    """The one filter form, ``column >= constant``."""
 
-    def __post_init__(self):
-        if self.comparison not in COMPARISONS:
-            raise ValidationError(f"unknown comparison {self.comparison!r}")
+    column: str
+    constant: int
+    # a class constant, not a field; perfbench/oracle.py:21 reads it
+    comparison = ">="
 
     def mask(self, values: np.ndarray) -> np.ndarray:
-        ops = {
-            "<": np.less, "<=": np.less_equal, "=": np.equal,
-            ">=": np.greater_equal, ">": np.greater,
-        }
-        return ops[self.comparison](values, self.constant)
+        return np.greater_equal(values, self.constant)
 
     def __str__(self) -> str:
         return f"{self.column} {self.comparison} {self.constant}"
@@ -125,44 +119,21 @@ def capture_statistics(table: Table, buckets: int = DEFAULT_BUCKETS,
     return TableStats(table=table.spec.name, row_count=table.row_count, columns=cols)
 
 
-def _range_fraction(stats: ColumnStats, lo: int, hi: int) -> float:
-    """Estimated fraction of rows in [lo, hi) (uniform-within-bucket
-    interpolation)."""
-    total = float(stats.row_count)
-    mass = 0.0
-    edges = (stats.min_value, *stats.bucket_edges[1:-1], stats.max_value + 1)
-    for i, count in enumerate(stats.bucket_counts):
-        b_lo, b_hi = edges[i], edges[i + 1]
-        overlap = min(hi, b_hi) - max(lo, b_lo)
-        covered = min(max(overlap / (b_hi - b_lo), 0.0), 1.0)
-        mass += covered * count
-    return min(mass / total, 1.0)
-
-
 def estimate_selectivity(stats: ColumnStats, pred: Predicate) -> float:
-    """Selectivity in [0, 1] for one predicate against captured statistics."""
+    """Estimated fraction in [0, 1] of the rows with ``column >= constant``:
+    the rows of the buckets over [constant, max + 1), each bucket's spread
+    uniformly over its width."""
     if pred.column != stats.column:
         raise ValidationError(
             f"predicate column {pred.column!r} does not match statistics for {stats.column!r}")
     if stats.row_count == 0:
         return 0.0
-
-    c = pred.constant
-    lo = stats.min_value
-    # +1 on the upper edge so integer max is inside the last half-open interval
-    hi = stats.max_value + 1
-
-    if pred.comparison == "=":
-        inside = lo <= c <= stats.max_value
-        return (1.0 / stats.ndv) if (inside and stats.ndv > 0) else 0.0
-
-    if pred.comparison == "<":
-        bounds = (lo, c)
-    elif pred.comparison == "<=":
-        bounds = (lo, c + 1)
-    elif pred.comparison == ">=":
-        bounds = (c, hi)
-    else:  # ">"
-        bounds = (c + 1, hi)
-    return _range_fraction(stats, *bounds)
-
+    # the outer edges stand for min and max + 1, so integer max is inside the
+    # last half-open bucket.  No overlap exceeds its bucket's width, nor the
+    # mass the row count, so neither needs a clamp to 1
+    edges = (stats.min_value, *stats.bucket_edges[1:-1], stats.max_value + 1)
+    mass = 0.0
+    for b_lo, b_hi, count in zip(edges, edges[1:], stats.bucket_counts):
+        overlap = b_hi - max(pred.constant, b_lo)
+        mass += max(overlap, 0.0) / (b_hi - b_lo) * count
+    return mass / stats.row_count

@@ -17,7 +17,7 @@ from latebind.datagen import ColumnSpec, Table, TableSpec, generate_table
 from latebind.planner import (OFFLOADABLE_KINDS, AggSpec, AnnotatedPlan, CostModel, PlanNode,
                               Query, plan)
 from latebind.policy import MODES, Thresholds
-from latebind.stats import capture_statistics
+from latebind.stats import ColumnStats, Predicate, capture_statistics, estimate_selectivity
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,15 @@ class DefaultRun:
     """`latebind run --scenario <name> --seed <seed>`, every other setting at
     its default: the exit code, the reports run_scenario returned, each
     mode's samples.csv bytes, the dtypes of the columns its executions
-    read, and tests/identity.py's lines of its stdout and files."""
+    read, each execution's query seed, mode and (node id, executed variant,
+    charged cost) per node, in the order they ran, and tests/identity.py's
+    lines of its stdout and files."""
 
     exit_code: int
     reports: dict[str, bench.LatencyReport]
     samples: dict[str, bytes]
     dtypes: frozenset[str]
+    executions: tuple[tuple[int, str, tuple[tuple[str, str, float], ...]], ...]
     outputs: list[str]
 
 
@@ -38,7 +41,9 @@ class DefaultRun:
 def default_run(tmp_path_factory) -> Callable[..., DefaultRun]:
     """The default run of a scenario at a seed (1 unless named), made once
     per session through the CLI; every call hands out a deep copy, so no
-    test sees another's changes.  Tests whose subject is a run of their own
+    test sees another's changes, except of the executions: tuples all
+    through, which no test can change, they are shared, since a copy per
+    call would add about 10 ms.  Tests whose subject is a run of their own
     (reruns, memo comparisons, monkeypatched or counted engine calls, runs
     at another column width) make that run themselves."""
     runs: dict[tuple[str, int], DefaultRun] = {}
@@ -48,16 +53,21 @@ def default_run(tmp_path_factory) -> Callable[..., DefaultRun]:
             out = tmp_path_factory.mktemp(name)
             returned = []
             dtypes: set[str] = set()
+            executions = []
             real_run, real_execute = bench.run_scenario, bench.execute
 
             def keeping(*args, **kwargs):
                 returned.append(real_run(*args, **kwargs))
                 return returned[-1]
 
-            def reading(plan, tables, *args, **kwargs):
+            def reading(plan, tables, mode, thresholds, clock, seed, *args, **kwargs):
                 dtypes.update(str(col.dtype) for t in tables.values()
                               for col in t.columns.values())
-                return real_execute(plan, tables, *args, **kwargs)
+                result, trace = real_execute(plan, tables, mode, thresholds, clock, seed,
+                                             *args, **kwargs)
+                executions.append((seed, mode, tuple(
+                    (r.node_id, r.executed_variant, r.charged_cost) for r in trace.records)))
+                return result, trace
 
             stdout = io.StringIO()
             with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
@@ -70,8 +80,9 @@ def default_run(tmp_path_factory) -> Callable[..., DefaultRun]:
             outputs = identity.dir_outputs(identity.run_label(name, seed), code,
                                            stdout.getvalue(), str(out))
             runs[name, seed] = DefaultRun(code, returned[0] if returned else {}, samples,
-                                          frozenset(dtypes), outputs)
-        return copy.deepcopy(runs[name, seed])
+                                          frozenset(dtypes), tuple(executions), outputs)
+        run = runs[name, seed]
+        return copy.deepcopy(run, {id(run.executions): run.executions})
 
     return get
 
@@ -122,6 +133,19 @@ def table_from_arrays(name: str, **cols: np.ndarray) -> Table:
         for col, arr in cols.items())
     spec = TableSpec(name, len(next(iter(cols.values()))), specs)
     return Table(spec=spec, columns={k: np.asarray(v, dtype=np.int64) for k, v in cols.items()})
+
+
+# every other comparison as a >= predicate: a < c is the complement of
+# a >= c, a <= c that of a >= c + 1, and a > c is a >= c + 1.  Each entry is
+# (comparison, numpy scan of it, shift of the constant, complemented)
+AS_AT_LEAST = (("<", np.less, 0, True), ("<=", np.less_equal, 1, True),
+               (">=", np.greater_equal, 0, False), (">", np.greater, 1, False))
+
+
+def estimate_as_at_least(cs: ColumnStats, shift: int, complemented: bool, c: int) -> float:
+    """The estimate of a comparison with c written as a >= predicate."""
+    est = estimate_selectivity(cs, Predicate(cs.column, c + shift))
+    return 1.0 - est if complemented else est
 
 
 def brute_force_join_count(left_key: np.ndarray, right_key: np.ndarray) -> int:

@@ -84,6 +84,11 @@ MUTATIONS = {
                                  "self.high >= VALUE_BOUNDS[1]"),
     "dense_histogram_edge_floor": ("stats.py", "at = np.clip(np.ceil(edges)",
                                    "at = np.clip(np.floor(edges)"),
+    "predicate_mask_strict": ("stats.py", "return np.greater_equal(values, self.constant)",
+                              "return np.greater(values, self.constant)"),
+    "estimate_from_constant_plus_one": (
+        "stats.py", "overlap = b_hi - max(pred.constant, b_lo)",
+        "overlap = b_hi - max(pred.constant + 1, b_lo)"),
     "all_failed_nan_not_shared": ("bench.py", "p50 = p95 = p99 = mean = math.nan",
                                   "p50, p95, p99, mean = (float('nan') for _ in range(4))"),
     "measured_crossover_assumed": ("accel.py", "if cross is None:", "if False:"),

@@ -23,8 +23,9 @@ from latebind.planner import (ACCELERATOR, CPU, CostModel, HASH_JOIN, NESTED_LOO
                               AggSpec, Query, plan)
 from latebind.policy import BASELINE, INDEPENDENT_GATES, ORCHESTRATED, Thresholds
 from latebind.rng import derive_seed, stream_integers, stream_u64
-from latebind.stats import Predicate, capture_statistics, estimate_selectivity
-from conftest import brute_force_join_count, disabled_thresholds
+from latebind.stats import capture_statistics
+from conftest import (AS_AT_LEAST, brute_force_join_count, disabled_thresholds,
+                      estimate_as_at_least)
 
 SEED = 1
 Q = 200
@@ -228,11 +229,10 @@ def test_criterion_8_unit_oracles():
     width_fraction = (cs.bucket_edges[1] - cs.bucket_edges[0]) / (cs.max_value + 1 - cs.min_value)
     sel_ok = True
     worst = 0.0
-    for k, comparison in enumerate(("<", "<=", ">=", ">")):
-        for c in stream_integers(56, 30 * k, 30, 0, 999):
-            pred = Predicate("a", comparison, int(c))
-            est = estimate_selectivity(cs, pred)
-            truth = float(pred.mask(table.column("a")).mean())
+    for k, (_, scan, shift, complemented) in enumerate(AS_AT_LEAST):
+        for c in stream_integers(56, 30 * k, 30, 0, 999).tolist():
+            est = estimate_as_at_least(cs, shift, complemented, c)
+            truth = float(scan(table.column("a"), c).mean())
             err = abs(est - truth)
             worst = max(worst, err)
             sel_ok = sel_ok and err <= 1.5 * width_fraction

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import weakref
@@ -133,7 +134,7 @@ def stale_stats_cases_drawn_one_by_one(seed: int, query_count: int) -> list[Quer
     the value at stream position i."""
     sched = derive_seed(seed, "schedule/stale_stats")
     return [QueryCase(query_id=f"q{i:03d}", fact_variant="drifted", predicate=Predicate(
-                "a", ">=", int(stream_integers(sched, i, 1, 60, 140)[0])))
+                "a", int(stream_integers(sched, i, 1, 60, 140)[0])))
             for i in range(query_count)]
 
 
@@ -221,6 +222,35 @@ def test_seed1_switch_counts(monkeypatch, name):
     monkeypatch.setattr(bench, "execute", counting)
     run_scenario(bench.SCENARIOS[name](seed=1), SimulatedClock(sigma=0.05))
     assert dict(switches) == SEED1_SWITCHES[name]
+
+
+# node pairs of a query, over the three pairs of modes, that run different
+# variants at seed 1: twice each deciding mode's switches above, since a
+# node where the deciding modes switch alike differs from baseline in both,
+# and break_even's switches differ from baseline and independent_gates
+SEED1_DIFFERING_NODE_PAIRS = {INPUT_SCALE_SHIFT: 100, STALE_STATS: 398, BREAK_EVEN: 60}
+
+
+@pytest.mark.parametrize("name", sorted(SEED1_DIFFERING_NODE_PAIRS))
+def test_modes_running_one_variant_at_a_node_charge_it_bit_for_bit(default_run, name):
+    # noise is keyed by query seed and node position, never by mode, so a
+    # gap between two modes' latencies comes only from nodes where they differ
+    queries: dict[int, dict[str, dict[str, tuple[str, float]]]] = {}
+    for seed, mode, charges in default_run(name).executions:
+        queries.setdefault(seed, {})[mode] = {node_id: (variant, cost)
+                                              for node_id, variant, cost in charges}
+    assert len(queries) == 200
+    differing = 0
+    for nodes in queries.values():
+        for a, b in itertools.combinations(MODES, 2):
+            assert nodes[a].keys() == nodes[b].keys()
+            for node_id, (variant, cost) in nodes[a].items():
+                other_variant, other_cost = nodes[b][node_id]
+                if variant != other_variant:
+                    differing += 1
+                else:
+                    assert cost.hex() == other_cost.hex(), node_id
+    assert differing == SEED1_DIFFERING_NODE_PAIRS[name]
 
 
 @pytest.mark.parametrize("base", [None, Thresholds(rho_join=3.0, offload_margin=2.5)],

@@ -10,11 +10,12 @@ import pytest
 
 from latebind import bench, datagen
 from latebind.accel import MAX_MEASUREMENTS
-from latebind.cli import (EXIT_OK, EXIT_VALIDATION, CalibrateConfig, CommonConfig, RunConfig,
-                          _base_thresholds, build_parser, main)
+from latebind.cli import (EXIT_OK, EXIT_RESULT_MISMATCH, EXIT_VALIDATION, CalibrateConfig,
+                          CommonConfig, RunConfig, _base_thresholds, build_parser, main)
 from latebind.clock import MAX_SIGMA, SimulatedClock
 from latebind.engine import EngineConfig
 from latebind.policy import Thresholds
+from test_bench import corrupt_nested_loop, count_join_kernels
 
 
 def run_cli(*argv: str) -> int:
@@ -182,6 +183,29 @@ def test_result_mismatch_exits_2(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path))
     assert code == 2
     assert "diverge" in capsys.readouterr().err
+
+
+def test_modes_running_different_join_kernels_cross_check_to_exit_2(tmp_path, monkeypatch,
+                                                                     capsys):
+    # at default sizes every mode of a query runs the same join kernel, so
+    # the cross-mode check compares one output with itself; at these sizes
+    # some queries run nested loop in baseline and hash in the deciding modes
+    argv = ("run", "--scenario", "stale_stats", "--fact-rows", "2000", "--dim-rows", "1000",
+            "--queries", "10")
+    executions, _ = count_join_kernels(monkeypatch)
+    assert run_cli(*argv, "--out", str(tmp_path / "sound")) == EXIT_OK
+    kernels: dict[int, set[str]] = {}
+    for _, seed, _, _, kernel in executions:
+        kernels.setdefault(seed, set()).add(kernel)
+    assert any(len(ran) == 2 for ran in kernels.values())
+    capsys.readouterr()
+
+    corrupt_nested_loop(monkeypatch)
+    assert run_cli(*argv, "--out", str(tmp_path / "corrupt")) == EXIT_RESULT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: stale_stats/q")
+    assert "results diverge across modes" in captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_out_dir_ignores_environment(tmp_path, monkeypatch):
