@@ -18,9 +18,10 @@ same per-query noise, which is drawn once and shared by its modes; result
 mismatches across modes abort the run.  The check can fire only where the
 modes run different join kernels, and at default sizes they never do: a
 switch from nested loop needs an estimate ratio of rho_join, and such a
-join is past nl_pair_cap, where the nested-loop variant runs the hash kernel.  Queries that share a plan and its
-tables run back to back as a group, so that they can share kernel outputs,
-and their rows are put back in query order.  Tables live per group: a fact
+join is past nl_pair_cap, where the nested-loop variant runs the hash
+kernel.  Queries that share a plan and its tables run back to back as a
+group, so that they can share kernel outputs, and their rows are put back
+in query order.  Tables live per group: a fact
 table and its statistics are made at the first group that reads them and
 dropped after the last, so a run holds one fact variant at a time besides
 the dim table (and the base fact table, in a scenario without size
@@ -29,8 +30,10 @@ statistics; any other plans every variant from the base fact table's and the
 dim table's, as captured before any drift.  Statistics describe exactly the
 columns plans read: the join keys (for ndv) and the filter columns (for
 histograms).  A kernel output computed from table columns alone (a join of
-unfiltered tables, a hash build of a table column) lives as long as its fact
-table, so the dim table's hash build is made once per fact table.
+unfiltered tables, the hash kernel's count table of the dim key) lives as
+long as its fact table, so the dim key's count table is made once per fact
+table.  Every scenario draws the dim key from at most dim_rows values over
+dim_rows rows, so it is dense, the one build key the hash kernel takes.
 By default orchestrated reads the true device model's break-evens and
 independent gates the planner model's; only break_even's models differ, so
 criterion 4 holds with equality on input_scale_shift and stale_stats.
@@ -406,7 +409,7 @@ def run_scenario(scenario: Scenario, clock: SimulatedClock,
     rows: dict[str, list[SampleRow]] = {mode: [None] * len(scenario.cases)
                                         for mode in scenario.modes}
     for group in scenario_groups(scenario):
-        memo = KernelMemo(table_set=group.store, group={})
+        memo = KernelMemo(table_set=group.store)
         for i, prepared in group.queries:
             values: dict[str, int] = {}
             for mode in scenario.modes:

@@ -28,10 +28,7 @@ class SimulatedClock:
             raise ValidationError(f"sigma must be >= 0 and finite, at most {MAX_SIGMA}, "
                                   f"got {sigma}")
         self.sigma = sigma
-        # (seed, {counter: noise(seed, counter)}) of the last seed charged;
-        # replaced whole, so threads sharing the clock never mix two seeds.
-        # Two threads on one seed may both draw a counter; they store the
-        # same value, since noise is a pure function
+        # (seed, {counter: noise(seed, counter)}) of the last seed charged
         self._drawn: tuple[Optional[int], dict[int, float]] = (None, {})
 
     def noise(self, seed: int, counter: int) -> float:

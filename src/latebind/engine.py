@@ -50,10 +50,10 @@ Each node is named by the kernel that actually runs (``NodeRecord.kernel``):
 a hash or nested-loop join kernel, or the one CPU kernel of a scan, filter
 or aggregate, since the accelerator is a cost-model device.  Every
 execution charges its own cost, but executions share
-kernel outputs by one rule: a filter, hash build, join or aggregate output
+kernel outputs by one rule: a filter, count table, join or aggregate output
 is keyed by its kernel and the identity of its input arrays (_shared), so
 it is computed once per distinct input.  Where it lives follows from those
-inputs: the hash build of the dim key, always the dim table's own array,
+inputs: the dim key's count table, always of the dim table's own array,
 lives as long as the table set, and a join lives there exactly when its
 probe key is the fact table's own array; every other output lives as long
 as the group (the executions of one plan on one set of tables).  The filter kernel
@@ -134,16 +134,16 @@ class QueryResult:
 @dataclass
 class KernelMemo:
     """The stores of kernel outputs that execute calls share, one per
-    lifetime; None is no store, so every output is computed.
+    lifetime; a memo of its own gives each output once per call.
 
     ``group`` serves calls that share plan and tables.  ``table_set`` serves
     every call over the same table objects and holds only the outputs whose
-    inputs are all table columns (hash builds and joins).  Either keys an
+    inputs are all table columns (count tables and joins).  Either keys an
     output by its kernel and the identity of its input arrays (_shared).
     """
 
-    table_set: Optional[dict] = None
-    group: Optional[dict] = None
+    table_set: dict = field(default_factory=dict)
+    group: dict = field(default_factory=dict)
 
 
 def observe(node: PlanNode, n_obs: int, thresholds: Thresholds) -> RiskVector:
@@ -179,70 +179,44 @@ def join_kernel(variant: str, pairs: int, pair_cap: int) -> str:
     return HASH_JOIN
 
 
-def _hash_build(build_key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hash kernel's build side, grouped by key: the stable sort order of
-    the build rows, the start of each key's run in that order, and the
-    distinct keys, ascending."""
-    order = np.argsort(build_key, kind="stable")
-    sorted_key = build_key[order]
-    run_start = np.ones(sorted_key.size, dtype=bool)
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    return order, starts, sorted_key[starts]
+def _key_counts(build_key: np.ndarray) -> tuple[int, np.ndarray]:
+    """The hash kernel's build side, a table that probe rows read by direct
+    address: the least build key lo, and the count of build rows per key at
+    int64 width, key lo + k at k + 1, between two empty ends.  The key must
+    be dense, spanning no more values than it has rows, as every scenario's
+    dim key does; the table then has at most rows + 2 entries."""
+    if not build_key.size:
+        return 0, np.zeros(2, dtype=np.int64)
+    lo = int(build_key.min())
+    span = int(build_key.max()) - lo + 1
+    if span > build_key.size:
+        raise ValidationError(f"hash build key spans {span} values over {build_key.size} "
+                              f"rows; it must be dense")
+    return lo, np.bincount(build_key - np.int64(lo) + 1, minlength=span + 2)
 
 
 def _hash_join(probe_key: np.ndarray, build_key: np.ndarray,
                carried: dict[str, np.ndarray], build_carried: dict[str, np.ndarray],
-               build: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-               ) -> tuple[int, dict[str, np.ndarray]]:
+               table: tuple[int, np.ndarray]) -> tuple[int, dict[str, np.ndarray]]:
     """Equi-join aggregated eagerly: the output row count, and per carried
     column the number of output rows each of its rows is in, without
-    building the rows.  Each probe row gathers its key's count of build rows;
-    each build row, when a build column is carried, its key's count of probe
-    rows.  `build` is _hash_build(build_key) when the caller already has it."""
-    order, starts, keys = build if build is not None else _hash_build(build_key)
-    key_at, probe_at, size = _key_table(probe_key, keys, order.size)
-    run_rows = np.diff(starts, append=order.size)
-    per_key = np.zeros(size, dtype=np.int64)
-    per_key[key_at] = run_rows
-    probe_counts = np.take(per_key, probe_at, mode="clip")
+    building the rows.  Each probe row reads its key's count of build rows
+    from `table`, _key_counts(build_key); each build row, when a build
+    column is carried, its key's count of probe rows."""
+    lo, counts = table
+    # offsets at int64 width, whatever the keys' width; they wrap mod 2**64,
+    # and a wrapped offset is never in [1, span], so every key outside the
+    # build key's range clips to an empty end
+    probe_at = probe_key - np.int64(lo)
+    probe_at += 1
+    probe_counts = np.take(counts, probe_at, mode="clip")
     weights = dict.fromkeys(carried, probe_counts)
     if build_carried:
         # clipped as np.take clips: a probe key outside the table counts at an empty end
-        hits = np.bincount(np.clip(probe_at, 0, size - 1), minlength=size)
-        build_counts = np.empty(order.size, dtype=np.int64)
-        build_counts[order] = np.repeat(hits[key_at], run_rows)
+        hits = np.bincount(np.clip(probe_at, 0, counts.size - 1), minlength=counts.size)
+        build_counts = hits[build_key - np.int64(lo) + 1]
         weights.update(dict.fromkeys(build_carried, build_counts))
     return int(probe_counts.sum()), weights
-
-
-def _key_table(probe_key: np.ndarray, keys: np.ndarray, build_rows: int,
-               ) -> tuple[np.ndarray, np.ndarray, int]:
-    """A table with an entry per distinct build key (`keys`, ascending) that
-    probe rows read by position: the position of each key, the position of
-    each probe row's key (read with clipping), and the table size.  Every
-    other position is a key that no build row has."""
-    n = keys.size
-    if n:
-        kmin, kmax = int(keys[0]), int(keys[-1])
-        span = kmax - kmin + 1
-        if span <= probe_key.size + build_rows:
-            # dense build key: key kmin + k sits at k + 1, between two empty
-            # ends.  Offsets are taken at int64 width, whatever the keys'
-            # width; they wrap mod 2**64, and a wrapped offset is never in
-            # [1, span], so every key outside [kmin, kmax] clips to an end.
-            at = probe_key - np.int64(kmin)
-            at += 1
-            key_at = keys - np.int64(kmin)
-            key_at += 1
-            return key_at, at, span + 2
-    # sparse build key: search each distinct probe key once, then spread
-    # back to probe order; position 0 is the empty entry
-    distinct, inverse = np.unique(probe_key, return_inverse=True)
-    at = np.searchsorted(keys, distinct)
-    found = at < n
-    found[found] = keys[at[found]] == distinct[found]
-    return np.arange(1, n + 1), np.where(found, at + 1, 0)[inverse], n + 1
 
 
 def _nested_loop_join(probe_key: np.ndarray, build_key: np.ndarray,
@@ -293,13 +267,10 @@ def _output_sum(col: np.ndarray, weights: np.ndarray) -> int:
     return int(np.dot(col.astype(np.int64, copy=False), weights))
 
 
-def _shared(store: Optional[dict], tag: tuple, arrays: tuple[np.ndarray, ...],
+def _shared(store: dict, tag: tuple, arrays: tuple[np.ndarray, ...],
             compute: Callable[[], object]) -> object:
-    """compute(), once per tag and identity of `arrays` in the store, or
-    every time without one; the entry keeps the arrays alive, so their ids
-    stay theirs while it exists."""
-    if store is None:
-        return compute()
+    """compute(), once per tag and identity of `arrays` in the store; the
+    entry keeps the arrays alive, so their ids stay theirs while it exists."""
     key = (tag, *map(id, arrays))
     entry = store.get(key)
     if entry is None:
@@ -398,15 +369,15 @@ def execute(plan: AnnotatedPlan, tables: dict[str, Table], mode: str,
         agg_col = q.aggregate.column
         carried = {agg_col: left[agg_col]} if q.aggregate.op == "sum" else {}
         # outputs of table columns alone live as long as the tables: the dim
-        # key's hash build, and the join when no filter gathered its probe key
+        # key's count table, and the join when no filter gathered its probe key
         join_store = memo.table_set if probe_key is fact.columns[q.left_key] else memo.group
 
         def join() -> tuple[int, dict[str, np.ndarray]]:
             if kernel == NESTED_LOOP:
                 return _nested_loop_join(probe_key, build_key, carried, {}, BATCH_SIZE)
-            build = _shared(memo.table_set, ("build",), (build_key,),
-                            lambda: _hash_build(build_key))
-            return _hash_join(probe_key, build_key, carried, {}, build)
+            table = _shared(memo.table_set, ("counts",), (build_key,),
+                            lambda: _key_counts(build_key))
+            return _hash_join(probe_key, build_key, carried, {}, table)
 
         n_join, join_weights = _shared(join_store, ("join", kernel, tuple(carried)),
                                        (probe_key, build_key, *carried.values()), join)

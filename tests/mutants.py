@@ -38,6 +38,11 @@ MUTATIONS = {
     "no_hash_build_bytes": (
         "engine.py", "build_bytes = right_bytes if variant == HASH_JOIN else 0",
         "build_bytes = 0"),
+    "dense_check_inclusive": ("engine.py", "if span > build_key.size:",
+                              "if span >= build_key.size:"),
+    "probe_offset_unshifted": ("engine.py", "probe_at += 1", "probe_at += 0"),
+    "probe_read_wraps": ("engine.py", 'np.take(counts, probe_at, mode="clip")',
+                         'np.take(counts, probe_at, mode="wrap")'),
     "spill_at_budget": ("engine.py", "spilled = working > budget",
                         "spilled = working >= budget"),
     "fail_at_hard_cap": ("engine.py", "if working > hard_cap:", "if working >= hard_cap:"),
@@ -105,7 +110,7 @@ MUTATIONS = {
     "size_zero_allowed": ("accel.py", "if not (0 < sizes[0] and", "if not (0 <= sizes[0] and"),
     "fit_crossing_at_zero_kept": ("accel.py", "if n_est <= 0:", "if n_est < 0:"),
     "run_scenario_without_memo": (
-        "bench.py", "memo = KernelMemo(table_set=group.store, group={})", "memo = None"),
+        "bench.py", "memo = KernelMemo(table_set=group.store)", "memo = None"),
     "right_filter_accepted": ("planner.py", "if self.right_filter is not None:", "if False:"),
     "dim_column_summed": ("engine.py", "if q.aggregate.column not in fact.columns:",
                           "if False:"),

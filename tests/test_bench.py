@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import statistics
@@ -713,24 +714,42 @@ def test_join_outputs_freed_before_next_table_is_made(monkeypatch):
     assert alive_at_generate == [0] * 13   # the dim table and 12 fact tables
 
 
+@pytest.mark.parametrize("name,least", [
+    (INPUT_SCALE_SHIFT, 1), (STALE_STATS, 2), (BREAK_EVEN, 1)])
+def test_every_scenario_dim_key_is_dense_for_the_hash_kernel(name, least):
+    # the hash kernel builds on the dim key and takes a dense build key
+    # alone, one that spans no more values than it has rows
+    build = bench.SCENARIOS[name]
+    with pytest.raises(ValidationError, match="dim_rows"):
+        build(dim_rows=least - 1)
+    default = inspect.signature(build).parameters["dim_rows"].default
+    for dim_rows in sorted({least, 7, default}):
+        scenario = build(seed=1, query_count=1, dim_rows=dim_rows)
+        (_, query), = next(bench.scenario_groups(scenario)).queries
+        key = query.tables[scenario.dim_spec.name].column(bench.RIGHT_KEY)
+        lo, counts = engine._key_counts(key)
+        assert key.size == dim_rows and counts.sum() == dim_rows
+        assert counts.size <= dim_rows + 2 and lo == key.min()
+
+
 def test_dim_hash_build_made_once_per_table_set(monkeypatch):
-    # every fact variant is its own table set, whose store keeps the hash
-    # build of the dim key as long as the fact table lives: 140 of the 200
+    # every fact variant is its own table set, whose store keeps the count
+    # table of the dim key as long as the fact table lives: 140 of the 200
     # sets run a hash join in some mode, 420 hash joins in all
     built = []
-    real_build = engine._hash_build
+    real_build = engine._key_counts
 
     def counting_build(build_key):
         built.append(build_key.size)
         return real_build(build_key)
 
-    monkeypatch.setattr(engine, "_hash_build", counting_build)
+    monkeypatch.setattr(engine, "_key_counts", counting_build)
     scenario = scenario_break_even(seed=1)
     run_scenario(scenario, SimulatedClock(sigma=0.05))
     assert built == [scenario.dim_spec.row_count] * 140
 
 
-KERNELS = ("_filter", "_hash_build", "_hash_join", "_nested_loop_join", "_output_sum")
+KERNELS = ("_filter", "_key_counts", "_hash_join", "_nested_loop_join", "_output_sum")
 
 
 # one kernel run per distinct input

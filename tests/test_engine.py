@@ -9,7 +9,7 @@ import pytest
 from latebind.clock import SimulatedClock
 from latebind.datagen import ColumnSpec, DriftSpec, TableSpec, apply_drift, generate_table
 from latebind import engine
-from latebind.engine import (EngineConfig, _hash_build, _hash_join,
+from latebind.engine import (EngineConfig, _hash_join, _key_counts,
                              _nested_loop_join, _output_sum, execute, join_kernel,
                              observe)
 from latebind.errors import ValidationError
@@ -389,12 +389,21 @@ def wrapped_int64(value: int) -> int:
     return (value + 2**63) % 2**64 - 2**63
 
 
+def sparse(build_key: np.ndarray) -> bool:
+    """Whether a build key spans more values than it has rows, which the
+    hash kernel does not take."""
+    return build_key.size > 0 and int(build_key.max()) - int(build_key.min()) >= build_key.size
+
+
 def check_join_kernels(probe_key, build_key, pair_cap, block=16, carried=None,
                        build_carried=None) -> None:
-    """Hash kernel, the kernel join_kernel dispatches a nested-loop variant to,
-    and a prebuilt hash build all give the brute-force pairs' row count and,
-    per carried column, how many pairs each of its rows is in; the weighted
-    sum is the column's int64 sum over the pairs."""
+    """The literal nested loop, and on a dense build key the hash kernel and
+    the kernel join_kernel dispatches a nested-loop variant to, all give the
+    brute-force pairs' row count and, per carried column, how many pairs
+    each of its rows is in; the weighted sum is the column's int64 sum over
+    the pairs.  On a sparse build key (spanning more values than it has
+    rows) the hash kernel, and so the nested-loop variant above pair_cap,
+    raise ValidationError."""
     n_probe, n_build = probe_key.size, build_key.size
     if carried is None:
         carried = {"v": np.arange(n_probe, dtype=np.int64) * 7 + 3,
@@ -409,15 +418,20 @@ def check_join_kernels(probe_key, build_key, pair_cap, block=16, carried=None,
     assert expected == {name: int(col.sum(dtype=np.int64))
                         for name, col in pair_columns.items()}
     kernels = {
-        HASH_JOIN: lambda: _hash_join(probe_key, build_key, carried, build_carried),
+        HASH_JOIN: lambda: _hash_join(probe_key, build_key, carried, build_carried,
+                                      _key_counts(build_key)),
         NESTED_LOOP: lambda: _nested_loop_join(probe_key, build_key, carried,
                                                build_carried, block=block),
     }
     kernel = join_kernel(NESTED_LOOP, n_probe * n_build, pair_cap)
     assert kernel == (HASH_JOIN if n_probe * n_build > pair_cap else NESTED_LOOP)
-    outputs = {"hash": kernels[HASH_JOIN](), "nested_loop": kernels[kernel](),
-               "prebuilt": _hash_join(probe_key, build_key, carried, build_carried,
-                                      _hash_build(build_key))}
+    outputs = {"literal": kernels[NESTED_LOOP]()}
+    for label, run in (("hash", kernels[HASH_JOIN]), ("nested_loop", kernels[kernel])):
+        if sparse(build_key) and run is kernels[HASH_JOIN]:
+            with pytest.raises(ValidationError, match="dense"):
+                run()
+        else:
+            outputs[label] = run()
     multiplicity = {**dict.fromkeys(carried, np.bincount(p_idx, minlength=n_probe)),
                     **dict.fromkeys(build_carried, np.bincount(b_idx, minlength=n_build))}
     columns = {**carried, **build_carried}
@@ -452,8 +466,8 @@ def straddling(seed: int, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 # (probe keys, build keys) per case, drawn from the stream of a seed: the
 # probe keys from position 0 and the build keys after them.  The hash kernel
-# probes a dense build key (span <= probe + build rows) by direct address, a
-# sparse one by searching the distinct probe keys; the nested loop compares
+# takes a dense build key (span <= build rows) alone, which it probes by
+# direct address, and refuses a sparse one; the literal nested loop compares
 # the keys as given.
 JOIN_KEY_CASES = {
     "negative": lambda seed: (stream_integers(seed, 0, 70, -30, -10),
@@ -540,7 +554,11 @@ def test_join_kernels_take_narrow_columns(dtype, build, pair_cap):
     def wide(cols: dict) -> dict:
         return {name: col.astype(np.int64) for name, col in cols.items()}
 
-    for kernel in (_hash_join, lambda *args: _nested_loop_join(*args, block=7)):
+    kernels = [lambda *args: _nested_loop_join(*args, block=7)]
+    if build == "dense":
+        kernels.append(lambda probe, keys, *cols: _hash_join(probe, keys, *cols,
+                                                             _key_counts(keys)))
+    for kernel in kernels:
         rows, weights = kernel(probe_key, build_key, carried, build_carried)
         wide_rows, wide_weights = kernel(probe_key.astype(np.int64), build_key.astype(np.int64),
                                          wide(carried), wide(build_carried))

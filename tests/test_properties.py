@@ -3,13 +3,14 @@ equal plain-Python references, captured statistics survive their JSON round
 trip, a narrow integer draw equals the int64 draw, and a scenario run gives
 the rows of executing every query alone.
 
-The join kernels' build-side counts, their sparse key table and the sorted
-path of capture_statistics run in no scenario at its defaults, so these
-properties are their guard.  The kernel inputs cover every signed integer
-type, int64 too, keys at the type's limits (where the dense key table's
-int64 offsets wrap), dense and sparse build keys, every block size of the
-literal nested loop and carried columns on both sides.  The statistics and
-narrow-draw properties draw the types a column is stored in, int8 to int32.
+The join kernels' build-side counts and the sorted path of
+capture_statistics run in no scenario at its defaults, so these properties
+are their guard.  The kernel inputs cover every signed integer type, int64
+too, keys at the type's limits (where the count table's int64 offsets
+wrap), dense build keys and sparse ones, which the hash kernel refuses,
+every block size of the literal nested loop and carried columns on both
+sides.  The statistics and narrow-draw properties draw the types a column
+is stored in, int8 to int32.
 
 run_scenario executes group by group and shares kernel outputs through a
 memo; the reference below executes every query under every mode with no

@@ -10,7 +10,11 @@ marked as allowed; Tier-1's ``tests/test_unreached.py`` checks that each
 of them still exists.  pytest does not collect this file: it is no
 ``test_*.py``.  Tracing makes Tier-1 several times slower.
 
-    python tests/unreached.py            # pytest arguments may follow
+    python tests/unreached.py            # all of Tier-1
+    python tests/unreached.py tests/test_cli.py tests/test_cli_fuzz.py
+
+Trailing arguments go to pytest, so test paths scope the trace: the second
+form prints what no CLI test reaches.
 
 Exit status: pytest's, when it fails; otherwise 1 when a line outside
 ALLOWED is unreached, and 0 when none is.
