@@ -44,7 +44,6 @@ identical inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -56,8 +55,7 @@ from .clock import SimulatedClock
 from .datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                       apply_drift, generate_table)
 from .engine import TRUE_COST_MODEL, EngineConfig, KernelMemo, execute
-from .errors import (ResultMismatchError, ValidationError, csv_text, json_fields, json_text,
-                     write_file)
+from .errors import ResultMismatchError, ValidationError, csv_text, write_file
 from .planner import (AggSpec, AnnotatedPlan, CostModel, Query, plan as build_plan)
 from .policy import (BASELINE, INDEPENDENT_GATES, MODES, ORCHESTRATED, Thresholds,
                      static_thresholds)
@@ -288,9 +286,10 @@ def _fact_table(scenario: Scenario, label: str, base: Optional[Table]) -> Table:
     return generate_table(spec, derive_seed(seed, f"table/fact/{label}"))
 
 
-# nothing calls it; perfbench/layers.py wraps bench._roundtrip
+# nothing calls it; perfbench/layers.py wraps bench._roundtrip, which
+# ROADMAP item 1b drops from the benchmark and item 4 then deletes here
 def _roundtrip(stats: TableStats) -> TableStats:
-    return TableStats(**json_fields(TableStats, json.loads(json_text(stats)), "statistics"))
+    return stats
 
 
 def scenario_thresholds(scenario: Scenario,

@@ -2,10 +2,10 @@
 it: bad input (ValidationError, exit 1), a working set over the hard memory
 cap (MemoryBudgetExceeded, one failed query) and results that diverge across
 modes (ResultMismatchError, exit 2).  Also the one JSON form of its
-documents: each is a dataclass, written as json_text.  A thresholds file
-and a statistics document are read back by load_json, which parses one
-with parse_json and checks it against the dataclass's fields with
-json_fields; a config.json is a record of its run and is not read back.
+documents: each is a dataclass, written as json_text.  A thresholds file is
+the one document read back, by load_json, which parses it with parse_json
+and checks it against the dataclass's fields with json_fields; a
+config.json is a record of its run and is not read back.
 Every file the package writes goes through write_file, and every CSV
 through csv_text."""
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import re
 import sys
 import typing
 from pathlib import Path
@@ -37,35 +36,23 @@ class ResultMismatchError(RuntimeError):
 
 
 def json_fields(cls: type, doc: object, what: str) -> dict[str, object]:
-    """The fields of dataclass `cls` that the JSON object `doc` sets, each
-    held as its type hint holds it: a JSON list becomes a tuple, an object
-    a dict or a nested dataclass, and an integer that a float reaches passes
-    for a float.  A document that is no object, unknown or missing keys, and
-    a value of another type are rejected; `what` names the document in the
-    message."""
+    """The fields of dataclass `cls` (Thresholds, the one document read
+    back, every field of which has a default) that the JSON object `doc`
+    sets, each held as its type hint holds it: an object becomes a dict,
+    and an integer that a float reaches passes for a float.  A document
+    that is no object, unknown keys and a value of another type are
+    rejected; `what` names the document in the message."""
     if not isinstance(doc, dict):
         raise ValidationError(f"a {what} document must be a JSON object, not {doc!r}")
     hints = _type_hints(cls)
     unknown = set(doc) - set(hints)
     if unknown:
         raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
-    missing = [f.name for f in dataclasses.fields(cls) if f.name not in doc
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ValidationError(f"{what} lacks keys {missing}")
 
     def held(name: str, value: object, hint: object) -> object:
-        args = typing.get_args(hint)
-        origin = typing.get_origin(hint)
-        if origin is tuple and isinstance(value, list):  # tuple[T, ...]
-            return tuple(held(name, item, args[0]) for item in value)
-        if origin is dict and isinstance(value, dict):  # dict[str, T]
-            return {key: held(name, item, args[1]) for key, item in value.items()}
-        if dataclasses.is_dataclass(hint):
-            # ColumnStats, the one nested dataclass a document holds -> "column stats"
-            return hint(**json_fields(hint, value, re.sub(
-                r"(?<!^)(?=[A-Z])", " ", hint.__name__).lower()))
+        if typing.get_origin(hint) is dict and isinstance(value, dict):  # dict[str, T]
+            return {key: held(name, item, typing.get_args(hint)[1])
+                    for key, item in value.items()}
         if type(value) is hint or (hint is float and type(value) is int
                                    and abs(value) <= sys.float_info.max):
             return value

@@ -6,9 +6,6 @@ to describe; the scenarios describe exactly the columns their plans read
 (join keys and filter columns).  A filter has one form, ``column >=
 constant`` (``Predicate(column, constant)``), and its estimate interpolates
 uniformly within buckets.
-A TableStats persists as the JSON form of its dataclass (errors.json_text
-and errors.load_json), which holds every statistic exactly, so statistics
-captured before a drift survive it unchanged.
 """
 
 from __future__ import annotations

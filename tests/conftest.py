@@ -26,14 +26,14 @@ class DefaultRun:
     its default: the exit code, the reports run_scenario returned, each
     mode's samples.csv bytes, the dtypes of the columns its executions
     read, each execution's query seed, mode and (node id, executed variant,
-    charged cost) per node, in the order they ran, and tests/identity.py's
-    lines of its stdout and files."""
+    charged cost, kind, observed input) per node, in the order they ran, and
+    tests/identity.py's lines of its stdout and files."""
 
     exit_code: int
     reports: dict[str, bench.LatencyReport]
     samples: dict[str, bytes]
     dtypes: frozenset[str]
-    executions: tuple[tuple[int, str, tuple[tuple[str, str, float], ...]], ...]
+    executions: tuple[tuple[int, str, tuple[tuple[str, str, float, str, int], ...]], ...]
     outputs: list[str]
 
 
@@ -66,7 +66,8 @@ def default_run(tmp_path_factory) -> Callable[..., DefaultRun]:
                 result, trace = real_execute(plan, tables, mode, thresholds, clock, seed,
                                              *args, **kwargs)
                 executions.append((seed, mode, tuple(
-                    (r.node_id, r.executed_variant, r.charged_cost) for r in trace.records)))
+                    (r.node_id, r.executed_variant, r.charged_cost, r.kind, r.n_obs)
+                    for r in trace.records)))
                 return result, trace
 
             stdout = io.StringIO()

@@ -128,6 +128,7 @@ MUTATIONS = {
                           "else str(value)"),
     "largest_float_integer_rejected": ("errors.py", "abs(value) <= sys.float_info.max",
                                        "abs(value) < sys.float_info.max"),
+    "json_true_passes_for_float": ("errors.py", "type(value) is int", "isinstance(value, int)"),
     "zero_flag_dropped": ("cli.py", "for name, value in given.items() if value is not None})",
                           "for name, value in given.items() if value})"),
 }

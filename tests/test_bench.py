@@ -239,7 +239,7 @@ def test_modes_running_one_variant_at_a_node_charge_it_bit_for_bit(default_run, 
     queries: dict[int, dict[str, dict[str, tuple[str, float]]]] = {}
     for seed, mode, charges in default_run(name).executions:
         queries.setdefault(seed, {})[mode] = {node_id: (variant, cost)
-                                              for node_id, variant, cost in charges}
+                                              for node_id, variant, cost, _, _ in charges}
     assert len(queries) == 200
     differing = 0
     for nodes in queries.values():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import bisect
-import io
 import math
 
 import numpy as np
@@ -9,10 +8,9 @@ import pytest
 
 from latebind.datagen import (ColumnSpec, DistributionChange, DriftSpec, Table, TableSpec,
                               apply_drift, generate_table)
-from latebind.errors import ValidationError, json_text, load_json
+from latebind.errors import ValidationError
 from latebind.rng import fnv1a64, stream_integers
-from latebind.stats import (ColumnStats, Predicate, TableStats, capture_statistics,
-                            estimate_selectivity)
+from latebind.stats import ColumnStats, Predicate, capture_statistics, estimate_selectivity
 from conftest import AS_AT_LEAST, estimate_as_at_least, table_from_arrays
 
 
@@ -226,11 +224,3 @@ def test_capture_of_named_columns_equals_full_capture():
     assert capture_statistics(t, columns=()).columns == {}
     with pytest.raises(ValidationError, match="no columns"):
         capture_statistics(t, columns=("a", "z"))
-
-
-def test_stats_serialization_roundtrip():
-    t = generate_table(TableSpec("t", 500, (
-        ColumnSpec("a", 0, 99), ColumnSpec("b", -5, 5))), seed=44)
-    stats = capture_statistics(t)
-    loaded = load_json(TableStats, io.StringIO(json_text(stats)), "statistics")
-    assert loaded == stats
